@@ -26,8 +26,18 @@ from .dictionary import (BoySet, Dictionary, GirlSet, ParameterPack, boys,
 from .codec import (BlockParse, CodedPair, audit_badset, audit_entropy,
                     audit_weakstar, decode, encode, lz78_entropy,
                     rokhlin_parse)
-from .toral import (CyclotomicSplit, classify, cyclotomic_split,
-                    halmos_membership, is_quasi_hyperbolic, split_action,
-                    toral_entropy)
 
 __version__ = "0.1.0"
+
+# The toral companion needs sympy and mpmath, which take most of the
+# import time; its names load on first access (PEP 562).
+_TORAL_NAMES = frozenset({
+    "CyclotomicSplit", "classify", "cyclotomic_split", "halmos_membership",
+    "is_quasi_hyperbolic", "split_action", "toral_entropy"})
+
+
+def __getattr__(name):
+    if name in _TORAL_NAMES:
+        from . import toral
+        return getattr(toral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,6 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Most rows per block yielded by Dfa.enumerate; bounds its working memory.
+ENUM_BLOCK_ROWS = 1 << 16
+
 
 @dataclass
 class Dfa:
@@ -79,18 +82,38 @@ class Dfa:
         return vec[self.start]
 
     def enumerate(self, length: int):
-        """Yield accepted words (tuples) of the given length in lex order."""
-        word = [0] * length
-        def rec(node, pos):
-            if pos == length:
-                yield tuple(word)
-                return
-            for a in range(self.alphabet_size):
-                nxt = self.step[node][a]
-                if nxt >= 0:
-                    word[pos] = a
-                    yield from rec(nxt, pos + 1)
-        yield from rec(self.start, 0)
+        """Yield accepted words of the given length in lex order, in blocks.
+
+        Each block is a ``uint8`` array of shape ``(rows, length)`` with
+        ``1 <= rows <= ENUM_BLOCK_ROWS`` (as long as that constant is at
+        least the alphabet size); concatenated, the blocks list every
+        accepted word exactly once.  Prefixes grow a whole frontier at a
+        time; a frontier whose children would overflow a block is split
+        in half and the halves are finished one after the other, so
+        memory is bounded by the block size times the word length,
+        whatever the word count.
+        """
+        if length < 0:
+            raise ValueError("length must be >= 0")
+        step = self.step
+        pending = [(np.zeros((1, 0), dtype=np.uint8),
+                    np.array([self.start], dtype=np.int64))]
+        while pending:
+            words, nodes = pending.pop()
+            while words.shape[1] < length and len(nodes):
+                nxt = step[nodes]
+                live = nxt >= 0
+                if len(nodes) > 1 and np.count_nonzero(live) > ENUM_BLOCK_ROWS:
+                    half = len(nodes) // 2
+                    pending.append((words[half:], nodes[half:]))
+                    words, nodes = words[:half], nodes[:half]
+                    continue
+                rows, syms = np.nonzero(live)
+                words = np.concatenate(
+                    [words[rows], syms.astype(np.uint8)[:, None]], axis=1)
+                nodes = nxt[rows, syms]
+            if len(nodes):
+                yield words
 
     def rank(self, symbols) -> int:
         """Lexicographic rank of an accepted word among words of its length."""

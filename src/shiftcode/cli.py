@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codec, markers, measures, shiftspace, splicer, toral
+from . import codec, markers, measures, shiftspace, splicer
 from .dictionary import (Dictionary, ParameterPack, boys, choose_parameters,
                          dictionary as build_dictionary, girls, log_bigint,
                          verify_dictionary_bounds)
@@ -383,6 +383,7 @@ def _read_matrix(args) -> list:
 
 
 def _cmd_toral(args):
+    from . import toral  # sympy and mpmath load only for toral commands
     m = _read_matrix(args)
     if args.operation == "entropy":
         emit_report("toral", [("operation", "entropy"),
@@ -402,6 +403,7 @@ def _cmd_toral(args):
 
 
 def _cmd_halmos(args):
+    from . import toral
     emit_report("halmos", [("n", args.n), ("m", args.m),
                            ("member", toral.halmos_membership(args.n, args.m))],
                 args.out)

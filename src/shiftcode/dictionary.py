@@ -567,8 +567,9 @@ class GirlSet:
     def _iter_plain(self):
         if self.length * self.dfa.n_nodes > self.RANK_CELL_LIMIT:
             raise ParameterError("girl enumeration too large for s2 filtering")
-        for sym in self.dfa.enumerate(self.length):
-            yield Word(np.array(sym, dtype=np.uint8))
+        for block in self.dfa.enumerate(self.length):
+            for sym in block:
+                yield Word(sym.copy())  # a view would pin the whole block
 
     def member(self, word: Word) -> bool:
         if len(word) != self.length:

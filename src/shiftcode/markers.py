@@ -52,17 +52,15 @@ class MarkerScheme:
         return cls(word, m, float(fields["alpha"]), nu_h1, nu_h2)
 
 
-def _distinguish_violations(symbols: np.ndarray, M: int) -> int:
-    """Number of offsets i in [0, 6M) whose 2M-window equals the 6M-window."""
-    h2 = symbols[6 * M:8 * M]
-    windows = np.lib.stride_tricks.sliding_window_view(symbols, 2 * M)[:6 * M]
-    return int(np.sum(np.all(windows == h2, axis=1)))
-
-
 def check_scheme(sft: Sft, nu: MarkovMeasure, word: Word, M: int, alpha: float):
-    """(violations, nu_h1, nu_h2, ok) for a candidate marker word."""
+    """(violations, nu_h1, nu_h2, ok) for a candidate marker word.
+
+    violations counts the offsets i in [0, 6M) whose 2M-window equals the
+    window at offset 6M.
+    """
     sym = word.symbols
-    viol = _distinguish_violations(sym, M)
+    windows = np.lib.stride_tricks.sliding_window_view(sym, 2 * M)[:6 * M]
+    viol = int(np.sum(np.all(windows == sym[6 * M:8 * M], axis=1)))
     nu_h1 = nu.cylinder_probability(Word(sym[:2 * M]))
     nu_h2 = nu.cylinder_probability(Word(sym[6 * M:8 * M]))
     ok = (viol == 0 and nu_h1 < alpha / M and nu_h2 < alpha / M
@@ -74,9 +72,13 @@ def find_marker(sft: Sft, nu: MarkovMeasure, M: int, alpha: float,
                 budget: int = 20000, seed: int = 0) -> MarkerScheme:
     """Search for a valid marker word of length 8M.
 
-    Exhaustive (ordered by longest constant run, then lex, so fillers are
-    unlikely to reproduce the marker by accident) when the candidate space
-    is at most 2^24; otherwise seeded random restarts with single-symbol
+    Exhaustive when the candidate space is at most 2^24 words: every
+    admissible word is checked, one lex-ordered block of candidates at a
+    time (see :meth:`Dfa.enumerate`), and the valid word with the shortest
+    longest constant run wins, ties going to the first in lex order, so
+    fillers are unlikely to reproduce the marker by accident.  Working
+    memory is a few blocks, about 30 MB at 8M = 24, whatever the number
+    of candidates.  Otherwise seeded random restarts with single-symbol
     hill climbing on the count of violated offsets.
     """
     if M < 1:
@@ -88,30 +90,11 @@ def find_marker(sft: Sft, nu: MarkovMeasure, M: int, alpha: float,
     dfa = sft.factor_dfa()
     bits = n * np.log2(max(sft.alphabet_size, 2))
 
+    if bits <= EXHAUSTIVE_BITS:
+        return _exhaustive_marker(sft, nu, M, alpha)
+
     def evaluate(word):
         return check_scheme(sft, nu, word, M, alpha)
-
-    if bits <= EXHAUSTIVE_BITS:
-        candidates = []
-        any_distinguishing = False
-        for sym in dfa.enumerate(n):
-            word = Word(np.array(sym, dtype=np.uint8))
-            viol, nu1, nu2, ok = evaluate(word)
-            if viol == 0:
-                any_distinguishing = True
-            if ok:
-                runs = _longest_run(word.symbols)
-                candidates.append((runs, sym, word, nu1, nu2))
-        if candidates:
-            _, _, word, nu1, nu2 = min(candidates, key=lambda c: (c[0], c[1]))
-            return MarkerScheme(word, M, alpha, nu1, nu2)
-        if not any_distinguishing:
-            raise NoMarkerExistsError(
-                "every length-2M window coincides with the 6M-offset window: "
-                "no marker exists")
-        raise MarkerSearchError(
-            f"no marker meets nu(H) < alpha/M = {alpha / M:.3g}; "
-            "alpha too small for this M", best=None)
 
     total = dfa.count(n)
     if total == 0:
@@ -162,12 +145,67 @@ def find_marker(sft: Sft, nu: MarkovMeasure, M: int, alpha: float,
         f"offsets (word {best[1].to_string()})", best=best)
 
 
-def _longest_run(symbols: np.ndarray) -> int:
-    best = run = 1
-    for i in range(1, len(symbols)):
-        run = run + 1 if symbols[i] == symbols[i - 1] else 1
-        best = max(best, run)
-    return best
+def _exhaustive_marker(sft: Sft, nu: MarkovMeasure, M: int,
+                       alpha: float) -> MarkerScheme:
+    """The exhaustive branch of :func:`find_marker`, in bulk per block.
+
+    Each 2M-window is coded as a base-m integer, so violations are equal
+    codes.  Cylinder masses are computed by ``nu.cylinder_probability``
+    once per distinct window code and gathered, which keeps them
+    bit-identical to :func:`check_scheme`.
+    """
+    m = sft.alphabet_size
+    width = 2 * M
+    limit = alpha / M
+    mass_h1 = np.full(m ** width, np.nan)
+    mass_h2 = np.full(m ** width, np.nan)
+    any_distinguishing = False
+    best = None  # (longest run, word, nu_h1, nu_h2)
+    for block in sft.factor_dfa().enumerate(8 * M):
+        cols = np.ascontiguousarray(block.T)
+        # m^(2M) <= 2^(EXHAUSTIVE_BITS / 4) = 64, so codes fit in uint8
+        codes = cols[:6 * M + 1].copy()
+        for j in range(1, width):
+            codes = codes * m + cols[j:j + 6 * M + 1]
+        distinct = ~(codes[:6 * M] == codes[6 * M]).any(axis=0)
+        if not distinct.any():
+            continue
+        any_distinguishing = True
+        h1, h2 = codes[0], codes[6 * M]
+        for mass, code, lo in ((mass_h1, h1, 0), (mass_h2, h2, 6 * M)):
+            need = distinct & np.isnan(mass[code])
+            if need.any():
+                new, first = np.unique(code[need], return_index=True)
+                for c, row in zip(new, np.flatnonzero(need)[first]):
+                    mass[c] = nu.cylinder_probability(
+                        Word(block[row, lo:lo + width]))
+        nu1, nu2 = mass_h1[h1], mass_h2[h2]
+        ok = np.flatnonzero(distinct & (nu1 < limit) & (nu2 < limit))
+        if len(ok) == 0:
+            continue
+        cand = cols[:, ok]
+        run = longest = np.ones(len(ok), dtype=np.uint8)
+        for j in range(1, 8 * M):
+            run = np.where(cand[j] == cand[j - 1], run + 1, 1)
+            longest = np.maximum(longest, run)
+        i = int(np.argmin(longest))
+        if best is None or longest[i] < best[0]:
+            best = (longest[i], block[ok[i]].copy(), float(nu1[ok[i]]),
+                    float(nu2[ok[i]]))
+    if best is not None:
+        word = Word(best[1])
+        if not sft.is_admissible(word):
+            raise MarkerSearchError(
+                f"enumerated marker {word.to_string()} is not admissible",
+                best=None)
+        return MarkerScheme(word, M, alpha, best[2], best[3])
+    if not any_distinguishing:
+        raise NoMarkerExistsError(
+            "every length-2M window coincides with the 6M-offset window: "
+            "no marker exists")
+    raise MarkerSearchError(
+        f"no marker meets nu(H) < alpha/M = {alpha / M:.3g}; "
+        "alpha too small for this M", best=None)
 
 
 def locate_offset(w: Word, scheme: MarkerScheme, L: int) -> int:

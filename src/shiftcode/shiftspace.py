@@ -314,10 +314,11 @@ def count_words(sft: Sft, length: int) -> int:
 def enumerate_words(sft: Sft, length: int, constraint=None):
     """Admissible words of the given length in lex order, optionally filtered."""
     out = []
-    for sym in sft.factor_dfa().enumerate(length):
-        w = Word(np.array(sym, dtype=np.uint8))
-        if constraint is None or constraint(w):
-            out.append(w)
+    for block in sft.factor_dfa().enumerate(length):
+        for sym in block:
+            w = Word(sym.copy())  # a view would pin the whole block
+            if constraint is None or constraint(w):
+                out.append(w)
     return out
 
 

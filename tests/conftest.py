@@ -1,9 +1,22 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import build_sft
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_subprocess_path():
+    """CLI subprocesses import shiftcode from this checkout, as pytest does."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

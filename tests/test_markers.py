@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shiftcode import automata
 from shiftcode.errors import (MarkerSearchError, NoMarkerExistsError,
                               NotMixingError, ParameterError, ShiftcodeError)
 from shiftcode.markers import (MarkerScheme, avoidance_filter, check_scheme,
@@ -15,6 +18,57 @@ def exhaustive_valid_markers(sft, nu, M, alpha):
             if check_scheme(sft, nu, w, M, alpha)[3]]
 
 
+def longest_run(symbols):
+    best = run = 1
+    for i in range(1, len(symbols)):
+        run = run + 1 if symbols[i] == symbols[i - 1] else 1
+        best = max(best, run)
+    return best
+
+
+def reference_exhaustive_marker(sft, nu, M, alpha):
+    """Oracle: the exhaustive branch of find_marker, one candidate at a time.
+
+    Among the admissible 8M-words that pass check_scheme, the shortest
+    longest constant run wins, ties going to the first in lex order.
+    """
+    candidates = []
+    any_distinguishing = False
+    for word in enumerate_words(sft, 8 * M):
+        viol, nu1, nu2, ok = check_scheme(sft, nu, word, M, alpha)
+        if viol == 0:
+            any_distinguishing = True
+        if ok:
+            sym = tuple(int(a) for a in word.symbols)
+            candidates.append((longest_run(sym), sym, word, nu1, nu2))
+    if candidates:
+        _, _, word, nu1, nu2 = min(candidates, key=lambda c: (c[0], c[1]))
+        return MarkerScheme(word, M, alpha, nu1, nu2)
+    if not any_distinguishing:
+        raise NoMarkerExistsError("no marker exists")
+    raise MarkerSearchError("alpha too small for this M", best=None)
+
+
+def assert_matches_reference(sft, nu, M, alpha):
+    try:
+        expected = reference_exhaustive_marker(sft, nu, M, alpha)
+    except (NoMarkerExistsError, MarkerSearchError) as exc:
+        with pytest.raises(type(exc)):
+            find_marker(sft, nu, M=M, alpha=alpha)
+        return
+    scheme = find_marker(sft, nu, M=M, alpha=alpha)
+    assert scheme.word == expected.word
+    # exact float equality: both sides call nu.cylinder_probability
+    assert scheme.nu_h1 == expected.nu_h1
+    assert scheme.nu_h2 == expected.nu_h2
+
+
+def markov_on_support(sft, weights):
+    """Markov measure with the given positive weights on the SFT's edges."""
+    p = sft.adjacency * np.asarray(weights, dtype=np.float64)
+    return MarkovMeasure(sft, p / p.sum(axis=1, keepdims=True))
+
+
 class TestFindMarker:
     def test_exhaustive_against_oracle(self, full2, bern_01):
         scheme = find_marker(full2, bern_01, M=1, alpha=0.5, seed=1)
@@ -22,6 +76,47 @@ class TestFindMarker:
         assert oracle, "oracle says valid markers exist"
         assert any(scheme.word == w for w in oracle)
         assert scheme.nu_h1 < 0.5 and scheme.nu_h2 < 0.5
+        assert_matches_reference(full2, bern_01, 1, 0.5)
+
+    @pytest.mark.parametrize("index", range(6))
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_exhaustive_matches_reference_on_zoo(self, sft_zoo, index, data):
+        sft = sft_zoo[index]
+        n = sft.n_states
+        weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * n,
+                                     max_size=n * n), label="weights")
+        nu = markov_on_support(sft, np.reshape(weights, (n, n)))
+        # alpha either anywhere or exactly at a 2-window mass, where the
+        # strict inequality nu(H) < alpha/M decides
+        masses = sorted({nu.cylinder_probability(w)
+                         for w in enumerate_words(sft, 2)})
+        alpha = data.draw(st.one_of(st.floats(1e-3, 1.0),
+                                    st.sampled_from(masses)), label="alpha")
+        assert_matches_reference(sft, nu, 1, alpha)
+
+    @pytest.mark.parametrize("forbidden, alpha", [
+        ((), 0.5), (("11",), 0.9), (("11",), 0.3), (("111",), 0.5),
+        (("111",), 0.2)])
+    def test_exhaustive_matches_reference_at_m2(self, forbidden, alpha):
+        sft = build_sft(2, forbidden)
+        nu = (MarkovMeasure.bernoulli([0.5, 0.5]) if not forbidden
+              else MarkovMeasure.uniform(sft))
+        assert_matches_reference(sft, nu, 2, alpha)
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_exhaustive_ties_across_blocks(self, sft_zoo, index, monkeypatch):
+        # with many small blocks, a tie between blocks goes to the earlier
+        monkeypatch.setattr(automata, "ENUM_BLOCK_ROWS", 7)
+        sft = sft_zoo[index]
+        assert_matches_reference(sft, MarkovMeasure.uniform(sft), 1, 0.5)
+
+    def test_exhaustive_no_marker_matches_reference(self):
+        one = build_sft(1, [])
+        assert_matches_reference(one, MarkovMeasure.bernoulli([1.0]), 1, 0.5)
+
+    def test_exhaustive_alpha_too_small_matches_reference(self, full2, bern_half):
+        assert_matches_reference(full2, bern_half, 1, 0.01)
 
     def test_self_distinguishing_reverified(self, scheme_m2):
         scheme = scheme_m2

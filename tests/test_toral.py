@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -252,3 +254,16 @@ class TestUnimodularGuard:
             check_unimodular([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(ValueError):
             check_unimodular([[3, 0], [0, 1]])
+
+
+def test_package_import_defers_sympy():
+    # toral's exports load on first access, so plain imports skip sympy
+    code = ("import sys, shiftcode\n"
+            "assert 'sympy' not in sys.modules\n"
+            "assert 'mpmath' not in sys.modules\n"
+            "from shiftcode import classify\n"
+            "assert classify([[2, 1], [1, 1]]) == 'hyperbolic'\n"
+            "assert 'sympy' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
