@@ -53,8 +53,9 @@ def assert_matches_reference(sft, nu, M, alpha):
     try:
         expected = reference_exhaustive_marker(sft, nu, M, alpha)
     except (NoMarkerExistsError, MarkerSearchError) as exc:
-        with pytest.raises(type(exc)):
+        with pytest.raises(type(exc)) as info:
             find_marker(sft, nu, M=M, alpha=alpha)
+        assert type(info.value) is type(exc)
         return
     scheme = find_marker(sft, nu, M=M, alpha=alpha)
     assert scheme.word == expected.word
