@@ -10,8 +10,7 @@ from .shiftspace import (Sft, Word, WindowMetricParams, build_sft,
                          count_words, enumerate_words, parse_sft,
                          serialize_sft, specification_gap,
                          topological_entropy, window_distance_below)
-from .measures import (MarkovMeasure, cylinder_probability, measure_entropy,
-                       parse_measure, sample_path, serialize_measure,
+from .measures import (MarkovMeasure, parse_measure, serialize_measure,
                        stationary_vector)
 from .estimators import (BlockDistribution, binary_entropy, bk_estimate,
                          dbar_entropy_bound, dbar_sample_upper, dw_estimate,

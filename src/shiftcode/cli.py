@@ -97,19 +97,6 @@ def _load_measure(path: str, sft: shiftspace.Sft) -> measures.MarkovMeasure:
     return measures.parse_measure(Path(path).read_text(), sft)
 
 
-def _build_pack(args, mu, nu):
-    overrides = {}
-    for key in ("N", "M", "delta", "alpha"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    sft = nu.sft
-    return choose_parameters(
-        mu.entropy(), nu.entropy(), args.eps, mode=args.mode,
-        overrides=overrides, source_alphabet=mu.sft.alphabet_size,
-        gap=shiftspace.specification_gap(sft), nu=nu)
-
-
 # ---------------------------------------------------------------------------
 # dictionary file format
 
@@ -232,15 +219,28 @@ def _cmd_params(args):
     return 0
 
 
-def _cmd_dict(args):
+def _build_instance(args):
+    """(mu, nu, pack, scheme, boys, girls, dictionary) from the input files."""
     mu = _load_measure(args.source_measure, _load_sft(args.source_sft))
-    target = _load_sft(args.sft)
-    nu = _load_measure(args.measure, target)
-    pack = _build_pack(args, mu, nu)
-    scheme = markers.find_marker(target, nu, pack.M, pack.alpha, seed=args.seed)
+    nu = _load_measure(args.measure, _load_sft(args.sft))
+    overrides = {}
+    for key in ("N", "M", "delta", "alpha"):
+        value = getattr(args, key, None)
+        if value is not None:
+            overrides[key] = value
+    pack = choose_parameters(
+        mu.entropy(), nu.entropy(), args.eps, mode=args.mode,
+        overrides=overrides, source_alphabet=mu.sft.alphabet_size,
+        gap=shiftspace.specification_gap(nu.sft), nu=nu)
+    scheme = markers.find_marker(nu.sft, nu, pack.M, pack.alpha, seed=args.seed)
     boy_set = boys(mu, pack)
-    girl_set = girls(target, pack, scheme)
+    girl_set = girls(nu.sft, pack, scheme)
     d = build_dictionary(boy_set, girl_set, "enumerative", pack=pack)
+    return mu, nu, pack, scheme, boy_set, girl_set, d
+
+
+def _cmd_dict(args):
+    mu, nu, pack, scheme, boy_set, girl_set, d = _build_instance(args)
     rep = verify_dictionary_bounds(boy_set, girl_set, pack,
                                        pack.h_source, pack.h_target)
     if args.dict_out:
@@ -287,16 +287,9 @@ def _cmd_decode(args):
 
 
 def _cmd_verify(args):
-    mu = _load_measure(args.source_measure, _load_sft(args.source_sft))
-    target = _load_sft(args.sft)
-    nu = _load_measure(args.measure, target)
-    pack = _build_pack(args, mu, nu)
-    scheme = markers.find_marker(target, nu, pack.M, pack.alpha, seed=args.seed)
-    boy_set = boys(mu, pack)
-    girl_set = girls(target, pack, scheme)
-    d = build_dictionary(boy_set, girl_set, "enumerative", pack=pack)
+    mu, nu, pack, scheme, boy_set, girl_set, d = _build_instance(args)
     x = mu.sample_path(args.length, seed=(args.seed, 0x5A))
-    pair = codec.encode(x, d, scheme, pack, target, seed=args.seed)
+    pair = codec.encode(x, d, scheme, pack, nu.sft, seed=args.seed)
     x_hat, mask = codec.decode(pair.y, d, scheme, pack)
     errors = int(np.sum(pair.x.symbols[pair.mask] != x_hat.symbols[pair.mask]))
     phase_ok = bool(np.array_equal(mask, pair.mask)) and errors == 0

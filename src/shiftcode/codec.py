@@ -311,23 +311,11 @@ def audit_badset(pair: CodedPair, pack: ParameterPack,
 def audit_weakstar(pair: CodedPair, reference_pairs, kmax: int = 3) -> float:
     """Surrogate weak* distance between the coded pair's empirical joint
     block statistics and those of reference sample pairs."""
-    from .estimators import BlockDistribution, weakstar_surrogate
-
-    def family(pairs):
-        fams = []
-        for k in range(1, kmax + 1):
-            counts: dict = {}
-            total = 0
-            for (xw, yw) in pairs:
-                seq = list(zip(xw.symbols.tolist(), yw.symbols.tolist()))
-                for i in range(len(seq) - k + 1):
-                    counts[tuple(seq[i:i + k])] = counts.get(tuple(seq[i:i + k]), 0) + 1
-                    total += 1
-            fams.append(BlockDistribution(k, {b: c / total for b, c in counts.items()}))
-        return fams
-
-    fam_coded = family([(pair.x, pair.y.rebase(pair.x.lo))])
-    fam_ref = family(reference_pairs)
+    from .estimators import empirical_family, weakstar_surrogate
+    fam_coded = empirical_family(
+        np.stack([pair.x.symbols, pair.y.symbols], axis=1), kmax)
+    fam_ref = empirical_family([np.stack([x.symbols, y.symbols], axis=1)
+                                for x, y in reference_pairs], kmax)
     return weakstar_surrogate(fam_coded, fam_ref, kmax)
 
 

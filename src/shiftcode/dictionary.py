@@ -284,7 +284,8 @@ def _estimate_condition_sets(pack, mu, nu, samples, kmax, seed):
     """Monte-Carlo masses of the five sampled condition sets, with 0.99
     Wilson intervals; an item passes when the interval lower bound clears
     1 - delta."""
-    from .estimators import BlockDistribution, weakstar_surrogate
+    from .estimators import (BlockDistribution, empirical_family,
+                             weakstar_surrogate)
     N, M = pack.N, pack.M
     t = pack.eta_radius
     t2 = max(pack.eta_radius - 1, 0)   # radius for threshold 2 eta
@@ -320,10 +321,9 @@ def _estimate_condition_sets(pack, mu, nu, samples, kmax, seed):
         if lmx + lny > -(pack.h_joint_bound + pack.Delta) * N:
             hits["s4"] += 1
         if exact_joint is not None:
-            pair = [(int(a), int(b)) for a, b in
-                    zip(x.window(M, N - 10 * M).symbols,
-                        y.window(M, N - 10 * M).symbols)]
-            emp = [BlockDistribution.from_word(pair, k) for k in range(1, kmax + 1)]
+            pair = np.stack([x.window(M, N - 10 * M).symbols,
+                             y.window(M, N - 10 * M).symbols], axis=1)
+            emp = empirical_family(pair, kmax)
             if weakstar_surrogate(emp, exact_joint, kmax) < pack.eps / 12:
                 hits["s5"] += 1
     for key, h in hits.items():

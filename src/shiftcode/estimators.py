@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import CoverageError, NoReturnError
 from .measures import MarkovMeasure
-from .shiftspace import Word
+from .shiftspace import Word, window_codes
 
 DW_DEFAULT_BOUND = 10 ** 7
 
@@ -100,20 +100,30 @@ class BlockDistribution:
                 raise ValueError(f"frequencies sum to {total}, not 1")
 
     @classmethod
-    def from_word(cls, word, k: int) -> "BlockDistribution":
-        symbols = word.symbols if isinstance(word, Word) else word
-        symbols = [tuple(s) if isinstance(s, (list, np.ndarray)) else s
-                   for s in (symbols.tolist() if isinstance(symbols, np.ndarray) else list(symbols))]
-        n = len(symbols) - k + 1
+    def from_words(cls, words, k: int) -> "BlockDistribution":
+        """Pooled k-block distribution of one sample or a list of samples.
+
+        A sample is a Word, a symbol array, or an (n, d) array whose rows
+        are d paired symbols.  Keys are k-tuples of symbols, or of d-tuples
+        for paired samples; a block never spans two samples.
+        """
+        if isinstance(words, (Word, np.ndarray)):
+            words = [words]
+        samples = [np.asarray(w.symbols if isinstance(w, Word) else w)
+                   for w in words]
+        shape = samples[0].shape[1:]
+        d = int(np.prod(shape))
+        m = 1 + max(int(s.max(initial=0)) for s in samples)
+        # a block of k rows of d paired symbols is k * d consecutive flat ones
+        codes = [window_codes(s.reshape(-1), k * d, m)[::d] for s in samples]
+        keys, counts = np.unique(np.concatenate(codes), return_counts=True)
+        n = int(counts.sum())
         if n < 1:
             raise ValueError("word shorter than block length")
-        counts: dict = {}
-        block = tuple(symbols[:k])
-        counts[block] = 1
-        for i in range(1, n):
-            block = block[1:] + (symbols[i + k - 1],)
-            counts[block] = counts.get(block, 0) + 1
-        return cls(k, {b: c / n for b, c in counts.items()})
+        powers = m ** np.arange(k * d - 1, -1, -1, dtype=keys.dtype)
+        blocks = (keys[:, None] // powers % m).reshape((len(keys), k) + shape).tolist()
+        return cls(k, {(tuple(map(tuple, b)) if shape else tuple(b)): c / n
+                       for b, c in zip(blocks, counts.tolist())})
 
     @classmethod
     def exact(cls, measure: MarkovMeasure, k: int) -> "BlockDistribution":
@@ -146,9 +156,10 @@ def weakstar_surrogate(a, b, kmax: int) -> float:
                      for k in needed)
 
 
-def empirical_family(word, kmax: int):
-    """Block distributions of a sample for k = 1..kmax."""
-    return [BlockDistribution.from_word(word, k) for k in range(1, kmax + 1)]
+def empirical_family(words, kmax: int):
+    """Pooled block distributions of one sample or a list of samples for
+    k = 1..kmax (see :meth:`BlockDistribution.from_words`)."""
+    return [BlockDistribution.from_words(words, k) for k in range(1, kmax + 1)]
 
 
 def estimator_report(estimator: str, n: int, value: float,

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (CoverageError, MarkerSearchError, NoMarkerExistsError,
                      ParameterError, ShiftcodeError)
 from .measures import MarkovMeasure
-from .shiftspace import Sft, Word, specification_gap
+from .shiftspace import Sft, Word, specification_gap, window_codes
 
 EXHAUSTIVE_BITS = 24
 
@@ -149,10 +149,12 @@ def _exhaustive_marker(sft: Sft, nu: MarkovMeasure, M: int,
                        alpha: float) -> MarkerScheme:
     """The exhaustive branch of :func:`find_marker`, in bulk per block.
 
-    Each 2M-window is coded as a base-m integer, so violations are equal
-    codes.  Cylinder masses are computed by ``nu.cylinder_probability``
-    once per distinct window code and gathered, which keeps them
-    bit-identical to :func:`check_scheme`.
+    A block's candidates are its columns after transposing, and
+    :func:`window_codes` codes their 6M + 1 windows of length 2M as
+    base-m integers (uint8 here, since m^(2M) <= 2^(EXHAUSTIVE_BITS / 4)
+    = 64), so violations are equal codes.  Cylinder masses are computed
+    by ``nu.cylinder_probability`` once per distinct window code and
+    gathered, which keeps them bit-identical to :func:`check_scheme`.
     """
     m = sft.alphabet_size
     width = 2 * M
@@ -163,10 +165,7 @@ def _exhaustive_marker(sft: Sft, nu: MarkovMeasure, M: int,
     best = None  # (longest run, word, nu_h1, nu_h2)
     for block in sft.factor_dfa().enumerate(8 * M):
         cols = np.ascontiguousarray(block.T)
-        # m^(2M) <= 2^(EXHAUSTIVE_BITS / 4) = 64, so codes fit in uint8
-        codes = cols[:6 * M + 1].copy()
-        for j in range(1, width):
-            codes = codes * m + cols[j:j + 6 * M + 1]
+        codes = window_codes(cols, width, m)
         distinct = ~(codes[:6 * M] == codes[6 * M]).any(axis=0)
         if not distinct.any():
             continue

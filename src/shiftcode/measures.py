@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ReducibleChainError
-from .shiftspace import Sft, Word
+from .shiftspace import Sft, Word, window_codes
 
 _ROW_TOL = 1e-12
 
@@ -97,39 +97,29 @@ class MarkovMeasure:
     def log_cylinder_probability(self, word: Word) -> float:
         """log mu([word]); -inf when the word is inadmissible.
 
-        Scaled forward algorithm over states, marginalizing the unknown
-        left context of the first k-1 symbols.
+        The symbol at time t is the last symbol of the chain's state at t.
+        A word of length n >= k fixes the state path (its k-windows), so
+        log mu = log pi(path[0]) + sum of log P along the path.  A shorter
+        word fixes only the last n symbols of one state, and its mass is
+        the stationary mass of the states that end in it.
         """
-        sym = np.asarray(word.symbols)
+        sym = word.symbols
         n = len(sym)
         if n == 0:
             return 0.0
-        k = self.sft.k
-        states = self.sft.states
-        if k == 1:
-            # deterministic state path, the common fast case
-            path = sym.astype(np.int64)
-            if self.stationary[path[0]] <= 0:
-                return -math.inf
-            steps = self._log_p[path[:-1], path[1:]]
-            if np.any(np.isneginf(steps)):
-                return -math.inf
-            return float(self._log_pi[path[0]] + steps.sum())
-        # alpha over states emitting the word; emission of state s at time i
-        # is s[-1] == sym[i], with the first k-1 coordinates marginalized
-        alpha = np.array([self.stationary[i] if states[i][-1] == sym[0] else 0.0
-                          for i in range(len(states))])
-        total = 0.0
-        for i in range(1, n):
-            alpha = alpha @ self.transition
-            mask = np.array([1.0 if s[-1] == sym[i] else 0.0 for s in states])
-            alpha = alpha * mask
-            z = alpha.sum()
-            if z <= 0.0:
-                return -math.inf
-            alpha /= z
-            total += math.log(z)
-        return total
+        sft = self.sft
+        if sym.max() >= sft.alphabet_size:
+            return -math.inf
+        if n < sft.k:
+            m = sft.alphabet_size
+            ends = sft.state_codes % m ** n == window_codes(sym, n, m)[0]
+            mass = self.stationary[ends].sum()
+            return math.log(mass) if mass > 0 else -math.inf
+        path = sft.state_path(word)
+        if np.any(path < 0):
+            return -math.inf
+        steps = self._log_p[path[:-1], path[1:]]
+        return float(self._log_pi[path[0]] + steps.sum())
 
     def cylinder_probability(self, word: Word) -> float:
         lp = self.log_cylinder_probability(word)
@@ -154,7 +144,7 @@ class MarkovMeasure:
         if iid:
             cum = np.cumsum(self.transition[0])
             draws = np.searchsorted(cum, rng.random(length), side="right")
-            return Word(np.minimum(draws, len(states) - 1).astype(np.uint8))
+            return Word(self.sft.last_symbol[np.minimum(draws, len(states) - 1)])
         out = np.empty(length, dtype=np.uint8)
         s = rng.choice(len(states), p=self.stationary)
         emit = min(k, length)
@@ -169,18 +159,6 @@ class MarkovMeasure:
                 s = min(s, len(states) - 1)
                 out[pos + i] = states[s][-1]
         return Word(out)
-
-
-def measure_entropy(measure: MarkovMeasure) -> float:
-    return measure.entropy()
-
-
-def cylinder_probability(measure: MarkovMeasure, word: Word) -> float:
-    return measure.cylinder_probability(word)
-
-
-def sample_path(measure: MarkovMeasure, length: int, seed: int) -> Word:
-    return measure.sample_path(length, seed)
 
 
 def parse_measure(text: str, sft: Sft) -> MarkovMeasure:

@@ -19,6 +19,28 @@ from .errors import CoverageError, EmptySftError, NotMixingError
 MAX_TEXT_ALPHABET = 10  # text format writes symbols as single digits
 
 
+def window_codes(symbols, k: int, m: int) -> np.ndarray:
+    """Base-m code of every length-k window along the first axis.
+
+    Row i of the result codes symbols[i:i + k], first symbol most
+    significant, so codes sort like the windows in lex order; a 2-D input
+    is coded column by column.  The dtype is the narrowest unsigned type
+    that holds all m^k codes.
+    """
+    dtype = np.min_scalar_type(m ** k - 1)
+    if dtype.kind != "u":
+        raise ValueError(f"codes of {k}-windows over {m} symbols exceed 64 bits")
+    sym = np.asarray(symbols).astype(dtype, copy=False)
+    n = max(len(sym) - k + 1, 0)
+    if k == 0:
+        return np.zeros((n,) + sym.shape[1:], dtype=dtype)
+    codes = sym[:n].copy()
+    for j in range(1, k):
+        codes *= m
+        codes += sym[j:j + n]
+    return codes
+
+
 @dataclass(frozen=True)
 class Word:
     """A finite block of symbols anchored at an absolute start coordinate."""
@@ -110,6 +132,8 @@ class Sft:
     alphabet_size : symbol count of the original alphabet
     memory : max forbidden-word length minus one (0 for a full shift)
     states : tuple of admissible k-words, k = max(memory, 1), in lex order
+    state_codes : base-m codes of the states, ascending (see window_codes)
+    last_symbol : uint8 array, the last symbol of each state
     adjacency : 0/1 matrix over states
     """
 
@@ -164,6 +188,9 @@ class Sft:
         live = np.flatnonzero(keep)
         self.states = tuple(states[i] for i in live)
         self.state_index = {s: i for i, s in enumerate(self.states)}
+        state_array = np.array(self.states, dtype=np.uint8)
+        self.state_codes = window_codes(state_array.T, k, alphabet_size)[0]
+        self.last_symbol = state_array[:, -1].copy()
         self.adjacency = np.ascontiguousarray(adj[np.ix_(live, live)])
         # step[state][symbol] -> next state index or -1
         m = len(self.states)
@@ -227,19 +254,14 @@ class Sft:
         symbols = word.symbols if isinstance(word, Word) else word
         return self.factor_dfa().walk(symbols) >= 0
 
-    def state_path(self, word: Word):
-        """State indices of every full k-window of the word (may be empty)."""
-        sym = tuple(int(a) for a in word.symbols)
-        k = self.k
-        if len(sym) < k:
-            return []
-        path = []
-        for i in range(len(sym) - k + 1):
-            j = self.state_index.get(sym[i:i + k])
-            if j is None:
-                raise ValueError("word has an inadmissible window")
-            path.append(j)
-        return path
+    def state_path(self, word: Word) -> np.ndarray:
+        """State index of every full k-window of the word, -1 where the
+        window is not a state (empty when the word is shorter than k).
+        The symbols must lie in the alphabet."""
+        codes = window_codes(word.symbols, self.k, self.alphabet_size)
+        idx = np.searchsorted(self.state_codes, codes)
+        idx[idx == self.n_states] = 0
+        return np.where(self.state_codes[idx] == codes, idx, -1)
 
 
 def build_sft(alphabet_size: int, forbidden_words=()) -> Sft:

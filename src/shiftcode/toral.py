@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import mpmath
 import sympy
@@ -392,35 +391,3 @@ def halmos_membership(n: int, m: int) -> bool:
         return True      # solution group has positive dimension, constants finite
     # n = 1: solutions and constants are both one circle; compare components
     return nullity >= 2 or len(torsion) > 0
-
-
-def halmos_oracle(n: int, m: int) -> bool:
-    """Independent decision path used for cross-checking.
-
-    n = 1 is constants-only by telescoping; n | m exhibits the explicit
-    cosine witness; otherwise the circulant is nonsingular and the
-    generators C^{-1} e_i of the solution group expose any non-constant
-    solution.
-    """
-    if n == 1:
-        return False
-    coeffs = poly_coeffs(Poly(cyclotomic_poly(n, _X), _X, domain=ZZ))
-    if m % n == 0:
-        # witness g(x) = cos(2 pi (x - alpha)/n) / 3: values stay in
-        # (-1/3, 1/3), so mod-1 equality is real equality and the witness
-        # is genuinely non-constant
-        alpha = 0.5 ** 0.5
-        g = [math.cos(2 * math.pi * (x - alpha) / n) / 3 for x in range(m + len(coeffs))]
-        vals = [math.fsum(ak * g[x + k] for k, ak in enumerate(coeffs))
-                for x in range(m)]
-        assert all(abs(v) < 1e-9 for v in vals), "cosine witness failed"
-        assert any(abs(g[x] - g[0]) > 1e-9 for x in range(m)), "witness constant"
-        return True
-    c = _circulant_for(n, m)
-    inv = c.inv()
-    for j in range(m):
-        col = [Fraction(int(sympy.fraction(inv[i, j])[0]),
-                        int(sympy.fraction(inv[i, j])[1])) % 1 for i in range(m)]
-        if any(v != col[0] for v in col):
-            return True
-    return False

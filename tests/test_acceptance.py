@@ -24,8 +24,10 @@ from shiftcode.shiftspace import (Word, build_sft, count_words,
                                   enumerate_words, specification_gap,
                                   topological_entropy)
 from shiftcode.splicer import skeleton_params, splice_full_support
-from shiftcode.toral import (classify, halmos_membership, halmos_oracle,
+from shiftcode.toral import (classify, halmos_membership,
                              is_quasi_hyperbolic, toral_entropy)
+
+from conftest import halmos_oracle
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"

@@ -10,6 +10,7 @@ from shiftcode.codec import (audit_badset, audit_entropy,
 from shiftcode.dictionary import (Relation, boys, choose_parameters,
                                   dictionary, girls, log_bigint)
 from shiftcode.errors import ParameterError
+from shiftcode.estimators import BlockDistribution, weakstar_surrogate
 from shiftcode.markers import find_marker, locate_offset
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft
@@ -261,7 +262,37 @@ class TestConsistentParameters:
         assert pair.coverage >= 1 - rep.total
 
 
+def reference_weakstar(pair, reference_pairs, kmax):
+    """Oracle: audit_weakstar with its per-window tuple counter."""
+    def family(pairs):
+        fams = []
+        for k in range(1, kmax + 1):
+            counts: dict = {}
+            total = 0
+            for (xw, yw) in pairs:
+                seq = list(zip(xw.symbols.tolist(), yw.symbols.tolist()))
+                for i in range(len(seq) - k + 1):
+                    counts[tuple(seq[i:i + k])] = counts.get(tuple(seq[i:i + k]), 0) + 1
+                    total += 1
+            fams.append(BlockDistribution(k, {b: c / total for b, c in counts.items()}))
+        return fams
+
+    fam_coded = family([(pair.x, pair.y.rebase(pair.x.lo))])
+    return weakstar_surrogate(fam_coded, family(reference_pairs), kmax)
+
+
 class TestAudits:
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_weakstar_matches_reference(self, roundtrip_setup, bern_01,
+                                        bern_half, full2, kmax):
+        pack, scheme, b, g, d = roundtrip_setup
+        x = bern_01.sample_path(5000, seed=87)
+        pair = encode(x, d, scheme, pack, full2, seed=88)
+        refs = [(bern_01.sample_path(n, seed=(89, n)),
+                 bern_half.sample_path(n, seed=(90, n))) for n in (3000, 2, 1)]
+        assert (audit_weakstar(pair, refs, kmax=kmax)
+                == reference_weakstar(pair, refs, kmax))
+
     def test_weakstar_self_zero(self, roundtrip_setup, bern_01, full2):
         pack, scheme, b, g, d = roundtrip_setup
         x = bern_01.sample_path(5000, seed=81)
@@ -282,8 +313,8 @@ class TestAudits:
                        zip(pair.x.symbols, pair.y.symbols)]
         pairs_ref = [(int(a), int(bb)) for a, bb in
                      zip(ref[0][0].symbols, ref[0][1].symbols)]
-        tv = total_variation(BlockDistribution.from_word(pairs_coded, 1),
-                             BlockDistribution.from_word(pairs_ref, 1))
+        tv = total_variation(BlockDistribution.from_words([pairs_coded], 1),
+                             BlockDistribution.from_words([pairs_ref], 1))
         assert got == pytest.approx(0.5 * tv)
 
     def test_lz_calibration(self, bern_half):

@@ -11,6 +11,8 @@ from shiftcode.markers import (MarkerScheme, avoidance_filter, check_scheme,
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft, enumerate_words
 
+from conftest import markov_on_support
+
 
 def exhaustive_valid_markers(sft, nu, M, alpha):
     """Oracle: scan every admissible 8M-word."""
@@ -62,12 +64,6 @@ def assert_matches_reference(sft, nu, M, alpha):
     # exact float equality: both sides call nu.cylinder_probability
     assert scheme.nu_h1 == expected.nu_h1
     assert scheme.nu_h2 == expected.nu_h2
-
-
-def markov_on_support(sft, weights):
-    """Markov measure with the given positive weights on the SFT's edges."""
-    p = sft.adjacency * np.asarray(weights, dtype=np.float64)
-    return MarkovMeasure(sft, p / p.sum(axis=1, keepdims=True))
 
 
 class TestFindMarker:

@@ -2,18 +2,49 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcode.errors import ReducibleChainError
-from shiftcode.estimators import binary_entropy
-from shiftcode.measures import (MarkovMeasure, cylinder_probability,
-                                measure_entropy, parse_measure, sample_path,
+from shiftcode.estimators import BlockDistribution, binary_entropy
+from shiftcode.measures import (MarkovMeasure, parse_measure,
                                 serialize_measure, stationary_vector)
 from shiftcode.shiftspace import Word, build_sft, enumerate_words
 
-from conftest import LOG2
+from conftest import LOG2, markov_on_support
 
 # -(0.1 log 0.1 + 0.9 log 0.9), evaluated directly
 H_01 = 0.3250829733914482
+
+
+def reference_log_cylinder(measure, word):
+    """Oracle: the scaled forward algorithm over states.
+
+    The emission of a state at time i is its last symbol, and the first
+    k - 1 coordinates are marginalized.  It never counts the initial mass,
+    so it returns log 1 for every one-symbol word: compare at n >= 2 only.
+    """
+    sym = np.asarray(word.symbols)
+    states = measure.sft.states
+    alpha = np.array([measure.stationary[i] if states[i][-1] == sym[0] else 0.0
+                      for i in range(len(states))])
+    total = 0.0
+    for i in range(1, len(sym)):
+        alpha = alpha @ measure.transition
+        mask = np.array([1.0 if s[-1] == sym[i] else 0.0 for s in states])
+        alpha = alpha * mask
+        z = alpha.sum()
+        if z <= 0.0:
+            return -math.inf
+        alpha /= z
+        total += math.log(z)
+    return total
+
+
+@pytest.fixture(scope="session")
+def supports(sft_zoo):
+    """sft_zoo plus two SFTs whose pruning removes a symbol (k = 1)."""
+    return sft_zoo + [build_sft(3, ["0"]), build_sft(3, ["0", "11"])]
 
 
 class TestStationary:
@@ -39,18 +70,18 @@ class TestStationary:
 
 class TestCylinder:
     def test_bernoulli_half(self, bern_half):
-        assert cylinder_probability(bern_half, Word.from_string("01")) == pytest.approx(0.25, abs=1e-15)
+        assert bern_half.cylinder_probability(Word.from_string("01")) == pytest.approx(0.25, abs=1e-15)
 
     def test_empty_word(self, bern_half):
-        assert cylinder_probability(bern_half, Word(np.zeros(0, dtype=np.uint8))) == 1.0
+        assert bern_half.cylinder_probability(Word(np.zeros(0, dtype=np.uint8))) == 1.0
 
     def test_markov_chain(self, full2):
         m = MarkovMeasure(full2, [[0.9, 0.1], [0.5, 0.5]])
-        assert cylinder_probability(m, Word.from_string("01")) == pytest.approx(1 / 12, abs=1e-12)
+        assert m.cylinder_probability(Word.from_string("01")) == pytest.approx(1 / 12, abs=1e-12)
 
     def test_inadmissible_is_zero(self, golden_mean):
         m = MarkovMeasure.uniform(golden_mean)
-        assert cylinder_probability(m, Word.from_string("0110")) == 0.0
+        assert m.cylinder_probability(Word.from_string("0110")) == 0.0
 
     def test_support_outside_sft_rejected(self, golden_mean):
         with pytest.raises(ValueError):
@@ -65,55 +96,117 @@ class TestCylinder:
     ])
     def test_total_mass_one(self, builder, n):
         m = builder()
-        total = math.fsum(cylinder_probability(m, w)
+        total = math.fsum(m.cylinder_probability(w)
                           for w in enumerate_words(m.sft, n))
         assert abs(total - 1.0) < 1e-9
 
 
+    def test_pruned_symbol(self):
+        # states (1,), (2,): symbols are not state indices
+        m = MarkovMeasure.uniform(build_sft(3, ["0"]))
+        for text, p in [("2", 0.5), ("12", 0.25), ("21", 0.25), ("22", 0.25)]:
+            assert m.cylinder_probability(Word.from_string(text)) == pytest.approx(p, abs=1e-15)
+        # "11" forbidden: pi = (1/3, 2/3) over states (1,), (2,)
+        m = MarkovMeasure.uniform(build_sft(3, ["0", "11"]))
+        assert m.cylinder_probability(Word.from_string("1")) == pytest.approx(1 / 3, abs=1e-15)
+
+    @pytest.mark.parametrize("forbidden", [(2, ["111"]), (3, ["012"])])
+    def test_one_symbol_words_with_memory(self, forbidden):
+        m = MarkovMeasure.uniform(build_sft(*forbidden))
+        masses = [m.cylinder_probability(w) for w in enumerate_words(m.sft, 1)]
+        assert all(p < 1.0 for p in masses)
+        assert abs(math.fsum(masses) - 1.0) < 1e-12
+        assert BlockDistribution.exact(m, 1).freqs
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_short_words_total_mass_one(self, supports, index):
+        m = MarkovMeasure.uniform(supports[index])
+        for n in range(1, 5):
+            total = math.fsum(m.cylinder_probability(w)
+                              for w in enumerate_words(m.sft, n))
+            assert abs(total - 1.0) < 1e-12, n
+
+    @pytest.mark.parametrize("index", range(8))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_forward_reference(self, supports, index, data):
+        sft = supports[index]
+        n = sft.n_states
+        weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * n,
+                                     max_size=n * n), label="weights")
+        m = markov_on_support(sft, np.reshape(weights, (n, n)))
+        length = data.draw(st.integers(2, 12), label="length")
+        if data.draw(st.booleans(), label="sampled"):
+            word = m.sample_path(length, seed=data.draw(st.integers(0, 999)))
+        else:
+            word = Word(np.array(data.draw(st.lists(
+                st.integers(0, sft.alphabet_size - 1), min_size=length,
+                max_size=length), label="symbols"), dtype=np.uint8))
+        got = m.log_cylinder_probability(word)
+        want = reference_log_cylinder(m, word)
+        if want == -math.inf:
+            assert got == -math.inf
+        else:
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+
+
 class TestEntropy:
     def test_bernoulli_half(self, bern_half):
-        assert measure_entropy(bern_half) == pytest.approx(LOG2, abs=1e-15)
+        assert bern_half.entropy() == pytest.approx(LOG2, abs=1e-15)
 
     def test_deterministic_cycle(self):
         cyc = build_sft(2, ["00", "11"])
         m = MarkovMeasure.uniform(cyc)
-        assert measure_entropy(m) == 0.0
+        assert m.entropy() == 0.0
 
     def test_bernoulli_01(self, bern_01):
-        assert measure_entropy(bern_01) == pytest.approx(H_01, abs=1e-12)
+        assert bern_01.entropy() == pytest.approx(H_01, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.9])
     def test_matches_binary_entropy(self, p):
         m = MarkovMeasure.bernoulli([1 - p, p])
-        assert abs(measure_entropy(m) - binary_entropy(p)) < 1e-12
+        assert abs(m.entropy() - binary_entropy(p)) < 1e-12
 
 
 class TestSampling:
     def test_empty(self, bern_half):
-        assert len(sample_path(bern_half, 0, seed=1)) == 0
+        assert len(bern_half.sample_path(0, seed=1)) == 0
 
     def test_frequency(self, bern_half):
-        w = sample_path(bern_half, 100_000, seed=7)
+        w = bern_half.sample_path(100_000, seed=7)
         assert abs(float(np.mean(w.symbols)) - 0.5) < 0.01
 
     def test_cycle_periodic(self):
         cyc = build_sft(2, ["00", "11"])
         m = MarkovMeasure.uniform(cyc)
-        w = sample_path(m, 100, seed=3)
+        w = m.sample_path(100, seed=3)
         assert set(np.diff(w.symbols.astype(int))) <= {1, -1}
 
+    @pytest.mark.parametrize("index", range(8))
+    def test_samples_admissible(self, supports, index):
+        m = MarkovMeasure.uniform(supports[index])
+        for seed in range(3):
+            assert m.sft.is_admissible(m.sample_path(200, seed=seed))
+
+    def test_iid_sampler_emits_symbols(self):
+        # one state per symbol 1, 2; equal rows select the iid branch
+        m = MarkovMeasure.uniform(build_sft(3, ["0"]))
+        w = m.sample_path(20, seed=1)
+        assert set(w.symbols.tolist()) <= {1, 2}
+        assert m.sft.is_admissible(w)
+
     def test_deterministic_per_seed(self, bern_01):
-        assert sample_path(bern_01, 1000, seed=5) == sample_path(bern_01, 1000, seed=5)
-        assert sample_path(bern_01, 1000, seed=5) != sample_path(bern_01, 1000, seed=6)
+        assert bern_01.sample_path(1000, seed=5) == bern_01.sample_path(1000, seed=5)
+        assert bern_01.sample_path(1000, seed=5) != bern_01.sample_path(1000, seed=6)
 
     def test_three_block_distribution(self, bern_01):
         # total variation between empirical and exact 3-block masses
-        w = sample_path(bern_01, 1_000_000, seed=11)
+        w = bern_01.sample_path(1_000_000, seed=11)
         sym = w.symbols
         codes = sym[:-2].astype(int) * 4 + sym[1:-1].astype(int) * 2 + sym[2:].astype(int)
         counts = np.bincount(codes, minlength=8) / len(codes)
-        exact = np.array([cylinder_probability(
-            bern_01, Word(np.array([b // 4, (b // 2) % 2, b % 2], dtype=np.uint8)))
+        exact = np.array([bern_01.cylinder_probability(
+            Word(np.array([b // 4, (b // 2) % 2, b % 2], dtype=np.uint8)))
             for b in range(8)])
         assert 0.5 * float(np.abs(counts - exact).sum()) < 0.02
 

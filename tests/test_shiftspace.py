@@ -8,7 +8,8 @@ from shiftcode.interp import iter_connectors
 from shiftcode.shiftspace import (Word, WindowMetricParams, build_sft,
                                   count_words, enumerate_words, parse_sft,
                                   serialize_sft, specification_gap,
-                                  topological_entropy, window_distance_below)
+                                  topological_entropy, window_codes,
+                                  window_distance_below)
 
 from conftest import GOLDEN_ENTROPY, LOG2
 
@@ -28,6 +29,46 @@ def brute_words(sft, n):
         if all("".join(map(str, f)) not in s for f in sft.forbidden):
             out.append(s)
     return out
+
+
+def reference_window_codes(symbols, k, m):
+    """Oracle: base-m codes of the k-windows of a 1-D sequence, one by one."""
+    return [sum(int(symbols[i + j]) * m ** (k - 1 - j) for j in range(k))
+            for i in range(len(symbols) - k + 1)]
+
+
+class TestWindowCodes:
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 4, 9])
+    def test_matches_loop(self, k, m, n):
+        rng = np.random.default_rng(1000 * k + 10 * m + n)
+        sym = rng.integers(0, m, size=n).astype(np.uint8)
+        assert window_codes(sym, k, m).tolist() == reference_window_codes(sym, k, m)
+        cols = rng.integers(0, m, size=(n, 3)).astype(np.uint8)
+        got = window_codes(cols, k, m)
+        assert got.shape == (max(n - k + 1, 0), 3)
+        for c in range(3):
+            assert got[:, c].tolist() == reference_window_codes(cols[:, c], k, m)
+
+    @pytest.mark.parametrize("k, m, dtype", [
+        (8, 2, np.uint8), (2, 16, np.uint8), (1, 256, np.uint8),
+        (1, 257, np.uint16), (2, 257, np.uint32), (64, 2, np.uint64)])
+    def test_dtype_holds_all_codes(self, k, m, dtype):
+        top = np.full(k, m - 1)
+        codes = window_codes(top, k, m)
+        assert codes.dtype == dtype
+        assert codes.tolist() == [m ** k - 1]
+
+    def test_codes_beyond_64_bits_rejected(self):
+        with pytest.raises(ValueError):
+            window_codes(np.zeros(65, dtype=np.uint8), 65, 2)
+
+    def test_state_path(self):
+        sft = build_sft(2, ["11", "000"])   # states 00, 01, 10
+        path = sft.state_path(Word.from_string("001101"))
+        assert path.tolist() == [0, 1, -1, 2, 1]
+        assert len(sft.state_path(Word.from_string("0"))) == 0
 
 
 class TestBuild:
