@@ -346,16 +346,8 @@ def _cmd_splice(args):
         y1 = nu.sample_path(args.length + args.N + 3, seed=(args.seed, 1))
         out = splicer.splice_full_support(sft, y1, target, args.N, args.M,
                                           args.seed, length=args.length)
-        hay = out.symbols.tobytes()
-        hits = 0
-        start = 0
-        needle = target.symbols.tobytes()
-        while True:
-            i = hay.find(needle, start)
-            if i < 0:
-                break
-            hits += 1
-            start = i + 1
+        hits = len(codec._find_all(out.symbols.tobytes(),
+                                   target.symbols.tobytes()))
         emit_report("splice", [
             ("kind", "support"), ("length", len(out)),
             ("admissible", sft.is_admissible(out)),

@@ -354,7 +354,12 @@ class BoySet:
 
 
 class _UniformBoys(BoySet):
-    """Every admissible N-block is a boy (threshold below the minimum)."""
+    """Every admissible N-block is a boy (threshold below the minimum).
+
+    On a full shift the rank is the block's base-m value.  This serves
+    every Bernoulli(1/2) source; factor_dfa().rank would first build a
+    suffix-count table of about N^2/2 bits (2.7e9 at the strict N = 73,495).
+    """
 
     def __init__(self, mu, N, log_threshold):
         super().__init__(mu, N, log_threshold)

@@ -8,7 +8,6 @@ deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,14 +62,11 @@ def _end_states(sft: Sft, left) -> set:
     """Possible state indices at the last coordinate of ``left``."""
     if left is None or len(left) == 0:
         return set(range(sft.n_states))
-    sym = tuple(int(a) for a in (left.symbols if isinstance(left, Word) else left))
-    k = sft.k
-    if len(sym) >= k:
-        idx = sft.state_index.get(sym[-k:])
-        if idx is None:
-            raise ValueError("left word has an inadmissible window")
-        return {idx}
-    return {i for i, s in enumerate(sft.states) if s[k - len(sym):] == sym}
+    sym = left.symbols if isinstance(left, Word) else np.asarray(left)
+    ends = np.flatnonzero(sft.states_ending_in(sym[-sft.k:]))
+    if len(sym) >= sft.k and len(ends) == 0:
+        raise ValueError("left word has an inadmissible window")
+    return set(ends.tolist())
 
 
 def _entry_states(sft: Sft, right) -> set:
@@ -95,14 +91,12 @@ def iter_connectors(sft: Sft, left, right, gap: int):
     """Yield every admissible connector of the exact length in lex order."""
     if gap < 0:
         raise ValueError("gap must be >= 0")
+    # Every word is a connector in a full shift, so count in base m; the
+    # general search below builds reach sets and recurses per symbol, and
+    # made encode on the practical roundtrip about 2.6 times slower.
     if sft.is_full_shift():
         m = sft.alphabet_size
-        if gap == 0:
-            yield Word(np.zeros(0, dtype=np.uint8))
-            return
-        for i in itertools.count():
-            if i >= m ** gap:
-                return
+        for i in range(m ** gap):
             digits = np.zeros(gap, dtype=np.uint8)
             v = i
             for pos in range(gap - 1, -1, -1):

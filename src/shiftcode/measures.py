@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ReducibleChainError
-from .shiftspace import Sft, Word, window_codes
+from .shiftspace import Sft, Word
 
 _ROW_TOL = 1e-12
 
@@ -111,9 +111,7 @@ class MarkovMeasure:
         if sym.max() >= sft.alphabet_size:
             return -math.inf
         if n < sft.k:
-            m = sft.alphabet_size
-            ends = sft.state_codes % m ** n == window_codes(sym, n, m)[0]
-            mass = self.stationary[ends].sum()
+            mass = self.stationary[sft.states_ending_in(sym)].sum()
             return math.log(mass) if mass > 0 else -math.inf
         path = sft.state_path(word)
         if np.any(path < 0):

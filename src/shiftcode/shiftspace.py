@@ -7,7 +7,6 @@ run on that form.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -131,8 +130,12 @@ class Sft:
     ----------
     alphabet_size : symbol count of the original alphabet
     memory : max forbidden-word length minus one (0 for a full shift)
+    edges : bool array over the base-m codes of all (k+1)-words (see
+        window_codes), true for the words of the pruned shift; every other
+        table below is derived from it
     states : tuple of admissible k-words, k = max(memory, 1), in lex order
-    state_codes : base-m codes of the states, ascending (see window_codes)
+    state_codes : base-m codes of the states, ascending
+    state_index : dict from state tuple to its index
     last_symbol : uint8 array, the last symbol of each state
     adjacency : 0/1 matrix over states
     """
@@ -154,52 +157,39 @@ class Sft:
         self.memory = max((len(f) for f in self.forbidden), default=1) - 1 if self.forbidden else 0
         k = max(self.memory, 1)
         self.k = k
-
-        def clean(word):
-            for f in self.forbidden:
-                L = len(f)
-                for i in range(len(word) - L + 1):
-                    if word[i:i + L] == f:
-                        return False
-            return True
-
-        states = [s for s in itertools.product(range(alphabet_size), repeat=k) if clean(s)]
-        index = {s: i for i, s in enumerate(states)}
-        n = len(states)
-        adj = np.zeros((n, n), dtype=np.uint8)
-        for i, u in enumerate(states):
-            for a in range(alphabet_size):
-                v = u[1:] + (a,)
-                j = index.get(v)
-                if j is not None and clean(u + (a,)):
-                    adj[i, j] = 1
-        # prune to the essential part
-        keep = np.ones(n, dtype=bool)
+        m = alphabet_size
+        n_codes = m ** k
+        # edges[c] for the (k+1)-word coded c (see window_codes): its
+        # first k symbols are the source state, its last k the target
+        grid = np.ones((m,) * (k + 1), dtype=bool)
+        for f in self.forbidden:
+            for i in range(k + 2 - len(f)):
+                grid[(slice(None),) * i + f] = False
+        edges = grid.reshape(-1)
+        # prune to the essential part: drop edges into states without an
+        # out-edge or out of states without an in-edge, until none change
         while True:
-            out_deg = (adj[keep][:, keep]).sum(axis=1) if keep.any() else np.array([])
-            in_deg = (adj[keep][:, keep]).sum(axis=0) if keep.any() else np.array([])
-            bad = (out_deg == 0) | (in_deg == 0)
-            if not bad.any():
+            alive = (edges.reshape(n_codes, m).any(axis=1)
+                     & edges.reshape(m, n_codes).any(axis=0))
+            pruned = edges & np.repeat(alive, m) & np.tile(alive, m)
+            if np.array_equal(pruned, edges):
                 break
-            live = np.flatnonzero(keep)
-            keep[live[bad]] = False
-        if not keep.any():
+            edges = pruned
+        if not alive.any():
             raise EmptySftError("no admissible word survives pruning: empty SFT")
-        live = np.flatnonzero(keep)
-        self.states = tuple(states[i] for i in live)
+        self.edges = edges
+        codes = np.flatnonzero(alive)
+        digits = codes[:, None] // m ** np.arange(k - 1, -1, -1) % m
+        self.state_codes = window_codes(digits.T, k, m)[0]
+        self.states = tuple(map(tuple, digits.tolist()))
         self.state_index = {s: i for i, s in enumerate(self.states)}
-        state_array = np.array(self.states, dtype=np.uint8)
-        self.state_codes = window_codes(state_array.T, k, alphabet_size)[0]
-        self.last_symbol = state_array[:, -1].copy()
-        self.adjacency = np.ascontiguousarray(adj[np.ix_(live, live)])
+        self.last_symbol = digits[:, -1].astype(np.uint8)
         # step[state][symbol] -> next state index or -1
-        m = len(self.states)
-        self._step = np.full((m, alphabet_size), -1, dtype=np.int64)
-        for i, u in enumerate(self.states):
-            for a in range(alphabet_size):
-                j = self.state_index.get(u[1:] + (a,))
-                if j is not None and self.adjacency[i, j]:
-                    self._step[i, a] = j
+        out = codes[:, None] * m + np.arange(m)
+        self._step = np.where(edges[out], np.searchsorted(codes, out % n_codes), -1)
+        self.adjacency = np.zeros((len(codes), len(codes)), dtype=np.uint8)
+        rows, syms = np.nonzero(self._step >= 0)
+        self.adjacency[rows, self._step[rows, syms]] = 1
         self._dfa = None
         self._gap = None
 
@@ -251,8 +241,28 @@ class Sft:
         return self._dfa
 
     def is_admissible(self, word) -> bool:
-        symbols = word.symbols if isinstance(word, Word) else word
-        return self.factor_dfa().walk(symbols) >= 0
+        """True iff the word occurs in the shift; false for a symbol
+        outside the alphabet."""
+        sym = np.asarray(word.symbols if isinstance(word, Word) else word)
+        k, m = self.k, self.alphabet_size
+        if len(sym) <= k:
+            return bool(self.states_ending_in(sym).any())
+        if sym.min() < 0 or sym.max() >= m:
+            return False
+        return bool(self.edges[window_codes(sym, k + 1, m)].all())
+
+    def states_ending_in(self, symbols) -> np.ndarray:
+        """Bool mask of the states whose last n symbols are the given word
+        of length n <= k; all false for a symbol outside the alphabet."""
+        sym = np.asarray(symbols)
+        n, m = len(sym), self.alphabet_size
+        if n > self.k:
+            raise ValueError(f"word of length {n} is longer than a state ({self.k})")
+        if n and (sym.min() < 0 or sym.max() >= m):
+            return np.zeros(self.n_states, dtype=bool)
+        code = int(window_codes(sym, n, m)[0])
+        # widened first: m ** k need not fit the codes' own dtype
+        return self.state_codes.astype(np.int64) % m ** n == code
 
     def state_path(self, word: Word) -> np.ndarray:
         """State index of every full k-window of the word, -1 where the

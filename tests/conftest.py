@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -5,9 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from shiftcode.errors import EmptySftError
 from shiftcode.measures import MarkovMeasure
-from shiftcode.shiftspace import build_sft
+from shiftcode.shiftspace import build_sft, window_codes
+
+# Derandomized so a run draws the same examples on every host, without a
+# deadline because shared hosts stall, and without an example database so
+# a run stores no failing examples for the next one.
+settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+settings.load_profile("tier1")
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -59,6 +68,12 @@ def sft_zoo():
     ]
 
 
+@pytest.fixture(scope="session")
+def supports(sft_zoo):
+    """sft_zoo plus two SFTs whose pruning removes a symbol (k = 1)."""
+    return sft_zoo + [build_sft(3, ["0"]), build_sft(3, ["0", "11"])]
+
+
 LOG2 = math.log(2)
 GOLDEN_ENTROPY = math.log((1 + math.sqrt(5)) / 2)
 
@@ -67,6 +82,66 @@ def markov_on_support(sft, weights):
     """Markov measure with the given positive weights on the SFT's edges."""
     p = sft.adjacency * np.asarray(weights, dtype=np.float64)
     return MarkovMeasure(sft, p / p.sum(axis=1, keepdims=True))
+
+
+def reference_sft_tables(alphabet_size, forbidden):
+    """Reference for Sft's tables by the per-state construction: scan every
+    k-word and every (k+1)-word for forbidden factors, then prune states
+    without an in- or out-edge.  Raises EmptySftError like Sft.
+
+    ``forbidden`` holds symbol tuples; returns the dict of states,
+    state_codes, last_symbol, adjacency and step.
+    """
+    forbidden = sorted(set(forbidden))
+    memory = max((len(f) for f in forbidden), default=1) - 1 if forbidden else 0
+    k = max(memory, 1)
+
+    def clean(word):
+        for f in forbidden:
+            L = len(f)
+            for i in range(len(word) - L + 1):
+                if word[i:i + L] == f:
+                    return False
+        return True
+
+    states = [s for s in itertools.product(range(alphabet_size), repeat=k) if clean(s)]
+    index = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    adj = np.zeros((n, n), dtype=np.uint8)
+    for i, u in enumerate(states):
+        for a in range(alphabet_size):
+            j = index.get(u[1:] + (a,))
+            if j is not None and clean(u + (a,)):
+                adj[i, j] = 1
+    keep = np.ones(n, dtype=bool)
+    while True:
+        out_deg = (adj[keep][:, keep]).sum(axis=1) if keep.any() else np.array([])
+        in_deg = (adj[keep][:, keep]).sum(axis=0) if keep.any() else np.array([])
+        bad = (out_deg == 0) | (in_deg == 0)
+        if not bad.any():
+            break
+        live = np.flatnonzero(keep)
+        keep[live[bad]] = False
+    if not keep.any():
+        raise EmptySftError("no admissible word survives pruning: empty SFT")
+    live = np.flatnonzero(keep)
+    states = tuple(states[i] for i in live)
+    index = {s: i for i, s in enumerate(states)}
+    adjacency = np.ascontiguousarray(adj[np.ix_(live, live)])
+    step = np.full((len(states), alphabet_size), -1, dtype=np.int64)
+    for i, u in enumerate(states):
+        for a in range(alphabet_size):
+            j = index.get(u[1:] + (a,))
+            if j is not None and adjacency[i, j]:
+                step[i, a] = j
+    state_array = np.array(states, dtype=np.uint8)
+    return {
+        "states": states,
+        "state_codes": window_codes(state_array.T, k, alphabet_size)[0],
+        "last_symbol": state_array[:, -1].copy(),
+        "adjacency": adjacency,
+        "step": step,
+    }
 
 
 def halmos_oracle(n: int, m: int) -> bool:

@@ -64,7 +64,7 @@ class TestDbarSample:
             dbar_sample_upper(Word.from_string("01"), Word.from_string("011"))
 
     @given(st.integers(1, 40), st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_symmetry_and_triangle(self, n, data):
         bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
         u, v, w = (Word(np.array(data.draw(bits), dtype=np.uint8))
@@ -154,7 +154,7 @@ class TestWeakstar:
             weakstar_surrogate(a, a, 2)
 
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_metric_axioms(self, data):
         def family(tag):
             fams = []

@@ -77,7 +77,7 @@ class TestFindMarker:
 
     @pytest.mark.parametrize("index", range(6))
     @given(data=st.data())
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=6)
     def test_exhaustive_matches_reference_on_zoo(self, sft_zoo, index, data):
         sft = sft_zoo[index]
         n = sft.n_states

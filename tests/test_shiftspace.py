@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcode.errors import CoverageError, EmptySftError, NotMixingError
 from shiftcode.interp import iter_connectors
-from shiftcode.shiftspace import (Word, WindowMetricParams, build_sft,
+from shiftcode.measures import MarkovMeasure
+from shiftcode.shiftspace import (Sft, Word, WindowMetricParams, build_sft,
                                   count_words, enumerate_words, parse_sft,
                                   serialize_sft, specification_gap,
                                   topological_entropy, window_codes,
                                   window_distance_below)
 
-from conftest import GOLDEN_ENTROPY, LOG2
+from conftest import GOLDEN_ENTROPY, LOG2, reference_sft_tables
 
 
 def brute_words(sft, n):
@@ -96,6 +99,78 @@ class TestBuild:
         # forbidding 00 and 01 kills symbol 0 entirely
         sft = build_sft(2, ["00", "01"])
         assert sft.states == ((1,),)
+
+
+# alphabets of 1-4 symbols, up to six forbidden words of length 1-4
+SFT_INPUTS = st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=4).map(tuple),
+             max_size=6)))
+
+
+class TestTables:
+    @given(SFT_INPUTS)
+    @settings(max_examples=300)
+    def test_match_reference(self, inputs):
+        m, forbidden = inputs
+        try:
+            want = reference_sft_tables(m, forbidden)
+        except EmptySftError:
+            with pytest.raises(EmptySftError):
+                Sft(m, forbidden)
+            return
+        sft = Sft(m, forbidden)
+        assert sft.states == want["states"]
+        assert sft.state_index == {s: i for i, s in enumerate(want["states"])}
+        for name, got in [("state_codes", sft.state_codes),
+                          ("last_symbol", sft.last_symbol),
+                          ("adjacency", sft.adjacency), ("step", sft._step)]:
+            assert got.dtype == want[name].dtype, name
+            assert np.array_equal(got, want[name]), name
+        assert sft.adjacency.flags.c_contiguous
+
+    def test_edges_are_the_live_words(self, golden_mean):
+        # 2-words 00, 01, 10, 11: only 11 is forbidden
+        assert golden_mean.edges.tolist() == [True, True, True, False]
+        # 01 has no forbidden factor but ends in state 1, which has no out-edge
+        assert build_sft(2, ["11", "10"]).edges.tolist() == [True, False, False, False]
+
+
+class TestAdmissible:
+    @pytest.mark.parametrize("forbidden", [[], ["11"], ["111"]])
+    @pytest.mark.parametrize("text", ["2", "020", "0120", "00002", "20000000"])
+    def test_symbol_outside_alphabet(self, forbidden, text):
+        sft = build_sft(2, forbidden)
+        assert sft.is_admissible(Word.from_string(text)) is False
+        assert sft.is_admissible([int(c) for c in text]) is False
+
+    @pytest.mark.parametrize("index", range(8))
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_matches_walk(self, supports, index, data):
+        sft = supports[index]
+        length = data.draw(st.integers(0, 12), label="length")
+        if data.draw(st.booleans(), label="sampled"):
+            word = MarkovMeasure.uniform(sft).sample_path(
+                length, seed=data.draw(st.integers(0, 999)))
+        else:
+            word = Word(np.array(data.draw(st.lists(
+                st.integers(0, sft.alphabet_size - 1), min_size=length,
+                max_size=length), label="symbols"), dtype=np.uint8))
+        assert sft.is_admissible(word) == (sft.factor_dfa().walk(word.symbols) >= 0)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_states_ending_in_matches_suffix_scan(self, supports, index):
+        sft = supports[index]
+        m = sft.alphabet_size
+        for n in range(sft.k + 1):
+            for v in range(m ** n):
+                word = tuple(v // m ** (n - 1 - j) % m for j in range(n))
+                want = [s[sft.k - n:] == word for s in sft.states]
+                assert sft.states_ending_in(word).tolist() == want, word
+        assert not sft.states_ending_in([m]).any()
+        with pytest.raises(ValueError):
+            sft.states_ending_in([0] * (sft.k + 1))
 
 
 class TestEntropy:
