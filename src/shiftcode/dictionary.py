@@ -535,7 +535,10 @@ class GirlSet:
     windows, with exact counting and lex rank/unrank over the product of
     the SFT factor automaton and the window-avoidance automaton."""
 
-    RANK_CELL_LIMIT = 5_000_000
+    ENUM_CELL_LIMIT = 5_000_000
+    # bits of the exact suffix-count table behind rank/unrank (~512 MiB of
+    # int digits; at the strict pack the table would need ~1.3e11 bits)
+    RANK_BIT_LIMIT = 2 ** 32
 
     def __init__(self, sft: Sft, pack: ParameterPack,
                  scheme: MarkerScheme | None,
@@ -570,7 +573,7 @@ class GirlSet:
             raise NoGirlsError("no girls: every candidate word was filtered")
 
     def _iter_plain(self):
-        if self.length * self.dfa.n_nodes > self.RANK_CELL_LIMIT:
+        if self.length * self.dfa.n_nodes > self.ENUM_CELL_LIMIT:
             raise ParameterError("girl enumeration too large for s2 filtering")
         for block in self.dfa.enumerate(self.length):
             for sym in block:
@@ -584,16 +587,24 @@ class GirlSet:
         return self.dfa.walk(word.symbols.tolist()) >= 0
 
     def _check_rank_size(self):
-        if self.length * self.dfa.n_nodes > self.RANK_CELL_LIMIT:
+        """Refuse rank/unrank before building a suffix-count table whose
+        estimated size, n_nodes * L^2 * log2(m) / 2 bits (row t holds
+        counts of about t * log2(m) bits), exceeds RANK_BIT_LIMIT."""
+        n, L, m = self.dfa.n_nodes, self.length, self.sft.alphabet_size
+        bits = n * L * L * math.log2(m) / 2
+        if bits > self.RANK_BIT_LIMIT:
             raise ParameterError(
-                "rank/unrank table would be too large at this scale")
+                f"girls rank/unrank: suffix-count table of ~{bits:.3g} bits "
+                f"(n_nodes={n}, length={L}, alphabet={m}) exceeds the "
+                f"{self.RANK_BIT_LIMIT:.3g}-bit limit")
 
     def rank(self, word: Word) -> int:
+        if self._s2 is None:
+            self._check_rank_size()
         if not self.member(word):
             raise ValueError("not a girl")
         if self._s2 is not None:
             return self._index[word.symbols.tobytes()]
-        self._check_rank_size()
         return self.dfa.rank(word.symbols.tolist())
 
     def unrank(self, r: int) -> Word:

@@ -75,6 +75,8 @@ def _entry_states(sft: Sft, right) -> set:
         return set(range(sft.n_states))
     sym = tuple(int(a) for a in (right.symbols if isinstance(right, Word) else right))
     head = sym[:min(len(sym), sft.k)]
+    if any(not 0 <= a < sft.alphabet_size for a in head):
+        return set()
     good = set()
     for i in range(sft.n_states):
         cur = i

@@ -73,6 +73,9 @@ class MarkovMeasure:
         self.sft = sft
         self.transition = p
         self.stationary = stationary_vector(p)
+        # the sampler's per-row cumulative sums, and whether its iid rule applies
+        self._cum = np.cumsum(p, axis=1)
+        self._iid = sft.k == 1 and np.allclose(p, p[0])
         with np.errstate(divide="ignore"):
             self._log_p = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
             self._log_pi = np.where(self.stationary > 0,
@@ -129,34 +132,79 @@ class MarkovMeasure:
         terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
         return float(-(self.stationary @ terms.sum(axis=1)))
 
-    def sample_path(self, length: int, seed: int) -> Word:
-        """A length-n sample of the stationary chain, deterministic per seed."""
+    def sample_path(self, length: int, seed) -> Word:
+        """A length-n sample of the stationary chain, deterministic per seed.
+
+        ``seed`` is anything ``np.random.default_rng`` accepts: an int, a
+        tuple of ints or a ``SeedSequence``.  The sampling rule is the
+        contract that keeps every seeded output byte-identical.  A chain
+        with memory or dependence draws its start state by ``rng.choice``
+        from the stationary vector and emits that state's first k symbols;
+        then one ``rng.random(n - k)`` call supplies a uniform u per later
+        symbol, which moves state s to ``searchsorted(cumsum(P[s]), u,
+        "right")`` clamped to the last state, and the new state emits its
+        last symbol.  An iid chain (k = 1, equal rows) draws every state
+        by the same rule from one ``rng.random(n)``.
+
+        The chain with memory holds an n_states x n next-state table of
+        the narrowest unsigned dtype (n_states * n bytes below 256 states).
+        """
         if length < 0:
             raise ValueError("length must be >= 0")
         if length == 0:
             return Word(np.zeros(0, dtype=np.uint8))
         rng = np.random.default_rng(seed)
-        k = self.sft.k
-        states = self.sft.states
-        iid = k == 1 and np.allclose(self.transition, self.transition[0])
-        if iid:
-            cum = np.cumsum(self.transition[0])
-            draws = np.searchsorted(cum, rng.random(length), side="right")
-            return Word(self.sft.last_symbol[np.minimum(draws, len(states) - 1)])
-        out = np.empty(length, dtype=np.uint8)
-        s = rng.choice(len(states), p=self.stationary)
-        emit = min(k, length)
-        out[:emit] = states[s][:emit]
-        pos = emit
-        if pos < length:
-            # presample uniform draws in blocks for speed
-            cum = np.cumsum(self.transition, axis=1)
-            draws = rng.random(length - pos)
-            for i, u in enumerate(draws):
-                s = int(np.searchsorted(cum[s], u, side="right"))
-                s = min(s, len(states) - 1)
-                out[pos + i] = states[s][-1]
-        return Word(out)
+        sft = self.sft
+        if self._iid:
+            draws = np.searchsorted(self._cum[0], rng.random(length), side="right")
+            return Word(sft.last_symbol[np.minimum(draws, sft.n_states - 1)])
+        start = rng.choice(sft.n_states, p=self.stationary)
+        head = np.array(sft.states[start][:length], dtype=np.uint8)
+        if len(head) == length:
+            return Word(head)
+        path = _state_path(self._cum, rng.random(length - len(head)), start)
+        return Word(np.concatenate([head, sft.last_symbol[path]]))
+
+
+def _state_path(cum: np.ndarray, draws: np.ndarray, start: int) -> np.ndarray:
+    """The states after ``start`` on the uniforms ``draws``, without a
+    Python loop per symbol.
+
+    First a next-state table: ``table[s, i]`` is the state after s on
+    ``draws[i]``, by ``searchsorted(cum[s], draws[i], "right")`` clamped to
+    the last state.  Then a blocked composition scan over its columns
+    (Blelloch 1990, "Prefix sums and their applications"): the columns
+    are cut into about sqrt(L) blocks of sqrt(L); each block's composed
+    map is found for every state, all blocks at once; the start state is
+    threaded through the composed maps block by block; and every block
+    expands its own states, all blocks at once.  That is n_states * L work
+    in about 3 sqrt(L) numpy calls.
+    """
+    n, length = cum.shape[0], len(draws)
+    width = math.isqrt(length - 1) + 1
+    n_blocks = -(-length // width)
+    # padding columns past the draws map every state to itself
+    table = np.empty((n, n_blocks * width), dtype=np.min_scalar_type(n - 1))
+    for s in range(n):
+        np.minimum(np.searchsorted(cum[s], draws, side="right"), n - 1,
+                   out=table[s, :length], casting="unsafe")
+    table[:, length:] = np.arange(n, dtype=table.dtype)[:, None]
+    blocks = table.reshape(n, n_blocks, width)
+    cols = np.arange(n_blocks)
+    composed = blocks[:, :, 0]
+    for j in range(1, width):
+        composed = blocks[composed, cols, j]
+    entry = np.empty(n_blocks, dtype=table.dtype)
+    state = start
+    for b in range(n_blocks):
+        entry[b] = state
+        state = composed[state, b]
+    path = np.empty((n_blocks, width), dtype=table.dtype)
+    cur = entry
+    for j in range(width):
+        cur = blocks[cur, cols, j]
+        path[:, j] = cur
+    return path.reshape(-1)[:length]
 
 
 def parse_measure(text: str, sft: Sft) -> MarkovMeasure:

@@ -84,6 +84,25 @@ def markov_on_support(sft, weights):
     return MarkovMeasure(sft, p / p.sum(axis=1, keepdims=True))
 
 
+def reference_sample_path(measure, length, seed):
+    """Reference for MarkovMeasure.sample_path on a chain with memory or
+    dependence: the per-symbol loop, one searchsorted per symbol on the
+    same uniforms.  Returns the symbols as a uint8 array."""
+    rng = np.random.default_rng(seed)
+    states = measure.sft.states
+    out = np.empty(length, dtype=np.uint8)
+    if length == 0:
+        return out
+    s = rng.choice(len(states), p=measure.stationary)
+    emit = min(measure.sft.k, length)
+    out[:emit] = states[s][:emit]
+    cum = np.cumsum(measure.transition, axis=1)
+    for i, u in enumerate(rng.random(length - emit)):
+        s = min(int(np.searchsorted(cum[s], u, side="right")), len(states) - 1)
+        out[emit + i] = states[s][-1]
+    return out
+
+
 def reference_sft_tables(alphabet_size, forbidden):
     """Reference for Sft's tables by the per-state construction: scan every
     k-word and every (k+1)-word for forbidden factors, then prune states

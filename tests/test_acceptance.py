@@ -15,7 +15,7 @@ from shiftcode.dictionary import (boys, build_relation,
                                   choose_parameters, dictionary, girls,
                                   hall_match, log_bigint,
                                   verify_dictionary_bounds)
-from shiftcode.errors import DegreeError
+from shiftcode.errors import DegreeError, ParameterError
 from shiftcode.estimators import bk_estimate, dw_estimate, weakstar_surrogate
 from shiftcode.interp import SegmentPlan, interpolate, iter_connectors
 from shiftcode.markers import find_marker, locate_offset
@@ -137,6 +137,12 @@ def test_dictionary_bounds_exact():
         # eq. ratio explicitly, in exact log space
         assert (log_bigint(g.count) - log_bigint(b.count)
                 >= pack.N * (math.log(3) - LOG2 - 2 * pack.Delta))
+        # the strict rank table (~1.3e11 bits) is refused before it is built
+        with pytest.raises(ParameterError, match="suffix-count table"):
+            g.unrank(0)
+        with pytest.raises(ParameterError, match="suffix-count table"):
+            g.rank(Word(np.zeros(g.length, dtype=np.uint8)))
+        assert "suffix" not in g.dfa._tables
 
 
 def test_hall_mode_fidelity():

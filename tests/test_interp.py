@@ -38,6 +38,16 @@ class TestConnectWords:
         w = connect_words(golden_mean, None, None, 5)
         assert w.to_string() == "00000"
 
+    @pytest.mark.parametrize("forbidden,right", [
+        (["11"], [2]), (["11"], [2, 0]), (["11"], [3, 1, 0]),
+        (["111"], [2]), (["111"], [0, 2]), (["111"], [1, 2, 0])])
+    def test_right_context_outside_alphabet(self, forbidden, right):
+        # a symbol outside the alphabet among the first k leaves no entry
+        # state, as one in the left context leaves no end state
+        with pytest.raises(NoConnectorError):
+            connect_words(build_sft(2, forbidden), None,
+                          Word(np.array(right, dtype=np.uint8)), 3)
+
 
 class TestInterpolate:
     def test_spec_example(self, golden_mean):

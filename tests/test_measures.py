@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftcode.errors import ReducibleChainError
@@ -11,7 +11,7 @@ from shiftcode.measures import (MarkovMeasure, parse_measure,
                                 serialize_measure, stationary_vector)
 from shiftcode.shiftspace import Word, build_sft, enumerate_words
 
-from conftest import LOG2, markov_on_support
+from conftest import LOG2, markov_on_support, reference_sample_path
 
 # -(0.1 log 0.1 + 0.9 log 0.9), evaluated directly
 H_01 = 0.3250829733914482
@@ -188,6 +188,29 @@ class TestSampling:
         w = m.sample_path(20, seed=1)
         assert set(w.symbols.tolist()) <= {1, 2}
         assert m.sft.is_admissible(w)
+
+    @pytest.mark.parametrize("index", range(8))
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_matches_loop_reference(self, supports, index, data):
+        sft = supports[index]
+        n, k = sft.n_states, sft.k
+        weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * n,
+                                     max_size=n * n), label="weights")
+        m = markov_on_support(sft, np.reshape(weights, (n, n)))
+        # equal rows at k = 1 take the iid branch, which the loop is not
+        assume(k > 1 or not np.allclose(m.transition, m.transition[0]))
+        # the scan cuts the length - k draws into blocks of ceil(sqrt(.))
+        near_square = st.tuples(st.integers(1, 70), st.integers(-1, 1)).map(
+            lambda rd: k + rd[0] ** 2 + rd[1])
+        length = data.draw(st.one_of(st.integers(0, k + 3), near_square,
+                                     st.integers(0, 5000)), label="length")
+        seed = data.draw(st.one_of(st.integers(0, 2 ** 32),
+                                   st.tuples(st.integers(0, 99), st.integers(0, 9))),
+                         label="seed")
+        got = m.sample_path(length, seed=seed).symbols
+        want = reference_sample_path(m, length, seed)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_deterministic_per_seed(self, bern_01):
         assert bern_01.sample_path(1000, seed=5) == bern_01.sample_path(1000, seed=5)
