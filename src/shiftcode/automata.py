@@ -1,8 +1,9 @@
 """Deterministic finite automata over small symbol alphabets.
 
-Counting, lexicographic enumeration, and rank/unrank all run over the same
-DFA abstraction: the factor language of an SFT, an Aho-Corasick pattern
-avoider, or a product of the two.  Counts are exact Python integers.
+Counting, lex enumeration, membership and rank/unrank (Cover's enumerative
+coding) run over one DFA abstraction: an SFT's factor language, a pattern
+avoider, their product, or a one-count automaton.  Batch methods sweep the
+columns of a ``(B, L)`` array of words; counts are exact Python ints.
 """
 
 from __future__ import annotations
@@ -19,66 +20,88 @@ ENUM_BLOCK_ROWS = 1 << 16
 class Dfa:
     """A DFA with integer nodes; ``step[node][symbol] == -1`` means dead.
 
-    Every live node is accepting; the language is prefix-closed, which is
-    all the package needs (factor languages and avoidance languages).
+    A word is accepted when its walk stays live and ends on a node marked in
+    ``accepting`` (default: every node, a prefix-closed language).  Batch
+    methods send dead steps and symbols off the alphabet to a sink node.
     """
 
     alphabet_size: int
     step: np.ndarray           # shape (n_nodes, alphabet_size), dtype int64
     start: int = 0
+    accepting: np.ndarray | None = None     # bool, shape (n_nodes,)
     _tables: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        accepting = np.ones(self.n_nodes) if self.accepting is None else self.accepting
+        self._accept = np.append(accepting, False).astype(bool)     # with the sink
+        self.accepting = self._accept[:-1]
 
     @property
     def n_nodes(self) -> int:
         return self.step.shape[0]
 
-    def walk(self, symbols, node: int | None = None) -> int:
-        """Consume ``symbols`` from ``node`` (default start); -1 if dead."""
-        cur = self.start if node is None else node
-        step = self.step
-        for a in symbols:
-            cur = step[cur][a]
-            if cur < 0:
-                return -1
-        return int(cur)
+    def _moves(self) -> np.ndarray:
+        """``step`` plus a sink row and an off-alphabet column, all to the sink."""
+        moves = self._tables.get("moves")
+        if moves is None:
+            n, m = self.step.shape
+            moves = np.full((n + 1, m + 1), n, dtype=np.intp)
+            moves[:n, :m] = np.where(self.step >= 0, self.step, n)
+            self._tables["moves"] = moves
+        return moves
 
-    def suffix_counts(self, length: int) -> list[list[int]]:
-        """Table ``f[t][node]`` = number of accepted suffixes of length t.
+    def _codes(self, rows) -> np.ndarray:
+        """Rows as a 2-D int array, symbols off the alphabet set to ``alphabet_size``."""
+        codes = np.asarray(rows)
+        if codes.ndim != 2:
+            raise ValueError("rows must form a 2-D array")
+        m = self.alphabet_size
+        codes = np.where((codes >= 0) & (codes < m), codes, m)
+        return codes if codes.dtype.kind in "iu" else codes.astype(np.intp)
 
-        Cached per automaton; extended on demand.  Entries are exact big
-        integers, so memory grows with ``length * n_nodes * count_bits``.
-        """
-        table = self._tables.setdefault("suffix", [[1] * self.n_nodes])
-        step = self.step
-        while len(table) <= length:
-            prev = table[-1]
-            row = []
-            for node in range(self.n_nodes):
-                total = 0
-                for nxt in step[node]:
-                    if nxt >= 0:
-                        total += prev[nxt]
-                row.append(total)
-            table.append(row)
+    def _ends(self, rows) -> np.ndarray:
+        """The node every row ends on; the sink where it dies."""
+        moves = self._moves()
+        nodes = np.full(len(rows), self.start, dtype=np.intp)
+        for col in self._codes(rows).T:
+            nodes = moves[nodes, col]
+        return nodes
+
+    def walk(self, symbols) -> int:
+        """The node a word ends on from the start; -1 if it dies."""
+        end = int(self._ends([symbols])[0])
+        return -1 if end == self.n_nodes else end
+
+    def member_rows(self, rows) -> np.ndarray:
+        """Bool vector: which rows are accepted words."""
+        return self._accept[self._ends(rows)]
+
+    def suffix_counts(self, length: int) -> np.ndarray:
+        """Object array ``f[t, node]`` of accepted suffix counts, t <= length
+        at least, the sink last.  Cached in ``_tables["suffix"]`` and replaced,
+        never written in place, when a longer one is needed."""
+        table = self._tables.get("suffix")
+        if table is None or len(table) <= length:
+            moves = self._moves()[:, :-1]
+            rows = (list(table) if table is not None
+                    else [self._accept.astype(np.int64).astype(object)])
+            while len(rows) <= length:
+                rows.append(np.sum(rows[-1][moves], axis=1))
+            table = self._tables["suffix"] = np.array(rows)
         return table
 
     def count(self, length: int) -> int:
-        """Exact number of accepted words of the given length.
-
-        Streams a single DP vector instead of keeping the full table, so
-        large lengths stay affordable in memory.
-        """
+        """Exact number of accepted words of the given length, by one
+        streamed DP vector, so large lengths stay affordable in memory."""
         if length < 0:
             raise ValueError("length must be >= 0")
         cached = self._tables.get("suffix")
         if cached is not None and len(cached) > length:
-            return cached[length][self.start]
-        # backward vector: vec[node] = number of suffixes of length t
-        vec = [1] * self.n_nodes
-        step = self.step
-        succ = [[int(s) for s in row if s >= 0] for row in step]
+            return cached[length, self.start]
+        vec = self._accept.astype(np.int64).astype(object)
+        moves = self._moves()[:, :-1]
         for _ in range(length):
-            vec = [sum(vec[s] for s in succ[node]) for node in range(self.n_nodes)]
+            vec = np.sum(vec[moves], axis=1)
         return vec[self.start]
 
     def enumerate(self, length: int):
@@ -91,7 +114,7 @@ class Dfa:
         time; a frontier whose children would overflow a block is split
         in half and the halves are finished one after the other, so
         memory is bounded by the block size times the word length,
-        whatever the word count.
+        whatever the word count.  Rows ending on a rejecting node drop out.
         """
         if length < 0:
             raise ValueError("length must be >= 0")
@@ -112,81 +135,87 @@ class Dfa:
                 words = np.concatenate(
                     [words[rows], syms.astype(np.uint8)[:, None]], axis=1)
                 nodes = nxt[rows, syms]
-            if len(nodes):
+            words = words[self.accepting[nodes]]
+            if len(words):
                 yield words
+
+    def rank_rows(self, rows) -> np.ndarray:
+        """Lex rank of every row among accepted words of its length (object
+        ints): per column, ``f[rem, moves[node, b]]`` for each b below the
+        row's symbol.  ``ValueError`` if a row is not accepted."""
+        codes = self._codes(rows)
+        n_rows, length = codes.shape
+        table = self.suffix_counts(length)
+        moves, sink = self._moves(), self.n_nodes
+        nodes = np.full(n_rows, self.start, dtype=np.intp)
+        ranks = np.zeros(n_rows, dtype=object)
+        for pos, col in enumerate(codes.T):
+            counts = table[length - pos - 1]
+            for b in range(self.alphabet_size - 1):
+                ranks += counts[np.where(col > b, moves[nodes, b], sink)]
+            nodes = moves[nodes, col]
+        if not self._accept[nodes].all():
+            raise ValueError("word not accepted by automaton")
+        return ranks
+
+    def unrank_rows(self, length: int, ranks) -> np.ndarray:
+        """Inverse of :meth:`rank_rows`: a ``(len(ranks), length)`` uint8
+        array; ``ValueError`` if a rank is outside ``[0, count(length))``."""
+        table = self.suffix_counts(length)
+        ranks = rank_vector(ranks, table[length, self.start])
+        moves = self._moves()
+        nodes = np.full(len(ranks), self.start, dtype=np.intp)
+        out = np.empty((len(ranks), length), dtype=np.uint8)
+        for pos in range(length):
+            counts = table[length - pos - 1]
+            syms = np.zeros(len(ranks), dtype=np.intp)
+            # a row passes symbol a, paying its count, while its rank allows
+            for a in range(self.alphabet_size - 1):
+                c = counts[moves[nodes, a]]
+                past = (syms == a) & (ranks >= c)
+                ranks = np.where(past, ranks - c, ranks)
+                syms += past
+            out[:, pos] = syms
+            nodes = moves[nodes, syms]
+        return out
 
     def rank(self, symbols) -> int:
         """Lexicographic rank of an accepted word among words of its length."""
-        n = len(symbols)
-        table = self.suffix_counts(n)
-        node = self.start
-        r = 0
-        for pos, a in enumerate(symbols):
-            rem = n - pos - 1
-            for b in range(a):
-                nxt = self.step[node][b]
-                if nxt >= 0:
-                    r += table[rem][nxt]
-            node = self.step[node][a]
-            if node < 0:
-                raise ValueError("word not accepted by automaton")
-        return r
+        return self.rank_rows([symbols])[0]
 
     def unrank(self, length: int, r: int) -> tuple:
         """Inverse of :meth:`rank` for the given word length."""
-        if r < 0:
-            raise ValueError("rank must be >= 0")
-        table = self.suffix_counts(length)
-        if r >= table[length][self.start]:
-            raise ValueError("rank exceeds word count")
-        node = self.start
-        out = []
-        for pos in range(length):
-            rem = length - pos - 1
-            for a in range(self.alphabet_size):
-                nxt = self.step[node][a]
-                if nxt < 0:
-                    continue
-                c = table[rem][nxt]
-                if r < c:
-                    out.append(a)
-                    node = nxt
-                    break
-                r -= c
-            else:
-                raise AssertionError("unrank walked off the automaton")
-        return tuple(out)
+        return tuple(self.unrank_rows(length, [r])[0].tolist())
+
+
+def rank_vector(ranks, count: int) -> np.ndarray:
+    """Ranks as an object vector; ``ValueError`` if one is not in [0, count)."""
+    ranks = np.array(ranks, dtype=object).reshape(-1)
+    if not ((ranks >= 0) & (ranks < count)).all():
+        raise ValueError("rank out of range")
+    return ranks
 
 
 def product_dfa(a: Dfa, b: Dfa) -> Dfa:
     """Product automaton accepting the intersection language.
 
-    Only reachable live pairs are materialized.
+    Only reachable live pairs are materialized, in breadth-first order.
     """
     if a.alphabet_size != b.alphabet_size:
         raise ValueError("alphabet mismatch")
-    m = a.alphabet_size
     index = {(a.start, b.start): 0}
     order = [(a.start, b.start)]
     rows = []
-    i = 0
-    while i < len(order):
-        na, nb = order[i]
+    for na, nb in order:            # order grows while it is read
         row = []
-        for sym in range(m):
-            ta = a.step[na][sym]
-            tb = b.step[nb][sym]
-            if ta < 0 or tb < 0:
-                row.append(-1)
-                continue
-            key = (int(ta), int(tb))
-            if key not in index:
+        for key in zip(a.step[na].tolist(), b.step[nb].tolist()):
+            if min(key) >= 0 and key not in index:
                 index[key] = len(order)
                 order.append(key)
-            row.append(index[key])
+            row.append(index[key] if min(key) >= 0 else -1)
         rows.append(row)
-        i += 1
-    return Dfa(m, np.array(rows, dtype=np.int64), start=0)
+    return Dfa(a.alphabet_size, np.array(rows, dtype=np.int64), start=0,
+               accepting=[a.accepting[x] and b.accepting[y] for x, y in order])
 
 
 def avoider_dfa(alphabet_size: int, patterns) -> Dfa:
@@ -226,3 +255,10 @@ def avoider_dfa(alphabet_size: int, patterns) -> Dfa:
             nxt = goto[cur].get(sym, 0)
             step[node][sym] = -1 if terminal[nxt] else nxt
     return Dfa(alphabet_size, step, start=0)
+
+
+def one_count_dfa(k_lo: int, k_hi: int) -> Dfa:
+    """Binary words with k_lo to k_hi ones: node = ones so far, accepting from k_lo."""
+    ones = np.arange(k_hi + 1)
+    step = np.stack([ones, np.where(ones < k_hi, ones + 1, -1)], axis=1)
+    return Dfa(2, step, accepting=ones >= k_lo)

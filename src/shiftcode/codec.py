@@ -142,28 +142,26 @@ def encode(x: Word, dict_: Dictionary, scheme: MarkerScheme,
     parse = rokhlin_parse(x, N, pack.delta, seed)
     _draw_flags(parse, pack.eps, dict_.girls.count, seed)
 
+    # batched over all N-blocks: boy test, ranks of the dictionary-flagged
+    # boys, then one girl unrank that also serves the random-girl flags
+    longs = np.flatnonzero(parse.lengths > 1)
+    blocks = x.symbols[(parse.starts[longs] - x.lo)[:, None] + np.arange(N)]
+    is_boy = dict_.boys.member_rows(blocks)
+    boys_at = parse.starts[longs[is_boy]].tolist()
+    ranks = np.array([parse.flags[i] for i in longs[is_boy]], dtype=object)
+    flagged = ranks == D_FLAG
+    ranks[flagged] = dict_.girl_ranks(blocks[is_boy][flagged])
+    girl_rows = dict_.girls.unrank_rows(ranks)
+
     segments = []
-    seg_right = []              # parallel: the segment Word (for refill context)
     mask = np.zeros(len(x), dtype=bool)
     marker_positions = []
-    boy_blocks = []
-    info_lo, info_hi = pack.info_region
-    for n, length, flag in parse.iter_blocks():
-        if length == 1:
-            continue
-        block = x.window(n, n + N).rebase()
-        if not dict_.boys.member(block):
-            continue
-        boy_blocks.append(n)
-        if flag == D_FLAG:
-            girl = dict_.lookup(block)
-            segments.append(Word(girl.symbols, n + info_lo))
+    for n, girl, d in zip(boys_at, girl_rows, flagged.tolist()):
+        segments.append(Word(girl, n + pack.info_region[0]))
+        if d:
             segments.append(Word(scheme.word.symbols, n + N - 9 * M))
             marker_positions.append(n + N - 9 * M)
             mask[n - x.lo:n + N - x.lo] = True
-        else:
-            girl = dict_.girls.unrank(flag)
-            segments.append(Word(girl.symbols, n + info_lo))
     plan = SegmentPlan(x.lo, x.hi, segments, min_gap=M)
     y = interpolate(target, plan)
     y_sym = y.symbols.copy()
@@ -172,7 +170,7 @@ def encode(x: Word, dict_: Dictionary, scheme: MarkerScheme,
         target, y_sym, y.lo, plan.segments, scheme, set(marker_positions))
     y = Word(y_sym, y.lo)
     return CodedPair(x, y, parse, mask, tuple(marker_positions),
-                     tuple(boy_blocks), rewrites)
+                     tuple(boys_at), rewrites)
 
 
 def _scrub_spurious_markers(target, y_sym, y_lo, segments, scheme, planted):
@@ -240,23 +238,19 @@ def decode(y: Word, dict_: Dictionary, scheme: MarkerScheme,
     boys_ = boy_set if boy_set is not None else dict_.boys
     x_hat = np.full(len(y), 255, dtype=np.uint8)
     mask = np.zeros(len(y), dtype=bool)
-    hay = y.symbols.tobytes()
-    for q in _find_all(hay, scheme.word.symbols.tobytes()):
-        n = q - (N - 9 * M)     # marker sits at n + N - 9M
-        if n < 0 or n + N > len(y):
-            continue
-        window = Word(y.symbols[n + info_lo:n + info_hi])
-        if dict_.mode == "hall":
-            block = dict_.invert(window)
-            if block is None and dict_.girls.member(window):
-                block = dict_.invert_nearest(window)
-        else:
-            block = dict_.invert(window)
-        if block is None:
-            continue
-        if not boys_.member(block):
-            continue
-        x_hat[n:n + N] = block.symbols
+    hits = np.array(_find_all(y.symbols.tobytes(), scheme.word.symbols.tobytes()),
+                    dtype=np.int64) - (N - 9 * M)   # marker sits at n + N - 9M
+    hits = hits[(hits >= 0) & (hits + N <= len(y))]
+    windows = y.symbols[(hits + info_lo)[:, None] + np.arange(info_hi - info_lo)]
+    blocks, found = dict_.invert_rows(windows)
+    if dict_.mode == "hall":
+        for i in np.flatnonzero(~found & dict_.girls.member_rows(windows)):
+            block = dict_.invert_nearest(Word(windows[i]))
+            if block is not None:
+                blocks[i], found[i] = block.symbols, True
+    found[found] = boys_.member_rows(blocks[found])
+    for n, block in zip(hits[found].tolist(), blocks[found]):
+        x_hat[n:n + N] = block
         mask[n:n + N] = True
     return Word(x_hat, y.lo), mask
 

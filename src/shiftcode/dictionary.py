@@ -10,16 +10,18 @@ matching over a sampled relation (tiny scale, faithful to the relation).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automata import avoider_dfa, product_dfa
+from .automata import (avoider_dfa, one_count_dfa, product_dfa,
+                       rank_vector)
 from .errors import (CapacityError, DegreeError, NoGirlsError, ParameterError,
                      ShiftcodeError)
 from .markers import MarkerScheme
 from .measures import MarkovMeasure
-from .shiftspace import Sft, Word
+from .shiftspace import Sft, Word, enumerate_words
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 0.99 normal quantile
 
@@ -335,69 +337,117 @@ def _estimate_condition_sets(pack, mu, nu, samples, kmax, seed):
 
 
 # ---------------------------------------------------------------------------
-# boys
+# boys and girls
 
 
-class BoySet:
+class _WordSet:
+    """Words of one width in lex order, ranked on the automaton ``dfa`` or,
+    when set, by the list ``_listed`` of their uint8 rows.  The rows methods
+    take words as the rows of a uint8 array; ``member``/``rank``/``unrank``
+    are one-row calls, bound again in each subclass because the benchmark
+    tracer (``perfbench/tracer.py``) looks them up in the class namespace."""
+
+    _listed = None
+    _noun = "word"
+
+    def _check_rank_size(self):
+        """Raise before rank/unrank would build too large a table."""
+
+    def member_rows(self, rows) -> np.ndarray:
+        rows = np.asarray(rows)
+        if rows.shape[1] != self._width:
+            return np.zeros(len(rows), dtype=bool)
+        if self._listed is not None:
+            return np.array([row.tobytes() in self._index for row in rows], dtype=bool)
+        return self.dfa.member_rows(rows)
+
+    def rank_rows(self, rows) -> np.ndarray:
+        """Lex ranks, an object vector; ``ValueError`` on a non-member."""
+        self._check_rank_size()
+        if not self.member_rows(rows).all():
+            raise ValueError(f"not a {self._noun}")
+        if self._listed is not None:
+            return np.array([self._index[row.tobytes()] for row in rows], dtype=object)
+        return self.dfa.rank_rows(rows)
+
+    def unrank_rows(self, ranks) -> np.ndarray:
+        """Members of the given ranks; ``ValueError`` if one is out of range."""
+        self._check_rank_size()
+        if self._listed is not None:
+            return self._listed[rank_vector(ranks, self.count).astype(np.intp)]
+        return self.dfa.unrank_rows(self._width, ranks)
+
+    def member(self, word: Word) -> bool:
+        return bool(self.member_rows(word.symbols[None])[0])
+
+    def rank(self, word: Word) -> int:
+        return self.rank_rows(word.symbols[None])[0]
+
+    def unrank(self, r: int) -> Word:
+        return Word(self.unrank_rows([r])[0])
+
+    def _list(self, rows):
+        self._listed = np.array(rows, dtype=np.uint8).reshape(-1, self._width)
+        self._index = {row.tobytes(): i for i, row in enumerate(self._listed)}
+        self.count = len(self._listed)
+
+
+class BoySet(_WordSet):
     """Source N-blocks whose cylinder probability clears the threshold."""
+
+    _noun = "boy"
 
     def __init__(self, mu: MarkovMeasure, N: int, log_threshold: float):
         self.mu = mu
-        self.N = N
+        self.N = self._width = N
         self.log_threshold = log_threshold
-
-    # subclasses: count, mass, member, rank, unrank
-
-    def iter_members(self):
-        for i in range(self.count):
-            yield self.unrank(i)
 
 
 class _UniformBoys(BoySet):
     """Every admissible N-block is a boy (threshold below the minimum).
 
-    On a full shift the rank is the block's base-m value.  This serves
-    every Bernoulli(1/2) source; factor_dfa().rank would first build a
-    suffix-count table of about N^2/2 bits (2.7e9 at the strict N = 73,495).
+    On a full shift (every Bernoulli(1/2) source) the rank is the block's
+    base-m value, computed over rows: the factor automaton's suffix table
+    would hold about N^2/2 bits (2.7e9 at the strict N = 73,495).
     """
+
+    rank, unrank = _WordSet.rank, _WordSet.unrank
 
     def __init__(self, mu, N, log_threshold):
         super().__init__(mu, N, log_threshold)
-        from .shiftspace import count_words
-        self.count = count_words(mu.sft, N)
+        self.dfa = mu.sft.factor_dfa()
+        self.count = self.dfa.count(N)
         self.mass = 1.0
         self._full = mu.sft.is_full_shift()
         self._m = mu.sft.alphabet_size
 
-    def member(self, word: Word) -> bool:
-        return len(word) == self.N and self.mu.sft.is_admissible(word)
-
-    def rank(self, word: Word) -> int:
-        if not self.member(word):
+    def rank_rows(self, rows) -> np.ndarray:
+        if not self._full:
+            return super().rank_rows(rows)
+        if not self.member_rows(rows).all():
             raise ValueError("not a boy")
-        if self._full:
-            r = 0
-            for a in word.symbols.tolist():
-                r = r * self._m + a
-            return r
-        return self.mu.sft.factor_dfa().rank(word.symbols.tolist())
+        ranks = np.zeros(len(rows), dtype=object)
+        for col in np.asarray(rows).T:
+            ranks = ranks * self._m + col
+        return ranks
 
-    def unrank(self, r: int) -> Word:
-        if self._full:
-            if not 0 <= r < self.count:
-                raise ValueError("rank out of range")
-            digits = np.zeros(self.N, dtype=np.uint8)
-            v = r
-            for pos in range(self.N - 1, -1, -1):
-                digits[pos] = v % self._m
-                v //= self._m
-            return Word(digits)
-        return Word(np.array(self.mu.sft.factor_dfa().unrank(self.N, r),
-                             dtype=np.uint8))
+    def unrank_rows(self, ranks) -> np.ndarray:
+        if not self._full:
+            return super().unrank_rows(ranks)
+        ranks = rank_vector(ranks, self.count)
+        digits = np.empty((len(ranks), self.N), dtype=np.uint8)
+        for pos in range(self.N - 1, -1, -1):
+            digits[:, pos] = ranks % self._m
+            ranks = ranks // self._m
+        return digits
 
 
 class _BinomialBoys(BoySet):
-    """Bernoulli(p) on two symbols: membership is a one-count range."""
+    """Bernoulli(p) on two symbols: membership is a one-count range, and
+    ranks are lex ranks on ``one_count_dfa`` (a symbol outside {0, 1}
+    kills the walk, so such a block is no boy)."""
+
+    rank, unrank = _WordSet.rank, _WordSet.unrank
 
     def __init__(self, mu, N, log_threshold):
         super().__init__(mu, N, log_threshold)
@@ -413,75 +463,22 @@ class _BinomialBoys(BoySet):
         self.mass = math.fsum(
             math.comb(N, k) * math.exp(k * self.lp1 + (N - k) * self.lp0)
             for k in ks)
-        self._cum = {}
-
-    def _cum_row(self, m: int):
-        row = self._cum.get(m)
-        if row is None:
-            row = [0] * (m + 2)
-            for j in range(m + 1):
-                row[j + 1] = row[j] + math.comb(m, j)
-            self._cum[m] = row
-        return row
-
-    def _completions(self, m: int, ones: int) -> int:
-        """Number of length-m suffixes keeping the total one-count in range."""
-        lo = max(0, self.k_lo - ones)
-        hi = min(m, self.k_hi - ones)
-        if hi < lo:
-            return 0
-        row = self._cum_row(m)
-        return row[hi + 1] - row[lo]
-
-    def member(self, word: Word) -> bool:
-        if len(word) != self.N:
-            return False
-        ones = int(np.sum(word.symbols == 1))
-        return self.k_lo <= ones <= self.k_hi
-
-    def rank(self, word: Word) -> int:
-        if not self.member(word):
-            raise ValueError("not a boy")
-        r = 0
-        ones = 0
-        for i, b in enumerate(word.symbols.tolist()):
-            if b == 1:
-                r += self._completions(self.N - i - 1, ones)
-                ones += 1
-        return r
-
-    def unrank(self, r: int) -> Word:
-        if not 0 <= r < self.count:
-            raise ValueError("rank out of range")
-        out = np.zeros(self.N, dtype=np.uint8)
-        ones = 0
-        for i in range(self.N):
-            c0 = self._completions(self.N - i - 1, ones)
-            if r < c0:
-                out[i] = 0
-            else:
-                r -= c0
-                out[i] = 1
-                ones += 1
-        return Word(out)
+        self.dfa = one_count_dfa(self.k_lo, self.k_hi)
 
 
 class _EnumeratedBoys(BoySet):
     """Explicit small-N member list; supports joining-guided filtering."""
 
     MAX_N = 24
+    rank, unrank = _WordSet.rank, _WordSet.unrank
 
     def __init__(self, mu, N, log_threshold, u_samples=None):
         super().__init__(mu, N, log_threshold)
         if N > self.MAX_N:
             raise ParameterError(
                 f"enumerated boys limited to N <= {self.MAX_N}, got {N}")
-        from .shiftspace import enumerate_words
-        counts = {}
-        if u_samples is not None:
-            for x, _y in u_samples:
-                key = x.window(x.lo, x.lo + N).symbols.tobytes()
-                counts[key] = counts.get(key, 0) + 1
+        counts = Counter(x.window(x.lo, x.lo + N).symbols.tobytes()
+                         for x, _y in u_samples or ())
         members = []
         self.mass = 0.0
         for w in enumerate_words(mu.sft, N):
@@ -492,23 +489,9 @@ class _EnumeratedBoys(BoySet):
                 est = counts.get(w.symbols.tobytes(), 0) / max(len(u_samples), 1)
                 if est < 0.5 * math.exp(lp):
                     continue
-            members.append(w)
+            members.append(w.symbols)
             self.mass += math.exp(lp)
-        self._members = members
-        self._index = {w.symbols.tobytes(): i for i, w in enumerate(members)}
-        self.count = len(members)
-
-    def member(self, word) -> bool:
-        return len(word) == self.N and word.symbols.tobytes() in self._index
-
-    def rank(self, word) -> int:
-        try:
-            return self._index[word.symbols.tobytes()]
-        except KeyError:
-            raise ValueError("not a boy") from None
-
-    def unrank(self, r: int) -> Word:
-        return self._members[r]
+        self._list(members)
 
 
 def boys(mu: MarkovMeasure, pack: ParameterPack, u_samples=None) -> BoySet:
@@ -526,11 +509,7 @@ def boys(mu: MarkovMeasure, pack: ParameterPack, u_samples=None) -> BoySet:
     return _EnumeratedBoys(mu, pack.N, log_threshold)
 
 
-# ---------------------------------------------------------------------------
-# girls
-
-
-class GirlSet:
+class GirlSet(_WordSet):
     """Admissible target words of length N - 11M avoiding the marker
     windows, with exact counting and lex rank/unrank over the product of
     the SFT factor automaton and the window-avoidance automaton."""
@@ -539,13 +518,15 @@ class GirlSet:
     # bits of the exact suffix-count table behind rank/unrank (~512 MiB of
     # int digits; at the strict pack the table would need ~1.3e11 bits)
     RANK_BIT_LIMIT = 2 ** 32
+    _noun = "girl"
+    member, rank, unrank = _WordSet.member, _WordSet.rank, _WordSet.unrank
 
     def __init__(self, sft: Sft, pack: ParameterPack,
                  scheme: MarkerScheme | None,
                  s2_measure: MarkovMeasure | None = None):
         if scheme is not None and scheme.M != pack.M:
             raise ParameterError("marker scheme M differs from pack M")
-        self.length = pack.girl_length
+        self.length = self._width = pack.girl_length
         if self.length < 1:
             raise ParameterError("N - 11M must be >= 1")
         self.sft = sft
@@ -558,33 +539,17 @@ class GirlSet:
                         scheme.h2_window.symbols.tolist()]
             self.dfa = product_dfa(sft.factor_dfa(),
                                    avoider_dfa(sft.alphabet_size, patterns))
-        self._s2 = None
         if s2_measure is not None:
+            if self.length * self.dfa.n_nodes > self.ENUM_CELL_LIMIT:
+                raise ParameterError("girl enumeration too large for s2 filtering")
             bound = -(pack.h_target - pack.Delta) * pack.N
-            self._s2 = (s2_measure, bound)
-            self._members = [w for w in self._iter_plain()
-                             if s2_measure.log_cylinder_probability(w) < bound]
-            self._index = {w.symbols.tobytes(): i
-                           for i, w in enumerate(self._members)}
-            self.count = len(self._members)
+            self._list([row for block in self.dfa.enumerate(self.length)
+                        for row in block
+                        if s2_measure.log_cylinder_probability(Word(row)) < bound])
         else:
             self.count = self.dfa.count(self.length)
         if self.count == 0:
             raise NoGirlsError("no girls: every candidate word was filtered")
-
-    def _iter_plain(self):
-        if self.length * self.dfa.n_nodes > self.ENUM_CELL_LIMIT:
-            raise ParameterError("girl enumeration too large for s2 filtering")
-        for block in self.dfa.enumerate(self.length):
-            for sym in block:
-                yield Word(sym.copy())  # a view would pin the whole block
-
-    def member(self, word: Word) -> bool:
-        if len(word) != self.length:
-            return False
-        if self._s2 is not None:
-            return word.symbols.tobytes() in self._index
-        return self.dfa.walk(word.symbols.tolist()) >= 0
 
     def _check_rank_size(self):
         """Refuse rank/unrank before building a suffix-count table whose
@@ -592,30 +557,11 @@ class GirlSet:
         counts of about t * log2(m) bits), exceeds RANK_BIT_LIMIT."""
         n, L, m = self.dfa.n_nodes, self.length, self.sft.alphabet_size
         bits = n * L * L * math.log2(m) / 2
-        if bits > self.RANK_BIT_LIMIT:
+        if bits > self.RANK_BIT_LIMIT and self._listed is None:  # s2 lists
             raise ParameterError(
                 f"girls rank/unrank: suffix-count table of ~{bits:.3g} bits "
                 f"(n_nodes={n}, length={L}, alphabet={m}) exceeds the "
                 f"{self.RANK_BIT_LIMIT:.3g}-bit limit")
-
-    def rank(self, word: Word) -> int:
-        if self._s2 is None:
-            self._check_rank_size()
-        if not self.member(word):
-            raise ValueError("not a girl")
-        if self._s2 is not None:
-            return self._index[word.symbols.tobytes()]
-        return self.dfa.rank(word.symbols.tolist())
-
-    def unrank(self, r: int) -> Word:
-        if self._s2 is not None:
-            return self._members[r]
-        self._check_rank_size()
-        return Word(np.array(self.dfa.unrank(self.length, r), dtype=np.uint8))
-
-    def iter_members(self):
-        for i in range(self.count):
-            yield self.unrank(i)
 
 
 def girls(sft: Sft, pack: ParameterPack, scheme: MarkerScheme,
@@ -800,36 +746,59 @@ class Dictionary:
     inverse: dict | None = None
     provenance: dict = field(default_factory=dict)
 
-    def lookup(self, boy_word: Word) -> Word:
+    def lookup_rows(self, boy_rows) -> np.ndarray:
+        """The girl of every boy row, as a ``(B, girl length)`` array."""
         if self.mode == "hall":
-            return Word.from_string(self.table[boy_word.to_string()])
-        return self.girls.unrank(self.boys.rank(boy_word))
+            return _table_rows(self.table, boy_rows, self.girls.length)
+        return self.girls.unrank_rows(self.boys.rank_rows(boy_rows))
+
+    def girl_ranks(self, boy_rows) -> np.ndarray:
+        """Girl rank of every boy row's image (enumerative: the boy rank)."""
+        if self.mode == "hall":
+            return self.girls.rank_rows(self.lookup_rows(boy_rows))
+        return self.boys.rank_rows(boy_rows)
+
+    def invert_rows(self, girl_rows):
+        """(boy rows, found): each girl row's boy, zero where ``found`` is
+        false because no boy maps to it."""
+        girl_rows = np.asarray(girl_rows)
+        out = np.zeros((len(girl_rows), self.boys.N), dtype=np.uint8)
+        if self.mode == "hall":
+            found = np.array([Word(row).to_string() in self.inverse
+                              for row in girl_rows], dtype=bool)
+            out[found] = _table_rows(self.inverse, girl_rows[found], self.boys.N)
+            return out, found
+        found = self.girls.member_rows(girl_rows)
+        ranks = self.girls.rank_rows(girl_rows[found])
+        mapped = ranks < self.boys.count
+        found[found] = mapped
+        out[found] = self.boys.unrank_rows(ranks[mapped])
+        return out, found
+
+    def lookup(self, boy_word: Word) -> Word:
+        return Word(self.lookup_rows(boy_word.symbols[None])[0])
 
     def invert(self, girl_word: Word):
         """The boy mapped to this girl, or None when none is."""
-        if self.mode == "hall":
-            b = self.inverse.get(girl_word.to_string())
-            return Word.from_string(b) if b is not None else None
-        try:
-            r = self.girls.rank(girl_word)
-        except ValueError:
-            return None
-        if r < self.boys.count:
-            return self.boys.unrank(r)
-        return None
+        rows, found = self.invert_rows(girl_word.symbols[None])
+        return Word(rows[0]) if found[0] else None
 
     def invert_nearest(self, window: Word):
         """Hall-mode decoder fallback: argmin Hamming distance over the
         mapped girls, ties broken lexicographically by boy."""
         if self.mode != "hall":
             return self.invert(window)
-        best = None
-        for b in sorted(self.table):
-            g = self.table[b]
-            dist = sum(1 for a, c in zip(g, window.to_string()) if a != c)
-            if best is None or dist < best[0]:
-                best = (dist, b)
-        return Word.from_string(best[1]) if best else None
+        if not self.table:
+            return None
+        text = window.to_string()
+        return Word.from_string(min(sorted(self.table), key=lambda b: sum(
+            a != c for a, c in zip(self.table[b], text))))
+
+
+def _table_rows(table: dict, rows, width: int) -> np.ndarray:
+    """Hall-mode lookups of uint8 rows in a string -> string table."""
+    return np.array([list(map(int, table[Word(row).to_string()]))
+                     for row in rows], dtype=np.uint8).reshape(-1, width)
 
 
 def dictionary(boy_set: BoySet, girl_set: GirlSet, mode: str = "enumerative",

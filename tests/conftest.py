@@ -103,6 +103,104 @@ def reference_sample_path(measure, length, seed):
     return out
 
 
+def reference_walk(dfa, symbols):
+    """Reference for Dfa.walk: the per-symbol loop; -1 once a step is dead
+    or a symbol lies outside the alphabet."""
+    cur = dfa.start
+    for a in symbols:
+        if not 0 <= a < dfa.alphabet_size:
+            return -1
+        cur = dfa.step[cur][a]
+        if cur < 0:
+            return -1
+    return int(cur)
+
+
+def reference_suffix_counts(dfa, length):
+    """Reference for Dfa.suffix_counts: list rows of per-node sums, row 0
+    from the accepting vector."""
+    table = [[int(a) for a in dfa.accepting]]
+    while len(table) <= length:
+        prev = table[-1]
+        table.append([sum(prev[nxt] for nxt in dfa.step[node] if nxt >= 0)
+                      for node in range(dfa.n_nodes)])
+    return table
+
+
+def reference_rank(dfa, symbols):
+    """Reference for Dfa.rank: per symbol, add the suffix counts of every
+    smaller live symbol."""
+    n = len(symbols)
+    table = reference_suffix_counts(dfa, n)
+    node = dfa.start
+    r = 0
+    for pos, a in enumerate(symbols):
+        for b in range(a):
+            nxt = dfa.step[node][b]
+            if nxt >= 0:
+                r += table[n - pos - 1][nxt]
+        node = dfa.step[node][a]
+        if node < 0:
+            raise ValueError("word not accepted by automaton")
+    if not dfa.accepting[node]:
+        raise ValueError("word not accepted by automaton")
+    return r
+
+
+def reference_unrank(dfa, length, r):
+    """Reference for Dfa.unrank: per position, the first symbol whose
+    suffix count exceeds the remaining rank."""
+    table = reference_suffix_counts(dfa, length)
+    if not 0 <= r < table[length][dfa.start]:
+        raise ValueError("rank out of range")
+    node = dfa.start
+    out = []
+    for pos in range(length):
+        for a in range(dfa.alphabet_size):
+            nxt = dfa.step[node][a]
+            if nxt < 0:
+                continue
+            c = table[length - pos - 1][nxt]
+            if r < c:
+                out.append(a)
+                node = nxt
+                break
+            r -= c
+    return tuple(out)
+
+
+def _one_count_completions(m, ones, k_lo, k_hi):
+    """Length-m suffixes keeping the total one-count in [k_lo, k_hi]."""
+    return sum(math.comb(m, j) for j in range(max(0, k_lo - ones),
+                                               min(m, k_hi - ones) + 1))
+
+
+def reference_binomial_rank(N, k_lo, k_hi, symbols):
+    """Reference for the one-count boys' rank: the per-symbol loop over
+    binomial completions."""
+    r = ones = 0
+    for i, b in enumerate(symbols):
+        if b == 1:
+            r += _one_count_completions(N - i - 1, ones, k_lo, k_hi)
+            ones += 1
+    return r
+
+
+def reference_binomial_unrank(N, k_lo, k_hi, r):
+    """Reference for the one-count boys' unrank."""
+    out = []
+    ones = 0
+    for i in range(N):
+        c0 = _one_count_completions(N - i - 1, ones, k_lo, k_hi)
+        if r < c0:
+            out.append(0)
+        else:
+            r -= c0
+            out.append(1)
+            ones += 1
+    return tuple(out)
+
+
 def reference_sft_tables(alphabet_size, forbidden):
     """Reference for Sft's tables by the per-state construction: scan every
     k-word and every (k+1)-word for forbidden factors, then prune states

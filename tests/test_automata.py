@@ -1,8 +1,18 @@
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcode import automata
-from shiftcode.automata import avoider_dfa, product_dfa
+from shiftcode.automata import Dfa, avoider_dfa, one_count_dfa, product_dfa
+
+from conftest import (reference_binomial_rank, reference_binomial_unrank,
+                      reference_rank, reference_suffix_counts,
+                      reference_unrank, reference_walk)
 
 
 def recursive_enumerate(dfa, length):
@@ -11,7 +21,8 @@ def recursive_enumerate(dfa, length):
 
     def rec(node, pos):
         if pos == length:
-            yield tuple(word)
+            if dfa.accepting[node]:
+                yield tuple(word)
             return
         for a in range(dfa.alphabet_size):
             nxt = dfa.step[node][a]
@@ -61,3 +72,140 @@ def test_blocks_match_recursive_reference(zoo_dfas, monkeypatch, block_limit):
 def test_negative_length_rejected(zoo_dfas):
     with pytest.raises(ValueError):
         next(zoo_dfas[0].enumerate(-1))
+
+
+# ---------------------------------------------------------------------------
+# batch membership, rank and unrank against the per-word loops
+
+
+def check_batch_methods(dfa, length, data):
+    """Every batch method on drawn rows and ranks equals the per-word
+    reference, including ranks 0 and count - 1, rows with symbols off the
+    alphabet, and the empty batch."""
+    m = dfa.alphabet_size
+    total = reference_suffix_counts(dfa, length)[length][dfa.start]
+    assert dfa.count(length) == total
+    assert dfa.suffix_counts(length)[length, dfa.start] == total
+
+    ranks = [0, total - 1] if total else []
+    if total:
+        ranks += data.draw(st.lists(st.integers(0, total - 1), max_size=4),
+                           label="ranks")
+    words = dfa.unrank_rows(length, ranks)
+    assert words.dtype == np.uint8 and words.shape == (len(ranks), length)
+    assert [tuple(w) for w in words.tolist()] == [
+        reference_unrank(dfa, length, r) for r in ranks]
+    assert dfa.rank_rows(words).tolist() == ranks
+    for r in (-1, total):
+        with pytest.raises(ValueError, match="rank out of range"):
+            dfa.unrank_rows(length, [r])
+
+    drawn = data.draw(st.lists(
+        st.lists(st.integers(0, m) | st.just(255), min_size=length,
+                 max_size=length), max_size=6), label="rows")
+    rows = np.array(drawn, dtype=np.uint8).reshape(len(drawn), length)
+    want = [reference_walk(dfa, row) for row in drawn]
+    accepted = [w >= 0 and bool(dfa.accepting[w]) for w in want]
+    assert dfa.member_rows(rows).tolist() == accepted
+    assert [dfa.walk(row) for row in drawn] == want
+    good = rows[accepted]
+    assert dfa.rank_rows(good).tolist() == [reference_rank(dfa, row)
+                                            for row in good.tolist()]
+    if not all(accepted):
+        with pytest.raises(ValueError):
+            dfa.rank_rows(rows)
+
+    empty = np.zeros((0, length), dtype=np.uint8)
+    assert dfa.member_rows(empty).shape == (0,)
+    assert dfa.rank_rows(empty).shape == (0,)
+    assert dfa.unrank_rows(length, []).shape == (0, length)
+
+
+@pytest.mark.parametrize("index", range(6))
+@given(data=st.data())
+@settings(max_examples=25)
+def test_factor_batches_match_reference(sft_zoo, index, data):
+    dfa = sft_zoo[index].factor_dfa()
+    check_batch_methods(dfa, data.draw(st.integers(0, 12), label="length"),
+                        data)
+
+
+@given(data=st.data())
+@settings(max_examples=60)
+def test_product_batches_match_reference(sft_zoo, data):
+    sft = sft_zoo[data.draw(st.integers(0, len(sft_zoo) - 1), label="sft")]
+    m = sft.alphabet_size
+    patterns = data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1,
+                                           max_size=4),
+                                  min_size=1, max_size=3), label="patterns")
+    dfa = product_dfa(sft.factor_dfa(), avoider_dfa(m, patterns))
+    check_batch_methods(dfa, data.draw(st.integers(0, 12), label="length"),
+                        data)
+
+
+@given(data=st.data())
+@settings(max_examples=60)
+def test_one_count_batches_match_reference(data):
+    N = data.draw(st.integers(0, 40), label="N")
+    k_hi = data.draw(st.integers(0, N), label="k_hi")
+    k_lo = data.draw(st.integers(0, k_hi), label="k_lo")
+    dfa = one_count_dfa(k_lo, k_hi)
+    total = sum(math.comb(N, k) for k in range(k_lo, k_hi + 1))
+    assert dfa.count(N) == total
+    ranks = sorted({0, total - 1, *data.draw(
+        st.lists(st.integers(0, total - 1), max_size=5), label="ranks")})
+    words = dfa.unrank_rows(N, ranks)
+    assert [tuple(w) for w in words.tolist()] == [
+        reference_binomial_unrank(N, k_lo, k_hi, r) for r in ranks]
+    assert dfa.rank_rows(words).tolist() == [
+        reference_binomial_rank(N, k_lo, k_hi, w) for w in words.tolist()]
+    assert dfa.rank_rows(words).tolist() == ranks
+    check_batch_methods(dfa, N, data)
+
+
+@given(data=st.data())
+@settings(max_examples=60)
+def test_accepting_vector_counts_and_enumerates(zoo_dfas, data):
+    base = zoo_dfas[data.draw(st.integers(0, len(zoo_dfas) - 1), label="dfa")]
+    accepting = data.draw(st.lists(st.booleans(), min_size=base.n_nodes,
+                                   max_size=base.n_nodes), label="accepting")
+    dfa = Dfa(base.alphabet_size, base.step, base.start, accepting)
+    length = data.draw(st.integers(0, 8), label="length")
+    want = list(recursive_enumerate(dfa, length))
+    assert dfa.count(length) == len(want)
+    assert block_rows(dfa, length) == want
+    check_batch_methods(dfa, length, data)
+
+
+def test_big_counts_match_reference(zoo_dfas):
+    # counts far past 2^64 exercise the object-dtype table
+    rng = random.Random(6)
+    for dfa in zoo_dfas[:6] + zoo_dfas[6:8]:
+        length = 150
+        total = dfa.count(length)
+        assert total == reference_suffix_counts(dfa, length)[length][dfa.start]
+        ranks = [0, total - 1] + [rng.randrange(total) for _ in range(5)]
+        words = dfa.unrank_rows(length, ranks)
+        assert [tuple(w) for w in words.tolist()] == [
+            reference_unrank(dfa, length, r) for r in ranks]
+        assert dfa.rank_rows(words).tolist() == ranks
+        assert all(type(r) is int for r in dfa.rank_rows(words))
+
+
+def test_default_accepting_is_every_node(zoo_dfas):
+    for dfa in zoo_dfas:
+        assert dfa.accepting.tolist() == [True] * dfa.n_nodes
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("k_lo,k_hi", [(0, 2), (1, 3), (3, 3)])
+def test_product_honours_accepting(k_lo, k_hi, swap):
+    pair = [one_count_dfa(k_lo, k_hi), avoider_dfa(2, [[1, 1]])]
+    dfa = product_dfa(*pair[::-1] if swap else pair)
+    for length in range(9):
+        want = [w for w in itertools.product((0, 1), repeat=length)
+                if k_lo <= sum(w) <= k_hi and (1, 1) not in zip(w, w[1:])]
+        assert dfa.count(length) == len(want)
+        assert block_rows(dfa, length) == want
+        if want:
+            assert dfa.rank_rows(np.array(want)).tolist() == list(range(len(want)))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from shiftcode.markers import MarkerScheme, avoidance_filter, find_marker
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft, enumerate_words
 
-from conftest import LOG2
+from conftest import (LOG2, reference_binomial_rank, reference_binomial_unrank,
+                      reference_unrank)
 
 H_01 = 0.3250829733914482
 
@@ -223,6 +225,151 @@ class TestGirls:
                   if nu.log_cylinder_probability(w) < bound]
         assert filtered.count == len(expect)
         assert all(filtered.member(w) for w in expect)
+
+
+@pytest.fixture(scope="module")
+def practical(full2, bern_01, m2_scheme):
+    """The CLI dict instance: N=64, M=2, Bernoulli(0.9, 0.1) into the full
+    2-shift, one-count boys with k in [0, 7]."""
+    pack = practical_pack(H_01, LOG2, 0.2, N=64, M=2, delta=0.02)
+    b = boys(bern_01, pack)
+    g = girls(full2, pack, m2_scheme)
+    return b, g, dictionary(b, g, "enumerative", pack=pack)
+
+
+@pytest.fixture(scope="module")
+def s2_girls(full2, m2_scheme):
+    nu = MarkovMeasure.bernoulli([0.8, 0.2])
+    pack = practical_pack(H_01, nu.entropy(), 0.2, N=33, M=2, delta=0.02)
+    return girls(full2, pack, m2_scheme, s2_measure=nu)
+
+
+class TestBatchMethods:
+    def test_rows_match_per_word_loops(self, practical):
+        b, g, d = practical
+        rng = random.Random(11)
+        ranks = [0, b.count - 1] + [rng.randrange(b.count) for _ in range(40)]
+        boy_rows = b.unrank_rows(ranks)
+        assert [tuple(w) for w in boy_rows.tolist()] == [
+            reference_binomial_unrank(64, 0, 7, r) for r in ranks]
+        assert b.rank_rows(boy_rows).tolist() == ranks == [
+            reference_binomial_rank(64, 0, 7, w) for w in boy_rows.tolist()]
+        girl_rows = d.lookup_rows(boy_rows)
+        assert [tuple(w) for w in girl_rows.tolist()] == [
+            reference_unrank(g.dfa, g.length, r) for r in ranks]
+        assert g.rank_rows(girl_rows).tolist() == ranks
+        assert d.girl_ranks(boy_rows).tolist() == ranks
+        back, found = d.invert_rows(girl_rows)
+        assert found.all() and np.array_equal(back, boy_rows)
+        # girls ranked at or past the boy count are nobody's image
+        assert not d.invert_rows(g.unrank_rows([b.count, g.count - 1]))[1].any()
+        assert d.lookup(Word(boy_rows[2])) == Word(girl_rows[2])
+        assert d.invert(Word(girl_rows[2])) == Word(boy_rows[2])
+
+    def test_empty_batches(self, practical, s2_girls):
+        b, g, d = practical
+        no_boys = np.zeros((0, 64), dtype=np.uint8)
+        no_girls = np.zeros((0, g.length), dtype=np.uint8)
+        assert b.member_rows(no_boys).shape == b.rank_rows(no_boys).shape == (0,)
+        assert b.unrank_rows([]).shape == (0, 64)
+        assert d.lookup_rows(no_boys).shape == (0, g.length)
+        back, found = d.invert_rows(no_girls)
+        assert back.shape == (0, 64) and found.shape == (0,)
+        assert s2_girls.unrank_rows([]).shape == (0, s2_girls.length)
+
+    def test_other_widths_are_not_members(self, practical, s2_girls):
+        # the girl automaton accepts every prefix of a girl
+        b, g, d = practical
+        for gs in (g, s2_girls):
+            girl = gs.unrank(0).symbols
+            assert not gs.member_rows(girl[None, :-1]).any()
+            assert not gs.member_rows(np.append(girl, 0)[None]).any()
+        assert not b.member(Word(b.unrank(0).symbols[:-1]))
+        assert d.invert(Word(g.unrank(0).symbols[:-1])) is None
+
+    def test_binomial_boy_off_alphabet_is_no_boy(self, practical):
+        # a block of 2s has no ones, so a one-count test alone took it for
+        # a boy of rank 0 and the dictionary mapped it to girl 0
+        b, g, d = practical
+        assert (b.k_lo, b.k_hi) == (0, 7)
+        word = Word(np.full(64, 2, dtype=np.uint8))
+        assert b.member(word) is False
+        with pytest.raises(ValueError, match="not a boy"):
+            b.rank(word)
+        with pytest.raises(ValueError, match="not a boy"):
+            d.lookup(word)
+        rows = np.zeros((3, 64), dtype=np.uint8)
+        rows[1, 5] = 2
+        rows[2] = 255
+        assert b.member_rows(rows).tolist() == [True, False, False]
+        with pytest.raises(ValueError, match="not a boy"):
+            b.rank_rows(rows)
+
+    @pytest.mark.parametrize("pos", [0, 17, 41])
+    @pytest.mark.parametrize("symbol", [2, 255])
+    def test_girl_window_off_alphabet(self, practical, pos, symbol):
+        b, g, d = practical
+        good = g.unrank(0).symbols
+        bad = good.copy()
+        bad[pos] = symbol
+        assert g.member(Word(bad)) is False
+        with pytest.raises(ValueError, match="not a girl"):
+            g.rank(Word(bad))
+        assert d.invert(Word(bad)) is None
+        rows = np.stack([good, bad])
+        assert g.member_rows(rows).tolist() == [True, False]
+        with pytest.raises(ValueError, match="not a girl"):
+            g.rank_rows(rows)
+        assert d.invert_rows(rows)[1].tolist() == [True, False]
+
+    def test_s2_girls_off_alphabet(self, s2_girls):
+        bad = s2_girls.unrank(0).symbols.copy()
+        bad[3] = 2
+        assert s2_girls.member(Word(bad)) is False
+        with pytest.raises(ValueError, match="not a girl"):
+            s2_girls.rank(Word(bad))
+
+    def test_s2_girls_rank_range(self, s2_girls):
+        # a list index took -1 for the last girl and raised IndexError at
+        # the count
+        for r in (-1, s2_girls.count):
+            with pytest.raises(ValueError, match="rank out of range"):
+                s2_girls.unrank(r)
+            with pytest.raises(ValueError, match="rank out of range"):
+                s2_girls.unrank_rows([0, r])
+        last = s2_girls.count - 1
+        assert s2_girls.rank(s2_girls.unrank(last)) == last
+        assert s2_girls.rank_rows(s2_girls.unrank_rows([0, last])).tolist() == [
+            0, last]
+
+    def test_enumerated_boys_rank_range(self, bern_half):
+        mu = MarkovMeasure.bernoulli([0.98, 0.02])
+        pack = practical_pack(mu.entropy(), LOG2, 0.2, N=12, M=1, delta=0.05)
+        pairs = [(mu.sample_path(12, seed=i),
+                  bern_half.sample_path(12, seed=1000 + i)) for i in range(60)]
+        b = boys(mu, pack, u_samples=pairs)
+        assert type(b).__name__ == "_EnumeratedBoys"
+        for r in (-1, b.count):
+            with pytest.raises(ValueError, match="rank out of range"):
+                b.unrank(r)
+            with pytest.raises(ValueError, match="rank out of range"):
+                b.unrank_rows([0, r])
+        last = b.count - 1
+        assert b.rank(b.unrank(last)) == last
+        assert b.rank_rows(b.unrank_rows([last, 0])).tolist() == [last, 0]
+
+    def test_uniform_full_shift_rows(self):
+        b = boys(MarkovMeasure.bernoulli([0.5, 0.5]),
+                 practical_pack(LOG2, math.log(3), 0.2, N=12, M=1, delta=0.02))
+        ranks = [0, 1, 1234, 2 ** 12 - 1]
+        rows = b.unrank_rows(ranks)
+        assert [int("".join(map(str, w)), 2) for w in rows.tolist()] == ranks
+        assert b.rank_rows(rows).tolist() == ranks
+        for r in (-1, 2 ** 12):
+            with pytest.raises(ValueError, match="rank out of range"):
+                b.unrank(r)
+        rows[1, 3] = 2
+        assert b.member_rows(rows).tolist() == [True, False, True, True]
 
 
 class TestMarriageBound:

@@ -83,8 +83,8 @@ class TestInterpolate:
                     end = min(pos + seg_len, total)
                     n_words = dfa.count(end - pos)
                     r = int(rng.integers(0, n_words))
-                    segments.append(Word(np.array(dfa.unrank(end - pos, r),
-                                                  dtype=np.uint8), pos))
+                    segments.append(Word(dfa.unrank_rows(end - pos, [r])[0],
+                                         pos))
                     pos = end + L + int(rng.integers(0, 3))
                 plan = SegmentPlan(0, total, segments, min_gap=L)
                 out = interpolate(sft, plan)

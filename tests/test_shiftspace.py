@@ -14,7 +14,8 @@ from shiftcode.shiftspace import (Sft, Word, WindowMetricParams, build_sft,
                                   topological_entropy, window_codes,
                                   window_distance_below)
 
-from conftest import GOLDEN_ENTROPY, LOG2, reference_sft_tables
+from conftest import (GOLDEN_ENTROPY, LOG2, reference_sft_tables,
+                      reference_walk)
 
 
 def brute_words(sft, n):
@@ -157,7 +158,8 @@ class TestAdmissible:
             word = Word(np.array(data.draw(st.lists(
                 st.integers(0, sft.alphabet_size - 1), min_size=length,
                 max_size=length), label="symbols"), dtype=np.uint8))
-        assert sft.is_admissible(word) == (sft.factor_dfa().walk(word.symbols) >= 0)
+        assert sft.is_admissible(word) == (
+            reference_walk(sft.factor_dfa(), word.symbols) >= 0)
 
     @pytest.mark.parametrize("index", range(8))
     def test_states_ending_in_matches_suffix_scan(self, supports, index):
