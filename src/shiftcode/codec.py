@@ -20,6 +20,7 @@ planted one and offset recovery is exact.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -211,12 +212,8 @@ def _scrub_spurious_markers(target, y_sym, y_lo, segments, scheme, planted):
         gi = best[1]
         glo, ghi, seg = gaps[gi]
         variants[gi] = variants.get(gi, 0) + 1
-        left = Word(y_sym[max(0, glo - k):glo]) if glo > 0 else None
-        right = seg.rebase() if seg is not None else None
-        it = iter_connectors(target, left, right, ghi - glo)
-        filler = None
-        for _ in range(variants[gi] + 1):
-            filler = next(it, None)
+        connectors = iter_connectors(target, y_sym[max(0, glo - k):glo], seg, ghi - glo)
+        filler = next(itertools.islice(connectors, variants[gi], None), None)
         if filler is None:
             raise EncodingCollisionError(
                 f"connector variants exhausted for gap [{glo}, {ghi})")

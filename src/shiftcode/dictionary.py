@@ -18,7 +18,7 @@ import numpy as np
 from .automata import (avoider_dfa, one_count_dfa, product_dfa,
                        rank_vector)
 from .errors import (CapacityError, DegreeError, NoGirlsError, ParameterError,
-                     ShiftcodeError)
+                     ShiftcodeError, UnmatchedBoyError)
 from .markers import MarkerScheme
 from .measures import MarkovMeasure
 from .shiftspace import Sft, Word, enumerate_words
@@ -749,7 +749,13 @@ class Dictionary:
     def lookup_rows(self, boy_rows) -> np.ndarray:
         """The girl of every boy row, as a ``(B, girl length)`` array."""
         if self.mode == "hall":
-            return _table_rows(self.table, boy_rows, self.girls.length)
+            try:
+                return _table_rows(self.table, boy_rows, self.girls.length)
+            except KeyError as exc:
+                raise UnmatchedBoyError(
+                    f"hall-mode dictionary lookup: boy block {exc.args[0]} is "
+                    f"not among the {len(self.table)} boys the table "
+                    f"covers") from None
         return self.girls.unrank_rows(self.boys.rank_rows(boy_rows))
 
     def girl_ranks(self, boy_rows) -> np.ndarray:

@@ -66,6 +66,10 @@ class CapacityError(ShiftcodeError):
         self.n_girls = n_girls
 
 
+class UnmatchedBoyError(ShiftcodeError):
+    """A boy block has no entry in the Hall-mode matching table."""
+
+
 class NoGirlsError(ShiftcodeError):
     """The girl set came out empty."""
 

@@ -192,6 +192,8 @@ class Sft:
         self.adjacency[rows, self._step[rows, syms]] = 1
         self._dfa = None
         self._gap = None
+        self._reach = {}        # right-context head -> interp reach rows
+        self._connectors = {}   # (left tail, right head, gap) -> least connector
 
     @classmethod
     def full_shift(cls, alphabet_size: int) -> "Sft":
@@ -203,9 +205,6 @@ class Sft:
 
     def is_full_shift(self) -> bool:
         return not self.forbidden
-
-    def step(self, state: int, symbol: int) -> int:
-        return int(self._step[state, symbol])
 
     def factor_dfa(self) -> Dfa:
         """DFA of the factor language: prefixes of states, then states.

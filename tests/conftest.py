@@ -297,3 +297,83 @@ def halmos_oracle(n: int, m: int) -> bool:
         if any(v != col[0] for v in col):
             return True
     return False
+
+
+def reference_connectors(sft, left, right, gap):
+    """Reference for interp.iter_connectors: reach sets of states, a full
+    shift's words counted out in base m, and a recursive search; reads
+    ``sft._step``.  Unlike iter_connectors it ignores the contexts on a
+    full shift."""
+    from shiftcode.shiftspace import Word
+
+    def step(state, symbol):
+        return int(sft._step[state, symbol])
+
+    def end_states():
+        if left is None or len(left) == 0:
+            return set(range(sft.n_states))
+        sym = left.symbols if isinstance(left, Word) else np.asarray(left)
+        ends = np.flatnonzero(sft.states_ending_in(sym[-sft.k:]))
+        if len(sym) >= sft.k and len(ends) == 0:
+            raise ValueError("left word has an inadmissible window")
+        return set(ends.tolist())
+
+    def entry_states():
+        if right is None or len(right) == 0:
+            return set(range(sft.n_states))
+        sym = tuple(int(a) for a in (right.symbols if isinstance(right, Word) else right))
+        head = sym[:min(len(sym), sft.k)]
+        if any(not 0 <= a < sft.alphabet_size for a in head):
+            return set()
+        good = set()
+        for i in range(sft.n_states):
+            cur = i
+            for a in head:
+                cur = step(cur, a)
+                if cur < 0:
+                    break
+            else:
+                good.add(i)
+        return good
+
+    if gap < 0:
+        raise ValueError("gap must be >= 0")
+    if sft.is_full_shift():
+        m = sft.alphabet_size
+        for i in range(m ** gap):
+            digits = np.zeros(gap, dtype=np.uint8)
+            v = i
+            for pos in range(gap - 1, -1, -1):
+                digits[pos] = v % m
+                v //= m
+            yield Word(digits)
+        return
+    start = end_states()
+    targets = entry_states()
+    if not targets:
+        return
+    # reach[t] = states that can still reach `targets` in exactly t steps
+    reach = [targets]
+    for _ in range(gap):
+        prev = reach[-1]
+        reach.append({i for i in range(sft.n_states)
+                      if any(step(i, a) in prev for a in range(sft.alphabet_size))})
+    if gap == 0:
+        if start & targets:
+            yield Word(np.zeros(0, dtype=np.uint8))
+        return
+    word = np.zeros(gap, dtype=np.uint8)
+
+    def rec(cur, pos):
+        rem = gap - pos - 1
+        for a in range(sft.alphabet_size):
+            nxt = {t for t in (step(s, a) for s in cur) if t >= 0}
+            nxt &= reach[rem]
+            if nxt:
+                word[pos] = a
+                if pos + 1 == gap:
+                    yield Word(word.copy())
+                else:
+                    yield from rec(nxt, pos + 1)
+
+    yield from rec(start & reach[gap], 0)

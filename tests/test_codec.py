@@ -9,7 +9,7 @@ from shiftcode.codec import (audit_badset, audit_entropy,
                              rokhlin_parse, write_coded)
 from shiftcode.dictionary import (Relation, boys, choose_parameters,
                                   dictionary, girls, log_bigint)
-from shiftcode.errors import ParameterError
+from shiftcode.errors import ParameterError, UnmatchedBoyError
 from shiftcode.estimators import BlockDistribution, weakstar_surrogate
 from shiftcode.markers import find_marker, locate_offset
 from shiftcode.measures import MarkovMeasure
@@ -109,6 +109,34 @@ class TestRoundtrip:
             assert np.array_equal(x.symbols[pair.mask],
                                   x_hat.symbols[pair.mask]), seed
 
+    def test_hall_boy_outside_table_names_block(self, full2, bern_01,
+                                                bern_half, tmp_path, capsys):
+        # more boys than the one-entry table covers: encode used to die
+        # with a bare KeyError from the table lookup
+        from shiftcode.cli import run, write_dictionary_file
+        pack = practical_pack(bern_01.entropy(), LOG2, 0.2, N=12, M=1,
+                              delta=0.1)
+        scheme = find_marker(full2, bern_half, M=1, alpha=0.9, seed=2)
+        b = boys(bern_01, pack)
+        g = girls(full2, pack, scheme)
+        table = {b.unrank(0).to_string(): g.unrank(0).to_string()}
+        d = dictionary(b, g, "hall",
+                       relation=Relation(edges={bs: [gs] for bs, gs in table.items()},
+                                         witnesses={}), K=1, pack=pack)
+        assert b.count > 1
+        x = bern_01.sample_path(1200, seed=(0, 2))
+        with pytest.raises(UnmatchedBoyError,
+                           match=r"dictionary lookup: boy block [01]{12} is not "
+                                 r"among the 1 boys"):
+            encode(x, d, scheme, pack, full2, seed=0)
+        path = tmp_path / "hall.dict"
+        write_dictionary_file(str(path), pack, scheme, bern_01, bern_half, d)
+        assert run(["encode", "--dict", str(path), "--length", "1200",
+                    "--coded-out", str(tmp_path / "y.coded"),
+                    "--seed", "0"]) == 1
+        assert "UnmatchedBoyError: hall-mode dictionary lookup: boy block" \
+            in capsys.readouterr().err
+
     def test_golden_mean_target(self, golden_mean):
         # non-full-shift target exercises real connector search everywhere;
         # the sparse source keeps the boy set inside the 82 surviving girls
@@ -148,6 +176,27 @@ class TestRoundtrip:
             occ = [j for j in range(N - 8 * M + 1)
                    if bytes(window[j:j + 8 * M]) == needle]
             assert occ == [N - 9 * M]
+
+    def test_spurious_marker_rewritten_with_next_variant(self, golden_mean):
+        # a marker copy inside a filler gap is replaced by the gap's next
+        # connector in lex order, read with the same contexts
+        from itertools import islice
+
+        from shiftcode.codec import _scrub_spurious_markers
+        from conftest import reference_connectors
+        nu = MarkovMeasure.uniform(golden_mean)
+        scheme = find_marker(golden_mean, nu, M=2, alpha=0.9, seed=5)
+        marker = scheme.word.symbols
+        seg = Word.from_string("0101", 40)
+        y = np.zeros(60, dtype=np.uint8)
+        y[10:10 + len(marker)] = marker
+        y[40:44] = seg.symbols
+        assert _scrub_spurious_markers(golden_mean, y, 0, [seg], scheme,
+                                       set()) == 1
+        want = next(islice(reference_connectors(golden_mean, y[:0], seg, 40),
+                           1, None))
+        assert np.array_equal(y[:40], want.symbols)
+        assert bytes(marker) not in y.tobytes()
 
     def test_phase_recovery(self, roundtrip_setup, bern_01, full2):
         pack, scheme, b, g, d = roundtrip_setup

@@ -1,10 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shiftcode import interp
 from shiftcode.errors import NoConnectorError
 from shiftcode.interp import (SegmentPlan, connect_words, interpolate,
                               iter_connectors, parse_plan, serialize_plan)
+from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft, specification_gap
+from shiftcode.splicer import splice_full_support
+
+from conftest import reference_connectors
 
 
 class TestConnectWords:
@@ -47,6 +56,97 @@ class TestConnectWords:
         with pytest.raises(NoConnectorError):
             connect_words(build_sft(2, forbidden), None,
                           Word(np.array(right, dtype=np.uint8)), 3)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_full_shift_reads_its_contexts(self, m):
+        # a full shift is searched like every other SFT: a symbol off the
+        # alphabet leaves no connector on the right and is refused on the
+        # left once the left context holds k symbols
+        sft = build_sft(m, [])
+        off = Word(np.array([m], dtype=np.uint8))
+        with pytest.raises(NoConnectorError):
+            connect_words(sft, None, off, 3)
+        with pytest.raises(ValueError):
+            connect_words(sft, Word.from_string("0" + str(m)), None, 3)
+        assert list(iter_connectors(sft, Word.from_string("1"), off, 2)) == []
+
+
+def _first_connectors(connectors, n=5):
+    """The first n connectors as strings, or ValueError if one was raised."""
+    try:
+        return [w.to_string() for w in itertools.islice(connectors, n)]
+    except ValueError:
+        return ValueError
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_connectors_match_reference(supports, data):
+    sft = supports[data.draw(st.integers(0, len(supports) - 1), label="sft")]
+    context = st.none() | st.lists(
+        st.integers(0, sft.alphabet_size - 1), max_size=sft.k + 2).map(
+        lambda s: Word(np.array(s, dtype=np.uint8)))
+    left = data.draw(context, label="left")
+    right = data.draw(context, label="right")
+    gap = data.draw(st.integers(0, 12), label="gap")
+    want = _first_connectors(reference_connectors(sft, left, right, gap))
+    assert _first_connectors(iter_connectors(sft, left, right, gap)) == want
+    if want is ValueError:
+        with pytest.raises(ValueError):
+            connect_words(sft, left, right, gap)
+    elif not want:
+        with pytest.raises(NoConnectorError):
+            connect_words(sft, left, right, gap)
+    else:
+        assert connect_words(sft, left, right, gap).to_string() == want[0]
+
+
+class TestLongGaps:
+    def test_golden_mean_free_endpoints(self, golden_mean):
+        w = connect_words(golden_mean, None, None, 5000)
+        assert w.to_string() == "0" * 5000
+        later = list(itertools.islice(
+            iter_connectors(golden_mean, None, None, 3000), 3))
+        assert [w.to_string()[-3:] for w in later] == ["000", "001", "010"]
+
+    def test_memory_two_with_contexts(self):
+        sft = build_sft(2, ["111"])
+        w = connect_words(sft, Word.from_string("11"), Word.from_string("11"),
+                          2000)
+        assert w.to_string() == "0" * 2000
+
+    def test_interpolate_long_tail(self, golden_mean):
+        plan = SegmentPlan(0, 3003, [Word.from_string("101", 0)], min_gap=2)
+        assert interpolate(golden_mean, plan).to_string() == "101" + "0" * 3000
+
+
+def test_memo_holds_the_keys_splice_used(monkeypatch):
+    sft = build_sft(2, ["11"])
+    calls, keys, misses = [], [], []
+    real_connect, real_iter = interp.connect_words, interp.iter_connectors
+
+    def connect(sft_, left, right, gap):
+        calls.append((left, right, gap))
+        head = b"" if right is None else right.symbols[:sft.k].tobytes()
+        keys.append((np.asarray(left, dtype=np.uint8)[-sft.k:].tobytes(),
+                     head, gap))
+        return real_connect(sft_, left, right, gap)
+
+    def search(*args):
+        misses.append(args)
+        return real_iter(*args)
+
+    monkeypatch.setattr(interp, "connect_words", connect)
+    monkeypatch.setattr(interp, "iter_connectors", search)
+    y1 = MarkovMeasure.uniform(sft).sample_path(5200, seed=2)
+    out = splice_full_support(sft, y1, Word.from_string("1"), N=50, M=3,
+                              seed=1, length=5000)
+    assert sft.is_admissible(out)
+    assert set(sft._connectors) == set(keys)
+    assert len(misses) == len(set(keys)) < len(calls)
+    for call, key in zip(calls, keys):
+        assert real_connect(sft, *call) == sft._connectors[key]
+    assert set(sft._connectors) == set(keys)    # repeated calls only hit
 
 
 class TestInterpolate:
@@ -92,6 +192,32 @@ class TestInterpolate:
                 for seg in plan.segments:
                     assert np.array_equal(
                         out.window(seg.lo, seg.hi).symbols, seg.symbols)
+
+    def test_fill_matches_reference(self, sft_zoo):
+        # each gap holds the reference's least connector after everything
+        # built so far; in the 010-free shift a one-symbol segment's left
+        # context reaches back into the filler before it
+        rng = np.random.default_rng(11)
+        for sft in sft_zoo + [build_sft(2, ["010"])]:
+            L = specification_gap(sft)
+            dfa = sft.factor_dfa()
+            for _ in range(40):
+                total, pos, segments = int(rng.integers(15, 40)), 0, []
+                while pos + 2 < total:
+                    end = min(pos + int(rng.integers(1, 3)), total)
+                    r = int(rng.integers(0, dfa.count(end - pos)))
+                    segments.append(Word(dfa.unrank_rows(end - pos, [r])[0], pos))
+                    pos = end + L + int(rng.integers(0, 2))
+                want = np.zeros(0, dtype=np.uint8)
+                for seg in segments + [None]:
+                    end = total if seg is None else seg.lo
+                    filler = next(reference_connectors(sft, want, seg,
+                                                       end - len(want)))
+                    want = np.concatenate([want, filler.symbols])
+                    if seg is not None:
+                        want = np.concatenate([want, seg.symbols])
+                plan = SegmentPlan(0, total, segments, min_gap=L)
+                assert np.array_equal(interpolate(sft, plan).symbols, want)
 
     def test_segment_below_memory_length(self):
         # memory-2 SFT with single-symbol segments exercises the suffix
