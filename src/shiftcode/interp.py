@@ -4,7 +4,9 @@ segments, separated by sufficient gaps, into one admissible word.
 A connector is a path through the SFT's factor automaton from the node
 the left context's last k symbols reach to a node that can read the right
 context's first k; bool reach rows prune a depth-first walk that yields
-connectors in lex order.  Interpolation takes the least, memoised per Sft.
+connectors in lex order.  Interpolation takes the least, memoised per Sft:
+it checks all planned segments in one window pass, writes them into one
+output array and fills the gaps between them left to right in place.
 """
 
 from __future__ import annotations
@@ -35,24 +37,32 @@ class SegmentPlan:
     constrain_boundaries: bool = False
 
     def validate(self) -> None:
+        """Sort the segments by start (stable) and check the plan; the
+        error names the first failing segment in that order, and its
+        first failing check in the order of ``checks``."""
         if self.hi <= self.lo:
             raise ValueError("empty or inverted range")
         segs = sorted(self.segments, key=lambda w: w.lo)
-        prev_hi = None
-        for w in segs:
-            if len(w) == 0:
-                raise ValueError("segments must be non-empty")
-            if w.lo < self.lo or w.hi > self.hi:
-                raise ValueError(f"segment [{w.lo}, {w.hi}) outside range")
-            if self.max_segment is not None and len(w) > self.max_segment:
-                raise ValueError(f"segment of length {len(w)} exceeds {self.max_segment}")
-            if prev_hi is not None:
-                gap = w.lo - prev_hi
-                if gap < 0:
-                    raise ValueError("segments overlap")
-                if gap < self.min_gap:
-                    raise ValueError(f"gap {gap} below min_gap {self.min_gap}")
-            prev_hi = w.hi
+        lo = np.array([w.lo for w in segs], dtype=np.int64)
+        n = np.array([len(w) for w in segs], dtype=np.int64)
+        gap = lo - np.roll(lo + n, 1)       # from the previous segment's end
+        later = np.arange(len(segs)) > 0
+        checks = (
+            ("segments must be non-empty", n == 0),
+            ("segment [{lo}, {hi}) outside range",
+             (lo < self.lo) | (lo + n > self.hi)),
+            ("segment of length {n} exceeds {max_segment}",
+             n > (np.inf if self.max_segment is None else self.max_segment)),
+            ("segments overlap", later & (gap < 0)),
+            ("gap {gap} below min_gap {min_gap}", later & (gap < self.min_gap)),
+        )
+        failing = np.array([fails for _, fails in checks])
+        if failing.any():
+            i = int(np.argmax(failing.any(axis=0)))
+            w = segs[i]
+            raise ValueError(checks[int(np.argmax(failing[:, i]))][0].format(
+                lo=w.lo, hi=w.hi, n=len(w), max_segment=self.max_segment,
+                gap=int(gap[i]), min_gap=self.min_gap))
         if self.constrain_boundaries and segs:
             if segs[0].lo - self.lo < self.min_gap or self.hi - segs[-1].hi < self.min_gap:
                 raise ValueError("boundary gap below min_gap")
@@ -149,26 +159,36 @@ def connect_words(sft: Sft, left, right, gap: int) -> Word:
 def interpolate(sft: Sft, plan: SegmentPlan) -> Word:
     """An admissible word over [lo, hi) agreeing with every planned segment.
 
-    Gaps are filled left to right with lexicographically least connectors;
-    the suffix of everything built so far is the left context, so segments
-    shorter than the SFT memory are still spliced exactly.
+    One :meth:`Sft.admissible_pieces` pass checks every segment; the
+    segments are written into one output array, and the gaps are filled
+    left to right with lexicographically least connectors.  A gap's left
+    context is the last k symbols written before it, so segments shorter
+    than the SFT memory are still spliced exactly; its memo key is read
+    off the array, and only a miss goes to :func:`connect_words`.
     """
     plan.validate()
     if plan.min_gap < specification_gap(sft):
         raise ValueError("plan min_gap below the specification gap")
-    k = sft.k
-    pieces = []
-    tail = np.zeros(0, dtype=np.uint8)  # the last k symbols emitted so far
-    pos = plan.lo
-    for seg in plan.segments:
-        if not sft.is_admissible(seg):
-            raise ValueError(f"planned segment at {seg.lo} is not admissible")
-        filler = connect_words(sft, tail, seg, seg.lo - pos).symbols
-        pieces += [filler, seg.symbols]
-        tail = np.concatenate([tail, filler[-k:], seg.symbols[-k:]])[-k:]
-        pos = seg.hi
-    pieces.append(connect_words(sft, tail, None, plan.hi - pos).symbols)
-    return Word(np.concatenate(pieces), plan.lo)
+    k, segs = sft.k, plan.segments
+    if segs:
+        ok = sft.admissible_pieces(np.concatenate([w.symbols for w in segs]),
+                                   [len(w) for w in segs])
+        if not ok.all():
+            raise ValueError(f"planned segment at {segs[int(np.argmin(ok))].lo} "
+                             "is not admissible")
+    out = np.empty(plan.hi - plan.lo, dtype=np.uint8)
+    for w in segs:
+        out[w.lo - plan.lo:w.hi - plan.lo] = w.symbols
+    a = 0   # start of the next gap
+    for w in segs + [None]:
+        b, c = (len(out),) * 2 if w is None else (w.lo - plan.lo, w.hi - plan.lo)
+        tail, head = out[max(a - k, 0):a], out[b:min(b + k, c)]
+        filler = sft._connectors.get((tail.tobytes(), head.tobytes(), b - a))
+        if filler is None:
+            filler = connect_words(sft, tail, head, b - a)
+        out[a:b] = filler.symbols
+        a = c
+    return Word(out, plan.lo)
 
 
 def periodic_closure(sft: Sft, word: Word, gap: int | None = None) -> Word:

@@ -243,12 +243,40 @@ class Sft:
         """True iff the word occurs in the shift; false for a symbol
         outside the alphabet."""
         sym = np.asarray(word.symbols if isinstance(word, Word) else word)
+        return bool(self.admissible_pieces(sym, [len(sym)])[0])
+
+    def admissible_pieces(self, symbols, lengths) -> np.ndarray:
+        """Bool array: which pieces of a concatenation occur in the shift.
+
+        ``symbols`` holds the pieces end to end, ``lengths`` their lengths.
+        One window pass checks them all: a piece longer than k occurs iff
+        each of its (k+1)-windows is an edge (windows across a boundary
+        between pieces are ignored), a shorter one of length n iff it is
+        the last n symbols of some state.  A symbol outside the alphabet
+        makes its piece inadmissible.
+        """
+        sym = np.asarray(symbols)
+        lengths = np.asarray(lengths, dtype=np.int64)
         k, m = self.k, self.alphabet_size
-        if len(sym) <= k:
-            return bool(self.states_ending_in(sym).any())
-        if sym.min() < 0 or sym.max() >= m:
-            return False
-        return bool(self.edges[window_codes(sym, k + 1, m)].all())
+        ends = np.cumsum(lengths)
+        ok = np.ones(len(lengths), dtype=bool)
+        off = (sym < 0) | (sym >= m)
+        if off.any():
+            ok[np.searchsorted(ends, np.flatnonzero(off), side="right")] = False
+            sym = np.where(off, 0, sym)
+        # window i covers symbols i..i+k: it counts iff its piece ends later
+        bad = np.flatnonzero(~self.edges[window_codes(sym, k + 1, m)])
+        piece = np.searchsorted(ends, bad, side="right")
+        ok[piece[bad + k < ends[piece]]] = False
+        starts = ends - lengths
+        for n in set(lengths[lengths <= k].tolist()):
+            at = np.flatnonzero(lengths == n)
+            code = window_codes(sym[starts[at, None] + np.arange(n)].T, n, m)[0]
+            suffix = np.zeros(m ** n, dtype=bool)
+            # widened first: m ** k need not fit the codes' own dtype
+            suffix[self.state_codes.astype(np.int64) % m ** n] = True
+            ok[at] &= suffix[code]
+        return ok
 
     def states_ending_in(self, symbols) -> np.ndarray:
         """Bool mask of the states whose last n symbols are the given word

@@ -377,3 +377,55 @@ def reference_connectors(sft, left, right, gap):
                     yield from rec(nxt, pos + 1)
 
     yield from rec(start & reach[gap], 0)
+
+
+def reference_validate(plan):
+    """Reference for SegmentPlan.validate: the per-segment loop, with the
+    same messages; returns the segments sorted by start."""
+    if plan.hi <= plan.lo:
+        raise ValueError("empty or inverted range")
+    segs = sorted(plan.segments, key=lambda w: w.lo)
+    prev_hi = None
+    for w in segs:
+        if len(w) == 0:
+            raise ValueError("segments must be non-empty")
+        if w.lo < plan.lo or w.hi > plan.hi:
+            raise ValueError(f"segment [{w.lo}, {w.hi}) outside range")
+        if plan.max_segment is not None and len(w) > plan.max_segment:
+            raise ValueError(f"segment of length {len(w)} exceeds {plan.max_segment}")
+        if prev_hi is not None:
+            gap = w.lo - prev_hi
+            if gap < 0:
+                raise ValueError("segments overlap")
+            if gap < plan.min_gap:
+                raise ValueError(f"gap {gap} below min_gap {plan.min_gap}")
+        prev_hi = w.hi
+    if plan.constrain_boundaries and segs:
+        if segs[0].lo - plan.lo < plan.min_gap or plan.hi - segs[-1].hi < plan.min_gap:
+            raise ValueError("boundary gap below min_gap")
+    return segs
+
+
+def reference_interpolate(sft, plan):
+    """Reference for interp.interpolate: the per-segment loop, checking
+    each segment by ``reference_walk`` and gluing the pieces one
+    ``connect_words`` call at a time."""
+    from shiftcode.interp import connect_words
+    from shiftcode.shiftspace import Word, specification_gap
+
+    segments = reference_validate(plan)
+    if plan.min_gap < specification_gap(sft):
+        raise ValueError("plan min_gap below the specification gap")
+    k = sft.k
+    pieces = []
+    tail = np.zeros(0, dtype=np.uint8)  # the last k symbols emitted so far
+    pos = plan.lo
+    for seg in segments:
+        if reference_walk(sft.factor_dfa(), seg.symbols) < 0:
+            raise ValueError(f"planned segment at {seg.lo} is not admissible")
+        filler = connect_words(sft, tail, seg, seg.lo - pos).symbols
+        pieces += [filler, seg.symbols]
+        tail = np.concatenate([tail, filler[-k:], seg.symbols[-k:]])[-k:]
+        pos = seg.hi
+    pieces.append(connect_words(sft, tail, None, plan.hi - pos).symbols)
+    return Word(np.concatenate(pieces), plan.lo)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from shiftcode import interp
@@ -13,7 +13,8 @@ from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft, specification_gap
 from shiftcode.splicer import splice_full_support
 
-from conftest import reference_connectors
+from conftest import (reference_connectors, reference_interpolate,
+                      reference_validate)
 
 
 class TestConnectWords:
@@ -121,16 +122,22 @@ class TestLongGaps:
 
 
 def test_memo_holds_the_keys_splice_used(monkeypatch):
+    # interpolate reads each gap's memo key off its output and sends only
+    # the misses to connect_words, which searches once per key
     sft = build_sft(2, ["11"])
-    calls, keys, misses = [], [], []
+    lookups, calls, misses = [], [], []
+
+    class Memo(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    sft._connectors = Memo()
     real_connect, real_iter = interp.connect_words, interp.iter_connectors
 
-    def connect(sft_, left, right, gap):
-        calls.append((left, right, gap))
-        head = b"" if right is None else right.symbols[:sft.k].tobytes()
-        keys.append((np.asarray(left, dtype=np.uint8)[-sft.k:].tobytes(),
-                     head, gap))
-        return real_connect(sft_, left, right, gap)
+    def connect(*args):
+        calls.append(args)
+        return real_connect(*args)
 
     def search(*args):
         misses.append(args)
@@ -142,11 +149,14 @@ def test_memo_holds_the_keys_splice_used(monkeypatch):
     out = splice_full_support(sft, y1, Word.from_string("1"), N=50, M=3,
                               seed=1, length=5000)
     assert sft.is_admissible(out)
-    assert set(sft._connectors) == set(keys)
-    assert len(misses) == len(set(keys)) < len(calls)
-    for call, key in zip(calls, keys):
-        assert real_connect(sft, *call) == sft._connectors[key]
-    assert set(sft._connectors) == set(keys)    # repeated calls only hit
+    assert set(sft._connectors) == set(lookups)
+    # connect_words looks its key up once more per call; the rest are hits
+    assert len(misses) == len(calls) == len(set(lookups)) < len(lookups) - len(calls)
+    for key, word in list(sft._connectors.items()):
+        left, right = (np.frombuffer(b, dtype=np.uint8) for b in key[:2])
+        assert next(real_iter(sft, left, right, key[2])) == word
+        assert real_connect(sft, left, right, key[2]) == word
+    assert set(sft._connectors) == set(lookups)    # repeated calls only hit
 
 
 class TestInterpolate:
@@ -237,6 +247,57 @@ class TestInterpolate:
             interpolate(golden_mean, plan)
 
 
+def _outcome(fn, sft, plan):
+    """(base, symbols) of the word, or (exception type, message)."""
+    try:
+        w = fn(sft, plan)
+    except (ValueError, NoConnectorError) as exc:
+        return type(exc), str(exc)
+    return w.base, w.to_string()
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_interpolate_matches_reference(supports, data):
+    # segments shorter than k, segments at lo and ending at hi, the empty
+    # plan, and a segment after admissible ones that may be inadmissible
+    # or hold a symbol off the alphabet
+    sft = supports[data.draw(st.integers(0, len(supports) - 1), label="sft")]
+    m, dfa = sft.alphabet_size, sft.factor_dfa()
+    min_gap = specification_gap(sft) + data.draw(st.integers(0, 1))
+    lo = data.draw(st.integers(-5, 5), label="lo")
+    pos = lo + data.draw(st.sampled_from([0, 0, 1, 3]), label="lead")
+    segments = []
+    for _ in range(data.draw(st.integers(0, 5), label="segments")):
+        n = data.draw(st.integers(1, sft.k + 3), label="length")
+        r = data.draw(st.integers(0, dfa.count(n) - 1), label="rank")
+        segments.append(Word(dfa.unrank_rows(n, [r])[0], pos))
+        pos += n + min_gap + data.draw(st.integers(0, 2))
+    if segments and data.draw(st.booleans(), label="spoil"):
+        j = data.draw(st.integers(0, len(segments) - 1), label="spoiled")
+        sym = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=len(
+            segments[j]), max_size=len(segments[j])), label="symbols"), dtype=np.uint8)
+        if data.draw(st.booleans(), label="off"):
+            sym[data.draw(st.integers(0, len(sym) - 1))] = data.draw(
+                st.sampled_from([m, 255]), label="symbol")
+        segments[j] = Word(sym, segments[j].lo)
+    end = segments[-1].hi if segments else pos
+    hi = end + data.draw(st.sampled_from([0, 0, 1, 4]), label="trail") + (end == lo)
+    want = _outcome(reference_interpolate, sft,
+                    SegmentPlan(lo, hi, list(segments), min_gap=min_gap))
+    event("error" if isinstance(want[0], type) else "word")
+    assert _outcome(interpolate, sft,
+                    SegmentPlan(lo, hi, list(segments), min_gap=min_gap)) == want
+
+
+def test_interpolate_names_first_bad_segment(golden_mean):
+    # plan order, not input order, decides which segment is named
+    plan = SegmentPlan(0, 20, [Word.from_string("11", 12), Word.from_string("1", 0),
+                               Word(np.array([2], dtype=np.uint8), 6)], min_gap=2)
+    with pytest.raises(ValueError, match=r"^planned segment at 6 is not admissible$"):
+        interpolate(golden_mean, plan)
+
+
 class TestGapSharpness:
     def test_below_gap_can_fail(self, golden_mean):
         # some gap < L fails for the "11" boundary pair: at gap 0 the
@@ -282,6 +343,69 @@ class TestPlanValidation:
                            min_gap=2, constrain_boundaries=True)
         with pytest.raises(ValueError):
             plan.validate()
+
+    @pytest.mark.parametrize("plan,message", [
+        (SegmentPlan(5, 5), "empty or inverted range"),
+        (SegmentPlan(0, 10, [Word.from_string("0", 1), Word(np.zeros(0), 4)]),
+         "segments must be non-empty"),
+        (SegmentPlan(0, 10, [Word.from_string("000", 8)]),
+         "segment [8, 11) outside range"),
+        (SegmentPlan(0, 10, [Word.from_string("0", -1)]),
+         "segment [-1, 0) outside range"),
+        (SegmentPlan(0, 10, [Word.from_string("0000", 0)], max_segment=3),
+         "segment of length 4 exceeds 3"),
+        (SegmentPlan(0, 10, [Word.from_string("000", 0), Word.from_string("000", 2)]),
+         "segments overlap"),
+        (SegmentPlan(0, 10, [Word.from_string("00", 0), Word.from_string("00", 3)],
+                     min_gap=2), "gap 1 below min_gap 2"),
+        (SegmentPlan(0, 10, [Word.from_string("00", 0)], min_gap=2,
+                     constrain_boundaries=True), "boundary gap below min_gap"),
+        (SegmentPlan(0, 10, [Word.from_string("00", 7)], min_gap=2,
+                     constrain_boundaries=True), "boundary gap below min_gap"),
+        # the first segment in start order is named, with its first
+        # failing check: here both segments fail, the later-listed first
+        (SegmentPlan(0, 10, [Word.from_string("0000", 8), Word.from_string("0000", 0),
+                             Word.from_string("0", 5)], min_gap=2, max_segment=3),
+         "segment of length 4 exceeds 3"),
+        (SegmentPlan(0, 10, [Word.from_string("00000", 6), Word.from_string("0", 5)],
+                     max_segment=3), "segment [6, 11) outside range"),
+        (SegmentPlan(0, 10, [Word.from_string("00", 4), Word.from_string("000", 2)],
+                     min_gap=3), "segments overlap"),
+    ])
+    def test_messages(self, plan, message):
+        with pytest.raises(ValueError) as exc:
+            plan.validate()
+        assert str(exc.value) == message
+
+    def test_sorts_stably_by_start(self):
+        a, b, c = (Word.from_string("0", 3), Word.from_string("1", 0),
+                   Word.from_string("00", 6))
+        plan = SegmentPlan(0, 10, [c, a, b], min_gap=1)
+        plan.validate()
+        assert plan.segments == [b, a, c]
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_matches_reference(self, data):
+        segments = [Word(np.zeros(data.draw(st.integers(0, 4)), dtype=np.uint8),
+                         data.draw(st.integers(-2, 14)))
+                    for _ in range(data.draw(st.integers(0, 5), label="segments"))]
+        args = dict(lo=data.draw(st.integers(-1, 2)), hi=data.draw(st.integers(0, 16)),
+                    min_gap=data.draw(st.integers(0, 3)),
+                    max_segment=data.draw(st.none() | st.integers(0, 4)),
+                    constrain_boundaries=data.draw(st.booleans()))
+        try:
+            want = reference_validate(SegmentPlan(segments=list(segments), **args))
+        except ValueError as exc:
+            want = str(exc)
+        plan = SegmentPlan(segments=list(segments), **args)
+        try:
+            plan.validate()
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert plan.segments == want
+        event("error" if isinstance(want, str) else "valid")
 
     def test_parse_plan(self):
         plan = parse_plan("seg 0 101\nseg 5 101\n", 0, 8, min_gap=2)

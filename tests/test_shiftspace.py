@@ -162,6 +162,41 @@ class TestAdmissible:
             reference_walk(sft.factor_dfa(), word.symbols) >= 0)
 
     @pytest.mark.parametrize("index", range(8))
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_pieces_match_walk(self, supports, index, data):
+        # pieces shorter and longer than k, empty ones, admissible ones
+        # next to inadmissible ones, and symbols off the alphabet
+        sft = supports[index]
+        m, dfa = sft.alphabet_size, sft.factor_dfa()
+        pieces = []
+        for _ in range(data.draw(st.integers(0, 6), label="pieces")):
+            n = data.draw(st.integers(0, 2 * sft.k + 3), label="length")
+            if data.draw(st.booleans(), label="admissible"):
+                r = data.draw(st.integers(0, dfa.count(n) - 1), label="rank")
+                sym = dfa.unrank_rows(n, [r])[0].copy()
+            else:
+                sym = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n,
+                                                  max_size=n)), dtype=np.uint8)
+            if n and data.draw(st.booleans(), label="off"):
+                sym[data.draw(st.integers(0, n - 1))] = data.draw(
+                    st.sampled_from([m, 255]), label="symbol")
+            pieces.append(sym)
+        got = sft.admissible_pieces(
+            np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8),
+            [len(p) for p in pieces])
+        assert got.dtype == bool
+        assert got.tolist() == [reference_walk(dfa, p) >= 0 for p in pieces]
+        for p in pieces:
+            assert sft.is_admissible(p) == (reference_walk(dfa, p) >= 0)
+
+    def test_pieces_ignore_boundary_windows(self, golden_mean):
+        # "1" | "1" and "01" | "10" are admissible apart, not joined
+        got = golden_mean.admissible_pieces(
+            np.array([1, 1, 0, 1, 1, 0, 1, 1], dtype=np.uint8), [1, 1, 2, 2, 2])
+        assert got.tolist() == [True, True, True, True, False]
+
+    @pytest.mark.parametrize("index", range(8))
     def test_states_ending_in_matches_suffix_scan(self, supports, index):
         sft = supports[index]
         m = sft.alphabet_size
