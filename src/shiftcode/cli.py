@@ -8,6 +8,7 @@ so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -133,16 +134,10 @@ def read_dictionary_file(path: str):
     target_sft = shiftspace.parse_sft("\n".join(sections["target-sft"]))
     mu = measures.parse_measure("\n".join(sections["source-measure"]), source_sft)
     nu = measures.parse_measure("\n".join(sections["target-measure"]), target_sft)
-    ints = {"eta_radius", "r_radius", "ell", "M", "N", "source_alphabet", "gap"}
-    kwargs = {}
-    for key, val in raw.items():
-        if key in ("mode", "binding"):
-            kwargs[key] = val
-        elif key in ints:
-            kwargs[key] = int(val)
-        else:
-            kwargs[key] = float(val)
-    pack = ParameterPack(**kwargs)
+    # the field types are annotation strings (postponed evaluation)
+    types = {f.name: f.type for f in dataclasses.fields(ParameterPack)}
+    cast = {"int": int, "float": float, "str": str}
+    pack = ParameterPack(**{k: cast[types[k]](v) for k, v in raw.items()})
     scheme = markers.MarkerScheme.parse(sections["marker"][0], nu)
     boy_set = boys(mu, pack)
     girl_set = girls(target_sft, pack, scheme)
@@ -194,20 +189,24 @@ def _cmd_marker(args):
     return 0
 
 
+def _overrides(args) -> dict:
+    """The pack constants set on the command line."""
+    return {k: getattr(args, k) for k in ("N", "M", "delta", "alpha")
+            if getattr(args, k) is not None}
+
+
 def _cmd_params(args):
     mu = nu = None
     if args.source_sft and args.source_measure:
         mu = _load_measure(args.source_measure, _load_sft(args.source_sft))
     if args.sft and args.measure:
         nu = _load_measure(args.measure, _load_sft(args.sft))
-    overrides = {k: getattr(args, k) for k in ("N", "M", "delta", "alpha")
-                 if getattr(args, k) is not None}
     h_source = mu.entropy() if mu is not None else args.h_source
     h_target = nu.entropy() if nu is not None else args.h_target
     gap = shiftspace.specification_gap(nu.sft) if nu is not None else args.gap
     alphabet = mu.sft.alphabet_size if mu is not None else args.source_alphabet
     pack = choose_parameters(
-        h_source, h_target, args.eps, mode=args.mode, overrides=overrides,
+        h_source, h_target, args.eps, mode=args.mode, overrides=_overrides(args),
         source_alphabet=alphabet, gap=gap, mu=mu, nu=nu,
         mc_samples=args.mc_samples, seed=args.seed)
     pairs = sorted(pack.scalars().items())
@@ -223,14 +222,9 @@ def _build_instance(args):
     """(mu, nu, pack, scheme, boys, girls, dictionary) from the input files."""
     mu = _load_measure(args.source_measure, _load_sft(args.source_sft))
     nu = _load_measure(args.measure, _load_sft(args.sft))
-    overrides = {}
-    for key in ("N", "M", "delta", "alpha"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
     pack = choose_parameters(
         mu.entropy(), nu.entropy(), args.eps, mode=args.mode,
-        overrides=overrides, source_alphabet=mu.sft.alphabet_size,
+        overrides=_overrides(args), source_alphabet=mu.sft.alphabet_size,
         gap=shiftspace.specification_gap(nu.sft), nu=nu)
     scheme = markers.find_marker(nu.sft, nu, pack.M, pack.alpha, seed=args.seed)
     boy_set = boys(mu, pack)
@@ -275,8 +269,12 @@ def _cmd_encode(args):
 def _cmd_decode(args):
     pack, scheme, mu, nu, d = read_dictionary_file(args.dict)
     y, header = codec.read_coded(Path(args.coded).read_text())
-    if header.get("pack") != codec.pack_hash(pack):
-        raise ShiftcodeError("coded stream does not match the dictionary pack")
+    expected = {"pack": codec.pack_hash(pack), "dict": codec.dictionary_hash(d),
+                "marker": scheme.serialize()}
+    for key, value in expected.items():
+        if header.get(key) != value:
+            raise ShiftcodeError(
+                f"coded stream {key} header does not match the dictionary file")
     x_hat, mask = codec.decode(y, d, scheme, pack)
     if args.x_out:
         Path(args.x_out).write_text(x_hat.to_string() + "\n")
@@ -317,11 +315,11 @@ def _cmd_verify(args):
 
 
 def _write_block_csv(path, pair, pack):
-    boys_at = set(pair.boy_blocks)
+    _, boy, flagged = codec.block_kinds(pair)
     rows = ["start,length,boy,flag"]
-    for n, length, flag in pair.parse.iter_blocks():
-        kind = "-" if flag is None else ("D" if flag == codec.D_FLAG else str(flag))
-        rows.append(f"{n},{length},{int(n in boys_at and length > 1)},{kind}")
+    for (n, length, flag), b, d in zip(pair.parse.iter_blocks(), boy, flagged):
+        kind = "-" if flag is None else ("D" if d else str(flag))
+        rows.append(f"{n},{length},{int(b)},{kind}")
     Path(path).write_text("\n".join(rows) + "\n")
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dictionary import Dictionary, ParameterPack
 from .errors import EncodingCollisionError, ParameterError
-from .interp import SegmentPlan, interpolate, iter_connectors
+from .interp import SegmentPlan, filler_gaps, interpolate, iter_connectors
 from .markers import MarkerScheme
 from .shiftspace import Sft, Word, specification_gap
 
@@ -47,14 +47,10 @@ class BlockParse:
     N: int
     delta: float
     seed: int
-    flags: list | None = None   # per block: D_FLAG, girl rank, or None
+    flags: np.ndarray | None = None   # object, per block: D_FLAG, girl rank or None
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    @property
-    def n_blocks(self) -> int:
-        return int(np.sum(self.lengths > 1))
 
     def iter_blocks(self):
         for i in range(len(self.starts)):
@@ -112,15 +108,10 @@ class CodedPair:
 def _draw_flags(parse: BlockParse, eps: float, n_girls: int, seed: int) -> None:
     """Dictionary flag with probability 1 - eps/2, else a uniform girl."""
     rng = random.Random(f"flags-{seed}")
-    flags = []
-    for length in parse.lengths:
-        if length == 1:
-            flags.append(None)
-        elif rng.random() < 1.0 - eps / 2.0:
-            flags.append(D_FLAG)
-        else:
-            flags.append(rng.randrange(n_girls))
-    parse.flags = flags
+    parse.flags = np.full(len(parse), None, dtype=object)
+    for i in np.flatnonzero(parse.lengths > 1).tolist():
+        parse.flags[i] = (D_FLAG if rng.random() < 1.0 - eps / 2.0
+                          else rng.randrange(n_girls))
 
 
 def _find_all(hay: bytes, needle: bytes):
@@ -149,7 +140,7 @@ def encode(x: Word, dict_: Dictionary, scheme: MarkerScheme,
     blocks = x.symbols[(parse.starts[longs] - x.lo)[:, None] + np.arange(N)]
     is_boy = dict_.boys.member_rows(blocks)
     boys_at = parse.starts[longs[is_boy]].tolist()
-    ranks = np.array([parse.flags[i] for i in longs[is_boy]], dtype=object)
+    ranks = parse.flags[longs[is_boy]]
     flagged = ranks == D_FLAG
     ranks[flagged] = dict_.girl_ranks(blocks[is_boy][flagged])
     girl_rows = dict_.girls.unrank_rows(ranks)
@@ -179,16 +170,7 @@ def _scrub_spurious_markers(target, y_sym, y_lo, segments, scheme, planted):
     marker = scheme.word.symbols.tobytes()
     width = len(marker)
     k = target.k
-    # gap intervals between consecutive segments, with their right context
-    gaps = []
-    pos = 0
-    for seg in segments:
-        lo, hi = seg.lo - y_lo, seg.hi - y_lo
-        if lo > pos:
-            gaps.append([pos, lo, seg])
-        pos = hi
-    if pos < len(y_sym):
-        gaps.append([pos, len(y_sym), None])
+    gaps = None
     variants: dict = {}
     rewrites = 0
     while True:
@@ -201,6 +183,8 @@ def _scrub_spurious_markers(target, y_sym, y_lo, segments, scheme, planted):
                 f"{len(spurious)} spurious marker occurrences persist after "
                 f"{rewrites} filler rewrites")
         q = spurious[0]
+        if gaps is None:
+            gaps = list(filler_gaps(segments, y_lo, y_lo + len(y_sym)))
         best = None
         for gi, (glo, ghi, _seg) in enumerate(gaps):
             overlap = min(ghi, q + width) - max(glo, q)
@@ -275,23 +259,25 @@ class BadsetReport:
         return self.total <= self.bound + self.slack
 
 
+def block_kinds(pair: CodedPair):
+    """Bool vectors over the parse's blocks: N-block, boy (its source
+    block is one; only N-blocks can be) and dictionary-flagged."""
+    parse = pair.parse
+    boy = np.zeros(len(parse), dtype=bool)
+    boy[np.searchsorted(parse.starts, pair.boy_blocks)] = True  # a subset of starts
+    return parse.lengths > 1, boy, parse.flags == D_FLAG
+
+
 def audit_badset(pair: CodedPair, pack: ParameterPack,
                  slack: float = 0.01) -> BadsetReport:
     """Empirical frequencies of the four bad-set components."""
     total = len(pair.x)
-    boys_at = set(pair.boy_blocks)
-    bs1 = bs2 = bs3 = bs4 = 0
-    n_blocks = 0
-    for n, length, flag in pair.parse.iter_blocks():
-        if length == 1:
-            bs1 += 1
-            continue
-        n_blocks += 1
-        if n not in boys_at:
-            bs2 += length
-        if flag != D_FLAG:
-            bs3 += length
-        bs4 += length - (pack.info_region[1] - pack.info_region[0])
+    long_, boy, flagged = block_kinds(pair)
+    n_blocks, N = int(long_.sum()), pair.parse.N
+    bs1 = len(long_) - n_blocks
+    bs2 = N * int((long_ & ~boy).sum())
+    bs3 = N * int((long_ & ~flagged).sum())
+    bs4 = n_blocks * (N - (pack.info_region[1] - pack.info_region[0]))
     bound = 17 * pack.delta + pack.eps / 2
     return BadsetReport(bs1 / total, bs2 / total, bs3 / total, bs4 / total,
                         bound, slack,
@@ -334,25 +320,22 @@ def lz78_phrases(word: Word) -> int:
 _LZ_FACTOR_CACHE: dict = {}
 
 
-def lz78_entropy(word: Word, alphabet_size: int | None = None,
-                 calibrated: bool = True) -> float:
+def lz78_entropy(word: Word) -> float:
     """LZ78 phrase-rate entropy estimate, c log(c) / n nats.
 
     The raw rate is biased upward at finite length (about +12% on a
-    uniform binary source at 10^6 symbols), so by default it is divided
-    by the rate measured on a uniform reference sample of the same
-    alphabet and length.  The calibration is exact for uniform sources
-    and partial for skewed ones, where a residual upward bias remains.
+    uniform binary source at 10^6 symbols), so it is divided by the rate
+    measured on a uniform reference sample of the same length over the
+    alphabet up to the word's largest symbol.  The calibration is exact
+    for uniform sources and partial for skewed ones, where a residual
+    upward bias remains.
     """
     n = len(word)
     if n == 0:
         return 0.0
     c = lz78_phrases(word)
     raw = c * math.log(max(c, 2)) / n
-    if not calibrated:
-        return raw
-    if alphabet_size is None:
-        alphabet_size = int(word.symbols.max()) + 1 if n else 2
+    alphabet_size = int(word.symbols.max()) + 1
     if alphabet_size < 2:
         return raw
     key = (alphabet_size, n)
@@ -392,10 +375,8 @@ def audit_entropy(y: Word, pack: ParameterPack, h_source: float,
     eg_freq = float("nan")
     eg_ok = False
     if pair is not None:
-        boys_at = set(pair.boy_blocks)
-        gain_blocks = sum(1 for s, L, f in pair.parse.iter_blocks()
-                          if L > 1 and s in boys_at and f != D_FLAG)
-        eg_freq = gain_blocks / len(pair.x)
+        _, boy, flagged = block_kinds(pair)
+        eg_freq = int((boy & ~flagged).sum()) / len(pair.x)
         eg_ok = 8 * n * D * eg_freq > 3 * pack.eps * D
     eg_target = (1.0 / n) * (1 - pack.delta) * (1 - 15 * pack.delta) * (pack.eps / 2)
     return EntropyReport(
@@ -443,10 +424,8 @@ def read_coded(text: str):
         if not line:
             continue
         key = line.split()[0]
-        if key in ("pack", "dict", "base"):
+        if key in ("pack", "dict", "marker", "base"):
             header[key] = line.split(None, 1)[1]
-        elif key == "marker":
-            header["marker"] = line.split(None, 1)[1]
         else:
             digits.append(line.strip())
     base = int(header.get("base", "0"))

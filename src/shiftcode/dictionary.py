@@ -282,6 +282,22 @@ def _fill_checklist(pack, bounds, *, mu, nu, mc_samples, kmax, seed):
                                "subshift targets; the Cesaro average is 0")
 
 
+def _window_conditions(pack, mu, nu, x: Word, y: Word, t: int, t2: int):
+    """The window-measure inequalities s1-s4 for the N-blocks at x.lo + t
+    and y.lo + t: whole-block windows widened by t on each side, info
+    windows [M, N - 10M) by t2."""
+    N, M, D = pack.N, pack.M, pack.Delta
+    n, m = x.lo + t, y.lo + t
+    lmx = mu.log_cylinder_probability(x.window(n - t, n + N + t))
+    lny = nu.log_cylinder_probability(y.window(m - t, m + N + t))
+    lmx2 = mu.log_cylinder_probability(x.window(n + M - t2, n + N - 10 * M + t2))
+    lny2 = nu.log_cylinder_probability(y.window(m + M - t2, m + N - 10 * M + t2))
+    return (lmx > -(pack.h_source + D) * N,
+            lny2 < -(pack.h_target - D) * N,
+            lmx2 + lny2 < -(pack.h_joint_bound - D) * N,
+            lmx + lny > -(pack.h_joint_bound + D) * N)
+
+
 def _estimate_condition_sets(pack, mu, nu, samples, kmax, seed):
     """Monte-Carlo masses of the five sampled condition sets, with 0.99
     Wilson intervals; an item passes when the interval lower bound clears
@@ -292,7 +308,6 @@ def _estimate_condition_sets(pack, mu, nu, samples, kmax, seed):
     t = pack.eta_radius
     t2 = max(pack.eta_radius - 1, 0)   # radius for threshold 2 eta
     d = pack.delta
-    win_lo, win_hi = M - t2, N - 10 * M + t2
     hits = {k: 0 for k in ("s1", "s2", "s3", "s4", "s5")}
     exact_joint = None
     if kmax >= 1:
@@ -310,18 +325,9 @@ def _estimate_condition_sets(pack, mu, nu, samples, kmax, seed):
         y = nu.sample_path(N + 2 * t + 1, seed=(seed, 2, i))
         x = Word(x.symbols, -t)
         y = Word(y.symbols, -t)
-        lmx = mu.log_cylinder_probability(x.window(-t, N + t))
-        lny = nu.log_cylinder_probability(y.window(-t, N + t))
-        lmx2 = mu.log_cylinder_probability(x.window(win_lo, win_hi))
-        lny2 = nu.log_cylinder_probability(y.window(win_lo, win_hi))
-        if lmx > -(pack.h_source + pack.Delta) * N:
-            hits["s1"] += 1
-        if lny2 < -(pack.h_target - pack.Delta) * N:
-            hits["s2"] += 1
-        if lmx2 + lny2 < -(pack.h_joint_bound - pack.Delta) * N:
-            hits["s3"] += 1
-        if lmx + lny > -(pack.h_joint_bound + pack.Delta) * N:
-            hits["s4"] += 1
+        for key, ok in zip(("s1", "s2", "s3", "s4"),
+                           _window_conditions(pack, mu, nu, x, y, t, t2)):
+            hits[key] += ok
         if exact_joint is not None:
             pair = np.stack([x.window(M, N - 10 * M).symbols,
                              y.window(M, N - 10 * M).symbols], axis=1)
@@ -627,30 +633,16 @@ def make_u_filter(pack: ParameterPack, mu: MarkovMeasure, nu: MarkovMeasure,
     """Per-sample membership test for the good-pair set: the four
     window-measure thresholds plus marker-window avoidance on the target
     side, each evaluated exactly from the measures."""
-    N, M, D = pack.N, pack.M, pack.Delta
+    N = pack.N
 
     def u_filter(x: Word, y: Word) -> bool:
-        xw = x.window(x.lo, x.lo + N)
-        yw = y.window(y.lo, y.lo + N)
-        lmx = mu.log_cylinder_probability(xw)
-        lny = nu.log_cylinder_probability(yw)
-        xi = x.window(x.lo + M, x.lo + N - 10 * M)
-        yi = y.window(y.lo + M, y.lo + N - 10 * M)
-        lmx2 = mu.log_cylinder_probability(xi)
-        lny2 = nu.log_cylinder_probability(yi)
-        if lmx <= -(pack.h_source + D) * N:
+        if not all(_window_conditions(pack, mu, nu, x, y, 0, 0)):
             return False
-        if lny2 >= -(pack.h_target - D) * N:
-            return False
-        if lmx2 + lny2 >= -(pack.h_joint_bound - D) * N:
-            return False
-        if lmx + lny <= -(pack.h_joint_bound + D) * N:
-            return False
-        if scheme is not None:
-            from .markers import avoidance_filter
-            if not list(avoidance_filter([yw.rebase()], scheme, N)):
-                return False
-        return True
+        if scheme is None:
+            return True
+        from .markers import avoidance_filter
+        yw = y.window(y.lo, y.lo + N).rebase()
+        return bool(list(avoidance_filter([yw], scheme, N)))
 
     return u_filter
 

@@ -179,16 +179,27 @@ def interpolate(sft: Sft, plan: SegmentPlan) -> Word:
     out = np.empty(plan.hi - plan.lo, dtype=np.uint8)
     for w in segs:
         out[w.lo - plan.lo:w.hi - plan.lo] = w.symbols
-    a = 0   # start of the next gap
-    for w in segs + [None]:
-        b, c = (len(out),) * 2 if w is None else (w.lo - plan.lo, w.hi - plan.lo)
-        tail, head = out[max(a - k, 0):a], out[b:min(b + k, c)]
+    for a, b, w in filler_gaps(segs, plan.lo, plan.hi):
+        tail = out[max(a - k, 0):a]
+        head = out[:0] if w is None else w.symbols[:k]
         filler = sft._connectors.get((tail.tobytes(), head.tobytes(), b - a))
         if filler is None:
             filler = connect_words(sft, tail, head, b - a)
         out[a:b] = filler.symbols
-        a = c
     return Word(out, plan.lo)
+
+
+def filler_gaps(segments, lo: int, hi: int):
+    """Yield ``(a, b, right)`` for each non-empty gap [a, b) around sorted
+    segments in [lo, hi), as offsets from lo, with the segment to its
+    right (None for the last gap).  Only a gap at the range boundary can
+    be empty; its zero-length connector always exists."""
+    a = 0
+    for w in list(segments) + [None]:
+        b, c = (hi - lo,) * 2 if w is None else (w.lo - lo, w.hi - lo)
+        if b > a:
+            yield a, b, w
+        a = c
 
 
 def periodic_closure(sft: Sft, word: Word, gap: int | None = None) -> Word:

@@ -214,10 +214,6 @@ class Sft:
         """
         if self._dfa is not None:
             return self._dfa
-        if self.is_full_shift():
-            step = np.zeros((1, self.alphabet_size), dtype=np.int64)
-            self._dfa = Dfa(self.alphabet_size, step, start=0)
-            return self._dfa
         k = self.k
         prefixes = sorted({s[:j] for s in self.states for j in range(k)})
         pref_index = {p: i for i, p in enumerate(prefixes)}

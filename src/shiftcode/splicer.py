@@ -90,14 +90,18 @@ class Skeleton:
         return short, long_
 
     @classmethod
+    def _blocks(cls, kind: str, params: tuple):
+        """The (short, long) blocks of the kind's family."""
+        if kind == "boost":
+            return cls._blocks_boost(*params)
+        if kind == "support":
+            return cls._blocks_support(*params)
+        raise ValueError(f"unknown skeleton kind {kind!r}")
+
+    @classmethod
     def sample(cls, kind: str, params: tuple, seed: int, min_length: int) -> "Skeleton":
         """Whole blocks, fair coin long/short per block, until min_length."""
-        if kind == "boost":
-            short, long_ = cls._blocks_boost(*params)
-        elif kind == "support":
-            short, long_ = cls._blocks_support(*params)
-        else:
-            raise ValueError(f"unknown skeleton kind {kind!r}")
+        short, long_ = cls._blocks(kind, params)
         rng = np.random.default_rng(seed)
         pieces, lengths, total = [], [], 0
         while total < min_length:
@@ -113,10 +117,7 @@ class Skeleton:
     def greedy_parse(self):
         """Parse back into legal blocks; raises if the sequence is not a
         concatenation of exactly the two blocks."""
-        if self.kind == "boost":
-            short, long_ = self._blocks_boost(*self.params)
-        else:
-            short, long_ = self._blocks_support(*self.params)
+        short, long_ = self._blocks(self.kind, self.params)
         out = []
         pos = 0
         n = len(self.symbols)

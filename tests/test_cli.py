@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,24 @@ def test_golden(name):
     assert report_schema_check(proc.stdout), first_schema_offence(proc.stdout)
 
 
+def test_verify_block_csv(tmp_path):
+    csv = tmp_path / "blocks.csv"
+    proc = cli(*GOLDEN_CASES["verify.txt"], "--csv", str(csv))
+    assert proc.stdout == (GOLDEN / "verify.txt").read_text()
+    rows = [row.split(",") for row in csv.read_text().splitlines()]
+    assert rows[0] == ["start", "length", "boy", "flag"]
+    starts = [int(r[0]) for r in rows[1:]]
+    lengths = [int(r[1]) for r in rows[1:]]
+    assert starts == [sum(lengths[:i]) for i in range(len(lengths))]
+    assert sum(lengths) == 20000
+    kinds = Counter((r[1], r[2], r[3] if r[3] in ("D", "-") else "girl")
+                    for r in rows[1:])
+    # 183 boy blocks flagged D: 183 * 64 / 20000 is the golden coverage
+    assert kinds == {("1", "0", "-"): 480, ("64", "0", "D"): 95,
+                     ("64", "0", "girl"): 8, ("64", "1", "D"): 183,
+                     ("64", "1", "girl"): 19}
+
+
 def test_byte_identical_rerun():
     args = GOLDEN_CASES["verify.txt"]
     assert cli(*args).stdout == cli(*args).stdout
@@ -113,6 +132,23 @@ class TestSchemaCheck:
         assert report_schema_check("")
 
 
+@pytest.fixture(scope="module")
+def coded_stream(tmp_path_factory):
+    """(dictionary file, coded stream) of a small practical instance."""
+    tmp = tmp_path_factory.mktemp("coded")
+    dict_path, coded_path = tmp / "inst.dict", tmp / "run.coded"
+    proc = cli("dict", "--source-sft", str(DATA / "full2.sft"),
+               "--source-measure", str(DATA / "b01.msr"),
+               "--sft", str(DATA / "full2.sft"), "--measure", str(DATA / "b5.msr"),
+               "--eps", "0.2", "--N", "64", "--M", "2", "--delta", "0.02",
+               "--alpha", "0.5", "--seed", "1", "--dict-out", str(dict_path))
+    assert proc.returncode == 0, proc.stderr
+    proc = cli("encode", "--dict", str(dict_path), "--length", "2000",
+               "--seed", "5", "--coded-out", str(coded_path))
+    assert proc.returncode == 0, proc.stderr
+    return dict_path, coded_path
+
+
 class TestEncodeDecodeFiles(object):
     def test_pipeline(self, tmp_path):
         dict_path = tmp_path / "inst.dict"
@@ -140,6 +176,21 @@ class TestEncodeDecodeFiles(object):
         assert int(report["decoded_blocks"]) > 0
         # the --out file carries the same bytes as stdout
         assert out1.read_text() == proc.stdout
+
+    @pytest.mark.parametrize("key", ["pack", "dict", "marker"])
+    def test_decode_rejects_tampered_header(self, coded_stream, tmp_path, key):
+        dict_path, coded_path = coded_stream
+        tampered = {"pack": "pack 0000000000000000",
+                    "dict": "dict 0000000000000000",
+                    "marker": "marker M=2 alpha=0.5 word=1111111111111111"}
+        lines = [tampered[key] if line.split(" ", 1)[0] == key else line
+                 for line in coded_path.read_text().splitlines()]
+        assert lines != coded_path.read_text().splitlines()
+        bad = tmp_path / "tampered.coded"
+        bad.write_text("\n".join(lines) + "\n")
+        proc = cli("decode", "--dict", str(dict_path), "--coded", str(bad))
+        assert proc.returncode == 1
+        assert f"coded stream {key} header does not match" in proc.stderr
 
     def test_run_api(self, tmp_path, capsys):
         code = run(["entropy", "--sft", str(DATA / "full2.sft")])

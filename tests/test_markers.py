@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftcode import automata
+from shiftcode import automata, markers
 from shiftcode.errors import (MarkerSearchError, NoMarkerExistsError,
                               NotMixingError, ParameterError, ShiftcodeError)
 from shiftcode.markers import (MarkerScheme, avoidance_filter, check_scheme,
@@ -146,6 +146,43 @@ class TestFindMarker:
         scheme = find_marker(full2, bern_half, M=4, alpha=0.5, seed=7)
         viol, nu1, nu2, ok = check_scheme(full2, bern_half, scheme.word, 4, 0.5)
         assert ok and viol == 0
+
+    @pytest.mark.parametrize("forbidden,M,alpha,seed,word,nu_h1,nu_h2", [
+        # the first restart violates one offset and hill-climbs to the word
+        ([], 1, 0.5, 0, "11000001", 1 / 4, 1 / 4),
+        ([], 2, 0.5, 0, "1100010100111110", 1 / 16, 1 / 16),
+        ([], 2, 0.5, 1, "0100010011001011", 1 / 16, 1 / 16),
+        (["11"], 2, 0.9, 0, "0101010100100001", 1 / 6, 1 / 12),
+        (["11"], 2, 0.9, 3, "0010101010010000", 1 / 6, 1 / 12),
+        (["111"], 2, 0.9, 0, "1001001000101100", 1 / 14, 1 / 14),
+        # hill-climbs as well: the first restart draws 0010101001011001
+        (["111"], 2, 0.9, 1, "0010100001011001", 1 / 14, 1 / 14),
+    ])
+    def test_random_mode_pinned(self, monkeypatch, forbidden, M, alpha, seed,
+                                word, nu_h1, nu_h2):
+        # the random branch's seeded draws, pinned on small instances
+        monkeypatch.setattr(markers, "EXHAUSTIVE_BITS", 0)
+        sft = build_sft(2, forbidden)
+        nu = (MarkovMeasure.bernoulli([0.5, 0.5]) if not forbidden
+              else MarkovMeasure.uniform(sft))
+        scheme = find_marker(sft, nu, M=M, alpha=alpha, seed=seed)
+        assert scheme.word.to_string() == word
+        assert scheme.nu_h1 == pytest.approx(nu_h1, rel=1e-12)
+        assert scheme.nu_h2 == pytest.approx(nu_h2, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha,budget,viol,word", [
+        (0.5, 2, 1, "11000101"),    # stopped inside the first hill climb
+        (0.01, 30, 0, "11000001"),  # no violation, but the masses exceed alpha
+    ])
+    def test_random_mode_budget_exhausted(self, monkeypatch, full2, bern_half,
+                                          alpha, budget, viol, word):
+        monkeypatch.setattr(markers, "EXHAUSTIVE_BITS", 0)
+        with pytest.raises(MarkerSearchError) as exc:
+            find_marker(full2, bern_half, M=1, alpha=alpha, budget=budget, seed=0)
+        best_viol, best_word, nu1, nu2 = exc.value.best
+        assert (best_viol, best_word.to_string()) == (viol, word)
+        assert (nu1, nu2) == pytest.approx((1 / 4, 1 / 4), rel=1e-12)
+        assert f"budget {budget} exhausted" in str(exc.value)
 
     def test_alpha_monotonicity(self, full2, bern_01):
         # nu masses of 2-windows are 0.81, 0.09, 0.09, 0.01, so the
