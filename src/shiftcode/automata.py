@@ -3,7 +3,8 @@
 Counting, lex enumeration, membership and rank/unrank (Cover's enumerative
 coding) run over one DFA abstraction: an SFT's factor language, a pattern
 avoider, their product, or a one-count automaton.  Batch methods sweep the
-columns of a ``(B, L)`` array of words; counts are exact Python ints.
+columns of a ``(B, L)`` array of words; counts are exact Python ints, and
+the rank/unrank sweeps run in int64 wherever the counts they read fit.
 """
 
 from __future__ import annotations
@@ -79,7 +80,11 @@ class Dfa:
     def suffix_counts(self, length: int) -> np.ndarray:
         """Object array ``f[t, node]`` of accepted suffix counts, t <= length
         at least, the sink last.  Cached in ``_tables["suffix"]`` and replaced,
-        never written in place, when a longer one is needed."""
+        never written in place, when a longer one is needed; each replacement
+        also caches ``_tables["suffix64"]``, an int64 copy of the table's
+        leading rows whose entries are all below 2^63.  Rank and unrank at a
+        length L sweep that copy when it holds rows 0..L, else the object
+        table."""
         table = self._tables.get("suffix")
         if table is None or len(table) <= length:
             moves = self._moves()[:, :-1]
@@ -87,8 +92,21 @@ class Dfa:
                     else [self._accept.astype(np.int64).astype(object)])
             while len(rows) <= length:
                 rows.append(np.sum(rows[-1][moves], axis=1))
-            table = self._tables["suffix"] = np.array(rows)
+            table = np.array(rows)
+            big = (table >= 1 << 63).any(axis=1)
+            fits = int(np.argmax(np.append(big, True)))
+            # the copy first: a reader that finds "suffix" also finds it
+            self._tables["suffix64"] = table[:fits].astype(np.int64)
+            self._tables["suffix"] = table
         return table
+
+    def _sweep_table(self, length: int) -> np.ndarray:
+        """Suffix rows for a rank sweep at this length: the int64 copy when
+        it holds rows 0..length, which bounds every partial rank, else the
+        object table."""
+        table = self.suffix_counts(length)
+        fits = self._tables["suffix64"]
+        return fits if len(fits) > length else table
 
     def count(self, length: int) -> int:
         """Exact number of accepted words of the given length, by one
@@ -145,10 +163,10 @@ class Dfa:
         row's symbol.  ``ValueError`` if a row is not accepted."""
         codes = self._codes(rows)
         n_rows, length = codes.shape
-        table = self.suffix_counts(length)
+        table = self._sweep_table(length)
         moves, sink = self._moves(), self.n_nodes
         nodes = np.full(n_rows, self.start, dtype=np.intp)
-        ranks = np.zeros(n_rows, dtype=object)
+        ranks = np.zeros(n_rows, dtype=table.dtype)
         for pos, col in enumerate(codes.T):
             counts = table[length - pos - 1]
             for b in range(self.alphabet_size - 1):
@@ -156,13 +174,14 @@ class Dfa:
             nodes = moves[nodes, col]
         if not self._accept[nodes].all():
             raise ValueError("word not accepted by automaton")
-        return ranks
+        return ranks.astype(object, copy=False)
 
     def unrank_rows(self, length: int, ranks) -> np.ndarray:
         """Inverse of :meth:`rank_rows`: a ``(len(ranks), length)`` uint8
         array; ``ValueError`` if a rank is outside ``[0, count(length))``."""
-        table = self.suffix_counts(length)
-        ranks = rank_vector(ranks, table[length, self.start])
+        total = self.suffix_counts(length)[length, self.start]
+        table = self._sweep_table(length)
+        ranks = rank_vector(ranks, total).astype(table.dtype)
         moves = self._moves()
         nodes = np.full(len(ranks), self.start, dtype=np.intp)
         out = np.empty((len(ranks), length), dtype=np.uint8)

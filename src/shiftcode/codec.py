@@ -75,17 +75,22 @@ def rokhlin_parse(x: Word, N: int, delta: float, seed: int) -> BlockParse:
     rng = np.random.default_rng((seed, 0x726F6B))
     starts, lengths = [], []
     pos, hi = x.lo, x.hi
-    while pos < hi:
-        if pos + N <= hi and rng.random() >= q:
-            starts.append(pos)
-            lengths.append(N)
-            pos += N
-        else:
-            starts.append(pos)
-            lengths.append(1)
-            pos += 1
-    return BlockParse(np.array(starts, dtype=np.int64),
-                      np.array(lengths, dtype=np.int64), N, delta, seed)
+    mean_step = q + (1.0 - q) * N
+    # one uniform per boundary with room for an N-block, drawn in batches
+    # (the same stream as one call each); a batch covers the expected
+    # number of such boundaries left, and the rest of a batch is unused
+    while pos + N <= hi:
+        size = int((hi - N + 1 - pos) / mean_step * 1.05) + 16
+        steps = np.where(rng.random(size) >= q, N, 1)
+        begins = pos + np.cumsum(steps) - steps
+        used = int(np.searchsorted(begins, hi - N, side="right"))
+        starts.append(begins[:used])
+        lengths.append(steps[:used])
+        pos = int(begins[used - 1] + steps[used - 1])
+    starts.append(np.arange(pos, hi))
+    lengths.append(np.ones(hi - pos, dtype=np.int64))
+    return BlockParse(np.concatenate(starts).astype(np.int64),
+                      np.concatenate(lengths).astype(np.int64), N, delta, seed)
 
 
 @dataclass
@@ -297,23 +302,32 @@ def audit_weakstar(pair: CodedPair, reference_pairs, kmax: int = 3) -> float:
 
 
 def lz78_phrases(word: Word) -> int:
-    """Number of phrases in the incremental LZ78 parse."""
-    children: dict = {}
-    node = 0
-    next_id = 1
-    phrases = 0
-    for a in word.symbols.tolist():
-        key = (node << 8) | a
-        nxt = children.get(key)
-        if nxt is None:
-            children[key] = next_id
-            next_id += 1
-            phrases += 1
-            node = 0
-        else:
-            node = nxt
-    if node != 0:
+    """Number of phrases in the incremental LZ78 parse.
+
+    The phrases and the empty word form a prefix-closed set, so whether
+    ``y[i:i+L]`` is a phrase is monotone in L, and the longest match at i
+    is found by bisection.  A non-empty match that runs to the end is the
+    trailing partial phrase, counted once.
+    """
+    y = word.symbols.tobytes()
+    n = len(y)
+    seen = {b""}
+    longest = phrases = i = 0
+    while i < n:
+        lo, hi = 0, min(longest, n - i)
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            if y[i:i + mid] in seen:
+                lo = mid
+            else:
+                hi = mid - 1
         phrases += 1
+        i += lo + 1
+        if i > n:
+            break
+        seen.add(y[i - lo - 1:i])
+        if lo >= longest:
+            longest = lo + 1
     return phrases
 
 

@@ -103,6 +103,47 @@ def reference_sample_path(measure, length, seed):
     return out
 
 
+def reference_rokhlin_parse(x, N, delta, seed):
+    """Reference for codec.rokhlin_parse: (starts, lengths) from one scalar
+    draw per boundary that has room for an N-block."""
+    q = delta * N / (1.0 + delta * (N - 1))
+    rng = np.random.default_rng((seed, 0x726F6B))
+    starts, lengths = [], []
+    pos, hi = x.lo, x.hi
+    while pos < hi:
+        if pos + N <= hi and rng.random() >= q:
+            starts.append(pos)
+            lengths.append(N)
+            pos += N
+        else:
+            starts.append(pos)
+            lengths.append(1)
+            pos += 1
+    return (np.array(starts, dtype=np.int64),
+            np.array(lengths, dtype=np.int64))
+
+
+def reference_lz78_phrases(word):
+    """Reference for codec.lz78_phrases: the per-symbol trie walk."""
+    children = {}
+    node = 0
+    next_id = 1
+    phrases = 0
+    for a in word.symbols.tolist():
+        key = (node << 8) | a
+        nxt = children.get(key)
+        if nxt is None:
+            children[key] = next_id
+            next_id += 1
+            phrases += 1
+            node = 0
+        else:
+            node = nxt
+    if node != 0:
+        phrases += 1
+    return phrases
+
+
 def reference_walk(dfa, symbols):
     """Reference for Dfa.walk: the per-symbol loop; -1 once a step is dead
     or a symbol lies outside the alphabet."""

@@ -143,6 +143,7 @@ def test_dictionary_bounds_exact():
         with pytest.raises(ParameterError, match="suffix-count table"):
             g.rank(Word(np.zeros(g.length, dtype=np.uint8)))
         assert "suffix" not in g.dfa._tables
+        assert "suffix64" not in g.dfa._tables
 
 
 def test_hall_mode_fidelity():

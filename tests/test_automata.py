@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from shiftcode import automata
 from shiftcode.automata import Dfa, avoider_dfa, one_count_dfa, product_dfa
+from shiftcode.shiftspace import build_sft
 
 from conftest import (reference_binomial_rank, reference_binomial_unrank,
                       reference_rank, reference_suffix_counts,
@@ -190,6 +191,60 @@ def test_big_counts_match_reference(zoo_dfas):
             reference_unrank(dfa, length, r) for r in ranks]
         assert dfa.rank_rows(words).tolist() == ranks
         assert all(type(r) is int for r in dfa.rank_rows(words))
+
+
+def check_sweep_boundary(dfa, length):
+    """rank_rows/unrank_rows at ranks 0, count - 1 and either side of 2^63
+    equal the reference and return Python ints; ranks 2^63 and 2^70 are
+    refused unless the count reaches them."""
+    total = dfa.count(length)
+    ranks = [0, total - 1] + [r for r in (2**63 - 1, 2**63, 2**63 + 1)
+                              if r < total]
+    words = dfa.unrank_rows(length, ranks)
+    assert [tuple(w) for w in words.tolist()] == [
+        reference_unrank(dfa, length, r) for r in ranks]
+    got = dfa.rank_rows(words)
+    assert got.tolist() == ranks
+    assert all(type(r) is int for r in got)
+    assert got.tolist() == [reference_rank(dfa, w) for w in words.tolist()]
+    for r in (2**63, 2**70):
+        if r >= total:
+            with pytest.raises(ValueError, match="rank out of range"):
+                dfa.unrank_rows(length, [r])
+
+
+@pytest.mark.parametrize("N", range(60, 71))
+def test_one_count_sweep_across_int64_cutoff(N):
+    # counts of the full range reach 2^63 at row 63; the narrow range's
+    # grow slower, so its cutoff falls further down the table
+    for k_lo, k_hi in [(0, N), (N // 4, 3 * N // 4)]:
+        dfa = one_count_dfa(k_lo, k_hi)
+        dfa.suffix_counts(70)
+        check_sweep_boundary(dfa, N)
+
+
+@pytest.mark.parametrize("length", range(61, 67))
+def test_full_shift_sweep_across_int64_cutoff(length):
+    dfa = build_sft(2, []).factor_dfa()
+    dfa.suffix_counts(66)
+    assert dfa._sweep_table(length).dtype == (np.int64 if length < 63 else object)
+    check_sweep_boundary(dfa, length)
+
+
+def test_int64_copy_replaced_with_longer_table():
+    dfa = one_count_dfa(0, 70)
+    check_sweep_boundary(dfa, 10)
+    short = dfa._tables["suffix64"]
+    before = short.copy()
+    assert len(short) == 11
+    table = dfa.suffix_counts(70)
+    fits = dfa._tables["suffix64"]
+    assert fits is not short and np.array_equal(short, before)
+    assert fits.dtype == np.int64 and len(fits) == 63
+    assert fits.tolist() == table[:63].tolist()
+    assert max(table[63]) == 2**63
+    for length in (62, 63, 66):
+        check_sweep_boundary(dfa, length)
 
 
 def test_default_accepting_is_every_node(zoo_dfas):

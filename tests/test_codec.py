@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shiftcode.codec import (audit_badset, audit_entropy,
                              audit_weakstar, decode, dictionary_hash, encode,
-                             lz78_entropy, pack_hash, read_coded,
-                             rokhlin_parse, write_coded)
+                             lz78_entropy, lz78_phrases, pack_hash,
+                             read_coded, rokhlin_parse, write_coded)
 from shiftcode.dictionary import (Relation, boys, choose_parameters,
                                   dictionary, girls, log_bigint)
 from shiftcode.errors import ParameterError, UnmatchedBoyError
@@ -15,7 +17,7 @@ from shiftcode.markers import find_marker, locate_offset
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft
 
-from conftest import LOG2
+from conftest import LOG2, reference_lz78_phrases, reference_rokhlin_parse
 
 H_01 = 0.3250829733914482
 
@@ -86,6 +88,21 @@ class TestRokhlinParse:
             rokhlin_parse(x, N=1, delta=0.1, seed=1)
         with pytest.raises(ParameterError):
             rokhlin_parse(x, N=10, delta=1.0, seed=1)
+
+    @given(n=st.integers(0, 400), N=st.integers(2, 50),
+           delta=st.just(0.0) | st.floats(0.0, 0.99),
+           lo=st.integers(-1000, 1000), seed=st.integers(0, 2**32))
+    @settings(max_examples=300)
+    @example(n=0, N=2, delta=0.1, lo=0, seed=0)
+    @example(n=5, N=10, delta=0.1, lo=-3, seed=1)
+    @example(n=300, N=7, delta=0.0, lo=-150, seed=2)
+    def test_matches_reference(self, n, N, delta, lo, seed):
+        x = Word(np.zeros(n, dtype=np.uint8), lo)
+        parse = rokhlin_parse(x, N, delta, seed)
+        starts, lengths = reference_rokhlin_parse(x, N, delta, seed)
+        assert parse.starts.dtype == parse.lengths.dtype == np.int64
+        assert parse.starts.tolist() == starts.tolist()
+        assert parse.lengths.tolist() == lengths.tolist()
 
 
 class TestRoundtrip:
@@ -365,6 +382,20 @@ class TestAudits:
         tv = total_variation(BlockDistribution.from_words([pairs_coded], 1),
                              BlockDistribution.from_words([pairs_ref], 1))
         assert got == pytest.approx(0.5 * tv)
+
+    @given(size=st.integers(1, 3), data=st.data())
+    @settings(max_examples=300)
+    def test_lz78_phrases_match_reference(self, size, data):
+        symbols = data.draw(st.lists(st.integers(0, size - 1), max_size=300),
+                            label="symbols")
+        y = Word(np.array(symbols, dtype=np.uint8))
+        assert lz78_phrases(y) == reference_lz78_phrases(y)
+
+    def test_lz78_phrases_match_reference_on_samples(self, bern_half, bern_01):
+        for y in (Word(np.zeros(0, dtype=np.uint8)),
+                  bern_half.sample_path(50_000, seed=93),
+                  bern_01.sample_path(50_000, seed=94)):
+            assert lz78_phrases(y) == reference_lz78_phrases(y)
 
     def test_lz_calibration(self, bern_half):
         y = bern_half.sample_path(1_000_000, seed=91)
