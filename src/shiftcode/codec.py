@@ -12,9 +12,12 @@ Block layout, for an N-block starting at n with the dictionary flag:
 
 Girl-flagged blocks carry a random girl in the info region and no marker;
 non-boy and unit error blocks are pure filler and are unrecoverable by
-design.  After interpolation the encoder rewrites any filler that happens
-to reproduce the marker, so every marker occurrence in the output is a
-planted one and offset recovery is exact.
+design.  The encoder builds its segment plan as arrays (``block_plan``:
+the girl rows of one batched unrank, the marker tiled once per
+dictionary-flagged block) and interpolates it in one call.  After
+interpolation it rewrites any filler that happens to reproduce the
+marker, so every marker occurrence in the output is a planted one and
+offset recovery is exact.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .dictionary import Dictionary, ParameterPack
 from .errors import EncodingCollisionError, ParameterError
-from .interp import SegmentPlan, filler_gaps, interpolate, iter_connectors
+from .interp import SegmentPlan, interpolate, iter_connectors, spans
 from .markers import MarkerScheme
 from .shiftspace import Sft, Word, specification_gap
 
@@ -144,33 +147,47 @@ def encode(x: Word, dict_: Dictionary, scheme: MarkerScheme,
     longs = np.flatnonzero(parse.lengths > 1)
     blocks = x.symbols[(parse.starts[longs] - x.lo)[:, None] + np.arange(N)]
     is_boy = dict_.boys.member_rows(blocks)
-    boys_at = parse.starts[longs[is_boy]].tolist()
+    boys_at = parse.starts[longs[is_boy]]
     ranks = parse.flags[longs[is_boy]]
     flagged = ranks == D_FLAG
     ranks[flagged] = dict_.girl_ranks(blocks[is_boy][flagged])
     girl_rows = dict_.girls.unrank_rows(ranks)
 
-    segments = []
-    mask = np.zeros(len(x), dtype=bool)
-    marker_positions = []
-    for n, girl, d in zip(boys_at, girl_rows, flagged.tolist()):
-        segments.append(Word(girl, n + pack.info_region[0]))
-        if d:
-            segments.append(Word(scheme.word.symbols, n + N - 9 * M))
-            marker_positions.append(n + N - 9 * M)
-            mask[n - x.lo:n + N - x.lo] = True
-    plan = SegmentPlan(x.lo, x.hi, segments, min_gap=M)
-    y = interpolate(target, plan)
-    y_sym = y.symbols.copy()
-
-    rewrites = _scrub_spurious_markers(
-        target, y_sym, y.lo, plan.segments, scheme, set(marker_positions))
-    y = Word(y_sym, y.lo)
-    return CodedPair(x, y, parse, mask, tuple(marker_positions),
-                     tuple(boys_at), rewrites)
+    plan, mask = block_plan(x.lo, x.hi, boys_at, girl_rows, flagged, pack, scheme)
+    y_sym = interpolate(target, plan).symbols.copy()
+    marker_positions = tuple((boys_at[flagged] + N - 9 * M).tolist())
+    rewrites = _scrub_spurious_markers(target, y_sym, x.lo, plan, scheme,
+                                       set(marker_positions))
+    return CodedPair(x, Word(y_sym, x.lo), parse, mask, marker_positions,
+                     tuple(boys_at.tolist()), rewrites)
 
 
-def _scrub_spurious_markers(target, y_sym, y_lo, segments, scheme, planted):
+def block_plan(lo: int, hi: int, boys_at: np.ndarray, girl_rows: np.ndarray,
+               flagged: np.ndarray, pack: ParameterPack, scheme: MarkerScheme):
+    """The encoder's segment plan over [lo, hi) and its recoverable mask.
+
+    The boy block at ``boys_at[i]`` = n carries girl row i at n + M; when
+    ``flagged[i]`` it also carries the marker at n + N - 9M and is
+    recoverable on [n, n + N).  The plan's arrays come out sorted: each
+    block's girl row, then its marker if flagged.
+    """
+    N, M = pack.N, pack.M
+    marker = scheme.word.symbols
+    width = girl_rows.shape[1]
+    rows = np.empty((len(boys_at), width + len(marker)), dtype=np.uint8)
+    rows[:, :width], rows[:, width:] = girl_rows, marker
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[~flagged, width:] = False
+    starts = boys_at[:, None] + [pack.info_region[0], N - 9 * M]
+    has = np.column_stack([np.ones(len(boys_at), dtype=bool), flagged])
+    lengths = np.broadcast_to([width, len(marker)], starts.shape)
+    plan = SegmentPlan(lo, hi, starts[has], lengths[has], rows[keep], min_gap=M)
+    mask = np.zeros(hi - lo, dtype=bool)
+    mask[spans(boys_at[flagged] - lo, np.full(int(flagged.sum()), N))] = True
+    return plan, mask
+
+
+def _scrub_spurious_markers(target, y_sym, y_lo, plan, scheme, planted):
     """Rewrite filler gaps until the marker occurs only where planted."""
     marker = scheme.word.symbols.tobytes()
     width = len(marker)
@@ -189,19 +206,17 @@ def _scrub_spurious_markers(target, y_sym, y_lo, segments, scheme, planted):
                 f"{rewrites} filler rewrites")
         q = spurious[0]
         if gaps is None:
-            gaps = list(filler_gaps(segments, y_lo, y_lo + len(y_sym)))
-        best = None
-        for gi, (glo, ghi, _seg) in enumerate(gaps):
-            overlap = min(ghi, q + width) - max(glo, q)
-            if overlap > 0 and (best is None or overlap >= best[0]):
-                best = (overlap, gi)
-        if best is None:
+            gaps = plan.gaps()
+            heads = np.minimum(np.append(plan.lengths, 0), k)[gaps[2]]
+        overlap = np.minimum(gaps[1], q + width) - np.maximum(gaps[0], q)
+        if not (overlap > 0).any():
             raise EncodingCollisionError(
                 f"spurious marker at {q + y_lo} does not touch any filler")
-        gi = best[1]
-        glo, ghi, seg = gaps[gi]
+        gi = int(np.flatnonzero(overlap == overlap.max())[-1])    # ties: the last
+        glo, ghi = int(gaps[0][gi]), int(gaps[1][gi])
         variants[gi] = variants.get(gi, 0) + 1
-        connectors = iter_connectors(target, y_sym[max(0, glo - k):glo], seg, ghi - glo)
+        connectors = iter_connectors(target, y_sym[max(0, glo - k):glo],
+                                     y_sym[ghi:ghi + int(heads[gi])], ghi - glo)
         filler = next(itertools.islice(connectors, variants[gi], None), None)
         if filler is None:
             raise EncodingCollisionError(

@@ -465,10 +465,13 @@ class _BinomialBoys(BoySet):
             raise ParameterError("threshold excludes every block")
         self.k_lo, self.k_hi = min(ks), max(ks)
         assert self.k_hi - self.k_lo + 1 == len(ks), "one-count set not contiguous"
-        self.count = sum(math.comb(N, k) for k in ks)
-        self.mass = math.fsum(
-            math.comb(N, k) * math.exp(k * self.lp1 + (N - k) * self.lp0)
-            for k in ks)
+        combs = [math.comb(N, k) for k in ks]
+        self.count = sum(combs)
+        # summed in log space: a comb(N, k) of 2^1024 or more has no float
+        logs = [math.log(c) + k * self.lp1 + (N - k) * self.lp0
+                for c, k in zip(combs, ks)]
+        top = max(logs)
+        self.mass = math.exp(top) * math.fsum(math.exp(t - top) for t in logs)
         self.dfa = one_count_dfa(self.k_lo, self.k_hi)
 
 

@@ -19,6 +19,7 @@ from .measures import MarkovMeasure
 from .shiftspace import Sft, Word, specification_gap, window_codes
 
 EXHAUSTIVE_BITS = 24
+RESTART_BATCH = 64      # random restarts unranked per batch
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,17 @@ def find_marker(sft: Sft, nu: MarkovMeasure, M: int, alpha: float,
     rng = random.Random(seed)
     evals = 0
     best = None  # (violations, word, nu1, nu2)
+
+    def restarts():
+        # hill climbing draws nothing, so restart i unranks the i-th draw;
+        # one unrank_rows per batch of draws
+        while True:
+            yield from dfa.unrank_rows(n, [rng.randrange(total)
+                                           for _ in range(RESTART_BATCH)])
+
+    starts = restarts()
     while evals < budget:
-        word = Word(np.array(dfa.unrank(n, rng.randrange(total)), dtype=np.uint8))
+        word = Word(next(starts))
         viol, nu1, nu2, ok = evaluate(word)
         evals += 1
         if best is None or viol < best[0]:

@@ -193,6 +193,7 @@ class Sft:
         self._dfa = None
         self._gap = None
         self._reach = {}        # right-context head -> interp reach rows
+        self._least = {}        # right-context head -> interp least-symbol map
         self._connectors = {}   # (left tail, right head, gap) -> least connector
 
     @classmethod

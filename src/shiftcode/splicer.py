@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .interp import SegmentPlan, interpolate
+from .interp import SegmentPlan, interpolate, spans
 from .shiftspace import Sft, Word, specification_gap
 
 
@@ -134,18 +134,10 @@ class Skeleton:
 
 
 def _runs(symbols: np.ndarray, value: int):
-    """(start, end) pairs of maximal runs of the given value."""
-    mask = symbols == value
-    if not mask.any():
-        return []
-    diff = np.diff(mask.astype(np.int8))
-    starts = list(np.flatnonzero(diff == 1) + 1)
-    ends = list(np.flatnonzero(diff == -1) + 1)
-    if mask[0]:
-        starts.insert(0, 0)
-    if mask[-1]:
-        ends.append(len(symbols))
-    return list(zip(starts, ends))
+    """(starts, lengths) of the maximal runs of the given value."""
+    edges = np.flatnonzero(np.diff(np.concatenate(
+        [[False], symbols == value, [False]]).astype(np.int8)))
+    return edges[0::2], edges[1::2] - edges[0::2]
 
 
 def splice_entropy_boost(sft: Sft, y1: Word, y2: Word, skeleton: Skeleton) -> Word:
@@ -164,9 +156,11 @@ def splice_entropy_boost(sft: Sft, y1: Word, y2: Word, skeleton: Skeleton) -> Wo
             raise ValueError(f"{name} must cover [0, {n})")
         if not sft.is_admissible(y):
             raise ValueError(f"{name} is not admissible")
-    segments = [y1.window(a, b) for a, b in _runs(skeleton.symbols, 1)]
-    segments += [y2.window(a, b) for a, b in _runs(skeleton.symbols, 2)]
-    plan = SegmentPlan(0, n, segments, min_gap=k0, max_segment=k1 + 1)
+    (s1, n1), (s2, n2) = _runs(skeleton.symbols, 1), _runs(skeleton.symbols, 2)
+    plan = SegmentPlan(0, n, np.concatenate([s1, s2]), np.concatenate([n1, n2]),
+                       np.concatenate([y1.symbols[spans(s1 - y1.lo, n1)],
+                                       y2.symbols[spans(s2 - y2.lo, n2)]]),
+                       min_gap=k0, max_segment=k1 + 1)
     return interpolate(sft, plan)
 
 
@@ -193,10 +187,11 @@ def splice_full_support(sft: Sft, y1: Word, target: Word, N: int, M: int,
         raise ValueError(f"y1 must cover [0, {n}) (skeleton rounds up to blocks)")
     if not sft.is_admissible(y1):
         raise ValueError("y1 is not admissible")
-    segments = [y1.window(a, b) for a, b in _runs(skeleton.symbols, 1)]
-    tsym = target.symbols
-    for a, b in _runs(skeleton.symbols, 2):
-        assert b - a == 1
-        segments.append(Word(tsym, a - radius))
-    plan = SegmentPlan(0, n, segments, min_gap=M - radius)
+    (s1, n1), (s2, n2) = _runs(skeleton.symbols, 1), _runs(skeleton.symbols, 2)
+    assert (n2 == 1).all()
+    plan = SegmentPlan(0, n, np.concatenate([s1, s2 - radius]),
+                       np.concatenate([n1, np.full(len(s2), len(target))]),
+                       np.concatenate([y1.symbols[spans(s1 - y1.lo, n1)],
+                                       np.tile(target.symbols, len(s2))]),
+                       min_gap=M - radius)
     return interpolate(sft, plan)

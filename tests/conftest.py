@@ -420,12 +420,68 @@ def reference_connectors(sft, left, right, gap):
     yield from rec(start & reach[gap], 0)
 
 
+def plan_words(plan):
+    """The plan's segments as Words at their coordinates, in plan order."""
+    from shiftcode.shiftspace import Word
+    ends = np.cumsum(plan.lengths)
+    return [Word(plan.symbols[end - n:end], start) for start, n, end in
+            zip(plan.starts.tolist(), plan.lengths.tolist(), ends.tolist())]
+
+
+def parse_plan(text, lo, hi, **options):
+    """Read ``seg <start> <word>`` lines into a plan (test fixtures)."""
+    from shiftcode.interp import SegmentPlan
+    from shiftcode.shiftspace import Word
+    segments = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] != "seg" or len(parts) != 3:
+            raise ValueError(f"cannot parse plan line {line!r}")
+        segments.append(Word.from_string(parts[2], base=int(parts[1])))
+    return SegmentPlan.from_words(lo, hi, segments, **options)
+
+
+def serialize_plan(plan):
+    return "\n".join(f"seg {w.lo} {w.to_string()}" for w in plan_words(plan)) + "\n"
+
+
+def periodic_closure(sft, word, gap=None):
+    """Connector w making word w word w ... a legal bi-infinite point."""
+    from shiftcode.interp import connect_words
+    from shiftcode.shiftspace import Word, specification_gap
+    if len(word) == 0:
+        raise ValueError("cannot close the empty word")
+    g = specification_gap(sft) if gap is None else gap
+    w = connect_words(sft, word, word, g)
+    period = np.concatenate([word.symbols, w.symbols])
+    assert sft.is_admissible(Word(np.tile(period, 3)))
+    return w
+
+
+def reference_block_plan(lo, hi, boys_at, girl_rows, flagged, pack, scheme):
+    """Reference for codec.block_plan: the encoder's per-block Word loop."""
+    from shiftcode.interp import SegmentPlan
+    from shiftcode.shiftspace import Word
+    N, M = pack.N, pack.M
+    segments = []
+    mask = np.zeros(hi - lo, dtype=bool)
+    for n, girl, d in zip(list(boys_at), girl_rows, list(flagged)):
+        segments.append(Word(girl, n + pack.info_region[0]))
+        if d:
+            segments.append(Word(scheme.word.symbols, n + N - 9 * M))
+            mask[n - lo:n + N - lo] = True
+    return SegmentPlan.from_words(lo, hi, segments, min_gap=M), mask
+
+
 def reference_validate(plan):
     """Reference for SegmentPlan.validate: the per-segment loop, with the
     same messages; returns the segments sorted by start."""
     if plan.hi <= plan.lo:
         raise ValueError("empty or inverted range")
-    segs = sorted(plan.segments, key=lambda w: w.lo)
+    segs = sorted(plan_words(plan), key=lambda w: w.lo)
     prev_hi = None
     for w in segs:
         if len(w) == 0:

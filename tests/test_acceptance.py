@@ -270,8 +270,9 @@ def test_property_suites_headless():
     with Criterion("property-suites", budget=120.0):
         # admissibility of interpolated, spliced and encoded words
         gm = build_sft(2, ["11"])
-        plan = SegmentPlan(0, 60, [Word.from_string("101", 5),
-                                   Word.from_string("00100", 30)], min_gap=2)
+        plan = SegmentPlan.from_words(0, 60, [Word.from_string("101", 5),
+                                              Word.from_string("00100", 30)],
+                                      min_gap=2)
         assert gm.is_admissible(interpolate(gm, plan))
         nu = MarkovMeasure.uniform(gm)
         y1 = nu.sample_path(6000, seed=4)

@@ -105,6 +105,37 @@ class TestRokhlinParse:
         assert parse.lengths.tolist() == lengths.tolist()
 
 
+@pytest.mark.parametrize("N,M,seed", [(64, 2, 0), (64, 2, 1), (38, 2, 2),
+                                      (30, 1, 3), (120, 4, 4)])
+def test_block_plan_matches_reference(N, M, seed):
+    # random parses, boy sets, flags and girl rows (N = 19M makes the
+    # girls as long as the marker): the array plan, already sorted, and
+    # the mask equal the per-block Word loop's
+    from shiftcode.codec import block_plan
+    from shiftcode.markers import MarkerScheme
+    from conftest import reference_block_plan
+    pack = practical_pack(H_01, LOG2, 0.2, N=N, M=M, delta=0.02)
+    rng = np.random.default_rng(seed)
+    scheme = MarkerScheme(Word(rng.integers(0, 2, 8 * M).astype(np.uint8)),
+                          M, 0.5, 0.1, 0.1)
+    for _ in range(20):
+        n, lo = int(rng.integers(0, 40 * N)), int(rng.integers(-N, N))
+        parse = rokhlin_parse(Word(np.zeros(n, dtype=np.uint8), lo), N,
+                              float(rng.choice([0.0, 0.02, 0.3])), int(rng.integers(99)))
+        longs = parse.starts[parse.lengths > 1]
+        boys_at = longs[rng.random(len(longs)) < rng.random()]
+        flagged = rng.random(len(boys_at)) < rng.random()
+        girl_rows = rng.integers(0, 2, (len(boys_at), N - 11 * M)).astype(np.uint8)
+        args = (lo, lo + n, boys_at, girl_rows, flagged, pack, scheme)
+        plan, mask = block_plan(*args)
+        want, want_mask = reference_block_plan(*args)
+        want.validate()
+        assert np.array_equal(mask, want_mask)
+        for name in ("starts", "lengths", "symbols"):
+            assert np.array_equal(getattr(plan, name), getattr(want, name))
+        assert plan.min_gap == want.min_gap == M
+
+
 class TestRoundtrip:
     def test_enumerative_many_seeds(self, roundtrip_setup, bern_01, full2):
         pack, scheme, b, g, d = roundtrip_setup
@@ -200,6 +231,7 @@ class TestRoundtrip:
         from itertools import islice
 
         from shiftcode.codec import _scrub_spurious_markers
+        from shiftcode.interp import SegmentPlan
         from conftest import reference_connectors
         nu = MarkovMeasure.uniform(golden_mean)
         scheme = find_marker(golden_mean, nu, M=2, alpha=0.9, seed=5)
@@ -208,7 +240,8 @@ class TestRoundtrip:
         y = np.zeros(60, dtype=np.uint8)
         y[10:10 + len(marker)] = marker
         y[40:44] = seg.symbols
-        assert _scrub_spurious_markers(golden_mean, y, 0, [seg], scheme,
+        plan = SegmentPlan.from_words(0, 60, [seg], min_gap=2)
+        assert _scrub_spurious_markers(golden_mean, y, 0, plan, scheme,
                                        set()) == 1
         want = next(islice(reference_connectors(golden_mean, y[:0], seg, 40),
                            1, None))

@@ -147,6 +147,21 @@ class TestBoys:
                            for r in range(b.count))
         assert abs(direct - b.mass) < 1e-9
 
+    @pytest.mark.parametrize("N", [1980, 2048])
+    def test_binomial_mass_past_float_combs(self, bern_01, N):
+        # the summed binomials reach past 2^1024 here, where a float sum
+        # of comb(N, k) * p^k q^(N-k) raised OverflowError
+        import mpmath
+        from shiftcode.dictionary import _BinomialBoys
+        b = _BinomialBoys(bern_01, N, -N * (H_01 + 0.05))
+        assert max(math.comb(N, k) for k in range(b.k_lo, b.k_hi + 1)) > 2 ** 1024
+        assert b.count == sum(math.comb(N, k) for k in range(b.k_lo, b.k_hi + 1))
+        p0, p1 = (mpmath.mpf(p) for p in bern_01.transition[0])
+        with mpmath.workdps(60):
+            want = mpmath.fsum(mpmath.binomial(N, k) * p1 ** k * p0 ** (N - k)
+                               for k in range(b.k_lo, b.k_hi + 1))
+        assert b.mass == pytest.approx(float(want), rel=1e-12)
+
     def test_joining_guided_mode(self, bern_half):
         mu = MarkovMeasure.bernoulli([0.98, 0.02])
         pack = practical_pack(mu.entropy(), LOG2, 0.2, N=12, M=1, delta=0.05)

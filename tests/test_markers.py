@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,28 @@ class TestFindMarker:
         assert scheme.word.to_string() == word
         assert scheme.nu_h1 == pytest.approx(nu_h1, rel=1e-12)
         assert scheme.nu_h2 == pytest.approx(nu_h2, rel=1e-12)
+
+    def test_random_restarts_unrank_successive_draws(self, monkeypatch, full2,
+                                                     bern_half):
+        # restart i starts from the i-th seeded draw, across batch ends:
+        # every candidate passes with no violation and no mass, so each
+        # restart's hill climb tries its n single-symbol flips and stops
+        monkeypatch.setattr(markers, "EXHAUSTIVE_BITS", 0)
+        seen = []
+
+        def check(sft, nu, word, M, alpha):
+            seen.append(word.to_string())
+            return 0, 0.0, 0.0, False
+
+        monkeypatch.setattr(markers, "check_scheme", check)
+        n, restarts = 24, markers.RESTART_BATCH + 6
+        with pytest.raises(MarkerSearchError):
+            find_marker(full2, bern_half, M=3, alpha=0.5,
+                        budget=restarts * (n + 1), seed=9)
+        rng, dfa = random.Random(9), full2.factor_dfa()
+        want = ["".join(map(str, dfa.unrank(n, rng.randrange(2 ** n))))
+                for _ in range(restarts)]
+        assert seen[::n + 1] == want
 
     @pytest.mark.parametrize("alpha,budget,viol,word", [
         (0.5, 2, 1, "11000101"),    # stopped inside the first hill climb
