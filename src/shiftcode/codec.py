@@ -206,8 +206,7 @@ def _scrub_spurious_markers(target, y_sym, y_lo, plan, scheme, planted):
                 f"{rewrites} filler rewrites")
         q = spurious[0]
         if gaps is None:
-            gaps = plan.gaps()
-            heads = np.minimum(np.append(plan.lengths, 0), k)[gaps[2]]
+            gaps = plan.gaps(k)
         overlap = np.minimum(gaps[1], q + width) - np.maximum(gaps[0], q)
         if not (overlap > 0).any():
             raise EncodingCollisionError(
@@ -216,7 +215,7 @@ def _scrub_spurious_markers(target, y_sym, y_lo, plan, scheme, planted):
         glo, ghi = int(gaps[0][gi]), int(gaps[1][gi])
         variants[gi] = variants.get(gi, 0) + 1
         connectors = iter_connectors(target, y_sym[max(0, glo - k):glo],
-                                     y_sym[ghi:ghi + int(heads[gi])], ghi - glo)
+                                     y_sym[ghi:ghi + int(gaps[3][gi])], ghi - glo)
         filler = next(itertools.islice(connectors, variants[gi], None), None)
         if filler is None:
             raise EncodingCollisionError(

@@ -113,15 +113,18 @@ class SegmentPlan:
                 raise ValueError("boundary gap below min_gap")
         self.starts, self.lengths, self.symbols = lo, n, sym
 
-    def gaps(self):
-        """``(a, b, right)``: the non-empty gaps [a, b) around the sorted
-        segments, as offsets from lo, with the index of the segment to
-        each gap's right (the segment count for the gap ending at hi).
-        Only a gap at the range boundary can be empty."""
+    def gaps(self, k: int):
+        """``(a, b, right, head)``: the non-empty gaps [a, b) around the
+        sorted segments, as offsets from lo, with the index of the segment
+        to each gap's right (the segment count for the gap ending at hi)
+        and how many of that segment's first symbols, at most k, are a
+        connector's right context (none after hi).  Only a gap at the
+        range boundary can be empty."""
         a = np.append(0, self.starts + self.lengths - self.lo)
         b = np.append(self.starts - self.lo, self.hi - self.lo)
         right = np.flatnonzero(b > a)
-        return a[right], b[right], right
+        head = np.minimum(np.append(self.lengths, 0), k)[right]
+        return a[right], b[right], right, head
 
 
 def _context(sft: Sft, word, last: bool) -> np.ndarray:
@@ -281,8 +284,7 @@ def interpolate(sft: Sft, plan: SegmentPlan) -> Word:
                              "is not admissible")
     out = np.empty(plan.hi - plan.lo, dtype=np.uint8)
     out[spans(starts, lengths)] = plan.symbols
-    a, b, right = plan.gaps()
-    head = np.minimum(np.append(lengths, 0), k)[right]  # none after the gap ending at hi
+    a, b, right, head = plan.gaps(k)
     short = np.append((lengths < k) & (starts > 0), False)
     waits = short[right - 1]        # the gap starting at lo reads the False
     at = np.arange(len(a))

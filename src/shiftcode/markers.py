@@ -19,7 +19,7 @@ from .measures import MarkovMeasure
 from .shiftspace import Sft, Word, specification_gap, window_codes
 
 EXHAUSTIVE_BITS = 24
-RESTART_BATCH = 64      # random restarts unranked per batch
+RESTART_BATCH = 64      # most random restarts unranked at once
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,13 @@ def find_marker(sft: Sft, nu: MarkovMeasure, M: int, alpha: float,
 
     def restarts():
         # hill climbing draws nothing, so restart i unranks the i-th draw;
-        # one unrank_rows per batch of draws
+        # one unrank_rows per batch, the batches doubling from one word, as
+        # a search that accepts mostly does so on its first restart
+        size = 1
         while True:
             yield from dfa.unrank_rows(n, [rng.randrange(total)
-                                           for _ in range(RESTART_BATCH)])
+                                           for _ in range(size)])
+            size = min(2 * size, RESTART_BATCH)
 
     starts = restarts()
     while evals < budget:

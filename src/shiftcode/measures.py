@@ -14,6 +14,7 @@ from .errors import ReducibleChainError
 from .shiftspace import Sft, Word
 
 _ROW_TOL = 1e-12
+SAMPLE_CHUNK = 1 << 15     # iid uniforms drawn per rng.random call
 
 
 def stationary_vector(transition: np.ndarray) -> np.ndarray:
@@ -144,7 +145,9 @@ class MarkovMeasure:
         symbol, which moves state s to ``searchsorted(cumsum(P[s]), u,
         "right")`` clamped to the last state, and the new state emits its
         last symbol.  An iid chain (k = 1, equal rows) draws every state
-        by the same rule from one ``rng.random(n)``.
+        by the same rule from one ``rng.random(n)``, taken in calls of
+        ``SAMPLE_CHUNK`` uniforms: they continue one stream, so the chunks
+        are the same uniforms, without n-long float and index temporaries.
 
         The chain with memory holds an n_states x n next-state table of
         the narrowest unsigned dtype (n_states * n bytes below 256 states).
@@ -156,8 +159,12 @@ class MarkovMeasure:
         rng = np.random.default_rng(seed)
         sft = self.sft
         if self._iid:
-            draws = np.searchsorted(self._cum[0], rng.random(length), side="right")
-            return Word(sft.last_symbol[np.minimum(draws, sft.n_states - 1)])
+            out = np.empty(length, dtype=sft.last_symbol.dtype)
+            for i in range(0, length, SAMPLE_CHUNK):
+                u = rng.random(min(SAMPLE_CHUNK, length - i))
+                draws = np.searchsorted(self._cum[0], u, side="right")
+                out[i:i + len(u)] = sft.last_symbol[np.minimum(draws, sft.n_states - 1)]
+            return Word(out)
         start = rng.choice(sft.n_states, p=self.stationary)
         head = np.array(sft.states[start][:length], dtype=np.uint8)
         if len(head) == length:

@@ -174,9 +174,10 @@ class TestFindMarker:
 
     def test_random_restarts_unrank_successive_draws(self, monkeypatch, full2,
                                                      bern_half):
-        # restart i starts from the i-th seeded draw, across batch ends:
-        # every candidate passes with no violation and no mass, so each
-        # restart's hill climb tries its n single-symbol flips and stops
+        # restart i starts from the i-th seeded draw, across the ends of
+        # the doubling batches and of the capped ones: every candidate
+        # passes with no violation and no mass, so each restart's hill
+        # climb tries its n single-symbol flips and stops
         monkeypatch.setattr(markers, "EXHAUSTIVE_BITS", 0)
         seen = []
 
@@ -185,7 +186,7 @@ class TestFindMarker:
             return 0, 0.0, 0.0, False
 
         monkeypatch.setattr(markers, "check_scheme", check)
-        n, restarts = 24, markers.RESTART_BATCH + 6
+        n, restarts = 24, 3 * markers.RESTART_BATCH + 6
         with pytest.raises(MarkerSearchError):
             find_marker(full2, bern_half, M=3, alpha=0.5,
                         budget=restarts * (n + 1), seed=9)

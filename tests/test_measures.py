@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shiftcode import measures
 from shiftcode.errors import ReducibleChainError
 from shiftcode.estimators import BlockDistribution, binary_entropy
 from shiftcode.measures import (MarkovMeasure, parse_measure,
@@ -211,6 +212,21 @@ class TestSampling:
         got = m.sample_path(length, seed=seed).symbols
         want = reference_sample_path(m, length, seed)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 15])
+    @pytest.mark.parametrize("length", [1, 6, 7, 8, 50, 1000])
+    def test_iid_chunks_continue_one_stream(self, monkeypatch, chunk, length):
+        # the iid branch takes its uniforms in chunks; they must be the
+        # uniforms of one rng.random(n), mapped by the same rule
+        monkeypatch.setattr(measures, "SAMPLE_CHUNK", chunk)
+        m = MarkovMeasure.bernoulli([0.2, 0.3, 0.5])
+        for seed in (4, (2001, 3, 0x5A)):
+            u = np.random.default_rng(seed).random(length)
+            draws = np.minimum(np.searchsorted(np.cumsum([0.2, 0.3, 0.5]), u,
+                                               side="right"), 2)
+            got = m.sample_path(length, seed=seed).symbols
+            assert got.dtype == np.uint8
+            assert got.tobytes() == draws.astype(np.uint8).tobytes()
 
     def test_deterministic_per_seed(self, bern_01):
         assert bern_01.sample_path(1000, seed=5) == bern_01.sample_path(1000, seed=5)
