@@ -18,7 +18,7 @@ from . import codec, markers, measures, shiftspace, splicer
 from .dictionary import (Dictionary, ParameterPack, boys, choose_parameters,
                          dictionary as build_dictionary, girls, log_bigint,
                          verify_dictionary_bounds)
-from .errors import ShiftcodeError
+from .errors import ParameterError, ShiftcodeError
 from .shiftspace import Word
 
 SCHEMA = {
@@ -189,6 +189,13 @@ def _cmd_marker(args):
     return 0
 
 
+def _length(args) -> int:
+    """The ``--length`` of source symbols to sample, refused below 1."""
+    if args.length < 1:
+        raise ParameterError(f"--length must be at least 1, got {args.length}")
+    return args.length
+
+
 def _overrides(args) -> dict:
     """The pack constants set on the command line."""
     return {k: getattr(args, k) for k in ("N", "M", "delta", "alpha")
@@ -205,6 +212,11 @@ def _cmd_params(args):
     h_target = nu.entropy() if nu is not None else args.h_target
     gap = shiftspace.specification_gap(nu.sft) if nu is not None else args.gap
     alphabet = mu.sft.alphabet_size if mu is not None else args.source_alphabet
+    if h_source is None:
+        raise ParameterError(
+            "params needs --h-source, or --source-sft with --source-measure")
+    if h_target is None:
+        raise ParameterError("params needs --h-target, or --sft with --measure")
     pack = choose_parameters(
         h_source, h_target, args.eps, mode=args.mode, overrides=_overrides(args),
         source_alphabet=alphabet, gap=gap, mu=mu, nu=nu,
@@ -255,7 +267,7 @@ def _cmd_encode(args):
     if args.x_file:
         x = Word.from_string(Path(args.x_file).read_text().strip())
     else:
-        x = mu.sample_path(args.length, seed=(args.seed, 0x5A))
+        x = mu.sample_path(_length(args), seed=(args.seed, 0x5A))
     pair = codec.encode(x, d, scheme, pack, nu.sft, seed=args.seed)
     Path(args.coded_out).write_text(
         codec.write_coded(pair.y, pack, d, scheme))
@@ -285,8 +297,9 @@ def _cmd_decode(args):
 
 
 def _cmd_verify(args):
+    length = _length(args)
     mu, nu, pack, scheme, boy_set, girl_set, d = _build_instance(args)
-    x = mu.sample_path(args.length, seed=(args.seed, 0x5A))
+    x = mu.sample_path(length, seed=(args.seed, 0x5A))
     pair = codec.encode(x, d, scheme, pack, nu.sft, seed=args.seed)
     x_hat, mask = codec.decode(pair.y, d, scheme, pack)
     errors = int(np.sum(pair.x.symbols[pair.mask] != x_hat.symbols[pair.mask]))
@@ -295,8 +308,8 @@ def _cmd_verify(args):
     ent = codec.audit_entropy(
         pair.y, pack, pack.h_source,
         (log_bigint(boy_set.count), log_bigint(girl_set.count)), pair)
-    refs = [(mu.sample_path(min(args.length, 20000), seed=(args.seed, 7, i)),
-             nu.sample_path(min(args.length, 20000), seed=(args.seed, 8, i)))
+    refs = [(mu.sample_path(min(length, 20000), seed=(args.seed, 7, i)),
+             nu.sample_path(min(length, 20000), seed=(args.seed, 8, i)))
             for i in range(3)]
     ws = codec.audit_weakstar(pair, refs, kmax=2)
     cov_bound = 1 - (17 * pack.delta + pack.eps / 2) - 0.01
@@ -460,8 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("encode", _cmd_encode)
     sp.add_argument("--dict", required=True)
-    sp.add_argument("--length", type=int)
-    sp.add_argument("--x-file")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--length", type=int)
+    source.add_argument("--x-file")
     sp.add_argument("--coded-out", required=True)
     sp.add_argument("--seed", type=int, required=True)
 
@@ -484,8 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("toral", _cmd_toral)
     sp.add_argument("operation", choices=["classify", "entropy", "split"])
-    sp.add_argument("--matrix")
-    sp.add_argument("--matrix-file")
+    matrix = sp.add_mutually_exclusive_group(required=True)
+    matrix.add_argument("--matrix")
+    matrix.add_argument("--matrix-file")
 
     sp = add("halmos", _cmd_halmos)
     sp.add_argument("n", type=int)

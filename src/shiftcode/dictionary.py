@@ -10,7 +10,6 @@ matching over a sampled relation (tiny scale, faithful to the relation).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from .automata import (avoider_dfa, one_count_dfa, product_dfa,
                        rank_vector)
 from .errors import (CapacityError, DegreeError, NoGirlsError, ParameterError,
                      ShiftcodeError, UnmatchedBoyError)
-from .markers import MarkerScheme
+from .markers import EXHAUSTIVE_BITS, MarkerScheme
 from .measures import MarkovMeasure
 from .shiftspace import Sft, Word, enumerate_words
 
@@ -347,13 +346,12 @@ def _estimate_condition_sets(pack, mu, nu, samples, kmax, seed):
 
 
 class _WordSet:
-    """Words of one width in lex order, ranked on the automaton ``dfa`` or,
-    when set, by the list ``_listed`` of their uint8 rows.  The rows methods
-    take words as the rows of a uint8 array; ``member``/``rank``/``unrank``
-    are one-row calls, bound again in each subclass because the benchmark
-    tracer (``perfbench/tracer.py``) looks them up in the class namespace."""
+    """Words of one width in lex order, ranked on the automaton ``dfa``.
+    The rows methods take words as the rows of a uint8 array;
+    ``member``/``rank``/``unrank`` are one-row calls, bound again in each
+    subclass because the benchmark tracer (``perfbench/tracer.py``) looks
+    them up in the class namespace."""
 
-    _listed = None
     _noun = "word"
 
     def _check_rank_size(self):
@@ -363,8 +361,6 @@ class _WordSet:
         rows = np.asarray(rows)
         if rows.shape[1] != self._width:
             return np.zeros(len(rows), dtype=bool)
-        if self._listed is not None:
-            return np.array([row.tobytes() in self._index for row in rows], dtype=bool)
         return self.dfa.member_rows(rows)
 
     def rank_rows(self, rows) -> np.ndarray:
@@ -372,15 +368,11 @@ class _WordSet:
         self._check_rank_size()
         if not self.member_rows(rows).all():
             raise ValueError(f"not a {self._noun}")
-        if self._listed is not None:
-            return np.array([self._index[row.tobytes()] for row in rows], dtype=object)
         return self.dfa.rank_rows(rows)
 
     def unrank_rows(self, ranks) -> np.ndarray:
         """Members of the given ranks; ``ValueError`` if one is out of range."""
         self._check_rank_size()
-        if self._listed is not None:
-            return self._listed[rank_vector(ranks, self.count).astype(np.intp)]
         return self.dfa.unrank_rows(self._width, ranks)
 
     def member(self, word: Word) -> bool:
@@ -392,21 +384,14 @@ class _WordSet:
     def unrank(self, r: int) -> Word:
         return Word(self.unrank_rows([r])[0])
 
-    def _list(self, rows):
-        self._listed = np.array(rows, dtype=np.uint8).reshape(-1, self._width)
-        self._index = {row.tobytes(): i for i, row in enumerate(self._listed)}
-        self.count = len(self._listed)
-
 
 class BoySet(_WordSet):
     """Source N-blocks whose cylinder probability clears the threshold."""
 
     _noun = "boy"
 
-    def __init__(self, mu: MarkovMeasure, N: int, log_threshold: float):
-        self.mu = mu
+    def __init__(self, N: int):
         self.N = self._width = N
-        self.log_threshold = log_threshold
 
 
 class _UniformBoys(BoySet):
@@ -420,7 +405,7 @@ class _UniformBoys(BoySet):
     rank, unrank = _WordSet.rank, _WordSet.unrank
 
     def __init__(self, mu, N, log_threshold):
-        super().__init__(mu, N, log_threshold)
+        super().__init__(N)
         self.dfa = mu.sft.factor_dfa()
         self.count = self.dfa.count(N)
         self.mass = 1.0
@@ -456,7 +441,7 @@ class _BinomialBoys(BoySet):
     rank, unrank = _WordSet.rank, _WordSet.unrank
 
     def __init__(self, mu, N, log_threshold):
-        super().__init__(mu, N, log_threshold)
+        super().__init__(N)
         p = mu.transition[0]
         self.lp0, self.lp1 = math.log(p[0]), math.log(p[1])
         ks = [k for k in range(N + 1)
@@ -476,39 +461,50 @@ class _BinomialBoys(BoySet):
 
 
 class _EnumeratedBoys(BoySet):
-    """Explicit small-N member list; supports joining-guided filtering."""
+    """Any other source (a general Markov measure): every admissible
+    N-block is weighed, the boys are listed in lex order, and a boy's rank
+    is its place in the list.  The walk takes Python time per candidate,
+    so at most ``MAX_CANDIDATES`` admissible N-blocks are accepted."""
 
-    MAX_N = 24
+    MAX_CANDIDATES = 2 ** EXHAUSTIVE_BITS   # the marker search's ceiling
     rank, unrank = _WordSet.rank, _WordSet.unrank
 
-    def __init__(self, mu, N, log_threshold, u_samples=None):
-        super().__init__(mu, N, log_threshold)
-        if N > self.MAX_N:
+    def __init__(self, mu, N, log_threshold):
+        super().__init__(N)
+        candidates = mu.sft.factor_dfa().count(N)
+        if candidates > self.MAX_CANDIDATES:
             raise ParameterError(
-                f"enumerated boys limited to N <= {self.MAX_N}, got {N}")
-        counts = Counter(x.window(x.lo, x.lo + N).symbols.tobytes()
-                         for x, _y in u_samples or ())
+                f"enumerated boys: {candidates} admissible N-blocks at N = {N} "
+                f"over alphabet {mu.sft.alphabet_size} exceed the "
+                f"{self.MAX_CANDIDATES}-candidate ceiling")
         members = []
         self.mass = 0.0
         for w in enumerate_words(mu.sft, N):
             lp = mu.log_cylinder_probability(w)
-            if lp < log_threshold:
-                continue
-            if u_samples is not None:
-                est = counts.get(w.symbols.tobytes(), 0) / max(len(u_samples), 1)
-                if est < 0.5 * math.exp(lp):
-                    continue
-            members.append(w.symbols)
-            self.mass += math.exp(lp)
-        self._list(members)
+            if lp >= log_threshold:
+                members.append(w.symbols)
+                self.mass += math.exp(lp)
+        self._listed = np.array(members, dtype=np.uint8).reshape(-1, N)
+        self._index = {row.tobytes(): i for i, row in enumerate(self._listed)}
+        self.count = len(self._listed)
+
+    def member_rows(self, rows) -> np.ndarray:
+        rows = np.asarray(rows)
+        return np.array([rows.shape[1] == self.N and row.tobytes() in self._index
+                         for row in rows], dtype=bool)
+
+    def rank_rows(self, rows) -> np.ndarray:
+        if not self.member_rows(rows).all():
+            raise ValueError("not a boy")
+        return np.array([self._index[row.tobytes()] for row in rows], dtype=object)
+
+    def unrank_rows(self, ranks) -> np.ndarray:
+        return self._listed[rank_vector(ranks, self.count).astype(np.intp)]
 
 
-def boys(mu: MarkovMeasure, pack: ParameterPack, u_samples=None) -> BoySet:
-    """The boy set for the pack: plain measure-threshold mode, or
-    joining-guided when aligned samples are supplied."""
+def boys(mu: MarkovMeasure, pack: ParameterPack) -> BoySet:
+    """The source N-blocks of log-probability at least -N(h_source + Delta)."""
     log_threshold = -pack.N * (pack.h_source + pack.Delta)
-    if u_samples is not None:
-        return _EnumeratedBoys(mu, pack.N, log_threshold, u_samples)
     if min_log_cylinder(mu, pack.N) >= log_threshold:
         return _UniformBoys(mu, pack.N, log_threshold)
     p = mu.transition
@@ -523,7 +519,6 @@ class GirlSet(_WordSet):
     windows, with exact counting and lex rank/unrank over the product of
     the SFT factor automaton and the window-avoidance automaton."""
 
-    ENUM_CELL_LIMIT = 5_000_000
     # bits of the exact suffix-count table behind rank/unrank (~512 MiB of
     # int digits; at the strict pack the table would need ~1.3e11 bits)
     RANK_BIT_LIMIT = 2 ** 32
@@ -531,16 +526,13 @@ class GirlSet(_WordSet):
     member, rank, unrank = _WordSet.member, _WordSet.rank, _WordSet.unrank
 
     def __init__(self, sft: Sft, pack: ParameterPack,
-                 scheme: MarkerScheme | None,
-                 s2_measure: MarkovMeasure | None = None):
+                 scheme: MarkerScheme | None):
         if scheme is not None and scheme.M != pack.M:
             raise ParameterError("marker scheme M differs from pack M")
         self.length = self._width = pack.girl_length
         if self.length < 1:
             raise ParameterError("N - 11M must be >= 1")
         self.sft = sft
-        self.pack = pack
-        self.scheme = scheme
         if scheme is None:
             self.dfa = sft.factor_dfa()
         else:
@@ -548,15 +540,7 @@ class GirlSet(_WordSet):
                         scheme.h2_window.symbols.tolist()]
             self.dfa = product_dfa(sft.factor_dfa(),
                                    avoider_dfa(sft.alphabet_size, patterns))
-        if s2_measure is not None:
-            if self.length * self.dfa.n_nodes > self.ENUM_CELL_LIMIT:
-                raise ParameterError("girl enumeration too large for s2 filtering")
-            bound = -(pack.h_target - pack.Delta) * pack.N
-            self._list([row for block in self.dfa.enumerate(self.length)
-                        for row in block
-                        if s2_measure.log_cylinder_probability(Word(row)) < bound])
-        else:
-            self.count = self.dfa.count(self.length)
+        self.count = self.dfa.count(self.length)
         if self.count == 0:
             raise NoGirlsError("no girls: every candidate word was filtered")
 
@@ -566,16 +550,15 @@ class GirlSet(_WordSet):
         counts of about t * log2(m) bits), exceeds RANK_BIT_LIMIT."""
         n, L, m = self.dfa.n_nodes, self.length, self.sft.alphabet_size
         bits = n * L * L * math.log2(m) / 2
-        if bits > self.RANK_BIT_LIMIT and self._listed is None:  # s2 lists
+        if bits > self.RANK_BIT_LIMIT:
             raise ParameterError(
                 f"girls rank/unrank: suffix-count table of ~{bits:.3g} bits "
                 f"(n_nodes={n}, length={L}, alphabet={m}) exceeds the "
                 f"{self.RANK_BIT_LIMIT:.3g}-bit limit")
 
 
-def girls(sft: Sft, pack: ParameterPack, scheme: MarkerScheme,
-          s2_measure: MarkovMeasure | None = None) -> GirlSet:
-    return GirlSet(sft, pack, scheme, s2_measure)
+def girls(sft: Sft, pack: ParameterPack, scheme: MarkerScheme) -> GirlSet:
+    return GirlSet(sft, pack, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +571,6 @@ class Relation:
 
     edges: dict                 # boy string -> sorted list of girl strings
     witnesses: dict             # (boy string, girl string) -> sample index
-    boy_words: dict = field(default_factory=dict)
-    girl_words: dict = field(default_factory=dict)
 
     def boy_degree(self, b: str) -> int:
         return len(self.edges.get(b, ()))
@@ -603,51 +584,26 @@ class Relation:
 
 
 def build_relation(boy_set: BoySet, girl_set: GirlSet, paired_samples,
-                   pack: ParameterPack, u_filter=None) -> Relation:
+                   pack: ParameterPack) -> Relation:
     """(B, g) is an edge iff some sample pair has x-block B and girl
-    window g; pairs failing the optional U filter contribute nothing."""
+    window g."""
     N = pack.N
     lo, hi = pack.info_region
     edges: dict = {}
     witnesses: dict = {}
-    boy_words: dict = {}
-    girl_words: dict = {}
     for idx, (x, y) in enumerate(paired_samples):
-        if u_filter is not None and not u_filter(x, y):
-            continue
         b = x.window(x.lo, x.lo + N).rebase()
         g = y.window(y.lo + lo, y.lo + hi).rebase()
         if not boy_set.member(b) or not girl_set.member(g):
             continue
         bs, gs = b.to_string(), g.to_string()
-        boy_words[bs] = b
-        girl_words[gs] = g
         bucket = edges.setdefault(bs, [])
         if gs not in bucket:
             bucket.append(gs)
             witnesses[(bs, gs)] = idx
     for bucket in edges.values():
         bucket.sort()
-    return Relation(edges, witnesses, boy_words, girl_words)
-
-
-def make_u_filter(pack: ParameterPack, mu: MarkovMeasure, nu: MarkovMeasure,
-                  scheme: MarkerScheme | None = None):
-    """Per-sample membership test for the good-pair set: the four
-    window-measure thresholds plus marker-window avoidance on the target
-    side, each evaluated exactly from the measures."""
-    N = pack.N
-
-    def u_filter(x: Word, y: Word) -> bool:
-        if not all(_window_conditions(pack, mu, nu, x, y, 0, 0)):
-            return False
-        if scheme is None:
-            return True
-        from .markers import avoidance_filter
-        yw = y.window(y.lo, y.lo + N).rebase()
-        return bool(list(avoidance_filter([yw], scheme, N)))
-
-    return u_filter
+    return Relation(edges, witnesses)
 
 
 def hall_match(relation: Relation, K: int) -> dict:
@@ -739,7 +695,6 @@ class Dictionary:
     girls: GirlSet
     table: dict | None = None       # hall mode: boy string -> girl string
     inverse: dict | None = None
-    provenance: dict = field(default_factory=dict)
 
     def lookup_rows(self, boy_rows) -> np.ndarray:
         """The girl of every boy row, as a ``(B, girl length)`` array."""
@@ -787,8 +742,6 @@ class Dictionary:
     def invert_nearest(self, window: Word):
         """Hall-mode decoder fallback: argmin Hamming distance over the
         mapped girls, ties broken lexicographically by boy."""
-        if self.mode != "hall":
-            return self.invert(window)
         if not self.table:
             return None
         text = window.to_string()
@@ -819,28 +772,15 @@ def dictionary(boy_set: BoySet, girl_set: GirlSet, mode: str = "enumerative",
             raise CapacityError(
                 f"capacity failure: {nb} boys > {ng} girls{diag}",
                 n_boys=nb, n_girls=ng)
-        return Dictionary("enumerative", boy_set, girl_set,
-                          provenance=_provenance(boy_set, girl_set, pack))
+        return Dictionary("enumerative", boy_set, girl_set)
     if mode == "hall":
         if relation is None or K is None:
             raise ParameterError("hall mode needs a relation and K")
         table = hall_match(relation, K)
         inverse = {g: b for b, g in table.items()}
-        prov = _provenance(boy_set, girl_set, pack)
-        prov["K"] = K
         return Dictionary("hall", boy_set, girl_set, table=table,
-                          inverse=inverse, provenance=prov)
+                          inverse=inverse)
     raise ParameterError(f"unknown dictionary mode {mode!r}")
-
-
-def _provenance(boy_set, girl_set, pack):
-    out = {"n_boys": boy_set.count, "n_girls": girl_set.count,
-           "girl_length": girl_set.length}
-    if pack is not None:
-        out["pack"] = pack.scalars()
-    if girl_set.scheme is not None:
-        out["marker"] = girl_set.scheme.serialize()
-    return out
 
 
 @dataclass

@@ -160,12 +160,3 @@ def empirical_family(words, kmax: int):
     """Pooled block distributions of one sample or a list of samples for
     k = 1..kmax (see :meth:`BlockDistribution.from_words`)."""
     return [BlockDistribution.from_words(words, k) for k in range(1, kmax + 1)]
-
-
-def estimator_report(estimator: str, n: int, value: float,
-                     seed: int | None = None) -> str:
-    """One key=value report line, e.g. ``estimator=bk n=100 value=0.69``."""
-    line = f"estimator={estimator} n={n} value={value:.12g}"
-    if seed is not None:
-        line += f" seed={seed}"
-    return line

@@ -45,24 +45,6 @@ def skeleton_params(eps: float, gamma: float, N: int):
     return (k0, k1, k2), report
 
 
-def gamma_constraints(eps: float, gamma: float, h_top: float,
-                      n_parts: int, delta: float):
-    """Every auxiliary constraint the entropy-boost argument places on
-    gamma, reported rather than resolved (which binds depends on the
-    instance)."""
-    from .estimators import binary_entropy
-    rows = [
-        ("gamma_lt_eps", gamma, eps, gamma < eps),
-        ("H2g_partlog", binary_entropy(min(2 * gamma, 1.0)) +
-         2 * gamma * math.log(n_parts + 1), eps * delta,
-         binary_entropy(min(2 * gamma, 1.0)) + 2 * gamma * math.log(n_parts + 1)
-         < eps * delta),
-        ("2g_htop", 2 * gamma * h_top, eps * delta,
-         2 * gamma * h_top < eps * delta),
-    ]
-    return [{"name": n, "lhs": a, "rhs": b, "ok": ok} for n, a, b, ok in rows]
-
-
 @dataclass
 class Skeleton:
     """A concatenation of the two legal blocks of one skeleton family."""
@@ -113,24 +95,6 @@ class Skeleton:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def greedy_parse(self):
-        """Parse back into legal blocks; raises if the sequence is not a
-        concatenation of exactly the two blocks."""
-        short, long_ = self._blocks(self.kind, self.params)
-        out = []
-        pos = 0
-        n = len(self.symbols)
-        while pos < n:
-            if pos + len(long_) <= n and np.array_equal(self.symbols[pos:pos + len(long_)], long_):
-                out.append("long")
-                pos += len(long_)
-            elif pos + len(short) <= n and np.array_equal(self.symbols[pos:pos + len(short)], short):
-                out.append("short")
-                pos += len(short)
-            else:
-                raise ValueError(f"skeleton does not parse at position {pos}")
-        return out
 
 
 def _runs(symbols: np.ndarray, value: int):

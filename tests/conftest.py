@@ -461,6 +461,26 @@ def periodic_closure(sft, word, gap=None):
     return w
 
 
+def greedy_parse(skeleton):
+    """Oracle for Skeleton.sample: parse back into legal blocks; raises if
+    the sequence is not a concatenation of exactly the two blocks."""
+    short, long_ = skeleton._blocks(skeleton.kind, skeleton.params)
+    symbols = skeleton.symbols
+    out = []
+    pos = 0
+    n = len(symbols)
+    while pos < n:
+        if pos + len(long_) <= n and np.array_equal(symbols[pos:pos + len(long_)], long_):
+            out.append("long")
+            pos += len(long_)
+        elif pos + len(short) <= n and np.array_equal(symbols[pos:pos + len(short)], short):
+            out.append("short")
+            pos += len(short)
+        else:
+            raise ValueError(f"skeleton does not parse at position {pos}")
+    return out
+
+
 def reference_block_plan(lo, hi, boys_at, girl_rows, flagged, pack, scheme):
     """Reference for codec.block_plan: the encoder's per-block Word loop."""
     from shiftcode.interp import SegmentPlan

@@ -115,6 +115,36 @@ def test_domain_error_exit_code(tmp_path):
     assert "NotMixing" in proc.stderr
 
 
+# Each once ended in a Python traceback or an error from deep inside the
+# library; encode cases get the dictionary and output flags appended.
+MISSING_INPUT = {
+    "encode-no-source": (["encode", "--seed", "5"],
+                         "one of the arguments --length --x-file is required"),
+    "encode-length-0": (["encode", "--seed", "5", "--length", "0"],
+                        "--length must be at least 1, got 0"),
+    "verify-length-0": ([*GOLDEN_CASES["verify.txt"][:-1], "0"],
+                        "--length must be at least 1, got 0"),
+    "toral-no-matrix": (["toral", "entropy"],
+                        "one of the arguments --matrix --matrix-file is required"),
+    "params-eps-only": (["params", "--eps", "0.5"],
+                        "params needs --h-source, or --source-sft with "
+                        "--source-measure"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_INPUT))
+def test_missing_input_ends_in_an_error_line(case, coded_stream, tmp_path):
+    args, message = MISSING_INPUT[case]
+    if args[0] == "encode":
+        args = [*args, "--dict", str(coded_stream[0]),
+                "--coded-out", str(tmp_path / "run.coded")]
+    proc = cli(*args)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestSchemaCheck:
     def test_well_formed(self):
         assert report_schema_check((GOLDEN / "verify.txt").read_text())

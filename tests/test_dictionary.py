@@ -1,24 +1,26 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shiftcode.dictionary import (ParameterPack, Relation, boys,
-                                  build_relation, choose_parameters,
+from shiftcode.dictionary import (ParameterPack, Relation, _EnumeratedBoys,
+                                  boys, build_relation, choose_parameters,
                                   dictionary, girls, hall_match, log_bigint,
-                                  make_u_filter, marriage_bound,
-                                  verify_dictionary_bounds, wilson_interval)
+                                  marriage_bound, verify_dictionary_bounds,
+                                  wilson_interval)
 from shiftcode.errors import (CapacityError, DegreeError, NoGirlsError,
                               ParameterError)
 from shiftcode.markers import MarkerScheme, avoidance_filter, find_marker
-from shiftcode.measures import MarkovMeasure
-from shiftcode.shiftspace import Word, build_sft, enumerate_words
+from shiftcode.measures import MarkovMeasure, parse_measure
+from shiftcode.shiftspace import Word, build_sft, enumerate_words, parse_sft
 
 from conftest import (LOG2, reference_binomial_rank, reference_binomial_unrank,
                       reference_unrank)
 
 H_01 = 0.3250829733914482
+DATA = Path(__file__).parent / "data"
 
 
 def practical_pack(h_s, h_t, eps, N, M, delta, alpha=0.5, **kw):
@@ -162,15 +164,26 @@ class TestBoys:
                                for k in range(b.k_lo, b.k_hi + 1))
         assert b.mass == pytest.approx(float(want), rel=1e-12)
 
-    def test_joining_guided_mode(self, bern_half):
-        mu = MarkovMeasure.bernoulli([0.98, 0.02])
-        pack = practical_pack(mu.entropy(), LOG2, 0.2, N=12, M=1, delta=0.05)
-        xs = [mu.sample_path(12, seed=i) for i in range(60)]
-        ys = [bern_half.sample_path(12, seed=1000 + i) for i in range(60)]
-        b = boys(mu, pack, u_samples=list(zip(xs, ys)))
-        plain = boys(mu, pack)
-        assert 0 < b.count <= plain.count
-        assert all(plain.member(b.unrank(i)) for i in range(b.count))
+    def test_enumerated_boys_refuse_too_many_candidates(self):
+        # 3^16 > 2^24 admissible blocks: refused before the walk, which
+        # takes tens of microseconds per candidate
+        mu = MarkovMeasure.bernoulli([0.7, 0.2, 0.1])
+        pack = practical_pack(mu.entropy(), math.log(3), 0.2, N=16, M=1,
+                              delta=0.02)
+        with pytest.raises(ParameterError, match=(
+                "43046721 admissible N-blocks at N = 16 over alphabet 3 "
+                "exceed the 16777216-candidate ceiling")):
+            boys(mu, pack)
+
+    def test_enumerated_boys_ceiling_bounds_the_count(self, monkeypatch):
+        # the golden mean has 377 admissible 12-blocks and 610 13-blocks
+        monkeypatch.setattr(_EnumeratedBoys, "MAX_CANDIDATES", 400)
+        mu = gm_uniform()
+        pack12, pack13 = (practical_pack(mu.entropy(), math.log(3), 0.2, N=N,
+                                         M=1, delta=0.02) for N in (12, 13))
+        assert boys(mu, pack12).count == 224
+        with pytest.raises(ParameterError, match="610 admissible"):
+            boys(mu, pack13)
 
 
 @pytest.fixture(scope="module")
@@ -229,18 +242,6 @@ class TestGirls:
             with pytest.raises(NoGirlsError):
                 girls(full2, pack, scheme)
 
-    def test_s2_filter(self, full2, m2_scheme):
-        nu = MarkovMeasure.bernoulli([0.8, 0.2])
-        pack = practical_pack(H_01, nu.entropy(), 0.2, N=33, M=2, delta=0.02)
-        plain = girls(full2, pack, m2_scheme)
-        filtered = girls(full2, pack, m2_scheme, s2_measure=nu)
-        bound = -(pack.h_target - pack.Delta) * pack.N
-        expect = [w for i in range(plain.count)
-                  for w in [plain.unrank(i)]
-                  if nu.log_cylinder_probability(w) < bound]
-        assert filtered.count == len(expect)
-        assert all(filtered.member(w) for w in expect)
-
 
 @pytest.fixture(scope="module")
 def practical(full2, bern_01, m2_scheme):
@@ -252,11 +253,21 @@ def practical(full2, bern_01, m2_scheme):
     return b, g, dictionary(b, g, "enumerative", pack=pack)
 
 
+def gm_uniform():
+    """The golden-mean source of ``gm.sft`` and ``gmu.msr``."""
+    sft = parse_sft((DATA / "gm.sft").read_text())
+    return parse_measure((DATA / "gmu.msr").read_text(), sft)
+
+
 @pytest.fixture(scope="module")
-def s2_girls(full2, m2_scheme):
-    nu = MarkovMeasure.bernoulli([0.8, 0.2])
-    pack = practical_pack(H_01, nu.entropy(), 0.2, N=33, M=2, delta=0.02)
-    return girls(full2, pack, m2_scheme, s2_measure=nu)
+def listed():
+    """Listed boys: the golden-mean source at N = 12, 224 of the 377
+    admissible blocks."""
+    mu = gm_uniform()
+    b = boys(mu, practical_pack(mu.entropy(), math.log(3), 0.2, N=12, M=1,
+                                delta=0.02))
+    assert type(b) is _EnumeratedBoys and b.count == 224
+    return b
 
 
 class TestBatchMethods:
@@ -281,7 +292,7 @@ class TestBatchMethods:
         assert d.lookup(Word(boy_rows[2])) == Word(girl_rows[2])
         assert d.invert(Word(girl_rows[2])) == Word(boy_rows[2])
 
-    def test_empty_batches(self, practical, s2_girls):
+    def test_empty_batches(self, practical, listed):
         b, g, d = practical
         no_boys = np.zeros((0, 64), dtype=np.uint8)
         no_girls = np.zeros((0, g.length), dtype=np.uint8)
@@ -290,15 +301,17 @@ class TestBatchMethods:
         assert d.lookup_rows(no_boys).shape == (0, g.length)
         back, found = d.invert_rows(no_girls)
         assert back.shape == (0, 64) and found.shape == (0,)
-        assert s2_girls.unrank_rows([]).shape == (0, s2_girls.length)
+        assert listed.member_rows(no_boys[:, :12]).shape == (0,)
+        assert listed.rank_rows(no_boys[:, :12]).shape == (0,)
+        assert listed.unrank_rows([]).shape == (0, 12)
 
-    def test_other_widths_are_not_members(self, practical, s2_girls):
+    def test_other_widths_are_not_members(self, practical, listed):
         # the girl automaton accepts every prefix of a girl
         b, g, d = practical
-        for gs in (g, s2_girls):
-            girl = gs.unrank(0).symbols
-            assert not gs.member_rows(girl[None, :-1]).any()
-            assert not gs.member_rows(np.append(girl, 0)[None]).any()
+        for ws in (g, listed):
+            word = ws.unrank(0).symbols
+            assert not ws.member_rows(word[None, :-1]).any()
+            assert not ws.member_rows(np.append(word, 0)[None]).any()
         assert not b.member(Word(b.unrank(0).symbols[:-1]))
         assert d.invert(Word(g.unrank(0).symbols[:-1])) is None
 
@@ -337,41 +350,25 @@ class TestBatchMethods:
             g.rank_rows(rows)
         assert d.invert_rows(rows)[1].tolist() == [True, False]
 
-    def test_s2_girls_off_alphabet(self, s2_girls):
-        bad = s2_girls.unrank(0).symbols.copy()
+    def test_enumerated_boys_off_alphabet(self, listed):
+        bad = listed.unrank(0).symbols.copy()
         bad[3] = 2
-        assert s2_girls.member(Word(bad)) is False
-        with pytest.raises(ValueError, match="not a girl"):
-            s2_girls.rank(Word(bad))
+        assert listed.member(Word(bad)) is False
+        with pytest.raises(ValueError, match="not a boy"):
+            listed.rank(Word(bad))
 
-    def test_s2_girls_rank_range(self, s2_girls):
-        # a list index took -1 for the last girl and raised IndexError at
+    def test_enumerated_boys_rank_range(self, listed):
+        # a list index took -1 for the last word and raised IndexError at
         # the count
-        for r in (-1, s2_girls.count):
+        for r in (-1, listed.count):
             with pytest.raises(ValueError, match="rank out of range"):
-                s2_girls.unrank(r)
+                listed.unrank(r)
             with pytest.raises(ValueError, match="rank out of range"):
-                s2_girls.unrank_rows([0, r])
-        last = s2_girls.count - 1
-        assert s2_girls.rank(s2_girls.unrank(last)) == last
-        assert s2_girls.rank_rows(s2_girls.unrank_rows([0, last])).tolist() == [
-            0, last]
-
-    def test_enumerated_boys_rank_range(self, bern_half):
-        mu = MarkovMeasure.bernoulli([0.98, 0.02])
-        pack = practical_pack(mu.entropy(), LOG2, 0.2, N=12, M=1, delta=0.05)
-        pairs = [(mu.sample_path(12, seed=i),
-                  bern_half.sample_path(12, seed=1000 + i)) for i in range(60)]
-        b = boys(mu, pack, u_samples=pairs)
-        assert type(b).__name__ == "_EnumeratedBoys"
-        for r in (-1, b.count):
-            with pytest.raises(ValueError, match="rank out of range"):
-                b.unrank(r)
-            with pytest.raises(ValueError, match="rank out of range"):
-                b.unrank_rows([0, r])
-        last = b.count - 1
-        assert b.rank(b.unrank(last)) == last
-        assert b.rank_rows(b.unrank_rows([last, 0])).tolist() == [last, 0]
+                listed.unrank_rows([0, r])
+        last = listed.count - 1
+        assert listed.rank(listed.unrank(last)) == last
+        for ranks in ([0, last], [last, 0]):
+            assert listed.rank_rows(listed.unrank_rows(ranks)).tolist() == ranks
 
     def test_uniform_full_shift_rows(self):
         b = boys(MarkovMeasure.bernoulli([0.5, 0.5]),
@@ -500,15 +497,6 @@ class TestBuildRelation:
         rel = build_relation(b, g, [(ones, nu.sample_path(pack.N, seed=1))],
                              pack)
         assert rel.edges == {}
-
-    def test_u_filter_composes(self, full2, bern_half):
-        mu, nu, pack, scheme, b, g = self.setup_instance(full2, bern_half)
-        u_filter = make_u_filter(pack, mu, nu, scheme)
-        pairs = [(mu.sample_path(pack.N, seed=i),
-                  nu.sample_path(pack.N, seed=700 + i)) for i in range(40)]
-        rel = build_relation(b, g, pairs, pack, u_filter=u_filter)
-        unfiltered = build_relation(b, g, pairs, pack)
-        assert set(rel.edges) <= set(unfiltered.edges)
 
 
 class TestDictionary:

@@ -9,8 +9,8 @@ from shiftcode.errors import CoverageError, NoReturnError
 from shiftcode.estimators import (BlockDistribution, binary_entropy,
                                   bk_estimate, dbar_entropy_bound,
                                   dbar_sample_upper, dw_estimate,
-                                  empirical_family, estimator_report,
-                                  total_variation, weakstar_surrogate)
+                                  empirical_family, total_variation,
+                                  weakstar_surrogate)
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft
 
@@ -180,8 +180,3 @@ class TestWeakstar:
         b = _dist(2, {(0, 0): 0.25, (1, 1): 0.75})
         assert total_variation(a, b) == pytest.approx(0.75)
 
-
-def test_estimator_report_line():
-    line = estimator_report("bk", 100, math.log(2), seed=3)
-    assert line == "estimator=bk n=100 value=0.69314718056 seed=3"
-    assert estimator_report("dw", 14, 0.5) == "estimator=dw n=14 value=0.5"

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,10 @@ from shiftcode.codec import lz78_entropy
 from shiftcode.errors import ParameterError
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft
-from shiftcode.splicer import (Skeleton, gamma_constraints, skeleton_params,
-                               splice_entropy_boost, splice_full_support)
+from shiftcode.splicer import (Skeleton, skeleton_params, splice_entropy_boost,
+                               splice_full_support)
+
+from conftest import greedy_parse
 
 
 class TestSkeletonParams:
@@ -28,12 +28,6 @@ class TestSkeletonParams:
         with pytest.raises(ParameterError):
             skeleton_params(0.2, 0.1, 10)
 
-    def test_gamma_constraint_report(self):
-        rows = gamma_constraints(0.2, 0.001, math.log(2), 2, 0.01)
-        names = {r["name"] for r in rows}
-        assert names == {"gamma_lt_eps", "H2g_partlog", "2g_htop"}
-        assert all(isinstance(r["ok"], bool) for r in rows)
-
 
 class TestSkeletonLegality:
     @pytest.mark.parametrize("kind,params", [
@@ -43,7 +37,7 @@ class TestSkeletonLegality:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_greedy_parse_roundtrip(self, kind, params, seed):
         sk = Skeleton.sample(kind, params, seed, 20_000)
-        kinds = sk.greedy_parse()
+        kinds = greedy_parse(sk)
         assert set(kinds) <= {"short", "long"}
         # round-trip: rebuild from the parse and compare
         short, long_ = (Skeleton._blocks_boost(*params) if kind == "boost"
@@ -56,7 +50,7 @@ class TestSkeletonLegality:
         bad = sk.symbols.copy()
         bad[5] = 2
         with pytest.raises(ValueError):
-            Skeleton(bad, "support", (20, 2), 3, sk.block_lengths).greedy_parse()
+            greedy_parse(Skeleton(bad, "support", (20, 2), 3, sk.block_lengths))
 
 
 class TestEntropyBoost:
