@@ -357,6 +357,21 @@ class TestBatchMethods:
         with pytest.raises(ValueError, match="not a boy"):
             listed.rank(Word(bad))
 
+    def test_s2_girls_rank_range(self, full2, m2_scheme):
+        # girls in the target shift S_2, ranked on the automaton: -1 is not
+        # the last girl and the count is past the end
+        pack = practical_pack(H_01, LOG2, 0.2, N=33, M=2, delta=0.02)
+        g = girls(full2, pack, m2_scheme)
+        for r in (-1, g.count):
+            with pytest.raises(ValueError, match="rank out of range"):
+                g.unrank(r)
+            with pytest.raises(ValueError, match="rank out of range"):
+                g.unrank_rows([0, r])
+        last = g.count - 1
+        assert g.rank(g.unrank(last)) == last
+        for ranks in ([0, last], [last, 0]):
+            assert g.rank_rows(g.unrank_rows(ranks)).tolist() == ranks
+
     def test_enumerated_boys_rank_range(self, listed):
         # a list index took -1 for the last word and raised IndexError at
         # the count
