@@ -296,8 +296,16 @@ def _cmd_decode(args):
     return 0
 
 
+# verify's weak* audit compares blocks of 1..WEAKSTAR_KMAX symbols, so
+# its samples need at least that many
+WEAKSTAR_KMAX = 2
+
+
 def _cmd_verify(args):
     length = _length(args)
+    if length < WEAKSTAR_KMAX:
+        raise ParameterError(f"verify --length must be at least "
+                             f"{WEAKSTAR_KMAX} for the weak* audit, got {length}")
     mu, nu, pack, scheme, boy_set, girl_set, d = _build_instance(args)
     x = mu.sample_path(length, seed=(args.seed, 0x5A))
     pair = codec.encode(x, d, scheme, pack, nu.sft, seed=args.seed)
@@ -311,7 +319,7 @@ def _cmd_verify(args):
     refs = [(mu.sample_path(min(length, 20000), seed=(args.seed, 7, i)),
              nu.sample_path(min(length, 20000), seed=(args.seed, 8, i)))
             for i in range(3)]
-    ws = codec.audit_weakstar(pair, refs, kmax=2)
+    ws = codec.audit_weakstar(pair, refs, kmax=WEAKSTAR_KMAX)
     cov_bound = 1 - (17 * pack.delta + pack.eps / 2) - 0.01
     if args.csv:
         _write_block_csv(args.csv, pair, pack)

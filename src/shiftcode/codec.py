@@ -225,7 +225,7 @@ def _scrub_spurious_markers(target, y_sym, y_lo, plan, scheme, planted):
 
 
 def decode(y: Word, dict_: Dictionary, scheme: MarkerScheme,
-           pack: ParameterPack, boy_set=None):
+           pack: ParameterPack):
     """Recover source blocks from marker-synchronized info windows.
 
     Returns (x_hat, mask): x_hat carries the decoded symbols over the
@@ -235,7 +235,6 @@ def decode(y: Word, dict_: Dictionary, scheme: MarkerScheme,
     """
     N, M = pack.N, pack.M
     info_lo, info_hi = pack.info_region
-    boys_ = boy_set if boy_set is not None else dict_.boys
     x_hat = np.full(len(y), 255, dtype=np.uint8)
     mask = np.zeros(len(y), dtype=bool)
     hits = np.array(_find_all(y.symbols.tobytes(), scheme.word.symbols.tobytes()),
@@ -248,7 +247,7 @@ def decode(y: Word, dict_: Dictionary, scheme: MarkerScheme,
             block = dict_.invert_nearest(Word(windows[i]))
             if block is not None:
                 blocks[i], found[i] = block.symbols, True
-    found[found] = boys_.member_rows(blocks[found])
+    found[found] = dict_.boys.member_rows(blocks[found])
     for n, block in zip(hits[found].tolist(), blocks[found]):
         x_hat[n:n + N] = block
         mask[n:n + N] = True

@@ -525,21 +525,17 @@ class GirlSet(_WordSet):
     _noun = "girl"
     member, rank, unrank = _WordSet.member, _WordSet.rank, _WordSet.unrank
 
-    def __init__(self, sft: Sft, pack: ParameterPack,
-                 scheme: MarkerScheme | None):
-        if scheme is not None and scheme.M != pack.M:
+    def __init__(self, sft: Sft, pack: ParameterPack, scheme: MarkerScheme):
+        if scheme.M != pack.M:
             raise ParameterError("marker scheme M differs from pack M")
         self.length = self._width = pack.girl_length
         if self.length < 1:
             raise ParameterError("N - 11M must be >= 1")
         self.sft = sft
-        if scheme is None:
-            self.dfa = sft.factor_dfa()
-        else:
-            patterns = [scheme.h1_window.symbols.tolist(),
-                        scheme.h2_window.symbols.tolist()]
-            self.dfa = product_dfa(sft.factor_dfa(),
-                                   avoider_dfa(sft.alphabet_size, patterns))
+        patterns = [scheme.h1_window.symbols.tolist(),
+                    scheme.h2_window.symbols.tolist()]
+        self.dfa = product_dfa(sft.factor_dfa(),
+                               avoider_dfa(sft.alphabet_size, patterns))
         self.count = self.dfa.count(self.length)
         if self.count == 0:
             raise NoGirlsError("no girls: every candidate word was filtered")

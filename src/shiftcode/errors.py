@@ -74,10 +74,6 @@ class NoGirlsError(ShiftcodeError):
     """The girl set came out empty."""
 
 
-class InseparableError(ShiftcodeError):
-    """The requested polynomial factors are not coprime."""
-
-
 class CertificationError(ShiftcodeError):
     """Numeric root classification could not be certified at the tolerance."""
 

@@ -48,8 +48,7 @@ class SegmentPlan:
 
     Segment i covers [starts[i], starts[i] + lengths[i]) in absolute
     coordinates inside [lo, hi), and its symbols are the next lengths[i]
-    entries of ``symbols``.  Gaps between consecutive segments (and to
-    the range boundaries when ``constrain_boundaries`` is set) must be at
+    entries of ``symbols``.  Gaps between consecutive segments must be at
     least ``min_gap``, and no segment may exceed ``max_segment``.
     """
 
@@ -60,7 +59,6 @@ class SegmentPlan:
     symbols: np.ndarray = ()
     min_gap: int = 1
     max_segment: int | None = None
-    constrain_boundaries: bool = False
 
     def __post_init__(self):
         self.starts = np.asarray(self.starts, dtype=np.int64).reshape(-1)
@@ -70,14 +68,6 @@ class SegmentPlan:
                 or self.lengths.sum() != len(self.symbols)):
             raise ValueError("a plan needs one length >= 0 per start, "
                              "summing to the number of symbols")
-
-    @classmethod
-    def from_words(cls, lo: int, hi: int, words=(), **options) -> "SegmentPlan":
-        """The plan of Words placed at their own coordinates."""
-        words = list(words)
-        return cls(lo, hi, [w.lo for w in words], [len(w) for w in words],
-                   np.concatenate([w.symbols for w in words]) if words else (),
-                   **options)
 
     def validate(self) -> None:
         """Sort the segments by start (stable) and check the plan; the
@@ -108,9 +98,6 @@ class SegmentPlan:
                 lo=int(lo[i]), hi=int(lo[i] + n[i]), n=int(n[i]),
                 max_segment=self.max_segment, gap=int(gap[i]),
                 min_gap=self.min_gap))
-        if self.constrain_boundaries and len(lo):
-            if lo[0] - self.lo < self.min_gap or self.hi - lo[-1] - n[-1] < self.min_gap:
-                raise ValueError("boundary gap below min_gap")
         self.starts, self.lengths, self.symbols = lo, n, sym
 
     def gaps(self, k: int):

@@ -367,14 +367,12 @@ def count_words(sft: Sft, length: int) -> int:
     return sft.factor_dfa().count(length)
 
 
-def enumerate_words(sft: Sft, length: int, constraint=None):
-    """Admissible words of the given length in lex order, optionally filtered."""
+def enumerate_words(sft: Sft, length: int):
+    """Admissible words of the given length in lex order."""
     out = []
     for block in sft.factor_dfa().enumerate(length):
         for sym in block:
-            w = Word(sym.copy())  # a view would pin the whole block
-            if constraint is None or constraint(w):
-                out.append(w)
+            out.append(Word(sym.copy()))  # a view would pin the whole block
     return out
 
 

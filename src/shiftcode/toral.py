@@ -11,16 +11,17 @@ counted by Sturm sequences.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import mpmath
 import sympy
 from sympy import Matrix, Poly, ZZ, symbols
-from sympy.matrices.normalforms import smith_normal_form
+from sympy.matrices.normalforms import smith_normal_decomp, smith_normal_form
 from sympy.polys.specialpolys import cyclotomic_poly
 
-from .errors import CertificationError, InseparableError
+from .errors import CertificationError
 
 _X = symbols("x")
 
@@ -47,6 +48,12 @@ def check_unimodular(matrix) -> Matrix:
     return a
 
 
+def _charpoly(matrix) -> tuple[Matrix, Poly]:
+    """The checked unimodular matrix and its characteristic polynomial."""
+    a = check_unimodular(matrix)
+    return a, Poly(a.charpoly(_X).as_expr(), _X, domain=ZZ)
+
+
 @dataclass
 class CyclotomicSplit:
     """f = g h with g the product of all cyclotomic factors (with
@@ -55,61 +62,43 @@ class CyclotomicSplit:
     g: Poly
     h: Poly
     certificate: list = field(default_factory=list)   # (n, Phi_n, multiplicity)
-    gcd_gh: Poly | None = None
 
     @property
     def has_cyclotomic_part(self) -> bool:
         return self.g.degree() > 0
 
 
-def _totient_bound_orders(max_deg: int):
-    """All n with euler_phi(n) <= max_deg."""
-    out = []
-    n = 1
-    # phi(n) >= sqrt(n/2), so n <= 2 (max_deg)^2 suffices
-    while n <= 2 * max_deg * max_deg + 1:
-        if sympy.totient(n) <= max_deg:
-            out.append(n)
-        n += 1
-    return out
+def _cyclotomic_order(phi: Poly) -> int:
+    """The n with Phi_n = phi, for a cyclotomic phi."""
+    return next(n for n in itertools.count(1)
+                if sympy.totient(n) == phi.degree()
+                and Poly(cyclotomic_poly(n, _X), _X, domain=ZZ) == phi)
 
 
 def cyclotomic_split(f) -> CyclotomicSplit:
-    """Divide out every cyclotomic factor of f to full multiplicity."""
+    """Divide out every cyclotomic factor of f to full multiplicity, by
+    sorting the irreducible factors of f; the certificate lists them in
+    ascending order n."""
     f = _to_poly(f)
     if f.degree() < 1:
         raise ValueError("polynomial must have degree >= 1")
-    h = f
+    content, factors = f.factor_list()
     g = Poly(1, _X, domain=ZZ)
+    h = Poly(content, _X, domain=ZZ)
     certificate = []
-    for n in _totient_bound_orders(f.degree()):
-        phi = Poly(cyclotomic_poly(n, _X), _X, domain=ZZ)
-        if phi.degree() > h.degree():
-            continue
-        mult = 0
-        while h.degree() >= phi.degree():
-            q, rem = h.div(phi)
-            if not rem.is_zero:
-                break
-            h = q
-            mult += 1
-        if mult:
-            g = g * phi ** mult
-            certificate.append((n, poly_coeffs(phi), mult))
+    for p, mult in factors:
+        if p.is_cyclotomic:
+            g *= p ** mult
+            certificate.append((_cyclotomic_order(p), poly_coeffs(p), mult))
+        else:
+            h *= p ** mult
     assert (g * h - f).is_zero, "split does not multiply back"
-    # re-verify: the cofactor has no cyclotomic factor left
-    for n in _totient_bound_orders(max(h.degree(), 1)):
-        phi = Poly(cyclotomic_poly(n, _X), _X, domain=ZZ)
-        if h.degree() >= phi.degree() and h.div(phi)[1].is_zero:
-            raise AssertionError("cofactor retained a cyclotomic factor")
-    return CyclotomicSplit(g, h, certificate, gcd_gh=g.gcd(h))
+    return CyclotomicSplit(g, h, sorted(certificate))
 
 
 def is_quasi_hyperbolic(matrix) -> bool:
     """True iff no eigenvalue is a root of unity."""
-    a = check_unimodular(matrix)
-    f = a.charpoly(_X)
-    return not cyclotomic_split(Poly(f.as_expr(), _X, domain=ZZ)).has_cyclotomic_part
+    return not cyclotomic_split(_charpoly(matrix)[1]).has_cyclotomic_part
 
 
 def _is_self_reciprocal(p: Poly) -> int:
@@ -149,13 +138,12 @@ def _circle_root_count(p: Poly) -> int:
     return 2 * q.count_roots(-2, 2)
 
 
-def _entropy_of_factor(p: Poly, tol: float) -> tuple[float, int]:
-    """(sum of log moduli of roots outside the unit circle, number of
-    roots on the circle) for an irreducible non-cyclotomic factor."""
+def _entropy_of_factor(p: Poly, tol: float) -> float:
+    """Sum of log moduli of the roots outside the unit circle of an
+    irreducible non-cyclotomic factor."""
     on_circle = _circle_root_count(p)
-    d = p.degree()
-    if d == on_circle:
-        return 0.0, on_circle
+    if p.degree() == on_circle:
+        return 0.0
     coeffs = [int(c) for c in p.all_coeffs()]
     prec = 60
     last = None
@@ -170,7 +158,7 @@ def _entropy_of_factor(p: Poly, tol: float) -> tuple[float, int]:
                 total = math.fsum(float(mpmath.log(m)) for m in moduli
                                   if m - 1 > margin)
                 if last is not None and abs(total - last) <= tol / 10:
-                    return total, on_circle
+                    return total
                 last = total
         prec *= 2
     raise CertificationError(
@@ -184,14 +172,11 @@ def toral_entropy(matrix, tol: float = 1e-10) -> float:
     Exact-circle detection plus high-precision root finding per
     irreducible factor; unit-circle roots contribute zero.
     """
-    a = check_unimodular(matrix)
-    f = Poly(a.charpoly(_X).as_expr(), _X, domain=ZZ)
+    _, f = _charpoly(matrix)
     total = 0.0
     for factor, mult in f.factor_list()[1]:
-        if cyclotomic_split(factor).has_cyclotomic_part:
-            continue   # cyclotomic: all roots on the circle
-        ent, _ = _entropy_of_factor(factor, tol)
-        total += mult * ent
+        if not factor.is_cyclotomic:   # cyclotomic roots lie on the circle
+            total += mult * _entropy_of_factor(factor, tol)
     return total
 
 
@@ -203,10 +188,9 @@ def classify(matrix) -> str:
     irreducible factor p with circle roots, nullity(p(A)) equals
     multiplicity(p) * deg(p).
     """
-    a = check_unimodular(matrix)
-    f = Poly(a.charpoly(_X).as_expr(), _X, domain=ZZ)
+    a, f = _charpoly(matrix)
     factors = f.factor_list()[1]
-    if any(cyclotomic_split(p).has_cyclotomic_part for p, _ in factors):
+    if any(p.is_cyclotomic for p, _ in factors):
         return "not-quasi-hyperbolic"
     circle_factors = [(p, m) for p, m in factors if _circle_root_count(p) > 0]
     if not circle_factors:
@@ -243,92 +227,31 @@ class SplitAction:
 def _integer_kernel_basis(m: Matrix) -> Matrix:
     """Columns form a basis of ker(m) intersect Z^d.
 
-    The integer kernel of an integer matrix is automatically saturated;
-    the columns of the diagonalizing V that meet zero diagonal entries
-    give a lattice basis of it.
+    The integer kernel of an integer matrix is saturated; with S = U m V
+    the Smith decomposition, the columns of the unimodular V that meet
+    zero diagonal entries of S give a lattice basis of it.
     """
-    s, v = _diagonalize_with_col_transform(m)
+    s, _, v = smith_normal_decomp(m, domain=ZZ)
     cols = [j for j in range(s.cols) if j >= s.rows or s[j, j] == 0]
     basis = v[:, cols]
     assert (m * basis).is_zero_matrix
     return basis
 
 
-def _diagonalize_with_col_transform(m: Matrix):
-    """(S, V) with S = U m V diagonal over Z and U, V unimodular.
-
-    S need not satisfy the Smith divisibility chain; only the zero/nonzero
-    diagonal pattern matters for kernel extraction.
-    """
-    s = Matrix(m)
-    rows, cols = s.rows, s.cols
-    v = sympy.eye(cols)
-
-    def min_pivot(k):
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if s[i, j] != 0 and (best is None
-                                     or abs(s[i, j]) < abs(s[best[0], best[1]])):
-                    best = (i, j)
-        return best
-
-    k = 0
-    while k < min(rows, cols):
-        piv = min_pivot(k)
-        if piv is None:
-            break
-        i, j = piv
-        if i != k:
-            s.row_swap(i, k)
-        if j != k:
-            s.col_swap(j, k)
-            v.col_swap(j, k)
-        dirty = False
-        for i in range(k + 1, rows):
-            q = s[i, k] // s[k, k]
-            if q != 0:
-                s.row_op(i, lambda x, c, q=q: x - q * s[k, c])
-            if s[i, k] != 0:
-                dirty = True
-        for j in range(k + 1, cols):
-            q = s[k, j] // s[k, k]
-            if q != 0:
-                s.col_op(j, lambda x, r, q=q: x - q * s[r, k])
-                v.col_op(j, lambda x, r, q=q: x - q * v[r, k])
-            if s[k, j] != 0:
-                dirty = True
-        if dirty:
-            continue   # smaller remainders exist; re-pivot this corner
-        k += 1
-    return s, v
-
-
-def split_action(matrix, factors=None) -> SplitAction:
-    """Split the torus action along a coprime factorization f = g h of its
-    characteristic polynomial (default: cyclotomic part vs the rest).
+def split_action(matrix) -> SplitAction:
+    """Split the torus action along f = g h, with g the cyclotomic part of
+    its characteristic polynomial and h the rest, coprime by construction.
 
     Returns the restrictions to the saturated invariant sublattices
     ker g(A) and ker h(A) and the index of their sum in Z^d.
     """
-    a = check_unimodular(matrix)
-    f = Poly(a.charpoly(_X).as_expr(), _X, domain=ZZ)
-    if factors is None:
-        split = cyclotomic_split(f)
-        g, h = split.g, split.h
-    else:
-        g, h = _to_poly(factors[0]), _to_poly(factors[1])
-        if not (g * h - f).is_zero:
-            raise ValueError("provided factors do not multiply to charpoly")
-    if g.degree() == 0 or h.degree() == 0:
-        zero_dim = sympy.zeros(0, 0)
-        if g.degree() == 0:
-            return SplitAction(a, zero_dim, sympy.eye(a.rows), 1)
-        return SplitAction(zero_dim, a, sympy.eye(a.rows), 1)
-    if g.gcd(h).degree() != 0:
-        raise InseparableError(
-            f"factors share gcd {poly_coeffs(g.gcd(h))}: the action does "
-            "not split along them")
+    a, f = _charpoly(matrix)
+    split = cyclotomic_split(f)
+    g, h = split.g, split.h
+    if g.degree() == 0:
+        return SplitAction(a, sympy.zeros(0, 0), sympy.eye(a.rows), 1)
+    if h.degree() == 0:
+        return SplitAction(sympy.zeros(0, 0), a, sympy.eye(a.rows), 1)
     basis_o = _integer_kernel_basis(_eval_poly_at_matrix(g, a))
     basis_q = _integer_kernel_basis(_eval_poly_at_matrix(h, a))
     a_o = _restriction(a, basis_o)

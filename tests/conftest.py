@@ -420,6 +420,15 @@ def reference_connectors(sft, left, right, gap):
     yield from rec(start & reach[gap], 0)
 
 
+def plan_from_words(lo, hi, words=(), **options):
+    """The SegmentPlan of Words placed at their own coordinates."""
+    from shiftcode.interp import SegmentPlan
+    words = list(words)
+    return SegmentPlan(lo, hi, [w.lo for w in words], [len(w) for w in words],
+                       np.concatenate([w.symbols for w in words]) if words else (),
+                       **options)
+
+
 def plan_words(plan):
     """The plan's segments as Words at their coordinates, in plan order."""
     from shiftcode.shiftspace import Word
@@ -430,7 +439,6 @@ def plan_words(plan):
 
 def parse_plan(text, lo, hi, **options):
     """Read ``seg <start> <word>`` lines into a plan (test fixtures)."""
-    from shiftcode.interp import SegmentPlan
     from shiftcode.shiftspace import Word
     segments = []
     for raw in text.splitlines():
@@ -441,7 +449,7 @@ def parse_plan(text, lo, hi, **options):
         if parts[0] != "seg" or len(parts) != 3:
             raise ValueError(f"cannot parse plan line {line!r}")
         segments.append(Word.from_string(parts[2], base=int(parts[1])))
-    return SegmentPlan.from_words(lo, hi, segments, **options)
+    return plan_from_words(lo, hi, segments, **options)
 
 
 def serialize_plan(plan):
@@ -483,7 +491,6 @@ def greedy_parse(skeleton):
 
 def reference_block_plan(lo, hi, boys_at, girl_rows, flagged, pack, scheme):
     """Reference for codec.block_plan: the encoder's per-block Word loop."""
-    from shiftcode.interp import SegmentPlan
     from shiftcode.shiftspace import Word
     N, M = pack.N, pack.M
     segments = []
@@ -493,7 +500,7 @@ def reference_block_plan(lo, hi, boys_at, girl_rows, flagged, pack, scheme):
         if d:
             segments.append(Word(scheme.word.symbols, n + N - 9 * M))
             mask[n - lo:n + N - lo] = True
-    return SegmentPlan.from_words(lo, hi, segments, min_gap=M), mask
+    return plan_from_words(lo, hi, segments, min_gap=M), mask
 
 
 def reference_validate(plan):
@@ -517,9 +524,6 @@ def reference_validate(plan):
             if gap < plan.min_gap:
                 raise ValueError(f"gap {gap} below min_gap {plan.min_gap}")
         prev_hi = w.hi
-    if plan.constrain_boundaries and segs:
-        if segs[0].lo - plan.lo < plan.min_gap or plan.hi - segs[-1].hi < plan.min_gap:
-            raise ValueError("boundary gap below min_gap")
     return segs
 
 

@@ -17,7 +17,7 @@ from shiftcode.dictionary import (boys, build_relation,
                                   verify_dictionary_bounds)
 from shiftcode.errors import DegreeError, ParameterError
 from shiftcode.estimators import bk_estimate, dw_estimate, weakstar_surrogate
-from shiftcode.interp import SegmentPlan, interpolate, iter_connectors
+from shiftcode.interp import interpolate, iter_connectors
 from shiftcode.markers import find_marker, locate_offset
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import (Word, build_sft, count_words,
@@ -27,7 +27,7 @@ from shiftcode.splicer import skeleton_params, splice_full_support
 from shiftcode.toral import (classify, halmos_membership,
                              is_quasi_hyperbolic, toral_entropy)
 
-from conftest import halmos_oracle
+from conftest import halmos_oracle, plan_from_words
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -201,7 +201,7 @@ def test_end_to_end_roundtrip():
         d = dictionary(b, g, "enumerative", pack=pack)
         x = mu.sample_path(1_000_000, seed=42)
         pair = encode(x, d, scheme, pack, full2, seed=7)
-        x_hat, mask = decode(pair.y, d, scheme, pack, b)
+        x_hat, mask = decode(pair.y, d, scheme, pack)
         assert np.array_equal(mask, pair.mask)
         errors = int(np.sum(x.symbols[pair.mask] != x_hat.symbols[pair.mask]))
         assert errors == 0
@@ -270,9 +270,9 @@ def test_property_suites_headless():
     with Criterion("property-suites", budget=120.0):
         # admissibility of interpolated, spliced and encoded words
         gm = build_sft(2, ["11"])
-        plan = SegmentPlan.from_words(0, 60, [Word.from_string("101", 5),
-                                              Word.from_string("00100", 30)],
-                                      min_gap=2)
+        plan = plan_from_words(0, 60, [Word.from_string("101", 5),
+                                       Word.from_string("00100", 30)],
+                               min_gap=2)
         assert gm.is_admissible(interpolate(gm, plan))
         nu = MarkovMeasure.uniform(gm)
         y1 = nu.sample_path(6000, seed=4)

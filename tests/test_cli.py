@@ -124,6 +124,9 @@ MISSING_INPUT = {
                         "--length must be at least 1, got 0"),
     "verify-length-0": ([*GOLDEN_CASES["verify.txt"][:-1], "0"],
                         "--length must be at least 1, got 0"),
+    "verify-length-1": ([*GOLDEN_CASES["verify.txt"][:-1], "1"],
+                        "verify --length must be at least 2 for the weak* "
+                        "audit, got 1"),
     "toral-no-matrix": (["toral", "entropy"],
                         "one of the arguments --matrix --matrix-file is required"),
     "params-eps-only": (["params", "--eps", "0.5"],

@@ -142,7 +142,7 @@ class TestRoundtrip:
         for seed in range(1000):
             x = bern_01.sample_path(1500, seed=(seed, 1))
             pair = encode(x, d, scheme, pack, full2, seed=seed)
-            x_hat, mask = decode(pair.y, d, scheme, pack, b)
+            x_hat, mask = decode(pair.y, d, scheme, pack)
             assert np.array_equal(mask, pair.mask), seed
             assert np.array_equal(x.symbols[pair.mask],
                                   x_hat.symbols[pair.mask]), seed
@@ -152,7 +152,7 @@ class TestRoundtrip:
         for seed in range(1000):
             x = mu.sample_path(1200, seed=(seed, 2))
             pair = encode(x, d, scheme, pack, full2, seed=seed)
-            x_hat, mask = decode(pair.y, d, scheme, pack, b)
+            x_hat, mask = decode(pair.y, d, scheme, pack)
             assert np.array_equal(mask, pair.mask), seed
             assert np.array_equal(x.symbols[pair.mask],
                                   x_hat.symbols[pair.mask]), seed
@@ -199,7 +199,7 @@ class TestRoundtrip:
         x = mu.sample_path(30_000, seed=8)
         pair = encode(x, d, scheme, pack, golden_mean, seed=9)
         assert golden_mean.is_admissible(pair.y)
-        x_hat, mask = decode(pair.y, d, scheme, pack, b)
+        x_hat, mask = decode(pair.y, d, scheme, pack)
         assert np.array_equal(mask, pair.mask)
         assert np.array_equal(x.symbols[mask], x_hat.symbols[mask])
 
@@ -231,8 +231,7 @@ class TestRoundtrip:
         from itertools import islice
 
         from shiftcode.codec import _scrub_spurious_markers
-        from shiftcode.interp import SegmentPlan
-        from conftest import reference_connectors
+        from conftest import plan_from_words, reference_connectors
         nu = MarkovMeasure.uniform(golden_mean)
         scheme = find_marker(golden_mean, nu, M=2, alpha=0.9, seed=5)
         marker = scheme.word.symbols
@@ -240,7 +239,7 @@ class TestRoundtrip:
         y = np.zeros(60, dtype=np.uint8)
         y[10:10 + len(marker)] = marker
         y[40:44] = seg.symbols
-        plan = SegmentPlan.from_words(0, 60, [seg], min_gap=2)
+        plan = plan_from_words(0, 60, [seg], min_gap=2)
         assert _scrub_spurious_markers(golden_mean, y, 0, plan, scheme,
                                        set()) == 1
         want = next(islice(reference_connectors(golden_mean, y[:0], seg, 40),
@@ -279,7 +278,7 @@ class TestCorruption:
         target = pair.marker_positions[1]
         sym = pair.y.symbols.copy()
         sym[target:target + 16] = 1 - sym[target:target + 16]
-        x_hat, mask = decode(Word(sym), d, scheme, pack, b)
+        x_hat, mask = decode(Word(sym), d, scheme, pack)
         n = target - (pack.N - 9 * pack.M)
         assert not mask[n:n + pack.N].any()
         others = pair.mask.copy()
@@ -290,7 +289,7 @@ class TestCorruption:
     def test_all_filler_empty_mask(self, roundtrip_setup, full2):
         pack, scheme, b, g, d = roundtrip_setup
         y = Word(np.zeros(5000, dtype=np.uint8))
-        x_hat, mask = decode(y, d, scheme, pack, b)
+        x_hat, mask = decode(y, d, scheme, pack)
         assert not mask.any()
 
 
@@ -465,5 +464,5 @@ class TestCodedFile:
         x = bern_01.sample_path(3000, seed=97)
         pair = encode(x, d, scheme, pack, full2, seed=98)
         y2, _ = read_coded(write_coded(pair.y, pack, d, scheme))
-        x_hat, mask = decode(y2, d, scheme, pack, b)
+        x_hat, mask = decode(y2, d, scheme, pack)
         assert np.array_equal(mask, pair.mask)

@@ -192,11 +192,6 @@ def m2_scheme(full2, bern_half):
 
 
 class TestGirls:
-    def test_no_marker_constraints(self, full2):
-        pack = practical_pack(H_01, LOG2, 0.2, N=16, M=1, delta=0.02)
-        g = girls(full2, pack, scheme=None)
-        assert g.length == 5 and g.count == 32
-
     def test_count_vs_bruteforce(self, full2, m2_scheme):
         for n in (33, 36):
             pack = practical_pack(H_01, LOG2, 0.2, N=n, M=2, delta=0.02)
@@ -516,7 +511,9 @@ class TestBuildRelation:
 
 class TestDictionary:
     def test_lex_embedding_example(self, full2):
-        # boys = all 2^3 blocks, girls = all length-4 words: phi(B) = 0B;
+        # boys = all 2^3 blocks, girls = the length-4 words avoiding both
+        # windows 11 of a hand-built marker: the 8 golden-mean words, so
+        # the enumerative dictionary pairs boy and girl ranks one to one;
         # N - 11M >= 1 forces separate packs for this synthetic case
         bpack = ParameterPack(eps=0.2, Delta=0.02, delta=0.02, eta=0.015,
                               r=0.0014, eta_radius=6, r_radius=9, ell=667,
@@ -529,12 +526,17 @@ class TestDictionary:
                               h_source=0.5, h_target=LOG2, h_joint_bound=1.2,
                               source_alphabet=2, gap=1)
         b = boys(MarkovMeasure.bernoulli([0.5, 0.5]), bpack)
-        g = girls(full2, gpack, scheme=None)
-        assert (b.count, g.count) == (8, 16)
+        scheme = MarkerScheme(Word.from_string("11000011"), M=1, alpha=0.5,
+                              nu_h1=0.25, nu_h2=0.25)
+        g = girls(full2, gpack, scheme)
+        assert (b.count, g.count) == (8, 8)
         d = dictionary(b, g, "enumerative")
+        lex_girls = ["0000", "0001", "0010", "0100",
+                     "0101", "1000", "1001", "1010"]
         for r in range(8):
             B = b.unrank(r)
-            assert d.lookup(B).to_string() == "0" + B.to_string()
+            assert B.to_string() == format(r, "03b")
+            assert d.lookup(B).to_string() == lex_girls[r]
             assert d.invert(d.lookup(B)) == B
 
     def test_capacity_failure_counts(self, full3):

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from shiftcode import interp
 from shiftcode.errors import NoConnectorError
-from shiftcode.interp import (SegmentPlan, connect_words, interpolate,
-                              iter_connectors)
+from shiftcode.interp import connect_words, interpolate, iter_connectors
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import (Word, build_sft, enumerate_words,
                                   specification_gap)
 from shiftcode.splicer import splice_full_support
 
-from conftest import (parse_plan, periodic_closure, plan_words,
-                      reference_connectors, reference_interpolate,
+from conftest import (parse_plan, periodic_closure, plan_from_words,
+                      plan_words, reference_connectors, reference_interpolate,
                       reference_validate, serialize_plan)
 
 
@@ -119,7 +118,7 @@ class TestLongGaps:
         assert w.to_string() == "0" * 2000
 
     def test_interpolate_long_tail(self, golden_mean):
-        plan = SegmentPlan.from_words(0, 3003, [Word.from_string("101", 0)], min_gap=2)
+        plan = plan_from_words(0, 3003, [Word.from_string("101", 0)], min_gap=2)
         assert interpolate(golden_mean, plan).to_string() == "101" + "0" * 3000
 
 
@@ -164,21 +163,21 @@ def test_memo_holds_the_keys_splice_used(monkeypatch):
 
 class TestInterpolate:
     def test_spec_example(self, golden_mean):
-        plan = SegmentPlan.from_words(0, 8, [Word.from_string("101", 0),
-                                             Word.from_string("101", 5)], min_gap=2)
+        plan = plan_from_words(0, 8, [Word.from_string("101", 0),
+                                      Word.from_string("101", 5)], min_gap=2)
         assert interpolate(golden_mean, plan).to_string() == "10100101"
 
     def test_empty_plan_default_fill(self, golden_mean):
-        plan = SegmentPlan.from_words(0, 5, [], min_gap=2)
+        plan = plan_from_words(0, 5, [], min_gap=2)
         assert interpolate(golden_mean, plan).to_string() == "00000"
 
     def test_full_shift_zero_filler(self, full2):
-        plan = SegmentPlan.from_words(0, 10, [Word.from_string("111", 4)], min_gap=1)
+        plan = plan_from_words(0, 10, [Word.from_string("111", 4)], min_gap=1)
         assert interpolate(full2, plan).to_string() == "0000111000"
 
     def test_determinism(self, golden_mean):
-        plan = SegmentPlan.from_words(0, 30, [Word.from_string("10100", 4),
-                                              Word.from_string("001", 20)], min_gap=2)
+        plan = plan_from_words(0, 30, [Word.from_string("10100", 4),
+                                       Word.from_string("001", 20)], min_gap=2)
         assert interpolate(golden_mean, plan) == interpolate(golden_mean, plan)
 
     def test_random_plans_admissible_and_agreeing(self, sft_zoo):
@@ -199,7 +198,7 @@ class TestInterpolate:
                     segments.append(Word(dfa.unrank_rows(end - pos, [r])[0],
                                          pos))
                     pos = end + L + int(rng.integers(0, 3))
-                plan = SegmentPlan.from_words(0, total, segments, min_gap=L)
+                plan = plan_from_words(0, total, segments, min_gap=L)
                 out = interpolate(sft, plan)
                 assert sft.is_admissible(out), (sft.forbidden, segments)
                 for seg in plan_words(plan):
@@ -229,7 +228,7 @@ class TestInterpolate:
                     want = np.concatenate([want, filler.symbols])
                     if seg is not None:
                         want = np.concatenate([want, seg.symbols])
-                plan = SegmentPlan.from_words(0, total, segments, min_gap=L)
+                plan = plan_from_words(0, total, segments, min_gap=L)
                 assert np.array_equal(interpolate(sft, plan).symbols, want)
 
     def test_segment_below_memory_length(self):
@@ -237,15 +236,15 @@ class TestInterpolate:
         # tracking across pieces
         sft = build_sft(2, ["111"])
         L = specification_gap(sft)
-        plan = SegmentPlan.from_words(0, 20, [Word.from_string("1", 3),
-                                              Word.from_string("1", 3 + 1 + L)],
-                                      min_gap=L)
+        plan = plan_from_words(0, 20, [Word.from_string("1", 3),
+                                       Word.from_string("1", 3 + 1 + L)],
+                               min_gap=L)
         out = interpolate(sft, plan)
         assert sft.is_admissible(out)
         assert out.at(3) == 1 and out.at(4 + L) == 1
 
     def test_inadmissible_segment_rejected(self, golden_mean):
-        plan = SegmentPlan.from_words(0, 10, [Word.from_string("11", 2)], min_gap=2)
+        plan = plan_from_words(0, 10, [Word.from_string("11", 2)], min_gap=2)
         with pytest.raises(ValueError):
             interpolate(golden_mean, plan)
 
@@ -287,14 +286,14 @@ def test_interpolate_matches_reference(supports, data):
     end = segments[-1].hi if segments else pos
     hi = end + data.draw(st.sampled_from([0, 0, 1, 4]), label="trail") + (end == lo)
     plan = dict(lo=lo, hi=hi, words=segments, min_gap=min_gap)
-    want = _outcome(reference_interpolate, sft, SegmentPlan.from_words(**plan))
+    want = _outcome(reference_interpolate, sft, plan_from_words(**plan))
     event("error" if isinstance(want[0], type) else "word")
-    assert _outcome(interpolate, sft, SegmentPlan.from_words(**plan)) == want
+    assert _outcome(interpolate, sft, plan_from_words(**plan)) == want
 
 
 def test_interpolate_names_first_bad_segment(golden_mean):
     # plan order, not input order, decides which segment is named
-    plan = SegmentPlan.from_words(0, 20, [
+    plan = plan_from_words(0, 20, [
         Word.from_string("11", 12), Word.from_string("1", 0),
         Word(np.array([2], dtype=np.uint8), 6)], min_gap=2)
     with pytest.raises(ValueError, match=r"^planned segment at 6 is not admissible$"):
@@ -324,32 +323,26 @@ class TestGapSharpness:
 
 def _plan(segments, lo=0, hi=10, **options):
     """A plan of (word, start) pairs over [lo, hi)."""
-    return SegmentPlan.from_words(
+    return plan_from_words(
         lo, hi, [Word.from_string(text, at) for text, at in segments], **options)
 
 
 class TestPlanValidation:
     def test_overlap(self):
-        plan = SegmentPlan.from_words(0, 10, [Word.from_string("000", 0),
-                                              Word.from_string("000", 2)], min_gap=1)
+        plan = plan_from_words(0, 10, [Word.from_string("000", 0),
+                                       Word.from_string("000", 2)], min_gap=1)
         with pytest.raises(ValueError):
             plan.validate()
 
     def test_gap_below_min(self):
-        plan = SegmentPlan.from_words(0, 10, [Word.from_string("00", 0),
-                                              Word.from_string("00", 3)], min_gap=2)
+        plan = plan_from_words(0, 10, [Word.from_string("00", 0),
+                                       Word.from_string("00", 3)], min_gap=2)
         with pytest.raises(ValueError):
             plan.validate()
 
     def test_max_segment(self):
-        plan = SegmentPlan.from_words(0, 10, [Word.from_string("0000", 0)],
-                                      min_gap=1, max_segment=3)
-        with pytest.raises(ValueError):
-            plan.validate()
-
-    def test_boundary_constraint(self):
-        plan = SegmentPlan.from_words(0, 10, [Word.from_string("00", 0)],
-                                      min_gap=2, constrain_boundaries=True)
+        plan = plan_from_words(0, 10, [Word.from_string("0000", 0)],
+                               min_gap=1, max_segment=3)
         with pytest.raises(ValueError):
             plan.validate()
 
@@ -361,10 +354,8 @@ class TestPlanValidation:
         (_plan([("0000", 0)], max_segment=3), "segment of length 4 exceeds 3"),
         (_plan([("000", 0), ("000", 2)]), "segments overlap"),
         (_plan([("00", 0), ("00", 3)], min_gap=2), "gap 1 below min_gap 2"),
-        (_plan([("00", 0)], min_gap=2, constrain_boundaries=True),
-         "boundary gap below min_gap"),
-        (_plan([("00", 7)], min_gap=2, constrain_boundaries=True),
-         "boundary gap below min_gap"),
+        (_plan([("0", 0), ("0", 1)]), "gap 0 below min_gap 1"),
+        (_plan([("00", 4)], lo=5), "segment [4, 6) outside range"),
         # the first segment in start order is named, with its first
         # failing check: here both segments fail, the later-listed first
         (_plan([("0000", 8), ("0000", 0), ("0", 5)], min_gap=2, max_segment=3),
@@ -381,7 +372,7 @@ class TestPlanValidation:
     def test_sorts_stably_by_start(self):
         a, b, c = (Word.from_string("0", 3), Word.from_string("1", 0),
                    Word.from_string("00", 6))
-        plan = SegmentPlan.from_words(0, 10, [c, a, b], min_gap=1)
+        plan = plan_from_words(0, 10, [c, a, b], min_gap=1)
         plan.validate()
         assert plan_words(plan) == [b, a, c]
 
@@ -393,13 +384,12 @@ class TestPlanValidation:
                     for _ in range(data.draw(st.integers(0, 5), label="segments"))]
         args = dict(lo=data.draw(st.integers(-1, 2)), hi=data.draw(st.integers(0, 16)),
                     min_gap=data.draw(st.integers(0, 3)),
-                    max_segment=data.draw(st.none() | st.integers(0, 4)),
-                    constrain_boundaries=data.draw(st.booleans()))
+                    max_segment=data.draw(st.none() | st.integers(0, 4)))
         try:
-            want = reference_validate(SegmentPlan.from_words(words=segments, **args))
+            want = reference_validate(plan_from_words(words=segments, **args))
         except ValueError as exc:
             want = str(exc)
-        plan = SegmentPlan.from_words(words=segments, **args)
+        plan = plan_from_words(words=segments, **args)
         try:
             plan.validate()
         except ValueError as exc:
@@ -463,10 +453,10 @@ def test_interpolate_waves_match_reference(sft_zoo, data):
     options = dict(min_gap=L, max_segment=data.draw(
         st.none() | st.integers(1, sft.k + 1), label="max_segment"))
     want = _outcome(reference_interpolate, sft,
-                    SegmentPlan.from_words(lo, hi, segments, **options))
+                    plan_from_words(lo, hi, segments, **options))
     event("error" if isinstance(want[0], type) else f"waves {min(waves, 3)}")
     assert _outcome(interpolate, sft,
-                    SegmentPlan.from_words(lo, hi, segments, **options)) == want
+                    plan_from_words(lo, hi, segments, **options)) == want
 
 
 @pytest.mark.parametrize("m,forbidden", [
@@ -512,8 +502,8 @@ def test_interpolate_keys_as_rows_or_packed(monkeypatch, bits):
                     dfa.count(n)))])[0], pos))
                 pos += n + L + int(rng.integers(0, 2))
             plan = dict(lo=0, hi=pos, words=segments, min_gap=L)
-            want = reference_interpolate(sft, SegmentPlan.from_words(**plan))
-            assert interpolate(sft, SegmentPlan.from_words(**plan)) == want
+            want = reference_interpolate(sft, plan_from_words(**plan))
+            assert interpolate(sft, plan_from_words(**plan)) == want
 
 
 def test_short_tail_at_lo_keyed_apart_from_full_tail():
@@ -525,6 +515,6 @@ def test_short_tail_at_lo_keyed_apart_from_full_tail():
     plan = dict(lo=0, hi=5 + 3 * L, min_gap=L, words=[
         Word.from_string("1", 0), Word.from_string("01", 1 + L),
         Word.from_string("01", 3 + 2 * L)])
-    want = reference_interpolate(sft, SegmentPlan.from_words(**plan))
-    assert interpolate(sft, SegmentPlan.from_words(**plan)) == want
+    want = reference_interpolate(sft, plan_from_words(**plan))
+    assert interpolate(sft, plan_from_words(**plan)) == want
     assert want.symbols[1] != want.symbols[3 + L]

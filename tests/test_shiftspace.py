@@ -323,7 +323,7 @@ class TestEnumerate:
                 assert strings == brute_words(sft, n)
 
     def test_constraint_filter(self, full2):
-        odd = enumerate_words(full2, 4, constraint=lambda w: int(np.sum(w.symbols)) % 2)
+        odd = [w for w in enumerate_words(full2, 4) if int(np.sum(w.symbols)) % 2]
         assert all(int(np.sum(w.symbols)) % 2 == 1 for w in odd)
         assert len(odd) == 8
 

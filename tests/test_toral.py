@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -5,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy import Matrix, eye, zeros
+from sympy.polys.specialpolys import cyclotomic_poly
 
-from shiftcode.errors import InseparableError
-from shiftcode.toral import (check_unimodular, classify,
+from shiftcode.toral import (_integer_kernel_basis, check_unimodular, classify,
                              cyclotomic_split, halmos_membership,
                              is_quasi_hyperbolic, poly_coeffs, split_action,
                              toral_entropy)
@@ -137,8 +140,18 @@ class TestCyclotomicSplit:
         assert poly_coeffs(split.g) == [-1, 1]
         assert split.h.degree() == 0
 
+    def test_certificate_order_and_multiplicities(self):
+        x = sympy.symbols("x")
+        f = sympy.Poly((x - 1) ** 2 * (x ** 2 + x + 1) * (x ** 2 - x + 1)
+                       * (x ** 2 - 3 * x + 1), x)
+        split = cyclotomic_split(f)
+        assert split.certificate == [(1, [-1, 1], 2), (3, [1, 1, 1], 1),
+                                     (6, [1, -1, 1], 1)]
+        assert poly_coeffs(split.g) == poly_coeffs(
+            sympy.Poly((x - 1) ** 2 * (x ** 4 + x ** 2 + 1), x))
+        assert poly_coeffs(split.h) == [1, -3, 1]
+
     def test_random_products_multiply_back(self):
-        from sympy.polys.specialpolys import cyclotomic_poly
         x = sympy.symbols("x")
         rng = np.random.default_rng(3)
         for _ in range(1000):
@@ -161,6 +174,47 @@ class TestCyclotomicSplit:
                 g = q
                 count += 1
             assert count >= mult
+            assert not has_cyclotomic_factor(split.h)
+
+
+def has_cyclotomic_factor(h):
+    """Oracle: does some Phi_n divide h?  Trial division by every Phi_n
+    with euler_phi(n) <= deg h; phi(n) >= sqrt(n/2) bounds the n."""
+    x = sympy.symbols("x")
+    for n in range(1, 2 * h.degree() ** 2 + 2):
+        phi = sympy.Poly(cyclotomic_poly(n, x), x)
+        if phi.degree() <= h.degree() and h.div(phi)[1].is_zero:
+            return True
+    return False
+
+
+def gcd_of_maximal_minors(basis):
+    k = basis.cols
+    return math.gcd(*(int(basis.extract(list(rows), list(range(k))).det())
+                      for rows in itertools.combinations(range(basis.rows), k)))
+
+
+class TestIntegerKernel:
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 5), rank=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120)
+    @example(rows=3, cols=3, rank=0, seed=0)        # the zero matrix
+    @example(rows=3, cols=3, rank=2, seed=1)        # singular square
+    def test_basis_is_saturated_kernel(self, rows, cols, rank, seed):
+        # a product of rows x rank and rank x cols integer factors has
+        # rank at most ``rank``; entries up to 9 in modulus
+        rng = np.random.default_rng(seed)
+        left = Matrix(rng.integers(-3, 4, size=(rows, rank)).tolist()) \
+            if rank else zeros(rows, 0)
+        right = Matrix(rng.integers(-3, 4, size=(rank, cols)).tolist()) \
+            if rank else zeros(0, cols)
+        m = left * right if rank else zeros(rows, cols)
+        basis = _integer_kernel_basis(m)
+        assert basis.rows == cols
+        assert basis.cols == cols - m.rank()
+        assert (m * basis).is_zero_matrix
+        if basis.cols:
+            assert gcd_of_maximal_minors(basis) == 1
 
 
 class TestSplitAction:
@@ -185,21 +239,6 @@ class TestSplitAction:
         assert abs(toral_entropy(sp.quasi_hyperbolic.tolist()) - CAT_ENTROPY) < 1e-9
         # restrictions act on saturated lattices; the sum has finite index
         assert sp.index >= 1
-
-    def test_explicit_coprime_cyclotomic_factors(self):
-        # charpoly Phi_3 Phi_6 = x^4 + x^2 + 1: both pieces zero entropy
-        comp = [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, -1], [0, 0, 1, 0]]
-        sp = split_action(comp, factors=([1, 1, 1], [1, -1, 1]))
-        assert sp.dimensions() == (2, 2)
-        assert toral_entropy(sp.quasi_hyperbolic.tolist()) == 0.0
-        assert toral_entropy(sp.zero_entropy.tolist()) == 0.0
-        assert sp.index >= 1
-
-    def test_inseparable(self):
-        bd = Matrix(CAT).row_join(zeros(2, 2)).col_join(
-            zeros(2, 2).row_join(Matrix(CAT)))
-        with pytest.raises(InseparableError):
-            split_action(bd.tolist(), factors=([1, -3, 1], [1, -3, 1]))
 
     def test_trivial_parts(self):
         sp = split_action(CAT)
