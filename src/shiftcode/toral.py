@@ -27,9 +27,10 @@ _X = symbols("x")
 
 
 def _to_poly(coeffs) -> Poly:
-    """Coefficient list, constant term first, to a sympy Poly over ZZ."""
+    """Coefficient list, constant term first, or a univariate Poly in any
+    generator, to a sympy Poly in x over ZZ."""
     if isinstance(coeffs, Poly):
-        return coeffs
+        return Poly(coeffs.all_coeffs(), _X, domain=ZZ)
     return Poly(list(reversed([int(c) for c in coeffs])), _X, domain=ZZ)
 
 

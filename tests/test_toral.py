@@ -151,6 +151,13 @@ class TestCyclotomicSplit:
             sympy.Poly((x - 1) ** 2 * (x ** 4 + x ** 2 + 1), x))
         assert poly_coeffs(split.h) == [1, -3, 1]
 
+    def test_other_generator(self):
+        # a Poly in t is read as the same polynomial in x
+        t = sympy.symbols("t")
+        split = cyclotomic_split(sympy.Poly((t ** 2 + t + 1) * (t ** 2 - 3 * t + 1), t))
+        assert split.certificate == [(3, [1, 1, 1], 1)]
+        assert poly_coeffs(split.h) == [1, -3, 1]
+
     def test_random_products_multiply_back(self):
         x = sympy.symbols("x")
         rng = np.random.default_rng(3)
@@ -204,11 +211,9 @@ class TestIntegerKernel:
         # a product of rows x rank and rank x cols integer factors has
         # rank at most ``rank``; entries up to 9 in modulus
         rng = np.random.default_rng(seed)
-        left = Matrix(rng.integers(-3, 4, size=(rows, rank)).tolist()) \
-            if rank else zeros(rows, 0)
-        right = Matrix(rng.integers(-3, 4, size=(rank, cols)).tolist()) \
-            if rank else zeros(0, cols)
-        m = left * right if rank else zeros(rows, cols)
+        left = Matrix(rows, rank, rng.integers(-3, 4, size=rows * rank).tolist())
+        right = Matrix(rank, cols, rng.integers(-3, 4, size=rank * cols).tolist())
+        m = left * right
         basis = _integer_kernel_basis(m)
         assert basis.rows == cols
         assert basis.cols == cols - m.rank()
