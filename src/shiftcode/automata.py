@@ -13,8 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError
+
 # Most rows per block yielded by Dfa.enumerate; bounds its working memory.
 ENUM_BLOCK_ROWS = 1 << 16
+
+# Bits of the exact suffix-count table behind rank/unrank (~512 MiB of int
+# digits; at the strict pack the girls' table would need ~1.3e11 bits).
+RANK_BIT_LIMIT = 2 ** 32
 
 
 @dataclass
@@ -84,9 +90,16 @@ class Dfa:
         also caches ``_tables["suffix64"]``, an int64 copy of the table's
         leading rows whose entries are all below 2^63.  Rank and unrank at a
         length L sweep that copy when it holds rows 0..L, else the object
-        table."""
+        table.  ``ParameterError`` before building a table estimated (row t
+        holds counts of at most t log2(alphabet) bits) above RANK_BIT_LIMIT."""
         table = self._tables.get("suffix")
         if table is None or len(table) <= length:
+            bits = self.n_nodes * length * length * np.log2(self.alphabet_size) / 2
+            if bits > RANK_BIT_LIMIT:
+                raise ParameterError(
+                    f"rank/unrank: suffix-count table of ~{bits:.3g} bits "
+                    f"(n_nodes={self.n_nodes}, length={length}, alphabet="
+                    f"{self.alphabet_size}) exceeds the {RANK_BIT_LIMIT:.3g}-bit limit")
             moves = self._moves()[:, :-1]
             rows = (list(table) if table is not None
                     else [self._accept.astype(np.int64).astype(object)])

@@ -128,33 +128,41 @@ def read_dictionary_file(path: str):
             sections[current] = []
         elif current is not None:
             sections[current].append(line)
-    mode = sections["format"][1].split()[1]
-    raw = dict(ln.split(None, 1) for ln in sections["pack"] if ln)
-    source_sft = shiftspace.parse_sft("\n".join(sections["source-sft"]))
-    target_sft = shiftspace.parse_sft("\n".join(sections["target-sft"]))
-    mu = measures.parse_measure("\n".join(sections["source-measure"]), source_sft)
-    nu = measures.parse_measure("\n".join(sections["target-measure"]), target_sft)
+
+    def section(name):
+        if not any(sections.get(name, [])):
+            raise ShiftcodeError(f"dictionary file {path} has no [{name}] section")
+        return sections[name]
+
+    mode = dict(ln.split(None, 1) for ln in section("format") if ln).get("mode")
+    if mode not in ("enumerative", "hall"):
+        raise ShiftcodeError(f"dictionary file {path}: [format] names no mode")
+    raw = dict(ln.split(None, 1) for ln in section("pack") if ln)
     # the field types are annotation strings (postponed evaluation)
-    types = {f.name: f.type for f in dataclasses.fields(ParameterPack)}
+    types = {f.name: f.type for f in dataclasses.fields(ParameterPack)
+             if f.name != "checklist"}
+    if set(raw) != set(types):
+        raise ShiftcodeError(f"dictionary file {path}: [pack] keys missing or "
+                             f"unknown: {sorted(set(raw) ^ set(types))}")
+    source_sft = shiftspace.parse_sft("\n".join(section("source-sft")))
+    target_sft = shiftspace.parse_sft("\n".join(section("target-sft")))
+    mu = measures.parse_measure("\n".join(section("source-measure")), source_sft)
+    nu = measures.parse_measure("\n".join(section("target-measure")), target_sft)
     cast = {"int": int, "float": float, "str": str}
     pack = ParameterPack(**{k: cast[types[k]](v) for k, v in raw.items()})
-    scheme = markers.MarkerScheme.parse(sections["marker"][0], nu)
+    scheme = markers.MarkerScheme.parse(section("marker")[0], nu)
     boy_set = boys(mu, pack)
     girl_set = girls(target_sft, pack, scheme)
-    stored = dict(ln.split(None, 1) for ln in sections.get("counts", []) if ln)
-    if stored:
-        if (int(stored["boys"]) != boy_set.count
-                or int(stored["girls"]) != girl_set.count):
-            raise ShiftcodeError(
-                "dictionary file counts disagree with the rebuilt sets")
+    stored = {k: int(v) for k, v in (ln.split(None, 1)
+                                     for ln in sections.get("counts", []) if ln)}
+    if stored and ((stored.get("boys"), stored.get("girls"))
+                   != (boy_set.count, girl_set.count)):
+        raise ShiftcodeError(
+            "dictionary file counts disagree with the rebuilt sets")
     if mode == "hall":
-        table = {}
-        for ln in sections.get("table", []):
-            if ln.strip():
-                b, g = [part.strip() for part in ln.split("->")]
-                table[b] = g
-        d = Dictionary("hall", boy_set, girl_set, table=table,
-                           inverse={g: b for b, g in table.items()})
+        table = dict([part.strip() for part in ln.split("->")]
+                     for ln in sections.get("table", []) if ln.strip())
+        d = Dictionary("hall", boy_set, girl_set, table=table)
     else:
         d = build_dictionary(boy_set, girl_set, "enumerative", pack=pack)
     return pack, scheme, mu, nu, d
@@ -320,7 +328,7 @@ def _cmd_verify(args):
              nu.sample_path(min(length, 20000), seed=(args.seed, 8, i)))
             for i in range(3)]
     ws = codec.audit_weakstar(pair, refs, kmax=WEAKSTAR_KMAX)
-    cov_bound = 1 - (17 * pack.delta + pack.eps / 2) - 0.01
+    cov_bound = 1 - bad.bound - codec.BADSET_SLACK
     if args.csv:
         _write_block_csv(args.csv, pair, pack)
     emit_report("verify", [

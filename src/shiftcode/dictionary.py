@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automata import (avoider_dfa, one_count_dfa, product_dfa,
+from .automata import (Dfa, avoider_dfa, one_count_dfa, product_dfa,
                        rank_vector)
 from .errors import (CapacityError, DegreeError, NoGirlsError, ParameterError,
                      ShiftcodeError, UnmatchedBoyError)
@@ -27,6 +27,8 @@ WILSON_Z99 = 2.5758293035489004  # two-sided 0.99 normal quantile
 # delta bound from 4(1-delta)(1-15delta) >= 3, the positive root of
 # 60 d^2 - 64 d + 1 = 0
 STUPID_DELTA_BOUND = (64.0 - math.sqrt(64.0 ** 2 - 240.0)) / 120.0
+
+S5_KMAX = 3     # longest block in the s5 weak* condition
 
 
 def log_bigint(n: int) -> float:
@@ -140,8 +142,7 @@ def choose_parameters(h_source: float, h_target: float, eps: float,
                       source_alphabet: int = 2, gap: int = 1,
                       mu: MarkovMeasure | None = None,
                       nu: MarkovMeasure | None = None,
-                      mc_samples: int = 400, kmax: int = 3,
-                      seed: int = 0) -> ParameterPack:
+                      mc_samples: int = 400, seed: int = 0) -> ParameterPack:
     """Pick (Delta, delta, eta, r, ell, M, N) and evaluate the checklist.
 
     Strict mode derives every constant from the entropy gap: Delta is a
@@ -223,7 +224,7 @@ def choose_parameters(h_source: float, h_target: float, eps: float,
                          source_alphabet=source_alphabet, gap=gap,
                          binding=binding)
     _fill_checklist(pack, bounds, mu=mu, nu=nu, mc_samples=mc_samples,
-                    kmax=kmax, seed=seed)
+                    seed=seed)
     if mode == "strict":
         failed = [k for k in ("a", "b", "c", "d", "e")
                   if pack.checklist[k].passed is False]
@@ -232,7 +233,7 @@ def choose_parameters(h_source: float, h_target: float, eps: float,
     return pack
 
 
-def _fill_checklist(pack, bounds, *, mu, nu, mc_samples, kmax, seed):
+def _fill_checklist(pack, bounds, *, mu, nu, mc_samples, seed):
     cl = pack.checklist
     d, D, e = pack.delta, pack.Delta, pack.eps
 
@@ -273,7 +274,7 @@ def _fill_checklist(pack, bounds, *, mu, nu, mc_samples, kmax, seed):
         cl["e"] = CheckItem(None, "alpha/M bound not evaluated (no target measure)")
 
     if mu is not None and nu is not None:
-        _estimate_condition_sets(pack, mu, nu, mc_samples, kmax, seed)
+        _estimate_condition_sets(pack, mu, nu, mc_samples, seed)
     else:
         for i in range(1, 6):
             cl[f"s{i}"] = CheckItem(None, "not estimated (measures not supplied)")
@@ -297,10 +298,10 @@ def _window_conditions(pack, mu, nu, x: Word, y: Word, t: int, t2: int):
             lmx + lny > -(pack.h_joint_bound + D) * N)
 
 
-def _estimate_condition_sets(pack, mu, nu, samples, kmax, seed):
+def _estimate_condition_sets(pack, mu, nu, samples, seed):
     """Monte-Carlo masses of the five sampled condition sets, with 0.99
     Wilson intervals; an item passes when the interval lower bound clears
-    1 - delta."""
+    1 - delta.  s5 compares blocks of 1..S5_KMAX symbols."""
     from .estimators import (BlockDistribution, empirical_family,
                              weakstar_surrogate)
     N, M = pack.N, pack.M
@@ -308,17 +309,14 @@ def _estimate_condition_sets(pack, mu, nu, samples, kmax, seed):
     t2 = max(pack.eta_radius - 1, 0)   # radius for threshold 2 eta
     d = pack.delta
     hits = {k: 0 for k in ("s1", "s2", "s3", "s4", "s5")}
-    exact_joint = None
-    if kmax >= 1:
-        exact_mu = [BlockDistribution.exact(mu, k) for k in range(1, kmax + 1)]
-        exact_nu = [BlockDistribution.exact(nu, k) for k in range(1, kmax + 1)]
-        exact_joint = []
-        for k in range(kmax):
-            freqs = {}
-            for wa, pa in exact_mu[k].freqs.items():
-                for wb, pb in exact_nu[k].freqs.items():
-                    freqs[tuple(zip(wa, wb))] = pa * pb
-            exact_joint.append(BlockDistribution(k + 1, freqs))
+    exact_joint = []
+    for k in range(1, S5_KMAX + 1):
+        freqs = {}
+        nu_k = BlockDistribution.exact(nu, k).freqs.items()
+        for wa, pa in BlockDistribution.exact(mu, k).freqs.items():
+            for wb, pb in nu_k:
+                freqs[tuple(zip(wa, wb))] = pa * pb
+        exact_joint.append(BlockDistribution(k, freqs))
     for i in range(samples):
         x = mu.sample_path(N + 2 * t + 1, seed=(seed, 1, i))
         y = nu.sample_path(N + 2 * t + 1, seed=(seed, 2, i))
@@ -327,12 +325,11 @@ def _estimate_condition_sets(pack, mu, nu, samples, kmax, seed):
         for key, ok in zip(("s1", "s2", "s3", "s4"),
                            _window_conditions(pack, mu, nu, x, y, t, t2)):
             hits[key] += ok
-        if exact_joint is not None:
-            pair = np.stack([x.window(M, N - 10 * M).symbols,
-                             y.window(M, N - 10 * M).symbols], axis=1)
-            emp = empirical_family(pair, kmax)
-            if weakstar_surrogate(emp, exact_joint, kmax) < pack.eps / 12:
-                hits["s5"] += 1
+        pair = np.stack([x.window(M, N - 10 * M).symbols,
+                         y.window(M, N - 10 * M).symbols], axis=1)
+        emp = empirical_family(pair, S5_KMAX)
+        if weakstar_surrogate(emp, exact_joint, S5_KMAX) < pack.eps / 12:
+            hits["s5"] += 1
     for key, h in hits.items():
         lo, hi = wilson_interval(h, samples)
         pack.checklist[key] = CheckItem(
@@ -354,9 +351,6 @@ class _WordSet:
 
     _noun = "word"
 
-    def _check_rank_size(self):
-        """Raise before rank/unrank would build too large a table."""
-
     def member_rows(self, rows) -> np.ndarray:
         rows = np.asarray(rows)
         if rows.shape[1] != self._width:
@@ -365,14 +359,17 @@ class _WordSet:
 
     def rank_rows(self, rows) -> np.ndarray:
         """Lex ranks, an object vector; ``ValueError`` on a non-member."""
-        self._check_rank_size()
-        if not self.member_rows(rows).all():
+        rows = np.asarray(rows)
+        if len(rows) and rows.shape[1] != self._width:
             raise ValueError(f"not a {self._noun}")
-        return self.dfa.rank_rows(rows)
+        try:
+            # an empty batch of another width ranks as one of this width
+            return self.dfa.rank_rows(rows.reshape(-1, self._width))
+        except ValueError:
+            raise ValueError(f"not a {self._noun}") from None
 
     def unrank_rows(self, ranks) -> np.ndarray:
         """Members of the given ranks; ``ValueError`` if one is out of range."""
-        self._check_rank_size()
         return self.dfa.unrank_rows(self._width, ranks)
 
     def member(self, word: Word) -> bool:
@@ -386,78 +383,57 @@ class _WordSet:
 
 
 class BoySet(_WordSet):
-    """Source N-blocks whose cylinder probability clears the threshold."""
+    """Source N-blocks whose cylinder probability clears the threshold:
+    the words of length N that ``dfa`` accepts, ``count`` of them, of
+    total probability ``mass``."""
 
     _noun = "boy"
 
-    def __init__(self, N: int):
-        self.N = self._width = N
+    def __init__(self, dfa: Dfa | None, N: int, count: int, mass: float):
+        self.dfa, self.N, self._width = dfa, N, N
+        self.count, self.mass = count, mass
 
 
-class _UniformBoys(BoySet):
-    """Every admissible N-block is a boy (threshold below the minimum).
-
-    On a full shift (every Bernoulli(1/2) source) the rank is the block's
-    base-m value, computed over rows: the factor automaton's suffix table
-    would hold about N^2/2 bits (2.7e9 at the strict N = 73,495).
-    """
+class _FullShiftBoys(BoySet):
+    """Every block of a full shift (every Bernoulli(1/2) source) is a boy,
+    and its rank is its base-m value, computed over rows: the factor
+    automaton's suffix table would hold about N^2/2 bits (2.7e9 at the
+    strict N = 73,495)."""
 
     rank, unrank = _WordSet.rank, _WordSet.unrank
 
-    def __init__(self, mu, N, log_threshold):
-        super().__init__(N)
-        self.dfa = mu.sft.factor_dfa()
-        self.count = self.dfa.count(N)
-        self.mass = 1.0
-        self._full = mu.sft.is_full_shift()
-        self._m = mu.sft.alphabet_size
-
     def rank_rows(self, rows) -> np.ndarray:
-        if not self._full:
-            return super().rank_rows(rows)
         if not self.member_rows(rows).all():
             raise ValueError("not a boy")
         ranks = np.zeros(len(rows), dtype=object)
         for col in np.asarray(rows).T:
-            ranks = ranks * self._m + col
+            ranks = ranks * self.dfa.alphabet_size + col
         return ranks
 
     def unrank_rows(self, ranks) -> np.ndarray:
-        if not self._full:
-            return super().unrank_rows(ranks)
         ranks = rank_vector(ranks, self.count)
         digits = np.empty((len(ranks), self.N), dtype=np.uint8)
         for pos in range(self.N - 1, -1, -1):
-            digits[:, pos] = ranks % self._m
-            ranks = ranks // self._m
+            digits[:, pos] = ranks % self.dfa.alphabet_size
+            ranks = ranks // self.dfa.alphabet_size
         return digits
 
 
-class _BinomialBoys(BoySet):
-    """Bernoulli(p) on two symbols: membership is a one-count range, and
-    ranks are lex ranks on ``one_count_dfa`` (a symbol outside {0, 1}
-    kills the walk, so such a block is no boy)."""
-
-    rank, unrank = _WordSet.rank, _WordSet.unrank
-
-    def __init__(self, mu, N, log_threshold):
-        super().__init__(N)
-        p = mu.transition[0]
-        self.lp0, self.lp1 = math.log(p[0]), math.log(p[1])
-        ks = [k for k in range(N + 1)
-              if k * self.lp1 + (N - k) * self.lp0 >= log_threshold]
-        if not ks:
-            raise ParameterError("threshold excludes every block")
-        self.k_lo, self.k_hi = min(ks), max(ks)
-        assert self.k_hi - self.k_lo + 1 == len(ks), "one-count set not contiguous"
-        combs = [math.comb(N, k) for k in ks]
-        self.count = sum(combs)
-        # summed in log space: a comb(N, k) of 2^1024 or more has no float
-        logs = [math.log(c) + k * self.lp1 + (N - k) * self.lp0
-                for c, k in zip(combs, ks)]
-        top = max(logs)
-        self.mass = math.exp(top) * math.fsum(math.exp(t - top) for t in logs)
-        self.dfa = one_count_dfa(self.k_lo, self.k_hi)
+def _one_count_boys(mu, N, log_threshold) -> BoySet:
+    """Bernoulli(p) on two symbols: the boys are the blocks whose count of
+    ones lies in one range, the words of ``one_count_dfa`` (a symbol
+    outside {0, 1} kills the walk, so such a block is no boy)."""
+    p = mu.transition[0]
+    lp0, lp1 = math.log(p[0]), math.log(p[1])
+    ks = [k for k in range(N + 1) if k * lp1 + (N - k) * lp0 >= log_threshold]
+    if not ks:
+        raise ParameterError("threshold excludes every block")
+    combs = [math.comb(N, k) for k in ks]
+    # summed in log space: a comb(N, k) of 2^1024 or more has no float
+    logs = [math.log(c) + k * lp1 + (N - k) * lp0 for c, k in zip(combs, ks)]
+    top = max(logs)
+    mass = math.exp(top) * math.fsum(math.exp(t - top) for t in logs)
+    return BoySet(one_count_dfa(ks[0], ks[-1]), N, sum(combs), mass)
 
 
 class _EnumeratedBoys(BoySet):
@@ -470,7 +446,6 @@ class _EnumeratedBoys(BoySet):
     rank, unrank = _WordSet.rank, _WordSet.unrank
 
     def __init__(self, mu, N, log_threshold):
-        super().__init__(N)
         candidates = mu.sft.factor_dfa().count(N)
         if candidates > self.MAX_CANDIDATES:
             raise ParameterError(
@@ -478,15 +453,15 @@ class _EnumeratedBoys(BoySet):
                 f"over alphabet {mu.sft.alphabet_size} exceed the "
                 f"{self.MAX_CANDIDATES}-candidate ceiling")
         members = []
-        self.mass = 0.0
+        mass = 0.0
         for w in enumerate_words(mu.sft, N):
             lp = mu.log_cylinder_probability(w)
             if lp >= log_threshold:
                 members.append(w.symbols)
-                self.mass += math.exp(lp)
+                mass += math.exp(lp)
         self._listed = np.array(members, dtype=np.uint8).reshape(-1, N)
         self._index = {row.tobytes(): i for i, row in enumerate(self._listed)}
-        self.count = len(self._listed)
+        super().__init__(None, N, len(self._listed), mass)
 
     def member_rows(self, rows) -> np.ndarray:
         rows = np.asarray(rows)
@@ -494,9 +469,11 @@ class _EnumeratedBoys(BoySet):
                          for row in rows], dtype=bool)
 
     def rank_rows(self, rows) -> np.ndarray:
-        if not self.member_rows(rows).all():
+        rows = np.asarray(rows)
+        ranks = [self._index.get(row.tobytes()) for row in rows]
+        if None in ranks or (len(rows) and rows.shape[1] != self.N):
             raise ValueError("not a boy")
-        return np.array([self._index[row.tobytes()] for row in rows], dtype=object)
+        return np.array(ranks, dtype=object)
 
     def unrank_rows(self, ranks) -> np.ndarray:
         return self._listed[rank_vector(ranks, self.count).astype(np.intp)]
@@ -504,14 +481,17 @@ class _EnumeratedBoys(BoySet):
 
 def boys(mu: MarkovMeasure, pack: ParameterPack) -> BoySet:
     """The source N-blocks of log-probability at least -N(h_source + Delta)."""
-    log_threshold = -pack.N * (pack.h_source + pack.Delta)
-    if min_log_cylinder(mu, pack.N) >= log_threshold:
-        return _UniformBoys(mu, pack.N, log_threshold)
+    N = pack.N
+    log_threshold = -N * (pack.h_source + pack.Delta)
+    if min_log_cylinder(mu, N) >= log_threshold:
+        dfa = mu.sft.factor_dfa()
+        kind = _FullShiftBoys if mu.sft.is_full_shift() else BoySet
+        return kind(dfa, N, dfa.count(N), 1.0)
     p = mu.transition
     if (mu.sft.k == 1 and mu.sft.alphabet_size == 2
             and np.allclose(p[0], p[1]) and np.all(p > 0)):
-        return _BinomialBoys(mu, pack.N, log_threshold)
-    return _EnumeratedBoys(mu, pack.N, log_threshold)
+        return _one_count_boys(mu, N, log_threshold)
+    return _EnumeratedBoys(mu, N, log_threshold)
 
 
 class GirlSet(_WordSet):
@@ -519,9 +499,6 @@ class GirlSet(_WordSet):
     windows, with exact counting and lex rank/unrank over the product of
     the SFT factor automaton and the window-avoidance automaton."""
 
-    # bits of the exact suffix-count table behind rank/unrank (~512 MiB of
-    # int digits; at the strict pack the table would need ~1.3e11 bits)
-    RANK_BIT_LIMIT = 2 ** 32
     _noun = "girl"
     member, rank, unrank = _WordSet.member, _WordSet.rank, _WordSet.unrank
 
@@ -531,7 +508,6 @@ class GirlSet(_WordSet):
         self.length = self._width = pack.girl_length
         if self.length < 1:
             raise ParameterError("N - 11M must be >= 1")
-        self.sft = sft
         patterns = [scheme.h1_window.symbols.tolist(),
                     scheme.h2_window.symbols.tolist()]
         self.dfa = product_dfa(sft.factor_dfa(),
@@ -539,18 +515,6 @@ class GirlSet(_WordSet):
         self.count = self.dfa.count(self.length)
         if self.count == 0:
             raise NoGirlsError("no girls: every candidate word was filtered")
-
-    def _check_rank_size(self):
-        """Refuse rank/unrank before building a suffix-count table whose
-        estimated size, n_nodes * L^2 * log2(m) / 2 bits (row t holds
-        counts of about t * log2(m) bits), exceeds RANK_BIT_LIMIT."""
-        n, L, m = self.dfa.n_nodes, self.length, self.sft.alphabet_size
-        bits = n * L * L * math.log2(m) / 2
-        if bits > self.RANK_BIT_LIMIT:
-            raise ParameterError(
-                f"girls rank/unrank: suffix-count table of ~{bits:.3g} bits "
-                f"(n_nodes={n}, length={L}, alphabet={m}) exceeds the "
-                f"{self.RANK_BIT_LIMIT:.3g}-bit limit")
 
 
 def girls(sft: Sft, pack: ParameterPack, scheme: MarkerScheme) -> GirlSet:
@@ -684,13 +648,26 @@ def marriage_bound(pack: ParameterPack, h_joint: float, h_source: float) -> floa
 
 @dataclass
 class Dictionary:
-    """Injective map boys -> girls, enumerative or explicit."""
+    """Injective map boys -> girls, enumerative or explicit.  A hall table
+    is checked when the dictionary is built: its keys are boys, its values
+    girls, no girl twice."""
 
     mode: str
     boys: BoySet
     girls: GirlSet
     table: dict | None = None       # hall mode: boy string -> girl string
-    inverse: dict | None = None
+    inverse: dict | None = field(default=None, init=False)
+
+    def __post_init__(self):
+        if self.table is None:
+            return
+        self.inverse = {g: b for b, g in self.table.items()}
+        for b, g in sorted(self.table.items()):
+            if not (self.boys.member(Word.from_string(b))
+                    and self.girls.member(Word.from_string(g))):
+                raise ParameterError(f"hall table: {b} -> {g} is not a boy to a girl")
+        if len(self.inverse) < len(self.table):
+            raise ParameterError("hall table: two boys map to one girl")
 
     def lookup_rows(self, boy_rows) -> np.ndarray:
         """The girl of every boy row, as a ``(B, girl length)`` array."""
@@ -703,12 +680,6 @@ class Dictionary:
                     f"not among the {len(self.table)} boys the table "
                     f"covers") from None
         return self.girls.unrank_rows(self.boys.rank_rows(boy_rows))
-
-    def girl_ranks(self, boy_rows) -> np.ndarray:
-        """Girl rank of every boy row's image (enumerative: the boy rank)."""
-        if self.mode == "hall":
-            return self.girls.rank_rows(self.lookup_rows(boy_rows))
-        return self.boys.rank_rows(boy_rows)
 
     def invert_rows(self, girl_rows):
         """(boy rows, found): each girl row's boy, zero where ``found`` is
@@ -734,15 +705,6 @@ class Dictionary:
         """The boy mapped to this girl, or None when none is."""
         rows, found = self.invert_rows(girl_word.symbols[None])
         return Word(rows[0]) if found[0] else None
-
-    def invert_nearest(self, window: Word):
-        """Hall-mode decoder fallback: argmin Hamming distance over the
-        mapped girls, ties broken lexicographically by boy."""
-        if not self.table:
-            return None
-        text = window.to_string()
-        return Word.from_string(min(sorted(self.table), key=lambda b: sum(
-            a != c for a, c in zip(self.table[b], text))))
 
 
 def _table_rows(table: dict, rows, width: int) -> np.ndarray:
@@ -772,10 +734,7 @@ def dictionary(boy_set: BoySet, girl_set: GirlSet, mode: str = "enumerative",
     if mode == "hall":
         if relation is None or K is None:
             raise ParameterError("hall mode needs a relation and K")
-        table = hall_match(relation, K)
-        inverse = {g: b for b, g in table.items()}
-        return Dictionary("hall", boy_set, girl_set, table=table,
-                          inverse=inverse)
+        return Dictionary("hall", boy_set, girl_set, table=hall_match(relation, K))
     raise ParameterError(f"unknown dictionary mode {mode!r}")
 
 

@@ -94,9 +94,6 @@ def find_marker(sft: Sft, nu: MarkovMeasure, M: int, alpha: float,
     if bits <= EXHAUSTIVE_BITS:
         return _exhaustive_marker(sft, nu, M, alpha)
 
-    def evaluate(word):
-        return check_scheme(sft, nu, word, M, alpha)
-
     total = dfa.count(n)
     if total == 0:
         raise NoMarkerExistsError("no admissible word of marker length")
@@ -117,7 +114,7 @@ def find_marker(sft: Sft, nu: MarkovMeasure, M: int, alpha: float,
     starts = restarts()
     while evals < budget:
         word = Word(next(starts))
-        viol, nu1, nu2, ok = evaluate(word)
+        viol, nu1, nu2, ok = check_scheme(sft, nu, word, M, alpha)
         evals += 1
         if best is None or viol < best[0]:
             best = (viol, word, nu1, nu2)
@@ -137,7 +134,7 @@ def find_marker(sft: Sft, nu: MarkovMeasure, M: int, alpha: float,
                     cand = Word(sym.copy())
                     if not sft.is_admissible(cand):
                         continue
-                    v2, n1, n2, ok2 = evaluate(cand)
+                    v2, n1, n2, ok2 = check_scheme(sft, nu, cand, M, alpha)
                     evals += 1
                     if ok2:
                         return MarkerScheme(cand, M, alpha, n1, n2)

@@ -132,6 +132,15 @@ MISSING_INPUT = {
     "params-eps-only": (["params", "--eps", "0.5"],
                         "params needs --h-source, or --source-sft with "
                         "--source-measure"),
+    "decode-dict-garbage": (["decode", "--dict", str(DATA / "garbage.dict"),
+                             "--coded", "unread.coded"],
+                            f"dictionary file {DATA / 'garbage.dict'} has no "
+                            f"[format] section"),
+    "decode-dict-format-pack-only": (
+        ["decode", "--dict", str(DATA / "format_pack_only.dict"),
+         "--coded", "unread.coded"],
+        f"dictionary file {DATA / 'format_pack_only.dict'} has no "
+        f"[source-sft] section"),
 }
 
 

@@ -185,6 +185,38 @@ class TestRoundtrip:
         assert "UnmatchedBoyError: hall-mode dictionary lookup: boy block" \
             in capsys.readouterr().err
 
+    def test_hall_corrupted_info_window_unrecovered(self, full2, bern_half):
+        # a flip that turns a table girl into a girl outside the table
+        # leaves its block unrecovered; a nearest-girl match used to mark
+        # it recovered, at times with another boy's block
+        mu = MarkovMeasure.bernoulli([0.98, 0.02])
+        pack = practical_pack(mu.entropy(), LOG2, 0.2, N=32, M=2, delta=0.02)
+        scheme = find_marker(full2, bern_half, M=2, alpha=0.5, seed=1)
+        b, g = boys(mu, pack), girls(full2, pack, scheme)
+        table = {b.unrank(i).to_string(): g.unrank(i).to_string()
+                 for i in range(b.count)}
+        d = dictionary(b, g, "hall", relation=Relation(
+            edges={bs: [gs] for bs, gs in table.items()}, witnesses={}),
+            K=1, pack=pack)
+        N, M = pack.N, pack.M
+        pair = encode(mu.sample_path(2000, seed=(0, 3)), d, scheme, pack,
+                      full2, seed=0)
+        n = pair.marker_positions[0] - (N - 9 * M)
+        lo, hi = pack.info_region
+        flips = 0
+        for pos in range(n + lo, n + hi):
+            y = pair.y.symbols.copy()
+            y[pos] ^= 1
+            window = Word(y[n + lo:n + hi])
+            if not g.member(window) or window.to_string() in d.inverse:
+                continue
+            flips += 1
+            _, mask = decode(Word(y, pair.y.lo), d, scheme, pack)
+            assert not mask[n:n + N].any()
+            mask[n:n + N] = pair.mask[n:n + N]
+            assert np.array_equal(mask, pair.mask)
+        assert flips > 0
+
     def test_golden_mean_target(self, golden_mean):
         # non-full-shift target exercises real connector search everywhere;
         # the sparse source keeps the boy set inside the 82 surviving girls

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from shiftcode.dictionary import (ParameterPack, Relation, _EnumeratedBoys,
-                                  boys, build_relation, choose_parameters,
-                                  dictionary, girls, hall_match, log_bigint,
-                                  marriage_bound, verify_dictionary_bounds,
-                                  wilson_interval)
+                                  _one_count_boys, boys, build_relation,
+                                  choose_parameters, dictionary, girls,
+                                  hall_match, log_bigint, marriage_bound,
+                                  verify_dictionary_bounds, wilson_interval)
 from shiftcode.errors import (CapacityError, DegreeError, NoGirlsError,
                               ParameterError)
 from shiftcode.markers import MarkerScheme, avoidance_filter, find_marker
@@ -21,6 +21,12 @@ from conftest import (LOG2, reference_binomial_rank, reference_binomial_unrank,
 
 H_01 = 0.3250829733914482
 DATA = Path(__file__).parent / "data"
+
+
+def one_count_range(b):
+    """(k_lo, k_hi + 1) of one-count boys, read off their automaton: the
+    nodes count the ones so far, accepting from k_lo."""
+    return int(np.argmax(b.dfa.accepting)), b.dfa.n_nodes
 
 
 def practical_pack(h_s, h_t, eps, N, M, delta, alpha=0.5, **kw):
@@ -154,15 +160,28 @@ class TestBoys:
         # the summed binomials reach past 2^1024 here, where a float sum
         # of comb(N, k) * p^k q^(N-k) raised OverflowError
         import mpmath
-        from shiftcode.dictionary import _BinomialBoys
-        b = _BinomialBoys(bern_01, N, -N * (H_01 + 0.05))
-        assert max(math.comb(N, k) for k in range(b.k_lo, b.k_hi + 1)) > 2 ** 1024
-        assert b.count == sum(math.comb(N, k) for k in range(b.k_lo, b.k_hi + 1))
+        b = _one_count_boys(bern_01, N, -N * (H_01 + 0.05))
+        ks = range(*one_count_range(b))
+        assert max(math.comb(N, k) for k in ks) > 2 ** 1024
+        assert b.count == sum(math.comb(N, k) for k in ks)
         p0, p1 = (mpmath.mpf(p) for p in bern_01.transition[0])
         with mpmath.workdps(60):
             want = mpmath.fsum(mpmath.binomial(N, k) * p1 ** k * p0 ** (N - k)
-                               for k in range(b.k_lo, b.k_hi + 1))
+                               for k in ks)
         assert b.mass == pytest.approx(float(want), rel=1e-12)
+
+    def test_one_count_table_over_the_limit_refused(self, bern_01):
+        # about 1,000 one-count nodes at N = 8192: a suffix-count table of
+        # ~3e10 bits, refused before a row of it is built
+        b = boys(bern_01, practical_pack(H_01, LOG2, 0.2, N=8192, M=2,
+                                         delta=0.02))
+        assert one_count_range(b)[1] > 900
+        with pytest.raises(ParameterError, match="suffix-count table"):
+            b.rank_rows(np.zeros((1, 8192), dtype=np.uint8))
+        with pytest.raises(ParameterError, match="suffix-count table"):
+            b.unrank(0)
+        assert "suffix" not in b.dfa._tables
+        assert "suffix64" not in b.dfa._tables
 
     def test_enumerated_boys_refuse_too_many_candidates(self):
         # 3^16 > 2^24 admissible blocks: refused before the walk, which
@@ -279,7 +298,6 @@ class TestBatchMethods:
         assert [tuple(w) for w in girl_rows.tolist()] == [
             reference_unrank(g.dfa, g.length, r) for r in ranks]
         assert g.rank_rows(girl_rows).tolist() == ranks
-        assert d.girl_ranks(boy_rows).tolist() == ranks
         back, found = d.invert_rows(girl_rows)
         assert found.all() and np.array_equal(back, boy_rows)
         # girls ranked at or past the boy count are nobody's image
@@ -314,7 +332,7 @@ class TestBatchMethods:
         # a block of 2s has no ones, so a one-count test alone took it for
         # a boy of rank 0 and the dictionary mapped it to girl 0
         b, g, d = practical
-        assert (b.k_lo, b.k_hi) == (0, 7)
+        assert one_count_range(b) == (0, 8)
         word = Word(np.full(64, 2, dtype=np.uint8))
         assert b.member(word) is False
         with pytest.raises(ValueError, match="not a boy"):
@@ -538,6 +556,20 @@ class TestDictionary:
             assert B.to_string() == format(r, "03b")
             assert d.lookup(B).to_string() == lex_girls[r]
             assert d.invert(d.lookup(B)) == B
+
+    def test_hall_table_of_non_members_refused(self, full2, bern_half):
+        mu = MarkovMeasure.bernoulli([0.98, 0.02])
+        pack = practical_pack(mu.entropy(), LOG2, 0.5, N=12, M=1, delta=0.05)
+        scheme = find_marker(full2, bern_half, M=1, alpha=0.9, seed=2)
+        b = boys(mu, pack)
+        g = girls(full2, pack, scheme)
+        boy, girl = b.unrank(0).to_string(), g.unrank(0).to_string()
+        non_boy = "1" * pack.N
+        assert not b.member(Word.from_string(non_boy))
+        for table in ({non_boy: girl}, {boy: "2" * g.length}, {boy: girl + "0"}):
+            rel = Relation(edges={k: [v] for k, v in table.items()}, witnesses={})
+            with pytest.raises(ParameterError, match="is not a boy to a girl"):
+                dictionary(b, g, "hall", relation=rel, K=1, pack=pack)
 
     def test_capacity_failure_counts(self, full3):
         nu3 = MarkovMeasure.uniform(full3)
