@@ -150,7 +150,18 @@ def read_dictionary_file(path: str):
     nu = measures.parse_measure("\n".join(section("target-measure")), target_sft)
     cast = {"int": int, "float": float, "str": str}
     pack = ParameterPack(**{k: cast[types[k]](v) for k, v in raw.items()})
-    scheme = markers.MarkerScheme.parse(section("marker")[0], nu)
+    line = section("marker")[0]
+    fields = dict(part.partition("=")[::2] for part in line.split())
+    for key, parse in (("word", Word.from_string), ("M", int), ("alpha", float)):
+        if key not in fields:
+            raise ShiftcodeError(f"dictionary file {path}: [marker] has no "
+                                 f"{key} field")
+        try:
+            parse(fields[key])
+        except ValueError:
+            raise ShiftcodeError(f"dictionary file {path}: [marker] field "
+                                 f"{key}={fields[key]} is malformed") from None
+    scheme = markers.MarkerScheme.parse(line, nu)
     boy_set = boys(mu, pack)
     girl_set = girls(target_sft, pack, scheme)
     stored = {k: int(v) for k, v in (ln.split(None, 1)

@@ -311,15 +311,47 @@ def lz78_phrases(word: Word) -> int:
 
     The phrases and the empty word form a prefix-closed set, so whether
     ``y[i:i+L]`` is a phrase is monotone in L, and the longest match at i
-    is found by bisection.  A non-empty match that runs to the end is the
-    trailing partial phrase, counted once.
+    is found by galloping.  The first probe is the shorter of the last
+    two match lengths (one long phrase in a run of short ones does not
+    move it).  A hit doubles the step upwards; a miss probes one shorter
+    first, then doubles the step downwards.  Either way the last bracket
+    is bisected, and no probe passes the longest phrase or the end of
+    the word.  A non-empty match that runs to the end is the trailing
+    partial phrase, counted once.
     """
     y = word.symbols.tobytes()
     n = len(y)
     seen = {b""}
-    longest = phrases = i = 0
+    longest = phrases = i = lo = last = 0
     while i < n:
-        lo, hi = 0, min(longest, n - i)
+        # plain comparisons: a call to min() per probe costs more than
+        # the probes that galloping saves
+        hi = n - i
+        if hi > longest:
+            hi = longest
+        lo, last = (lo if lo < last else last), lo
+        if lo > hi:
+            lo = hi
+        if y[i:i + lo] in seen:
+            step = 1
+            while lo < hi:
+                t = lo + step
+                if t > hi:
+                    t = hi
+                if y[i:i + t] not in seen:
+                    hi = t - 1
+                    break
+                lo = t
+                step <<= 1
+        else:
+            hi, lo, step = lo - 1, 0, 0
+            while lo < hi - step:
+                t = hi - step
+                if y[i:i + t] in seen:
+                    lo = t
+                    break
+                hi = t - 1
+                step = 2 * step + 1
         while lo < hi:
             mid = (lo + hi + 1) >> 1
             if y[i:i + mid] in seen:

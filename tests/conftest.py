@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import settings
 
 from shiftcode.errors import EmptySftError
 from shiftcode.measures import MarkovMeasure
-from shiftcode.shiftspace import build_sft, window_codes
+from shiftcode.shiftspace import Word, build_sft, window_codes
 
 # Derandomized so a run draws the same examples on every host, without a
 # deadline because shared hosts stall, and without an example database so
@@ -142,6 +143,23 @@ def reference_lz78_phrases(word):
     if node != 0:
         phrases += 1
     return phrases
+
+
+def reference_block_distribution(words, k):
+    """Reference for BlockDistribution.from_words: the frequencies of a
+    Counter of the k-blocks of each sample, as tuples of symbols (of d-tuples
+    for paired samples), keys in lex order."""
+    if isinstance(words, (Word, np.ndarray)):
+        words = [words]
+    counts = Counter()
+    for w in words:
+        rows = [tuple(r) if isinstance(r, list) else r
+                for r in np.asarray(w.symbols if isinstance(w, Word) else w).tolist()]
+        counts.update(tuple(rows[i:i + k]) for i in range(len(rows) - k + 1))
+    n = sum(counts.values())
+    if n < 1:
+        raise ValueError("word shorter than block length")
+    return {key: c / n for key, c in sorted(counts.items())}
 
 
 def reference_walk(dfa, symbols):

@@ -234,6 +234,35 @@ class TestEncodeDecodeFiles(object):
         assert proc.returncode == 1
         assert f"coded stream {key} header does not match" in proc.stderr
 
+    @pytest.mark.parametrize("marker, message", [
+        ("M=2 alpha=0.5", "[marker] has no word field"),
+        ("alpha=0.5 word=0010010010010011", "[marker] has no M field"),
+        ("M=2 word=0010010010010011", "[marker] has no alpha field"),
+        ("M=two alpha=0.5 word=0010010010010011",
+         "[marker] field M=two is malformed"),
+        ("M=2 alpha=0.5 word=00100x0010010011",
+         "[marker] field word=00100x0010010011 is malformed"),
+    ])
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_cut_marker_line_ends_in_an_error_line(self, coded_stream,
+                                                   tmp_path, marker, message,
+                                                   command):
+        dict_path, coded_path = coded_stream
+        lines = dict_path.read_text().splitlines()
+        at = lines.index("[marker]") + 1
+        assert lines[at].startswith("M=2 alpha=0.5 word=")
+        lines[at] = marker
+        bad = tmp_path / "cut.dict"
+        bad.write_text("\n".join(lines) + "\n")
+        args = {"encode": ["--length", "100", "--seed", "5",
+                           "--coded-out", str(tmp_path / "run.coded")],
+                "decode": ["--coded", str(coded_path)]}[command]
+        proc = cli(command, "--dict", str(bad), *args)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"dictionary file {bad}: {message}" in proc.stderr
+        assert proc.stdout == ""
+
     def test_run_api(self, tmp_path, capsys):
         code = run(["entropy", "--sft", str(DATA / "full2.sft")])
         assert code == 0

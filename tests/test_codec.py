@@ -455,6 +455,47 @@ class TestAudits:
         y = Word(np.array(symbols, dtype=np.uint8))
         assert lz78_phrases(y) == reference_lz78_phrases(y)
 
+    # Long phrases next to sudden short ones: each galloping branch, and
+    # the caps at the longest phrase and at the end of the word.
+    @given(filler=st.lists(st.integers(0, 1), max_size=48),
+           n=st.integers(0, 10_000))
+    @settings(max_examples=40)
+    def test_lz78_phrases_on_a_tiled_marker(self, filler, n):
+        period = [int(c) for c in "0010010010010011"] + filler
+        y = Word(np.resize(np.array(period, dtype=np.uint8), n))
+        assert lz78_phrases(y) == reference_lz78_phrases(y)
+
+    @given(pieces=st.lists(st.one_of(
+        st.tuples(st.integers(0, 2), st.integers(1, 10_000)),
+        st.lists(st.integers(0, 2), min_size=1, max_size=300)), max_size=4))
+    @settings(max_examples=80)
+    def test_lz78_phrases_on_constant_runs_and_random_pieces(self, pieces):
+        parts = [np.full(p[1], p[0]) if isinstance(p, tuple) else np.array(p)
+                 for p in pieces]
+        y = Word(np.concatenate([np.zeros(0), *parts]).astype(np.uint8))
+        assert lz78_phrases(y) == reference_lz78_phrases(y)
+
+    @given(size=st.integers(1, 3), data=st.data())
+    @settings(max_examples=60)
+    def test_lz78_phrases_with_the_longest_phrase_last(self, size, data):
+        """A word cut after a whole phrase, then the longest phrase again:
+        the trailing partial phrase is as long as every earlier one and
+        ends at the end of the word."""
+        symbols = data.draw(st.lists(st.integers(0, size - 1), min_size=1,
+                                     max_size=2_000), label="symbols")
+        phrases, node = [], b""
+        seen = {b""}
+        for a in bytes(symbols):
+            node += bytes([a])
+            if node not in seen:
+                seen.add(node)
+                phrases.append(node)
+                node = b""
+        longest = max(phrases, key=len)
+        head = b"".join(phrases)
+        y = Word(np.frombuffer(head + longest, dtype=np.uint8))
+        assert lz78_phrases(y) == reference_lz78_phrases(y) == len(phrases) + 1
+
     def test_lz78_phrases_match_reference_on_samples(self, bern_half, bern_01):
         for y in (Word(np.zeros(0, dtype=np.uint8)),
                   bern_half.sample_path(50_000, seed=93),

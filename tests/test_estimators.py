@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftcode.errors import CoverageError, NoReturnError
@@ -12,9 +12,9 @@ from shiftcode.estimators import (BlockDistribution, binary_entropy,
                                   empirical_family, total_variation,
                                   weakstar_surrogate)
 from shiftcode.measures import MarkovMeasure
-from shiftcode.shiftspace import Word, build_sft
+from shiftcode.shiftspace import Word, build_sft, window_codes
 
-from conftest import LOG2
+from conftest import LOG2, reference_block_distribution
 
 H_01 = 0.3250829733914482
 
@@ -127,6 +127,60 @@ class TestReturnTime:
         with pytest.raises(NoReturnError) as exc:
             dw_estimate(z, 5)
         assert exc.value.bound == 56
+
+
+# The narrowest window-code dtype holds m^(k d) codes: m symbols, block
+# length k, d symbols a row (2 for paired samples).
+CODE_RANGES = {"uint8": (2, 2 ** 8), "uint16": (2 ** 8 + 1, 2 ** 16),
+               "uint32": (2 ** 16 + 1, 2 ** 32)}
+
+
+class TestBlockDistribution:
+    @pytest.mark.parametrize("dtype", sorted(CODE_RANGES))
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_from_words_matches_counter(self, dtype, data):
+        k = data.draw(st.integers(1, 4), label="k")
+        d = data.draw(st.sampled_from([1, 2]), label="d")
+        low, high = CODE_RANGES[dtype]
+        alphabet = [m for m in range(2, 256) if low <= m ** (k * d) <= high]
+        assume(alphabet)
+        m = data.draw(st.sampled_from(alphabet), label="m")
+        lengths = data.draw(st.lists(st.integers(0, 40), min_size=1,
+                                     max_size=4), label="lengths")
+        row = (d,) if d == 2 else ()
+        samples = []
+        for n in lengths:
+            flat = data.draw(st.lists(st.integers(0, m - 1), min_size=n * d,
+                                      max_size=n * d))
+            samples.append(np.array(flat, dtype=np.uint8).reshape((n, *row)))
+        # the largest symbol occurs, so the codes take the drawn dtype
+        samples[0] = np.concatenate(
+            [samples[0], np.full((1, *row), m - 1, dtype=np.uint8)])
+        assert window_codes(samples[0].reshape(-1), k * d, m).dtype == dtype
+        if len(samples) == 1 and data.draw(st.booleans(), label="bare"):
+            samples = Word(samples[0]) if d == 1 else samples[0]
+        try:
+            want = reference_block_distribution(samples, k)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                BlockDistribution.from_words(samples, k)
+            return
+        got = BlockDistribution.from_words(samples, k).freqs
+        assert list(got.items()) == list(want.items())
+
+    def test_no_block_spans_two_samples(self):
+        a = np.array([[0, 1], [0, 1]], dtype=np.uint8)
+        b = np.array([[1, 0], [1, 0]], dtype=np.uint8)
+        got = BlockDistribution.from_words([a, b], 2).freqs
+        assert got == {((0, 1), (0, 1)): 0.5, ((1, 0), (1, 0)): 0.5}
+        assert BlockDistribution.from_words(
+            [Word.from_string("01"), Word.from_string("2")], 2).freqs == {(0, 1): 1.0}
+
+    def test_word_shorter_than_block(self):
+        with pytest.raises(ValueError, match="word shorter than block length"):
+            BlockDistribution.from_words([Word.from_string("01"),
+                                          Word.from_string("2")], 3)
 
 
 def _dist(k, freqs):
