@@ -2,9 +2,10 @@
 
 Counting, lex enumeration, membership and rank/unrank (Cover's enumerative
 coding) run over one DFA abstraction: an SFT's factor language, a pattern
-avoider, their product, or a one-count automaton.  Batch methods sweep the
-columns of a ``(B, L)`` array of words; counts are exact Python ints, and
-the rank/unrank sweeps run in int64 wherever the counts they read fit.
+avoider, their product, or a source's type-class automaton (its boys, built
+in ``dictionary``).  Batch methods sweep the columns of a ``(B, L)`` array
+of words; counts are exact Python ints, and the rank/unrank sweeps run in
+int64 wherever the counts they read fit.
 """
 
 from __future__ import annotations
@@ -287,10 +288,3 @@ def avoider_dfa(alphabet_size: int, patterns) -> Dfa:
             nxt = goto[cur].get(sym, 0)
             step[node][sym] = -1 if terminal[nxt] else nxt
     return Dfa(alphabet_size, step, start=0)
-
-
-def one_count_dfa(k_lo: int, k_hi: int) -> Dfa:
-    """Binary words with k_lo to k_hi ones: node = ones so far, accepting from k_lo."""
-    ones = np.arange(k_hi + 1)
-    step = np.stack([ones, np.where(ones < k_hi, ones + 1, -1)], axis=1)
-    return Dfa(2, step, accepting=ones >= k_lo)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import codec, markers, measures, shiftspace, splicer
 from .dictionary import (Dictionary, ParameterPack, boys, choose_parameters,
-                         dictionary as build_dictionary, girls, log_bigint,
+                         dictionary as build_dictionary, girls,
                          verify_dictionary_bounds)
 from .errors import ParameterError, ShiftcodeError
 from .shiftspace import Word
@@ -334,7 +335,7 @@ def _cmd_verify(args):
     bad = codec.audit_badset(pair, pack)
     ent = codec.audit_entropy(
         pair.y, pack, pack.h_source,
-        (log_bigint(boy_set.count), log_bigint(girl_set.count)), pair)
+        (math.log(boy_set.count), math.log(girl_set.count)), pair)
     refs = [(mu.sample_path(min(length, 20000), seed=(args.seed, 7, i)),
              nu.sample_path(min(length, 20000), seed=(args.seed, 8, i)))
             for i in range(3)]

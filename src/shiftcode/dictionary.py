@@ -10,17 +10,18 @@ matching over a sampled relation (tiny scale, faithful to the relation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .automata import (Dfa, avoider_dfa, one_count_dfa, product_dfa,
+from .automata import (RANK_BIT_LIMIT, Dfa, avoider_dfa, product_dfa,
                        rank_vector)
 from .errors import (CapacityError, DegreeError, NoGirlsError, ParameterError,
                      ShiftcodeError, UnmatchedBoyError)
-from .markers import EXHAUSTIVE_BITS, MarkerScheme
+from .markers import MarkerScheme
 from .measures import MarkovMeasure
-from .shiftspace import Sft, Word, enumerate_words
+from .shiftspace import Sft, Word
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 0.99 normal quantile
 
@@ -29,17 +30,6 @@ WILSON_Z99 = 2.5758293035489004  # two-sided 0.99 normal quantile
 STUPID_DELTA_BOUND = (64.0 - math.sqrt(64.0 ** 2 - 240.0)) / 120.0
 
 S5_KMAX = 3     # longest block in the s5 weak* condition
-
-
-def log_bigint(n: int) -> float:
-    """log of a positive big integer, accurate to ~1e-15 relative."""
-    if n <= 0:
-        raise ValueError("need a positive integer")
-    b = n.bit_length()
-    if b <= 512:
-        return math.log(n)
-    shift = b - 64
-    return math.log(n >> shift) + shift * math.log(2.0)
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z99):
@@ -92,16 +82,8 @@ class ParameterPack:
         return self.M, self.N - 10 * self.M
 
     def scalars(self) -> dict:
-        return {
-            "mode": self.mode, "eps": self.eps, "Delta": self.Delta,
-            "delta": self.delta, "eta": self.eta, "r": self.r,
-            "eta_radius": self.eta_radius, "r_radius": self.r_radius,
-            "ell": self.ell, "M": self.M, "N": self.N, "alpha": self.alpha,
-            "h_source": self.h_source, "h_target": self.h_target,
-            "h_joint_bound": self.h_joint_bound,
-            "source_alphabet": self.source_alphabet, "gap": self.gap,
-            "binding": self.binding,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "checklist"}
 
 
 def _radius_for(threshold: float) -> int:
@@ -114,27 +96,23 @@ def _radius_for(threshold: float) -> int:
     return max(t, 0)
 
 
-def max_log_cylinder(measure: MarkovMeasure, length: int) -> float:
-    """max over length-n words of log mu([w]), by max-plus DP."""
-    if length == 0:
-        return 0.0
-    v = measure._log_pi.copy()
-    step = measure._log_p
-    for _ in range(length - 1):
-        v = np.max(v[:, None] + step, axis=0)
-    return float(np.max(v))
-
-
-def min_log_cylinder(measure: MarkovMeasure, length: int) -> float:
-    """min over admissible length-n words of log mu([w]) (support only)."""
-    if length == 0:
-        return 0.0
-    mask = measure.transition > 0
-    step = np.where(mask, measure._log_p, math.inf)
-    v = np.where(measure.stationary > 0, measure._log_pi, math.inf)
-    for _ in range(length - 1):
-        v = np.min(v[:, None] + step, axis=0)
-    return float(np.min(v))
+def log_cylinder_extreme(measure: MarkovMeasure, length: int, pick) -> float:
+    """``pick`` (np.max or np.min) of log mu([w]) over the words of the
+    given length with positive mass, by max-plus or min-plus DP over the
+    state path: n - k steps from log pi.  A word shorter than k weighs the
+    stationary mass of the states that end in it (k >= 1, so the empty
+    word weighs sum(pi))."""
+    sft = measure.sft
+    if length < sft.k:
+        ends = sft.state_codes.astype(np.int64) % sft.alphabet_size ** length
+        mass = np.bincount(ends, weights=measure.stationary)
+        return float(np.log(pick(mass[mass > 0])))
+    v = measure._log_pi         # an irreducible chain has pi > 0
+    step = np.where(measure.transition > 0, measure._log_p,
+                    -math.inf if pick is np.max else math.inf)
+    for _ in range(length - sft.k):
+        v = pick(v[:, None] + step, axis=0)
+    return float(pick(v))
 
 
 def choose_parameters(h_source: float, h_target: float, eps: float,
@@ -188,7 +166,7 @@ def choose_parameters(h_source: float, h_target: float, eps: float,
     m_floor = max(gap + 1, int(math.floor(math.log2(1.0 / r))) + 1)
     if nu is not None:
         m = m_floor
-        while max_log_cylinder(nu, 2 * m) >= math.log(alpha / m):
+        while log_cylinder_extreme(nu, 2 * m, np.max) >= math.log(alpha / m):
             m += 1
             if m > 10 ** 6:
                 raise ParameterError("marker condition (e) unattainable")
@@ -264,7 +242,7 @@ def _fill_checklist(pack, bounds, *, mu, nu, mc_samples, seed):
     cl["d"] = CheckItem(pack.gap < pack.M,
                         f"gap L = {pack.gap} < M = {pack.M}")
     if nu is not None:
-        worst = max_log_cylinder(nu, 2 * pack.M)
+        worst = log_cylinder_extreme(nu, 2 * pack.M, np.max)
         ok = worst < math.log(pack.alpha / pack.M)
         cl["e"] = CheckItem(ok,
                             f"max 2M-cylinder log-prob {worst:.6g} "
@@ -389,7 +367,7 @@ class BoySet(_WordSet):
 
     _noun = "boy"
 
-    def __init__(self, dfa: Dfa | None, N: int, count: int, mass: float):
+    def __init__(self, dfa: Dfa, N: int, count: int, mass: float):
         self.dfa, self.N, self._width = dfa, N, N
         self.count, self.mass = count, mass
 
@@ -419,79 +397,97 @@ class _FullShiftBoys(BoySet):
         return digits
 
 
-def _one_count_boys(mu, N, log_threshold) -> BoySet:
-    """Bernoulli(p) on two symbols: the boys are the blocks whose count of
-    ones lies in one range, the words of ``one_count_dfa`` (a symbol
-    outside {0, 1} kills the walk, so such a block is no boy)."""
-    p = mu.transition[0]
-    lp0, lp1 = math.log(p[0]), math.log(p[1])
-    ks = [k for k in range(N + 1) if k * lp1 + (N - k) * lp0 >= log_threshold]
-    if not ks:
+def _type_class_boys(mu: MarkovMeasure, N: int, log_threshold: float) -> BoySet:
+    """Boys on the type-class automaton (Csiszar, "The method of types",
+    IEEE Trans. IT 44(6), 1998).  An edge's excess is its log pi where it
+    enters the first state, its log P on each later step, less the largest
+    value of its kind; log mu([w]) depends only on how often w uses each
+    negative excess.  A node is (factor node, counts of the d negative
+    classes), factor nodes with equal rows merged (an iid source keeps one
+    state node).  Excesses are <= 0, so an edge is dead once its counts
+    score below the threshold, and every node left accepts.  One forward
+    count DP gives the count and the mass."""
+    sft, factor = mu.sft, mu.sft.factor_dfa()
+    if N < sft.k:
+        raise ParameterError(f"boys: N = {N} is shorter than the memory k = {sft.k}")
+    n, m = factor.n_nodes, sft.alphabet_size
+    tops = [mu._log_pi.max(), mu._log_p[mu.transition > 0].max()]
+    # excess by (source, target) node: 0 between the prefixes of a state
+    by_pair = np.zeros((n, n))
+    by_pair[:n - sft.n_states, n - sft.n_states:] = mu._log_pi - tops[0]
+    by_pair[n - sft.n_states:, n - sft.n_states:] = mu._log_p - tops[1]
+    excess = by_pair[np.arange(n)[:, None], factor.step]
+    step = np.where((factor.step >= 0) & np.isfinite(excess), factor.step, -1)
+    # the largest value is the excess 0, class d, which counts nothing
+    values, classes = np.unique(np.where(step >= 0, excess, 0.0), return_inverse=True)
+    classes = classes.reshape(step.shape)
+    # nodes with one row of targets and classes share a future
+    _, reps, ids = np.unique(np.column_stack([step, classes]), axis=0,
+                             return_index=True, return_inverse=True)
+    ids = ids.reshape(-1)
+    step, classes = np.where(step[reps] >= 0, ids[step[reps]], -1), classes[reps]
+    d, values = len(values) - 1, values[:-1].tolist()
+    base = [tops[0], (N - sft.k) * tops[1]]
+
+    def score(counts):
+        return math.fsum(base + [c * e for c, e in zip(counts, values)])
+
+    # a node holds d + m + 1 table entries of 64 bits and, in the count
+    # DP, an exact count of up to N log2(m) bits
+    most = RANK_BIT_LIMIT / (64 * (d + m + 1) + N * math.log2(m))
+    index = {(int(ids[factor.start]), (0,) * d): 0}
+    nodes, rows = list(index), []
+    for node, counts in nodes:          # nodes grows while it is read
+        rows.append([])
+        for nxt, c in zip(step[node].tolist(), classes[node].tolist()):
+            key = (nxt, counts if c == d else
+                   counts[:c] + (counts[c] + 1,) + counts[c + 1:])
+            if key not in index and nxt >= 0 and (
+                    c == d or score(key[1]) >= log_threshold):
+                if len(nodes) >= most:
+                    raise ParameterError(
+                        f"boys: the type-class automaton of d = {d} classes at "
+                        f"N = {N} passed {len(nodes)} nodes, a table over the "
+                        f"{RANK_BIT_LIMIT:.3g}-bit limit")
+                index[key] = len(nodes)
+                nodes.append(key)
+            rows[-1].append(index.get(key, -1))
+    table = np.array(rows, dtype=np.int64)
+    src, sym = np.nonzero(table >= 0)
+    order = np.argsort(table[src, sym], kind="stable")
+    heads, firsts = np.unique(table[src, sym][order], return_index=True)
+    counts = np.zeros(len(nodes), dtype=object)
+    counts[0] = 1
+    for _ in range(N):
+        grown = np.zeros(len(nodes), dtype=object)
+        grown[heads] = np.add.reduceat(counts[src[order]], firsts)
+        counts = grown
+    # in log space, a count can pass 2^1024; a start below the threshold
+    # leaves only nodes of its own counts, dropped here
+    logs = [math.log(k) + score(c) for (_, c), k in zip(nodes, counts.tolist())
+            if k and score(c) >= log_threshold]
+    if not logs:
         raise ParameterError("threshold excludes every block")
-    combs = [math.comb(N, k) for k in ks]
-    # summed in log space: a comb(N, k) of 2^1024 or more has no float
-    logs = [math.log(c) + k * lp1 + (N - k) * lp0 for c, k in zip(combs, ks)]
     top = max(logs)
     mass = math.exp(top) * math.fsum(math.exp(t - top) for t in logs)
-    return BoySet(one_count_dfa(ks[0], ks[-1]), N, sum(combs), mass)
-
-
-class _EnumeratedBoys(BoySet):
-    """Any other source (a general Markov measure): every admissible
-    N-block is weighed, the boys are listed in lex order, and a boy's rank
-    is its place in the list.  The walk takes Python time per candidate,
-    so at most ``MAX_CANDIDATES`` admissible N-blocks are accepted."""
-
-    MAX_CANDIDATES = 2 ** EXHAUSTIVE_BITS   # the marker search's ceiling
-    rank, unrank = _WordSet.rank, _WordSet.unrank
-
-    def __init__(self, mu, N, log_threshold):
-        candidates = mu.sft.factor_dfa().count(N)
-        if candidates > self.MAX_CANDIDATES:
-            raise ParameterError(
-                f"enumerated boys: {candidates} admissible N-blocks at N = {N} "
-                f"over alphabet {mu.sft.alphabet_size} exceed the "
-                f"{self.MAX_CANDIDATES}-candidate ceiling")
-        members = []
-        mass = 0.0
-        for w in enumerate_words(mu.sft, N):
-            lp = mu.log_cylinder_probability(w)
-            if lp >= log_threshold:
-                members.append(w.symbols)
-                mass += math.exp(lp)
-        self._listed = np.array(members, dtype=np.uint8).reshape(-1, N)
-        self._index = {row.tobytes(): i for i, row in enumerate(self._listed)}
-        super().__init__(None, N, len(self._listed), mass)
-
-    def member_rows(self, rows) -> np.ndarray:
-        rows = np.asarray(rows)
-        return np.array([rows.shape[1] == self.N and row.tobytes() in self._index
-                         for row in rows], dtype=bool)
-
-    def rank_rows(self, rows) -> np.ndarray:
-        rows = np.asarray(rows)
-        ranks = [self._index.get(row.tobytes()) for row in rows]
-        if None in ranks or (len(rows) and rows.shape[1] != self.N):
-            raise ValueError("not a boy")
-        return np.array(ranks, dtype=object)
-
-    def unrank_rows(self, ranks) -> np.ndarray:
-        return self._listed[rank_vector(ranks, self.count).astype(np.intp)]
+    return BoySet(Dfa(m, table), N, int(counts.sum()), mass)
 
 
 def boys(mu: MarkovMeasure, pack: ParameterPack) -> BoySet:
-    """The source N-blocks of log-probability at least -N(h_source + Delta)."""
+    """The source N-blocks of log-probability at least -N(h_source + Delta):
+    the factor automaton's N-blocks when every block clears the threshold,
+    else the type-class automaton's.  Tie rule: a block is a boy when
+    ``math.fsum`` of the largest log pi, N - k times the largest log P and
+    each class's count times its excess clears the threshold; the sum runs
+    over classes, not in ``log_cylinder_probability``'s order, so a block
+    within ~1e-12 of the threshold can fall on either side."""
     N = pack.N
     log_threshold = -N * (pack.h_source + pack.Delta)
-    if min_log_cylinder(mu, N) >= log_threshold:
+    if log_cylinder_extreme(mu, N, np.min) >= log_threshold:
         dfa = mu.sft.factor_dfa()
         kind = _FullShiftBoys if mu.sft.is_full_shift() else BoySet
         return kind(dfa, N, dfa.count(N), 1.0)
-    p = mu.transition
-    if (mu.sft.k == 1 and mu.sft.alphabet_size == 2
-            and np.allclose(p[0], p[1]) and np.all(p > 0)):
-        return _one_count_boys(mu, N, log_threshold)
-    return _EnumeratedBoys(mu, N, log_threshold)
+    return _type_class_boys(mu, N, log_threshold)
 
 
 class GirlSet(_WordSet):
@@ -532,15 +528,8 @@ class Relation:
     edges: dict                 # boy string -> sorted list of girl strings
     witnesses: dict             # (boy string, girl string) -> sample index
 
-    def boy_degree(self, b: str) -> int:
-        return len(self.edges.get(b, ()))
-
     def girl_degrees(self) -> dict:
-        deg: dict = {}
-        for gs in self.edges.values():
-            for g in gs:
-                deg[g] = deg.get(g, 0) + 1
-        return deg
+        return Counter(g for gs in self.edges.values() for g in gs)
 
 
 def build_relation(boy_set: BoySet, girl_set: GirlSet, paired_samples,
@@ -575,9 +564,9 @@ def hall_match(relation: Relation, K: int) -> dict:
     if K < 1:
         raise ParameterError("K must be a positive integer")
     for b in sorted(relation.edges):
-        if relation.boy_degree(b) < K:
+        if len(relation.edges[b]) < K:
             raise DegreeError(
-                f"boy {b} has degree {relation.boy_degree(b)} < K = {K}",
+                f"boy {b} has degree {len(relation.edges[b])} < K = {K}",
                 vertex=b)
     for g, deg in sorted(relation.girl_degrees().items()):
         if deg > K:
@@ -599,7 +588,6 @@ def _hopcroft_karp(adj: dict) -> dict:
     lefts = sorted(adj)
 
     def bfs() -> bool:
-        from collections import deque
         queue = deque()
         for b in lefts:
             if b not in pair_b:
@@ -725,7 +713,7 @@ def dictionary(boy_set: BoySet, girl_set: GirlSet, mode: str = "enumerative",
             if pack is not None:
                 need = pack.N * (pack.h_target - pack.h_source - 2 * pack.Delta)
                 diag = (f"; ratio diagnostic: log(|G|/|B|) = "
-                        f"{log_bigint(ng) - log_bigint(nb):.6g} "
+                        f"{math.log(ng) - math.log(nb):.6g} "
                         f"vs required {need:.6g}")
             raise CapacityError(
                 f"capacity failure: {nb} boys > {ng} girls{diag}",
@@ -760,8 +748,8 @@ class BoundsReport:
 def verify_dictionary_bounds(boy_set: BoySet, girl_set: GirlSet,
                              pack: ParameterPack, h_source: float,
                              h_target: float) -> BoundsReport:
-    lg = log_bigint(girl_set.count)
-    lb = log_bigint(boy_set.count)
+    lg = math.log(girl_set.count)
+    lb = math.log(boy_set.count)
     n, D = pack.N, pack.Delta
     girls_rhs = math.log(0.5) + n * (h_target - D)
     boys_rhs = n * (h_source + D)

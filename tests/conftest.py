@@ -228,6 +228,29 @@ def reference_unrank(dfa, length, r):
     return tuple(out)
 
 
+def one_count_dfa(k_lo, k_hi):
+    """Binary words with k_lo to k_hi ones: node = ones so far, accepting
+    from k_lo (a DFA with a rejecting node for the automaton tests)."""
+    from shiftcode.automata import Dfa
+    ones = np.arange(k_hi + 1)
+    step = np.stack([ones, np.where(ones < k_hi, ones + 1, -1)], axis=1)
+    return Dfa(2, step, accepting=ones >= k_lo)
+
+
+def reference_boys(mu, N, log_threshold):
+    """Reference for dictionary.boys on a source that is not all boys: every
+    admissible N-block weighed by log_cylinder_probability, the boys listed
+    in lex order as tuples, and their total mass."""
+    from shiftcode.shiftspace import enumerate_words
+    listed, logs = [], []
+    for w in enumerate_words(mu.sft, N):
+        lp = mu.log_cylinder_probability(w)
+        if lp >= log_threshold:
+            listed.append(tuple(w.symbols.tolist()))
+            logs.append(lp)
+    return listed, math.fsum(math.exp(lp) for lp in logs)
+
+
 def _one_count_completions(m, ones, k_lo, k_hi):
     """Length-m suffixes keeping the total one-count in [k_lo, k_hi]."""
     return sum(math.comb(m, j) for j in range(max(0, k_lo - ones),

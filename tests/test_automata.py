@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftcode import automata
-from shiftcode.automata import Dfa, avoider_dfa, one_count_dfa, product_dfa
+from shiftcode.automata import Dfa, avoider_dfa, product_dfa
 from shiftcode.shiftspace import build_sft
 
-from conftest import (reference_binomial_rank, reference_binomial_unrank,
-                      reference_rank, reference_suffix_counts,
-                      reference_unrank, reference_walk)
+from conftest import (one_count_dfa, reference_binomial_rank,
+                      reference_binomial_unrank, reference_rank,
+                      reference_suffix_counts, reference_unrank, reference_walk)
 
 
 def recursive_enumerate(dfa, length):

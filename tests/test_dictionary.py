@@ -5,28 +5,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftcode.dictionary import (ParameterPack, Relation, _EnumeratedBoys,
-                                  _one_count_boys, boys, build_relation,
+from shiftcode.dictionary import (BoySet, ParameterPack, Relation,
+                                  _type_class_boys, boys, build_relation,
                                   choose_parameters, dictionary, girls,
-                                  hall_match, log_bigint, marriage_bound,
-                                  verify_dictionary_bounds, wilson_interval)
+                                  hall_match, log_cylinder_extreme,
+                                  marriage_bound, verify_dictionary_bounds,
+                                  wilson_interval)
 from shiftcode.errors import (CapacityError, DegreeError, NoGirlsError,
                               ParameterError)
 from shiftcode.markers import MarkerScheme, avoidance_filter, find_marker
 from shiftcode.measures import MarkovMeasure, parse_measure
 from shiftcode.shiftspace import Word, build_sft, enumerate_words, parse_sft
 
-from conftest import (LOG2, reference_binomial_rank, reference_binomial_unrank,
+from conftest import (LOG2, markov_on_support, reference_binomial_rank,
+                      reference_binomial_unrank, reference_boys,
                       reference_unrank)
 
 H_01 = 0.3250829733914482
 DATA = Path(__file__).parent / "data"
-
-
-def one_count_range(b):
-    """(k_lo, k_hi + 1) of one-count boys, read off their automaton: the
-    nodes count the ones so far, accepting from k_lo."""
-    return int(np.argmax(b.dfa.accepting)), b.dfa.n_nodes
 
 
 def practical_pack(h_s, h_t, eps, N, M, delta, alpha=0.5, **kw):
@@ -85,6 +81,21 @@ class TestChooseParameters:
         lo, hi = wilson_interval(90, 100)
         assert 0.75 < lo < 0.9 < hi <= 1.0
         assert wilson_interval(0, 0) == (0.0, 1.0)
+
+
+class TestLogCylinderExtremes:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_against_brute_force(self, sft_zoo, seed):
+        # memory k >= 2 once ranged over words of length + k - 1
+        rng = np.random.default_rng(seed)
+        for sft in sft_zoo + [build_sft(2, ["1111"])]:
+            mu = markov_on_support(sft, rng.uniform(0.2, 1.0, (sft.n_states,) * 2))
+            for n in range(6):
+                logs = [mu.log_cylinder_probability(w)
+                        for w in enumerate_words(sft, n)]
+                for pick in (np.max, np.min):
+                    assert log_cylinder_extreme(mu, n, pick) == pytest.approx(
+                        pick(logs), abs=1e-12)
 
 
 class TestBoys:
@@ -160,8 +171,11 @@ class TestBoys:
         # the summed binomials reach past 2^1024 here, where a float sum
         # of comb(N, k) * p^k q^(N-k) raised OverflowError
         import mpmath
-        b = _one_count_boys(bern_01, N, -N * (H_01 + 0.05))
-        ks = range(*one_count_range(b))
+        pack = practical_pack(H_01, H_01 + 0.5, 0.2, N=N, M=2, delta=0.02)
+        b = boys(bern_01, pack)
+        logT = -N * (H_01 + pack.Delta)
+        ks = [k for k in range(N + 1)
+              if k * math.log(0.1) + (N - k) * math.log(0.9) >= logT]
         assert max(math.comb(N, k) for k in ks) > 2 ** 1024
         assert b.count == sum(math.comb(N, k) for k in ks)
         p0, p1 = (mpmath.mpf(p) for p in bern_01.transition[0])
@@ -171,11 +185,12 @@ class TestBoys:
         assert b.mass == pytest.approx(float(want), rel=1e-12)
 
     def test_one_count_table_over_the_limit_refused(self, bern_01):
-        # about 1,000 one-count nodes at N = 8192: a suffix-count table of
-        # ~3e10 bits, refused before a row of it is built
+        # about 1,900 type-class nodes at N = 8192 (the ones so far, and
+        # whether the first symbol was a one): a suffix-count table of
+        # ~6e10 bits, refused before a row of it is built
         b = boys(bern_01, practical_pack(H_01, LOG2, 0.2, N=8192, M=2,
                                          delta=0.02))
-        assert one_count_range(b)[1] > 900
+        assert b.dfa.n_nodes > 1800
         with pytest.raises(ParameterError, match="suffix-count table"):
             b.rank_rows(np.zeros((1, 8192), dtype=np.uint8))
         with pytest.raises(ParameterError, match="suffix-count table"):
@@ -183,26 +198,88 @@ class TestBoys:
         assert "suffix" not in b.dfa._tables
         assert "suffix64" not in b.dfa._tables
 
-    def test_enumerated_boys_refuse_too_many_candidates(self):
-        # 3^16 > 2^24 admissible blocks: refused before the walk, which
-        # takes tens of microseconds per candidate
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_type_classes_match_listing(self, supports, seed):
+        # count, lex list and mass against weighing every admissible block
+        rng = np.random.default_rng(seed)
+        compared = 0
+        for sft in supports:
+            mu = markov_on_support(sft, rng.uniform(0.2, 1.0, (sft.n_states,) * 2))
+            for N in (sft.k, 6, 10 if sft.alphabet_size == 2 else 7):
+                for slack in (0.05, 0.2):
+                    thr = -N * (mu.entropy() + slack)
+                    listed, mass = reference_boys(mu, N, thr)
+                    if log_cylinder_extreme(mu, N, np.min) >= thr or not listed:
+                        continue
+                    compared += 1
+                    b = _type_class_boys(mu, N, thr)
+                    assert b.count == len(listed)
+                    rows = b.unrank_rows(range(b.count))
+                    assert [tuple(w) for w in rows.tolist()] == listed
+                    assert b.rank_rows(rows).tolist() == list(range(b.count))
+                    assert b.mass == pytest.approx(mass, rel=1e-12, abs=1e-12)
+        assert compared >= 30
+
+    def test_ternary_type_classes(self):
+        # Bernoulli(0.7, 0.2, 0.1) at N = 16: 3^16 blocks, counted by the
+        # multinomials of the boy type classes
         mu = MarkovMeasure.bernoulli([0.7, 0.2, 0.1])
         pack = practical_pack(mu.entropy(), math.log(3), 0.2, N=16, M=1,
                               delta=0.02)
-        with pytest.raises(ParameterError, match=(
-                "43046721 admissible N-blocks at N = 16 over alphabet 3 "
-                "exceed the 16777216-candidate ceiling")):
-            boys(mu, pack)
+        b = boys(mu, pack)
+        thr = -16 * (mu.entropy() + pack.Delta)
+        logs = np.log([0.7, 0.2, 0.1])
+        types = [(16 - i - j, i, j) for i in range(17) for j in range(17 - i)
+                 if np.dot((16 - i - j, i, j), logs) >= thr]
+        multinomial = [math.factorial(16) // math.prod(map(math.factorial, t))
+                       for t in types]
+        assert b.count == sum(multinomial) == 66509
+        assert b.mass == pytest.approx(math.fsum(
+            c * math.exp(np.dot(t, logs)) for c, t in zip(multinomial, types)),
+            rel=1e-12)
+        w = Word(np.array([0] * 13 + [1, 2, 1], dtype=np.uint8))
+        assert b.member(w) and b.unrank(b.rank(w)) == w
 
-    def test_enumerated_boys_ceiling_bounds_the_count(self, monkeypatch):
-        # the golden mean has 377 admissible 12-blocks and 610 13-blocks
-        monkeypatch.setattr(_EnumeratedBoys, "MAX_CANDIDATES", 400)
+    def test_golden_mean_at_1024_builds(self):
+        # the listing took ~33 us a candidate and refused past 2^24
+        # candidates (N = 34); here log2 of the candidates is ~710
+        import time
         mu = gm_uniform()
-        pack12, pack13 = (practical_pack(mu.entropy(), math.log(3), 0.2, N=N,
-                                         M=1, delta=0.02) for N in (12, 13))
-        assert boys(mu, pack12).count == 224
-        with pytest.raises(ParameterError, match="610 admissible"):
-            boys(mu, pack13)
+        pack = practical_pack(mu.entropy(), math.log(3), 0.2, N=1024, M=1,
+                              delta=0.02)
+        start = time.perf_counter()
+        b = boys(mu, pack)
+        assert time.perf_counter() - start < 10.0
+        # gmu.msr: log mu = log pi(first symbol) + z log(1/2), z the steps
+        # out of a 0; count the words of each first symbol by (last
+        # symbol, z) and keep the (first, z) that clear the threshold
+        thr = -1024 * (mu.entropy() + pack.Delta)
+        count, terms = 0, []
+        for first in (0, 1):
+            ends = [np.zeros(1024, dtype=object) for _ in range(2)]
+            ends[first][0] = 1
+            for _ in range(1023):
+                out_of_0 = np.concatenate([[0], ends[0][:-1]])
+                ends = [out_of_0 + ends[1], out_of_0]
+            for z, n in enumerate((ends[0] + ends[1]).tolist()):
+                lp = math.log(mu.stationary[first]) + z * math.log(0.5)
+                if n and lp >= thr:
+                    count += n
+                    terms.append(math.log(n) + lp)
+        assert b.count == count and b.dfa.n_nodes > 1000
+        assert math.log(b.count) == pytest.approx(492.9185, abs=1e-3)
+        assert b.mass == pytest.approx(math.fsum(map(math.exp, terms)), rel=1e-12)
+
+    def test_type_class_nodes_refused_before_the_bit_limit(self):
+        # a chain on 8 states with random weights: 63 negative excesses of
+        # log P and 7 of log pi, whose count vectors grow without bound at
+        # a large N; each node is budgeted ~6e5 bits, so ~7,100 nodes
+        rng = np.random.default_rng(4)
+        mu = markov_on_support(build_sft(8, []), rng.uniform(0.2, 1.0, (8, 8)))
+        N = 200_000
+        with pytest.raises(ParameterError, match=(
+                r"d = 70 classes at N = 200000 passed 7099 nodes")):
+            _type_class_boys(mu, N, -N * (mu.entropy() + 0.1))
 
 
 @pytest.fixture(scope="module")
@@ -275,12 +352,14 @@ def gm_uniform():
 
 @pytest.fixture(scope="module")
 def listed():
-    """Listed boys: the golden-mean source at N = 12, 224 of the 377
-    admissible blocks."""
+    """Boys of a Markov source that is no Bernoulli one: the golden-mean
+    source at N = 12, 224 of the 377 admissible blocks, the listing's."""
     mu = gm_uniform()
-    b = boys(mu, practical_pack(mu.entropy(), math.log(3), 0.2, N=12, M=1,
-                                delta=0.02))
-    assert type(b) is _EnumeratedBoys and b.count == 224
+    pack = practical_pack(mu.entropy(), math.log(3), 0.2, N=12, M=1,
+                          delta=0.02)
+    b = boys(mu, pack)
+    want, _ = reference_boys(mu, 12, -12 * (mu.entropy() + pack.Delta))
+    assert type(b) is BoySet and b.count == len(want) == 224
     return b
 
 
@@ -332,7 +411,7 @@ class TestBatchMethods:
         # a block of 2s has no ones, so a one-count test alone took it for
         # a boy of rank 0 and the dictionary mapped it to girl 0
         b, g, d = practical
-        assert one_count_range(b) == (0, 8)
+        assert b.count == sum(math.comb(64, k) for k in range(8))
         word = Word(np.full(64, 2, dtype=np.uint8))
         assert b.member(word) is False
         with pytest.raises(ValueError, match="not a boy"):
@@ -616,9 +695,14 @@ class TestVerifyBounds:
         assert rep.ratio_holds is False
         assert rep.boy_mass == pytest.approx(b.mass)
 
-    def test_log_bigint(self):
-        assert log_bigint(2 ** 40) == pytest.approx(40 * math.log(2))
-        big = 3 ** 100_000
-        assert log_bigint(big) == pytest.approx(100_000 * math.log(3), rel=1e-12)
+    def test_bounds_report_of_huge_counts(self, bern_01):
+        # math.log reads a count of any size; a count of 0 has no log
+        pack = practical_pack(H_01, LOG2, 0.2, N=64, M=2, delta=0.02)
+        b = boys(bern_01, pack)
+        huge = BoySet(None, 64, 3 ** 100_000, 1.0)
+        rep = verify_dictionary_bounds(b, huge, pack, H_01, LOG2)
+        assert rep.log_girls == pytest.approx(100_000 * math.log(3), rel=1e-12)
+        assert rep.log_boys == math.log(b.count) and rep.ratio_holds
         with pytest.raises(ValueError):
-            log_bigint(0)
+            verify_dictionary_bounds(BoySet(None, 64, 0, 0.0), huge, pack,
+                                     H_01, LOG2)
