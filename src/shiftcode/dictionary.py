@@ -10,8 +10,7 @@ matching over a sampled relation (tiny scale, faithful to the relation).
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,8 +81,16 @@ class ParameterPack:
         return self.M, self.N - 10 * self.M
 
     def scalars(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "checklist"}
+        return {
+            "mode": self.mode, "eps": self.eps, "Delta": self.Delta,
+            "delta": self.delta, "eta": self.eta, "r": self.r,
+            "eta_radius": self.eta_radius, "r_radius": self.r_radius,
+            "ell": self.ell, "M": self.M, "N": self.N, "alpha": self.alpha,
+            "h_source": self.h_source, "h_target": self.h_target,
+            "h_joint_bound": self.h_joint_bound,
+            "source_alphabet": self.source_alphabet, "gap": self.gap,
+            "binding": self.binding,
+        }
 
 
 def _radius_for(threshold: float) -> int:
@@ -98,10 +105,9 @@ def _radius_for(threshold: float) -> int:
 
 def log_cylinder_extreme(measure: MarkovMeasure, length: int, pick) -> float:
     """``pick`` (np.max or np.min) of log mu([w]) over the words of the
-    given length with positive mass, by max-plus or min-plus DP over the
-    state path: n - k steps from log pi.  A word shorter than k weighs the
-    stationary mass of the states that end in it (k >= 1, so the empty
-    word weighs sum(pi))."""
+    given length with positive mass, by max-plus or min-plus DP: n - k
+    steps from log pi.  A word shorter than k weighs the stationary mass of
+    the states that end in it (k >= 1: the empty word weighs sum(pi))."""
     sft = measure.sft
     if length < sft.k:
         ends = sft.state_codes.astype(np.int64) % sft.alphabet_size ** length
@@ -399,14 +405,14 @@ class _FullShiftBoys(BoySet):
 
 def _type_class_boys(mu: MarkovMeasure, N: int, log_threshold: float) -> BoySet:
     """Boys on the type-class automaton (Csiszar, "The method of types",
-    IEEE Trans. IT 44(6), 1998).  An edge's excess is its log pi where it
-    enters the first state, its log P on each later step, less the largest
-    value of its kind; log mu([w]) depends only on how often w uses each
-    negative excess.  A node is (factor node, counts of the d negative
-    classes), factor nodes with equal rows merged (an iid source keeps one
-    state node).  Excesses are <= 0, so an edge is dead once its counts
-    score below the threshold, and every node left accepts.  One forward
-    count DP gives the count and the mass."""
+    IEEE Trans. IT 44(6), 1998).  An edge's excess is its log pi (entering
+    the first state) or log P (each later step) less the largest of its
+    kind; log mu([w]) depends only on how often w uses each class (excesses
+    equal to 13 decimals; class d is 0).  A node is (factor node, equal rows
+    merged; counts of the d negative classes).  Excesses are <= 0: an edge
+    is dead once the counts score below the threshold or pass the N - k + 1
+    steps from the first state on, and every node left accepts.  Counts: a
+    forward DP of N steps, or multinomials where one factor node is left."""
     sft, factor = mu.sft, mu.sft.factor_dfa()
     if N < sft.k:
         raise ParameterError(f"boys: N = {N} is shorter than the memory k = {sft.k}")
@@ -418,69 +424,70 @@ def _type_class_boys(mu: MarkovMeasure, N: int, log_threshold: float) -> BoySet:
     by_pair[n - sft.n_states:, n - sft.n_states:] = mu._log_p - tops[1]
     excess = by_pair[np.arange(n)[:, None], factor.step]
     step = np.where((factor.step >= 0) & np.isfinite(excess), factor.step, -1)
-    # the largest value is the excess 0, class d, which counts nothing
-    values, classes = np.unique(np.where(step >= 0, excess, 0.0), return_inverse=True)
-    classes = classes.reshape(step.shape)
-    # nodes with one row of targets and classes share a future
+    # rows reversed, so a class is valued by a given log P, not a solved log pi
+    excess = np.where(step >= 0, excess, 0.0)[::-1]
+    _, firsts, classes = np.unique(excess.round(13), return_index=True,
+                                   return_inverse=True)
+    classes = classes.reshape(step.shape)[::-1]
     _, reps, ids = np.unique(np.column_stack([step, classes]), axis=0,
                              return_index=True, return_inverse=True)
-    ids = ids.reshape(-1)
+    ids = ids.reshape(-1)           # nodes of one row share a future
     step, classes = np.where(step[reps] >= 0, ids[step[reps]], -1), classes[reps]
-    d, values = len(values) - 1, values[:-1].tolist()
+    d, values = len(firsts) - 1, excess.reshape(-1)[firsts[:-1]].tolist()
     base = [tops[0], (N - sft.k) * tops[1]]
 
     def score(counts):
         return math.fsum(base + [c * e for c, e in zip(counts, values)])
 
-    # a node holds d + m + 1 table entries of 64 bits and, in the count
-    # DP, an exact count of up to N log2(m) bits
+    # a node: d + m + 1 int64 table entries and a count of <= N log2(m) bits
     most = RANK_BIT_LIMIT / (64 * (d + m + 1) + N * math.log2(m))
     index = {(int(ids[factor.start]), (0,) * d): 0}
-    nodes, rows = list(index), []
+    nodes, rows, made = list(index), [], []     # made: (parent, class) past the start
     for node, counts in nodes:          # nodes grows while it is read
         rows.append([])
         for nxt, c in zip(step[node].tolist(), classes[node].tolist()):
             key = (nxt, counts if c == d else
                    counts[:c] + (counts[c] + 1,) + counts[c + 1:])
-            if key not in index and nxt >= 0 and (
-                    c == d or score(key[1]) >= log_threshold):
+            if key not in index and nxt >= 0 and (c == d or (
+                    sum(key[1]) <= N - sft.k + 1 and score(key[1]) >= log_threshold)):
                 if len(nodes) >= most:
                     raise ParameterError(
-                        f"boys: the type-class automaton of d = {d} classes at "
-                        f"N = {N} passed {len(nodes)} nodes, a table over the "
-                        f"{RANK_BIT_LIMIT:.3g}-bit limit")
+                        f"boys: the type-class automaton of d = {d} classes at N = "
+                        f"{N} passed {len(nodes)} nodes, over {RANK_BIT_LIMIT:.3g} bits")
                 index[key] = len(nodes)
                 nodes.append(key)
+                made.append((len(rows) - 1, c))
             rows[-1].append(index.get(key, -1))
     table = np.array(rows, dtype=np.int64)
-    src, sym = np.nonzero(table >= 0)
-    order = np.argsort(table[src, sym], kind="stable")
-    heads, firsts = np.unique(table[src, sym][order], return_index=True)
-    counts = np.zeros(len(nodes), dtype=object)
-    counts[0] = 1
-    for _ in range(N):
-        grown = np.zeros(len(nodes), dtype=object)
-        grown[heads] = np.add.reduceat(counts[src[order]], firsts)
-        counts = grown
-    # in log space, a count can pass 2^1024; a start below the threshold
-    # leaves only nodes of its own counts, dropped here
-    logs = [math.log(k) + score(c) for (_, c), k in zip(nodes, counts.tolist())
+    if len(reps) == 1:      # multinomials, each from its parent's
+        g = np.bincount(classes[0][step[0] >= 0], minlength=d + 1).tolist()
+        counts = [g[d] ** N]
+        for (p, i), (_, c) in zip(made, nodes[1:]):
+            counts.append(counts[p] * (N - sum(c) + 1) * g[i] // (c[i] * g[d]))
+    else:
+        src, sym = np.nonzero(table >= 0)
+        order = np.argsort(table[src, sym], kind="stable")
+        heads, firsts = np.unique(table[src, sym][order], return_index=True)
+        counts = np.array([1] + [0] * (len(nodes) - 1), dtype=object)
+        for _ in range(N):
+            grown = np.zeros(len(nodes), dtype=object)
+            grown[heads] = np.add.reduceat(counts[src[order]], firsts)
+            counts = grown
+    # log space: counts pass 2^1024; a start under the threshold leaves nodes to drop
+    logs = [math.log(k) + score(c) for (_, c), k in zip(nodes, list(counts))
             if k and score(c) >= log_threshold]
     if not logs:
         raise ParameterError("threshold excludes every block")
-    top = max(logs)
-    mass = math.exp(top) * math.fsum(math.exp(t - top) for t in logs)
-    return BoySet(Dfa(m, table), N, int(counts.sum()), mass)
+    mass = math.exp(top := max(logs)) * math.fsum(math.exp(t - top) for t in logs)
+    return BoySet(Dfa(m, table), N, int(sum(counts)), mass)
 
 
 def boys(mu: MarkovMeasure, pack: ParameterPack) -> BoySet:
     """The source N-blocks of log-probability at least -N(h_source + Delta):
-    the factor automaton's N-blocks when every block clears the threshold,
-    else the type-class automaton's.  Tie rule: a block is a boy when
-    ``math.fsum`` of the largest log pi, N - k times the largest log P and
-    each class's count times its excess clears the threshold; the sum runs
-    over classes, not in ``log_cylinder_probability``'s order, so a block
-    within ~1e-12 of the threshold can fall on either side."""
+    every N-block when all clear it, else the type-class automaton's.  Tie
+    rule: a block's score is the ``math.fsum`` over its classes, not
+    ``log_cylinder_probability``'s sum, so a block within ~1e-12 of the
+    threshold (N 1e-13 where excesses agree to 13 decimals) may fall either way."""
     N = pack.N
     log_threshold = -N * (pack.h_source + pack.Delta)
     if log_cylinder_extreme(mu, N, np.min) >= log_threshold:
@@ -528,8 +535,15 @@ class Relation:
     edges: dict                 # boy string -> sorted list of girl strings
     witnesses: dict             # (boy string, girl string) -> sample index
 
+    def boy_degree(self, b: str) -> int:
+        return len(self.edges.get(b, ()))
+
     def girl_degrees(self) -> dict:
-        return Counter(g for gs in self.edges.values() for g in gs)
+        deg: dict = {}
+        for gs in self.edges.values():
+            for g in gs:
+                deg[g] = deg.get(g, 0) + 1
+        return deg
 
 
 def build_relation(boy_set: BoySet, girl_set: GirlSet, paired_samples,
@@ -564,9 +578,9 @@ def hall_match(relation: Relation, K: int) -> dict:
     if K < 1:
         raise ParameterError("K must be a positive integer")
     for b in sorted(relation.edges):
-        if len(relation.edges[b]) < K:
+        if relation.boy_degree(b) < K:
             raise DegreeError(
-                f"boy {b} has degree {len(relation.edges[b])} < K = {K}",
+                f"boy {b} has degree {relation.boy_degree(b)} < K = {K}",
                 vertex=b)
     for g, deg in sorted(relation.girl_degrees().items()):
         if deg > K:
@@ -588,6 +602,7 @@ def _hopcroft_karp(adj: dict) -> dict:
     lefts = sorted(adj)
 
     def bfs() -> bool:
+        from collections import deque
         queue = deque()
         for b in lefts:
             if b not in pair_b:

@@ -185,12 +185,18 @@ class TestBoys:
         assert b.mass == pytest.approx(float(want), rel=1e-12)
 
     def test_one_count_table_over_the_limit_refused(self, bern_01):
-        # about 1,900 type-class nodes at N = 8192 (the ones so far, and
-        # whether the first symbol was a one): a suffix-count table of
-        # ~6e10 bits, refused before a row of it is built
-        b = boys(bern_01, practical_pack(H_01, LOG2, 0.2, N=8192, M=2,
-                                         delta=0.02))
-        assert b.dfa.n_nodes > 1800
+        # 957 type-class nodes at N = 8192 (the ones so far): a suffix-count
+        # table of ~3e10 bits, refused before a row of it is built; the
+        # counts are multinomials, not an N-step DP, so the build is quick
+        import time
+        pack = practical_pack(H_01, LOG2, 0.2, N=8192, M=2, delta=0.02)
+        start = time.perf_counter()
+        b = boys(bern_01, pack)
+        assert time.perf_counter() - start < 2.0
+        assert b.dfa.n_nodes == 957
+        logT = -8192 * (H_01 + pack.Delta)
+        assert b.count == sum(math.comb(8192, k) for k in range(8193)
+                              if k * math.log(0.1) + (8192 - k) * math.log(0.9) >= logT)
         with pytest.raises(ParameterError, match="suffix-count table"):
             b.rank_rows(np.zeros((1, 8192), dtype=np.uint8))
         with pytest.raises(ParameterError, match="suffix-count table"):
@@ -219,6 +225,32 @@ class TestBoys:
                     assert b.rank_rows(rows).tolist() == list(range(b.count))
                     assert b.mass == pytest.approx(mass, rel=1e-12, abs=1e-12)
         assert compared >= 30
+
+    @pytest.mark.parametrize("N", [6, 8])
+    @pytest.mark.parametrize("p", [
+        [[0.45, 0.4499999, 0.1000001]] * 3,
+        [[0.6, 0.4], [0.4000001, 0.5999999]]])
+    def test_near_tied_classes(self, p, N):
+        # an excess of ~-2e-7 scores about nothing: the counts are bounded
+        # by the N - k + 1 steps an N-block takes, not by the threshold
+        import time
+        mu = MarkovMeasure(build_sft(len(p), []), np.array(p))
+        thr = -N * (mu.entropy() + 0.17)
+        assert log_cylinder_extreme(mu, N, np.min) < thr
+        start = time.perf_counter()
+        b = _type_class_boys(mu, N, thr)
+        assert time.perf_counter() - start < 1.0
+        listed, mass = reference_boys(mu, N, thr)
+        assert [tuple(w) for w in b.unrank_rows(range(b.count)).tolist()] == listed
+        assert b.mass == pytest.approx(mass, rel=1e-12)
+
+    def test_shorter_than_the_memory_refused(self):
+        # a block shorter than a state weighs several states' pi: no type
+        # classes, so boys refuses it unless every block is a boy
+        sft = build_sft(2, ["111"])
+        mu = markov_on_support(sft, np.ones((sft.n_states,) * 2))
+        with pytest.raises(ParameterError, match="shorter than the memory k = 2"):
+            _type_class_boys(mu, 1, log_cylinder_extreme(mu, 1, np.max))
 
     def test_ternary_type_classes(self):
         # Bernoulli(0.7, 0.2, 0.1) at N = 16: 3^16 blocks, counted by the
