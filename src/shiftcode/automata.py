@@ -1,11 +1,11 @@
 """Deterministic finite automata over small symbol alphabets.
 
 Counting, lex enumeration, membership and rank/unrank (Cover's enumerative
-coding) run over one DFA abstraction: an SFT's factor language, a pattern
-avoider, their product, or a source's type-class automaton (its boys, built
-in ``dictionary``).  Batch methods sweep the columns of a ``(B, L)`` array
-of words; counts are exact Python ints, and the rank/unrank sweeps run in
-int64 wherever the counts they read fit.
+coding) run over one prefix-closed DFA abstraction: an SFT's factor
+language, a pattern avoider, their product, or a source's type-class
+automaton (its boys, built in ``dictionary``).  Batch methods sweep the
+columns of a ``(B, L)`` array of words; counts are exact Python ints, and
+the rank/unrank sweeps run in int64 wherever the counts they read fit.
 """
 
 from __future__ import annotations
@@ -28,21 +28,15 @@ RANK_BIT_LIMIT = 2 ** 32
 class Dfa:
     """A DFA with integer nodes; ``step[node][symbol] == -1`` means dead.
 
-    A word is accepted when its walk stays live and ends on a node marked in
-    ``accepting`` (default: every node, a prefix-closed language).  Batch
-    methods send dead steps and symbols off the alphabet to a sink node.
+    Every node accepts: a word is accepted iff its walk never dies, so the
+    language is prefix-closed.  Batch methods send dead steps and symbols
+    off the alphabet to a sink node.
     """
 
     alphabet_size: int
     step: np.ndarray           # shape (n_nodes, alphabet_size), dtype int64
     start: int = 0
-    accepting: np.ndarray | None = None     # bool, shape (n_nodes,)
     _tables: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        accepting = np.ones(self.n_nodes) if self.accepting is None else self.accepting
-        self._accept = np.append(accepting, False).astype(bool)     # with the sink
-        self.accepting = self._accept[:-1]
 
     @property
     def n_nodes(self) -> int:
@@ -81,8 +75,16 @@ class Dfa:
         return -1 if end == self.n_nodes else end
 
     def member_rows(self, rows) -> np.ndarray:
-        """Bool vector: which rows are accepted words."""
-        return self._accept[self._ends(rows)]
+        """Bool vector: which rows are accepted words (end before the sink)."""
+        return self._ends(rows) < self.n_nodes
+
+    def _first_row(self) -> np.ndarray:
+        """Suffix counts at length 0: 1 on every node, 0 on the sink."""
+        return np.append(np.ones(self.n_nodes, dtype=np.int64), 0).astype(object)
+
+    def _next_row(self, row) -> np.ndarray:
+        """Suffix counts one symbol longer: each node sums its moves' counts."""
+        return np.sum(row[self._moves()[:, :-1]], axis=1)
 
     def suffix_counts(self, length: int) -> np.ndarray:
         """Object array ``f[t, node]`` of accepted suffix counts, t <= length
@@ -101,11 +103,9 @@ class Dfa:
                     f"rank/unrank: suffix-count table of ~{bits:.3g} bits "
                     f"(n_nodes={self.n_nodes}, length={length}, alphabet="
                     f"{self.alphabet_size}) exceeds the {RANK_BIT_LIMIT:.3g}-bit limit")
-            moves = self._moves()[:, :-1]
-            rows = (list(table) if table is not None
-                    else [self._accept.astype(np.int64).astype(object)])
+            rows = list(table) if table is not None else [self._first_row()]
             while len(rows) <= length:
-                rows.append(np.sum(rows[-1][moves], axis=1))
+                rows.append(self._next_row(rows[-1]))
             table = np.array(rows)
             big = (table >= 1 << 63).any(axis=1)
             fits = int(np.argmax(np.append(big, True)))
@@ -130,10 +130,9 @@ class Dfa:
         cached = self._tables.get("suffix")
         if cached is not None and len(cached) > length:
             return cached[length, self.start]
-        vec = self._accept.astype(np.int64).astype(object)
-        moves = self._moves()[:, :-1]
+        vec = self._first_row()
         for _ in range(length):
-            vec = np.sum(vec[moves], axis=1)
+            vec = self._next_row(vec)
         return vec[self.start]
 
     def enumerate(self, length: int):
@@ -146,7 +145,7 @@ class Dfa:
         time; a frontier whose children would overflow a block is split
         in half and the halves are finished one after the other, so
         memory is bounded by the block size times the word length,
-        whatever the word count.  Rows ending on a rejecting node drop out.
+        whatever the word count.
         """
         if length < 0:
             raise ValueError("length must be >= 0")
@@ -167,14 +166,13 @@ class Dfa:
                 words = np.concatenate(
                     [words[rows], syms.astype(np.uint8)[:, None]], axis=1)
                 nodes = nxt[rows, syms]
-            words = words[self.accepting[nodes]]
             if len(words):
                 yield words
 
     def rank_rows(self, rows) -> np.ndarray:
         """Lex rank of every row among accepted words of its length (object
         ints): per column, ``f[rem, moves[node, b]]`` for each b below the
-        row's symbol.  ``ValueError`` if a row is not accepted."""
+        row's symbol.  ``ValueError`` if a row reaches the sink."""
         codes = self._codes(rows)
         n_rows, length = codes.shape
         table = self._sweep_table(length)
@@ -186,7 +184,7 @@ class Dfa:
             for b in range(self.alphabet_size - 1):
                 ranks += counts[np.where(col > b, moves[nodes, b], sink)]
             nodes = moves[nodes, col]
-        if not self._accept[nodes].all():
+        if (nodes == sink).any():
             raise ValueError("word not accepted by automaton")
         return ranks.astype(object, copy=False)
 
@@ -247,44 +245,34 @@ def product_dfa(a: Dfa, b: Dfa) -> Dfa:
                 order.append(key)
             row.append(index[key] if min(key) >= 0 else -1)
         rows.append(row)
-    return Dfa(a.alphabet_size, np.array(rows, dtype=np.int64), start=0,
-               accepting=[a.accepting[x] and b.accepting[y] for x, y in order])
+    return Dfa(a.alphabet_size, np.array(rows, dtype=np.int64), start=0)
 
 
 def avoider_dfa(alphabet_size: int, patterns) -> Dfa:
-    """Aho-Corasick automaton for words containing none of the patterns."""
-    patterns = [tuple(p) for p in patterns if len(p) > 0]
-    goto = [{}]
-    fail = [0]
-    terminal = [False]
-    for pat in patterns:
+    """Aho-Corasick automaton for words containing none of the nonempty
+    patterns: one breadth-first pass over their trie fills the step table.
+    A missing child copies its failure node's step; a present child takes
+    that step as its failure link and inherits its terminal mark.  Steps
+    into terminal nodes die."""
+    goto, terminal = [{}], [False]
+    for pat in filter(len, patterns):
         node = 0
         for sym in pat:
             node = goto[node].setdefault(sym, len(goto))
-            if node == len(fail):
+            if node == len(goto):
                 goto.append({})
-                fail.append(0)
                 terminal.append(False)
         terminal[node] = True
-    # BFS failure links; depth-1 nodes keep fail 0
-    from collections import deque
-    queue = deque(goto[0].values())
-    while queue:
-        node = queue.popleft()
-        for sym, child in goto[node].items():
-            f = fail[node]
-            while f and sym not in goto[f]:
-                f = fail[f]
-            fail[child] = goto[f].get(sym, 0)
-            terminal[child] = terminal[child] or terminal[fail[child]]
-            queue.append(child)
-    n = len(goto)
-    step = np.full((n, alphabet_size), -1, dtype=np.int64)
-    for node in range(n):
+    step = np.zeros((len(goto), alphabet_size), dtype=np.int64)
+    fail, order = [0] * len(goto), [0]
+    for node in order:              # order grows while it is read
         for sym in range(alphabet_size):
-            cur = node
-            while cur and sym not in goto[cur]:
-                cur = fail[cur]
-            nxt = goto[cur].get(sym, 0)
-            step[node][sym] = -1 if terminal[nxt] else nxt
-    return Dfa(alphabet_size, step, start=0)
+            nxt = step[fail[node], sym]     # 0 under the root: its row is unset
+            child = goto[node].get(sym)
+            if child is not None:
+                fail[child], nxt = nxt, child
+                terminal[child] |= terminal[fail[child]]
+                order.append(child)
+            step[node, sym] = nxt
+    step[np.array(terminal)[step]] = -1
+    return Dfa(alphabet_size, step)

@@ -8,7 +8,6 @@ so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -86,11 +85,6 @@ def first_schema_offence(text: str) -> str | None:
     return None
 
 
-def report_schema_check(text: str) -> bool:
-    """True iff every line matches key=value with declared keys."""
-    return first_schema_offence(text) is None
-
-
 def _load_sft(path: str) -> shiftspace.Sft:
     return shiftspace.parse_sft(Path(path).read_text())
 
@@ -139,9 +133,7 @@ def read_dictionary_file(path: str):
     if mode not in ("enumerative", "hall"):
         raise ShiftcodeError(f"dictionary file {path}: [format] names no mode")
     raw = dict(ln.split(None, 1) for ln in section("pack") if ln)
-    # the field types are annotation strings (postponed evaluation)
-    types = {f.name: f.type for f in dataclasses.fields(ParameterPack)
-             if f.name != "checklist"}
+    types = ParameterPack.scalar_types()
     if set(raw) != set(types):
         raise ShiftcodeError(f"dictionary file {path}: [pack] keys missing or "
                              f"unknown: {sorted(set(raw) ^ set(types))}")

@@ -10,7 +10,7 @@ matching over a sampled relation (tiny scale, faithful to the relation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,10 +31,10 @@ STUPID_DELTA_BOUND = (64.0 - math.sqrt(64.0 ** 2 - 240.0)) / 120.0
 S5_KMAX = 3     # longest block in the s5 weak* condition
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z99):
+def wilson_interval(successes: int, trials: int):
     if trials <= 0:
         return 0.0, 1.0
-    p = successes / trials
+    p, z = successes / trials, WILSON_Z99
     d = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / d
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / d
@@ -80,17 +80,13 @@ class ParameterPack:
         """Relative info window [M, N-10M) within an N-block."""
         return self.M, self.N - 10 * self.M
 
+    @classmethod
+    def scalar_types(cls) -> dict:
+        """The scalars: every field but ``checklist``, name -> type string."""
+        return {f.name: f.type for f in fields(cls) if f.name != "checklist"}
+
     def scalars(self) -> dict:
-        return {
-            "mode": self.mode, "eps": self.eps, "Delta": self.Delta,
-            "delta": self.delta, "eta": self.eta, "r": self.r,
-            "eta_radius": self.eta_radius, "r_radius": self.r_radius,
-            "ell": self.ell, "M": self.M, "N": self.N, "alpha": self.alpha,
-            "h_source": self.h_source, "h_target": self.h_target,
-            "h_joint_bound": self.h_joint_bound,
-            "source_alphabet": self.source_alphabet, "gap": self.gap,
-            "binding": self.binding,
-        }
+        return {name: getattr(self, name) for name in self.scalar_types()}
 
 
 def _radius_for(threshold: float) -> int:
@@ -110,8 +106,8 @@ def log_cylinder_extreme(measure: MarkovMeasure, length: int, pick) -> float:
     the states that end in it (k >= 1: the empty word weighs sum(pi))."""
     sft = measure.sft
     if length < sft.k:
-        ends = sft.state_codes.astype(np.int64) % sft.alphabet_size ** length
-        mass = np.bincount(ends, weights=measure.stationary)
+        mass = np.bincount(sft.state_suffix_codes(length),
+                           weights=measure.stationary)
         return float(np.log(pick(mass[mass > 0])))
     v = measure._log_pi         # an irreducible chain has pi > 0
     step = np.where(measure.transition > 0, measure._log_p,
@@ -411,7 +407,8 @@ def _type_class_boys(mu: MarkovMeasure, N: int, log_threshold: float) -> BoySet:
     equal to 13 decimals; class d is 0).  A node is (factor node, equal rows
     merged; counts of the d negative classes).  Excesses are <= 0: an edge
     is dead once the counts score below the threshold or pass the N - k + 1
-    steps from the first state on, and every node left accepts.  Counts: a
+    steps from the first state on, so a word is a boy iff its walk lives
+    (the automaton is prefix-closed, as every ``Dfa`` is).  Counts: a
     forward DP of N steps, or multinomials where one factor node is left."""
     sft, factor = mu.sft, mu.sft.factor_dfa()
     if N < sft.k:

@@ -8,6 +8,7 @@ regime, window comparisons are plain symbol equality.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -162,15 +163,15 @@ def _exhaustive_marker(sft: Sft, nu: MarkovMeasure, M: int,
     A block's candidates are its columns after transposing, and
     :func:`window_codes` codes their 6M + 1 windows of length 2M as
     base-m integers (uint8 here, since m^(2M) <= 2^(EXHAUSTIVE_BITS / 4)
-    = 64), so violations are equal codes.  Cylinder masses are computed
-    by ``nu.cylinder_probability`` once per distinct window code and
-    gathered, which keeps them bit-identical to :func:`check_scheme`.
+    = 64), so violations are equal codes.  A window's mass is the same
+    wherever it sits: one table, ``nu.cylinder_probability`` per code in
+    lex order, serves both windows, bit-identical to :func:`check_scheme`.
     """
     m = sft.alphabet_size
     width = 2 * M
     limit = alpha / M
-    mass_h1 = np.full(m ** width, np.nan)
-    mass_h2 = np.full(m ** width, np.nan)
+    mass = np.array([nu.cylinder_probability(Word(np.array(w, dtype=np.uint8)))
+                     for w in itertools.product(range(m), repeat=width)])
     any_distinguishing = False
     best = None  # (longest run, word, nu_h1, nu_h2)
     for block in sft.factor_dfa().enumerate(8 * M):
@@ -180,15 +181,7 @@ def _exhaustive_marker(sft: Sft, nu: MarkovMeasure, M: int,
         if not distinct.any():
             continue
         any_distinguishing = True
-        h1, h2 = codes[0], codes[6 * M]
-        for mass, code, lo in ((mass_h1, h1, 0), (mass_h2, h2, 6 * M)):
-            need = distinct & np.isnan(mass[code])
-            if need.any():
-                new, first = np.unique(code[need], return_index=True)
-                for c, row in zip(new, np.flatnonzero(need)[first]):
-                    mass[c] = nu.cylinder_probability(
-                        Word(block[row, lo:lo + width]))
-        nu1, nu2 = mass_h1[h1], mass_h2[h2]
+        nu1, nu2 = mass[codes[0]], mass[codes[6 * M]]
         ok = np.flatnonzero(distinct & (nu1 < limit) & (nu2 < limit))
         if len(ok) == 0:
             continue

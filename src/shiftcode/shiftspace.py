@@ -270,8 +270,7 @@ class Sft:
             at = np.flatnonzero(lengths == n)
             code = window_codes(sym[starts[at, None] + np.arange(n)].T, n, m)[0]
             suffix = np.zeros(m ** n, dtype=bool)
-            # widened first: m ** k need not fit the codes' own dtype
-            suffix[self.state_codes.astype(np.int64) % m ** n] = True
+            suffix[self.state_suffix_codes(n)] = True
             ok[at] &= suffix[code]
         return ok
 
@@ -284,9 +283,12 @@ class Sft:
             raise ValueError(f"word of length {n} is longer than a state ({self.k})")
         if n and (sym.min() < 0 or sym.max() >= m):
             return np.zeros(self.n_states, dtype=bool)
-        code = int(window_codes(sym, n, m)[0])
+        return self.state_suffix_codes(n) == int(window_codes(sym, n, m)[0])
+
+    def state_suffix_codes(self, n: int) -> np.ndarray:
+        """Base-m code (int64) of every state's last n symbols, n <= k."""
         # widened first: m ** k need not fit the codes' own dtype
-        return self.state_codes.astype(np.int64) % m ** n == code
+        return self.state_codes.astype(np.int64) % self.alphabet_size ** n
 
     def state_path(self, word: Word) -> np.ndarray:
         """State index of every full k-window of the word, -1 where the

@@ -52,8 +52,6 @@ class Skeleton:
     symbols: np.ndarray
     kind: str                 # "boost" | "support"
     params: tuple             # (k0, k1, k2) or (N, M)
-    seed: int
-    block_lengths: tuple
 
     @staticmethod
     def _blocks_boost(k0: int, k1: int, k2: int):
@@ -85,13 +83,12 @@ class Skeleton:
         """Whole blocks, fair coin long/short per block, until min_length."""
         short, long_ = cls._blocks(kind, params)
         rng = np.random.default_rng(seed)
-        pieces, lengths, total = [], [], 0
+        pieces, total = [], 0
         while total < min_length:
             blk = long_ if rng.integers(0, 2) else short
             pieces.append(blk)
-            lengths.append(len(blk))
             total += len(blk)
-        return cls(np.concatenate(pieces), kind, tuple(params), seed, tuple(lengths))
+        return cls(np.concatenate(pieces), kind, tuple(params))
 
     def __len__(self) -> int:
         return len(self.symbols)

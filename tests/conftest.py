@@ -177,8 +177,8 @@ def reference_walk(dfa, symbols):
 
 def reference_suffix_counts(dfa, length):
     """Reference for Dfa.suffix_counts: list rows of per-node sums, row 0
-    from the accepting vector."""
-    table = [[int(a) for a in dfa.accepting]]
+    all ones (every node accepts)."""
+    table = [[1] * dfa.n_nodes]
     while len(table) <= length:
         prev = table[-1]
         table.append([sum(prev[nxt] for nxt in dfa.step[node] if nxt >= 0)
@@ -201,8 +201,6 @@ def reference_rank(dfa, symbols):
         node = dfa.step[node][a]
         if node < 0:
             raise ValueError("word not accepted by automaton")
-    if not dfa.accepting[node]:
-        raise ValueError("word not accepted by automaton")
     return r
 
 
@@ -228,13 +226,13 @@ def reference_unrank(dfa, length, r):
     return tuple(out)
 
 
-def one_count_dfa(k_lo, k_hi):
-    """Binary words with k_lo to k_hi ones: node = ones so far, accepting
-    from k_lo (a DFA with a rejecting node for the automaton tests)."""
+def one_count_dfa(k_hi):
+    """Binary words with at most k_hi ones: node = ones so far, every node
+    accepting (counts are sums of binomials, far past 2^63 at length 70)."""
     from shiftcode.automata import Dfa
     ones = np.arange(k_hi + 1)
     step = np.stack([ones, np.where(ones < k_hi, ones + 1, -1)], axis=1)
-    return Dfa(2, step, accepting=ones >= k_lo)
+    return Dfa(2, step)
 
 
 def reference_boys(mu, N, log_threshold):
@@ -251,29 +249,28 @@ def reference_boys(mu, N, log_threshold):
     return listed, math.fsum(math.exp(lp) for lp in logs)
 
 
-def _one_count_completions(m, ones, k_lo, k_hi):
-    """Length-m suffixes keeping the total one-count in [k_lo, k_hi]."""
-    return sum(math.comb(m, j) for j in range(max(0, k_lo - ones),
-                                               min(m, k_hi - ones) + 1))
+def _one_count_completions(m, ones, k_hi):
+    """Length-m suffixes keeping the total one-count at most k_hi."""
+    return sum(math.comb(m, j) for j in range(min(m, k_hi - ones) + 1))
 
 
-def reference_binomial_rank(N, k_lo, k_hi, symbols):
+def reference_binomial_rank(N, k_hi, symbols):
     """Reference for the one-count boys' rank: the per-symbol loop over
     binomial completions."""
     r = ones = 0
     for i, b in enumerate(symbols):
         if b == 1:
-            r += _one_count_completions(N - i - 1, ones, k_lo, k_hi)
+            r += _one_count_completions(N - i - 1, ones, k_hi)
             ones += 1
     return r
 
 
-def reference_binomial_unrank(N, k_lo, k_hi, r):
+def reference_binomial_unrank(N, k_hi, r):
     """Reference for the one-count boys' unrank."""
     out = []
     ones = 0
     for i in range(N):
-        c0 = _one_count_completions(N - i - 1, ones, k_lo, k_hi)
+        c0 = _one_count_completions(N - i - 1, ones, k_hi)
         if r < c0:
             out.append(0)
         else:

@@ -4,11 +4,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftcode import automata
-from shiftcode.automata import Dfa, avoider_dfa, product_dfa
+from shiftcode.automata import avoider_dfa, product_dfa
 from shiftcode.shiftspace import build_sft
 
 from conftest import (one_count_dfa, reference_binomial_rank,
@@ -22,8 +22,7 @@ def recursive_enumerate(dfa, length):
 
     def rec(node, pos):
         if pos == length:
-            if dfa.accepting[node]:
-                yield tuple(word)
+            yield tuple(word)
             return
         for a in range(dfa.alphabet_size):
             nxt = dfa.step[node][a]
@@ -106,7 +105,7 @@ def check_batch_methods(dfa, length, data):
                  max_size=length), max_size=6), label="rows")
     rows = np.array(drawn, dtype=np.uint8).reshape(len(drawn), length)
     want = [reference_walk(dfa, row) for row in drawn]
-    accepted = [w >= 0 and bool(dfa.accepting[w]) for w in want]
+    accepted = [w >= 0 for w in want]
     assert dfa.member_rows(rows).tolist() == accepted
     assert [dfa.walk(row) for row in drawn] == want
     good = rows[accepted]
@@ -149,33 +148,18 @@ def test_product_batches_match_reference(sft_zoo, data):
 def test_one_count_batches_match_reference(data):
     N = data.draw(st.integers(0, 40), label="N")
     k_hi = data.draw(st.integers(0, N), label="k_hi")
-    k_lo = data.draw(st.integers(0, k_hi), label="k_lo")
-    dfa = one_count_dfa(k_lo, k_hi)
-    total = sum(math.comb(N, k) for k in range(k_lo, k_hi + 1))
+    dfa = one_count_dfa(k_hi)
+    total = sum(math.comb(N, k) for k in range(k_hi + 1))
     assert dfa.count(N) == total
     ranks = sorted({0, total - 1, *data.draw(
         st.lists(st.integers(0, total - 1), max_size=5), label="ranks")})
     words = dfa.unrank_rows(N, ranks)
     assert [tuple(w) for w in words.tolist()] == [
-        reference_binomial_unrank(N, k_lo, k_hi, r) for r in ranks]
+        reference_binomial_unrank(N, k_hi, r) for r in ranks]
     assert dfa.rank_rows(words).tolist() == [
-        reference_binomial_rank(N, k_lo, k_hi, w) for w in words.tolist()]
+        reference_binomial_rank(N, k_hi, w) for w in words.tolist()]
     assert dfa.rank_rows(words).tolist() == ranks
     check_batch_methods(dfa, N, data)
-
-
-@given(data=st.data())
-@settings(max_examples=60)
-def test_accepting_vector_counts_and_enumerates(zoo_dfas, data):
-    base = zoo_dfas[data.draw(st.integers(0, len(zoo_dfas) - 1), label="dfa")]
-    accepting = data.draw(st.lists(st.booleans(), min_size=base.n_nodes,
-                                   max_size=base.n_nodes), label="accepting")
-    dfa = Dfa(base.alphabet_size, base.step, base.start, accepting)
-    length = data.draw(st.integers(0, 8), label="length")
-    want = list(recursive_enumerate(dfa, length))
-    assert dfa.count(length) == len(want)
-    assert block_rows(dfa, length) == want
-    check_batch_methods(dfa, length, data)
 
 
 def test_big_counts_match_reference(zoo_dfas):
@@ -215,10 +199,10 @@ def check_sweep_boundary(dfa, length):
 
 @pytest.mark.parametrize("N", range(60, 71))
 def test_one_count_sweep_across_int64_cutoff(N):
-    # counts of the full range reach 2^63 at row 63; the narrow range's
+    # counts of the full range reach 2^63 at row 63; the capped range's
     # grow slower, so its cutoff falls further down the table
-    for k_lo, k_hi in [(0, N), (N // 4, 3 * N // 4)]:
-        dfa = one_count_dfa(k_lo, k_hi)
+    for k_hi in [N, 3 * N // 4]:
+        dfa = one_count_dfa(k_hi)
         dfa.suffix_counts(70)
         check_sweep_boundary(dfa, N)
 
@@ -232,7 +216,7 @@ def test_full_shift_sweep_across_int64_cutoff(length):
 
 
 def test_int64_copy_replaced_with_longer_table():
-    dfa = one_count_dfa(0, 70)
+    dfa = one_count_dfa(70)
     check_sweep_boundary(dfa, 10)
     short = dfa._tables["suffix64"]
     before = short.copy()
@@ -247,20 +231,42 @@ def test_int64_copy_replaced_with_longer_table():
         check_sweep_boundary(dfa, length)
 
 
-def test_default_accepting_is_every_node(zoo_dfas):
-    for dfa in zoo_dfas:
-        assert dfa.accepting.tolist() == [True] * dfa.n_nodes
-
-
 @pytest.mark.parametrize("swap", [False, True])
-@pytest.mark.parametrize("k_lo,k_hi", [(0, 2), (1, 3), (3, 3)])
-def test_product_honours_accepting(k_lo, k_hi, swap):
-    pair = [one_count_dfa(k_lo, k_hi), avoider_dfa(2, [[1, 1]])]
+@pytest.mark.parametrize("k_hi", [0, 2, 3])
+def test_product_matches_brute_force(k_hi, swap):
+    pair = [one_count_dfa(k_hi), avoider_dfa(2, [[1, 1]])]
     dfa = product_dfa(*pair[::-1] if swap else pair)
     for length in range(9):
         want = [w for w in itertools.product((0, 1), repeat=length)
-                if k_lo <= sum(w) <= k_hi and (1, 1) not in zip(w, w[1:])]
+                if sum(w) <= k_hi and (1, 1) not in zip(w, w[1:])]
         assert dfa.count(length) == len(want)
         assert block_rows(dfa, length) == want
         if want:
             assert dfa.rank_rows(np.array(want)).tolist() == list(range(len(want)))
+
+
+@st.composite
+def avoider_cases(draw):
+    """(alphabet size, patterns): up to 4 patterns of length 0-4."""
+    m = draw(st.integers(1, 3), label="m")
+    pattern = st.lists(st.integers(0, m - 1), max_size=4)
+    return m, draw(st.lists(pattern, max_size=4), label="patterns")
+
+
+@given(case=avoider_cases(), length=st.integers(0, 6))
+@example(case=(2, [[], [0, 1], [0, 1], [1, 0, 1]]), length=6)
+@example(case=(3, [[2, 2, 2], [2, 2], [1, 2, 1, 2]]), length=6)
+@settings(max_examples=200)
+def test_avoider_matches_substring_search(case, length):
+    # an empty pattern forbids nothing
+    m, patterns = case
+    patterns = [tuple(p) for p in patterns if p]
+    words = list(itertools.product(range(m), repeat=length))
+    keep = [not any(w[i:i + len(p)] == p for p in patterns
+                    for i in range(length - len(p) + 1)) for w in words]
+    want = [w for w, k in zip(words, keep) if k]
+    dfa = avoider_dfa(m, case[1])
+    assert dfa.count(length) == len(want)
+    assert block_rows(dfa, length) == want
+    rows = np.array(words, dtype=np.uint8).reshape(len(words), length)
+    assert dfa.member_rows(rows).tolist() == keep

@@ -402,9 +402,9 @@ class TestBatchMethods:
         ranks = [0, b.count - 1] + [rng.randrange(b.count) for _ in range(40)]
         boy_rows = b.unrank_rows(ranks)
         assert [tuple(w) for w in boy_rows.tolist()] == [
-            reference_binomial_unrank(64, 0, 7, r) for r in ranks]
+            reference_binomial_unrank(64, 7, r) for r in ranks]
         assert b.rank_rows(boy_rows).tolist() == ranks == [
-            reference_binomial_rank(64, 0, 7, w) for w in boy_rows.tolist()]
+            reference_binomial_rank(64, 7, w) for w in boy_rows.tolist()]
         girl_rows = d.lookup_rows(boy_rows)
         assert [tuple(w) for w in girl_rows.tolist()] == [
             reference_unrank(g.dfa, g.length, r) for r in ranks]

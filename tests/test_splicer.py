@@ -50,7 +50,7 @@ class TestSkeletonLegality:
         bad = sk.symbols.copy()
         bad[5] = 2
         with pytest.raises(ValueError):
-            greedy_parse(Skeleton(bad, "support", (20, 2), 3, sk.block_lengths))
+            greedy_parse(Skeleton(bad, "support", (20, 2)))
 
 
 class TestEntropyBoost:
