@@ -4,8 +4,8 @@ Counting, lex enumeration, membership and rank/unrank (Cover's enumerative
 coding) run over one prefix-closed DFA abstraction: an SFT's factor
 language, a pattern avoider, their product, or a source's type-class
 automaton (its boys, built in ``dictionary``).  Batch methods sweep the
-columns of a ``(B, L)`` array of words; counts are exact Python ints, and
-the rank/unrank sweeps run in int64 wherever the counts they read fit.
+columns of a ``(B, L)`` array of words; counts are exact Python ints, in
+one suffix table per automaton, read as int64 by a sweep where they fit.
 """
 
 from __future__ import annotations
@@ -36,21 +36,18 @@ class Dfa:
     alphabet_size: int
     step: np.ndarray           # shape (n_nodes, alphabet_size), dtype int64
     start: int = 0
-    _tables: dict = field(default_factory=dict, repr=False)
+    # step plus a sink row and an off-alphabet column, all to the sink
+    moves: np.ndarray = field(init=False, repr=False)
+    _suffix: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        n, m = self.step.shape
+        self.moves = np.full((n + 1, m + 1), n, dtype=np.intp)
+        self.moves[:n, :m] = np.where(self.step >= 0, self.step, n)
 
     @property
     def n_nodes(self) -> int:
         return self.step.shape[0]
-
-    def _moves(self) -> np.ndarray:
-        """``step`` plus a sink row and an off-alphabet column, all to the sink."""
-        moves = self._tables.get("moves")
-        if moves is None:
-            n, m = self.step.shape
-            moves = np.full((n + 1, m + 1), n, dtype=np.intp)
-            moves[:n, :m] = np.where(self.step >= 0, self.step, n)
-            self._tables["moves"] = moves
-        return moves
 
     def _codes(self, rows) -> np.ndarray:
         """Rows as a 2-D int array, symbols off the alphabet set to ``alphabet_size``."""
@@ -63,10 +60,9 @@ class Dfa:
 
     def _ends(self, rows) -> np.ndarray:
         """The node every row ends on; the sink where it dies."""
-        moves = self._moves()
         nodes = np.full(len(rows), self.start, dtype=np.intp)
         for col in self._codes(rows).T:
-            nodes = moves[nodes, col]
+            nodes = self.moves[nodes, col]
         return nodes
 
     def walk(self, symbols) -> int:
@@ -84,18 +80,15 @@ class Dfa:
 
     def _next_row(self, row) -> np.ndarray:
         """Suffix counts one symbol longer: each node sums its moves' counts."""
-        return np.sum(row[self._moves()[:, :-1]], axis=1)
+        return np.sum(row[self.moves[:, :-1]], axis=1)
 
     def suffix_counts(self, length: int) -> np.ndarray:
         """Object array ``f[t, node]`` of accepted suffix counts, t <= length
-        at least, the sink last.  Cached in ``_tables["suffix"]`` and replaced,
-        never written in place, when a longer one is needed; each replacement
-        also caches ``_tables["suffix64"]``, an int64 copy of the table's
-        leading rows whose entries are all below 2^63.  Rank and unrank at a
-        length L sweep that copy when it holds rows 0..L, else the object
-        table.  ``ParameterError`` before building a table estimated (row t
-        holds counts of at most t log2(alphabet) bits) above RANK_BIT_LIMIT."""
-        table = self._tables.get("suffix")
+        at least, the sink last.  Kept in ``_suffix`` and replaced, never
+        written in place, when a longer one is needed.  ``ParameterError``
+        before building a table estimated (row t holds counts of at most
+        t log2(alphabet) bits) above RANK_BIT_LIMIT."""
+        table = self._suffix
         if table is None or len(table) <= length:
             bits = self.n_nodes * length * length * np.log2(self.alphabet_size) / 2
             if bits > RANK_BIT_LIMIT:
@@ -106,30 +99,24 @@ class Dfa:
             rows = list(table) if table is not None else [self._first_row()]
             while len(rows) <= length:
                 rows.append(self._next_row(rows[-1]))
-            table = np.array(rows)
-            big = (table >= 1 << 63).any(axis=1)
-            fits = int(np.argmax(np.append(big, True)))
-            # the copy first: a reader that finds "suffix" also finds it
-            self._tables["suffix64"] = table[:fits].astype(np.int64)
-            self._tables["suffix"] = table
+            table = self._suffix = np.array(rows)
         return table
 
     def _sweep_table(self, length: int) -> np.ndarray:
-        """Suffix rows for a rank sweep at this length: the int64 copy when
-        it holds rows 0..length, which bounds every partial rank, else the
-        object table."""
-        table = self.suffix_counts(length)
-        fits = self._tables["suffix64"]
-        return fits if len(fits) > length else table
+        """Suffix rows 0..length for a rank sweep at this length: int64 when
+        every entry is below 2^63, else the object rows.  A sweep reads only
+        entries bounded by the total count, so its sums stay in range."""
+        rows = self.suffix_counts(length)[:length + 1]
+        try:
+            return rows.astype(np.int64)
+        except OverflowError:
+            return rows
 
     def count(self, length: int) -> int:
         """Exact number of accepted words of the given length, by one
         streamed DP vector, so large lengths stay affordable in memory."""
         if length < 0:
             raise ValueError("length must be >= 0")
-        cached = self._tables.get("suffix")
-        if cached is not None and len(cached) > length:
-            return cached[length, self.start]
         vec = self._first_row()
         for _ in range(length):
             vec = self._next_row(vec)
@@ -176,7 +163,7 @@ class Dfa:
         codes = self._codes(rows)
         n_rows, length = codes.shape
         table = self._sweep_table(length)
-        moves, sink = self._moves(), self.n_nodes
+        moves, sink = self.moves, self.n_nodes
         nodes = np.full(n_rows, self.start, dtype=np.intp)
         ranks = np.zeros(n_rows, dtype=table.dtype)
         for pos, col in enumerate(codes.T):
@@ -191,10 +178,9 @@ class Dfa:
     def unrank_rows(self, length: int, ranks) -> np.ndarray:
         """Inverse of :meth:`rank_rows`: a ``(len(ranks), length)`` uint8
         array; ``ValueError`` if a rank is outside ``[0, count(length))``."""
-        total = self.suffix_counts(length)[length, self.start]
         table = self._sweep_table(length)
+        total = int(table[length, self.start])
         ranks = rank_vector(ranks, total).astype(table.dtype)
-        moves = self._moves()
         nodes = np.full(len(ranks), self.start, dtype=np.intp)
         out = np.empty((len(ranks), length), dtype=np.uint8)
         for pos in range(length):
@@ -202,12 +188,12 @@ class Dfa:
             syms = np.zeros(len(ranks), dtype=np.intp)
             # a row passes symbol a, paying its count, while its rank allows
             for a in range(self.alphabet_size - 1):
-                c = counts[moves[nodes, a]]
+                c = counts[self.moves[nodes, a]]
                 past = (syms == a) & (ranks >= c)
                 ranks = np.where(past, ranks - c, ranks)
                 syms += past
             out[:, pos] = syms
-            nodes = moves[nodes, syms]
+            nodes = self.moves[nodes, syms]
         return out
 
     def rank(self, symbols) -> int:

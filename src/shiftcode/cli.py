@@ -69,18 +69,13 @@ def first_schema_offence(text: str) -> str | None:
     if not lines:
         return None
     head = lines[0].split("=", 1)
-    if head[0] != "subcommand" or len(head) != 2:
+    if head[0] != "subcommand" or len(head) != 2 or head[1] not in SCHEMA:
         return lines[0]
-    allowed = SCHEMA.get(head[1], None)
-    if head[1] not in SCHEMA:
-        return lines[0]
+    allowed = SCHEMA[head[1]]
     for ln in lines[1:]:
-        if "=" not in ln:
-            return ln
-        key = ln.split("=", 1)[0]
-        if not key or " " in key:
-            return ln
-        if allowed is not None and key not in allowed:
+        key, eq, _ = ln.partition("=")
+        if (not (eq and key) or " " in key
+                or allowed is not None and key not in allowed):
             return ln
     return None
 
@@ -129,11 +124,25 @@ def read_dictionary_file(path: str):
             raise ShiftcodeError(f"dictionary file {path} has no [{name}] section")
         return sections[name]
 
-    mode = dict(ln.split(None, 1) for ln in section("format") if ln).get("mode")
+    def fields(name, parts, types, sep=None):
+        """``key value`` lines (or ``key=value`` parts) as a dict, each
+        value stripped and parsed by its key's type, else kept as text."""
+        out = {}
+        for part in filter(str.strip, parts):
+            try:
+                key, value = (text.strip() for text in part.split(sep, 1))
+                out[key] = types.get(key, str)(value)
+            except ValueError:
+                raise ShiftcodeError(f"dictionary file {path}: [{name}] field "
+                                     f"{part.strip()} is malformed") from None
+        return out
+
+    mode = fields("format", section("format"), {}).get("mode")
     if mode not in ("enumerative", "hall"):
         raise ShiftcodeError(f"dictionary file {path}: [format] names no mode")
-    raw = dict(ln.split(None, 1) for ln in section("pack") if ln)
-    types = ParameterPack.scalar_types()
+    types = {key: {"int": int, "float": float}.get(kind, str)
+             for key, kind in ParameterPack.scalar_types().items()}
+    raw = fields("pack", section("pack"), types)
     if set(raw) != set(types):
         raise ShiftcodeError(f"dictionary file {path}: [pack] keys missing or "
                              f"unknown: {sorted(set(raw) ^ set(types))}")
@@ -141,31 +150,25 @@ def read_dictionary_file(path: str):
     target_sft = shiftspace.parse_sft("\n".join(section("target-sft")))
     mu = measures.parse_measure("\n".join(section("source-measure")), source_sft)
     nu = measures.parse_measure("\n".join(section("target-measure")), target_sft)
-    cast = {"int": int, "float": float, "str": str}
-    pack = ParameterPack(**{k: cast[types[k]](v) for k, v in raw.items()})
+    pack = ParameterPack(**raw)
     line = section("marker")[0]
-    fields = dict(part.partition("=")[::2] for part in line.split())
-    for key, parse in (("word", Word.from_string), ("M", int), ("alpha", float)):
-        if key not in fields:
+    checks = {"word": Word.from_string, "M": int, "alpha": float}
+    marker = fields("marker", line.split(), checks, sep="=")
+    for key in checks:
+        if key not in marker:
             raise ShiftcodeError(f"dictionary file {path}: [marker] has no "
                                  f"{key} field")
-        try:
-            parse(fields[key])
-        except ValueError:
-            raise ShiftcodeError(f"dictionary file {path}: [marker] field "
-                                 f"{key}={fields[key]} is malformed") from None
     scheme = markers.MarkerScheme.parse(line, nu)
     boy_set = boys(mu, pack)
     girl_set = girls(target_sft, pack, scheme)
-    stored = {k: int(v) for k, v in (ln.split(None, 1)
-                                     for ln in sections.get("counts", []) if ln)}
+    stored = fields("counts", sections.get("counts", []),
+                    {"boys": int, "girls": int})
     if stored and ((stored.get("boys"), stored.get("girls"))
                    != (boy_set.count, girl_set.count)):
         raise ShiftcodeError(
             "dictionary file counts disagree with the rebuilt sets")
     if mode == "hall":
-        table = dict([part.strip() for part in ln.split("->")]
-                     for ln in sections.get("table", []) if ln.strip())
+        table = fields("table", sections.get("table", []), {}, sep="->")
         d = Dictionary("hall", boy_set, girl_set, table=table)
     else:
         d = build_dictionary(boy_set, girl_set, "enumerative", pack=pack)
@@ -292,7 +295,10 @@ def _cmd_encode(args):
 
 def _cmd_decode(args):
     pack, scheme, mu, nu, d = read_dictionary_file(args.dict)
-    y, header = codec.read_coded(Path(args.coded).read_text())
+    try:
+        y, header = codec.read_coded(Path(args.coded).read_text())
+    except ShiftcodeError as exc:
+        raise ShiftcodeError(f"coded stream {args.coded}: {exc}") from None
     expected = {"pack": codec.pack_hash(pack), "dict": codec.dictionary_hash(d),
                 "marker": scheme.serialize()}
     for key, value in expected.items():
@@ -393,9 +399,8 @@ def _read_matrix(args) -> list:
         text = Path(args.matrix_file).read_text()
     else:
         text = args.matrix.replace(";", "\n")
-    rows = [[int(v) for v in line.split()] for line in text.splitlines()
+    return [[int(v) for v in line.split()] for line in text.splitlines()
             if line.strip()]
-    return rows
 
 
 def _cmd_toral(args):

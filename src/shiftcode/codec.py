@@ -26,12 +26,12 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dictionary import Dictionary, ParameterPack
-from .errors import EncodingCollisionError, ParameterError
+from .errors import EncodingCollisionError, ParameterError, ShiftcodeError
 from .interp import SegmentPlan, interpolate, iter_connectors, spans
 from .markers import MarkerScheme
 from .shiftspace import Sft, Word, specification_gap
@@ -113,13 +113,15 @@ class CodedPair:
         return float(np.mean(self.mask))
 
 
-def _draw_flags(parse: BlockParse, eps: float, n_girls: int, seed: int) -> None:
-    """Dictionary flag with probability 1 - eps/2, else a uniform girl."""
+def _draw_flags(parse: BlockParse, eps: float, n_girls: int, seed: int) -> np.ndarray:
+    """Per N-block the dictionary flag with probability 1 - eps/2, else a
+    uniform girl rank; None per unit block."""
     rng = random.Random(f"flags-{seed}")
-    parse.flags = np.full(len(parse), None, dtype=object)
+    flags = np.full(len(parse), None, dtype=object)
     for i in np.flatnonzero(parse.lengths > 1).tolist():
-        parse.flags[i] = (D_FLAG if rng.random() < 1.0 - eps / 2.0
-                          else rng.randrange(n_girls))
+        flags[i] = (D_FLAG if rng.random() < 1.0 - eps / 2.0
+                    else rng.randrange(n_girls))
+    return flags
 
 
 def _find_all(hay: bytes, needle: bytes):
@@ -140,7 +142,8 @@ def encode(x: Word, dict_: Dictionary, scheme: MarkerScheme,
         raise ParameterError(
             f"M = {M} below the specification gap {gap}: plan gaps too small")
     parse = rokhlin_parse(x, N, pack.delta, seed)
-    _draw_flags(parse, pack.eps, dict_.girls.count, seed)
+    parse = replace(parse, flags=_draw_flags(parse, pack.eps,
+                                             dict_.girls.count, seed))
 
     # batched over all N-blocks: boy test, the dictionary's girls of the
     # dictionary-flagged boys, one girl unrank for the random-girl flags
@@ -468,16 +471,21 @@ def write_coded(pair_y: Word, pack: ParameterPack, dict_: Dictionary,
 
 
 def read_coded(text: str):
-    """(y, header dict); the caller checks the hashes against its pack."""
-    header = {}
-    digits = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        key = line.split()[0]
+    """(y, header dict); the caller checks the hashes against its pack.
+    ``ShiftcodeError`` names a line that is neither a header nor digits,
+    and a base that is not an integer."""
+    header, digits = {}, []
+    for n, line in enumerate(text.splitlines(), 1):
+        key, *value = line.split(None, 1) or [""]
         if key in ("pack", "dict", "marker", "base"):
-            header[key] = line.split(None, 1)[1]
+            header[key] = "".join(value)
+        elif value or (key and not key.isdecimal()):
+            raise ShiftcodeError(
+                f"line {n} is neither a header line nor a line of digits")
         else:
-            digits.append(line.strip())
-    base = int(header.get("base", "0"))
+            digits.append(key)
+    try:
+        base = int(header.get("base", 0))
+    except ValueError:
+        raise ShiftcodeError(f"base {header['base']!r} is not an integer") from None
     return Word.from_string("".join(digits), base), header

@@ -130,20 +130,22 @@ def _context(sft: Sft, word, last: bool) -> np.ndarray:
 def _reach_rows(sft: Sft, head: np.ndarray, length: int) -> list:
     """Bool rows ``reach[t][node]`` (sink last): a node that can read
     ``head`` is exactly t steps away.  Cached per head and grown up to
-    ``length`` or the fixed point, so row t is ``reach[min(t, len - 1)]``."""
-    moves = sft.factor_dfa()._moves()
+    ``length`` or the fixed point, so row t is ``reach[min(t, len - 1)]``;
+    a longer list replaces the cached one, never written in place."""
+    moves = sft.factor_dfa().moves
     sink = len(moves) - 1
-    rows = sft._reach.get(head.tobytes())
-    if rows is None:
+    rows = list(sft._reach.get(head.tobytes(), ()))
+    if not rows:
         ends = np.arange(sink + 1)
         for a in head:
             ends = moves[ends, a]
-        rows = sft._reach[head.tobytes()] = [ends < sink]
+        rows = [ends < sink]
     while len(rows) <= length:
         row = rows[-1][moves[:, :-1]].any(axis=1)
         if np.array_equal(row, rows[-1]):
             break
         rows.append(row)
+    sft._reach[head.tobytes()] = rows
     return rows
 
 
@@ -172,7 +174,7 @@ def iter_connectors(sft: Sft, left, right, gap: int):
     if node < 0:
         return
     last = len(reach) - 1
-    moves, m = sft.factor_dfa()._moves(), sft.alphabet_size
+    moves, m = sft.factor_dfa().moves, sft.alphabet_size
     word = np.zeros(gap, dtype=np.uint8)
     path, a = [node], 0     # path[d]: the node word[:d] reaches; a: next symbol
     while path:
@@ -199,24 +201,20 @@ def _least_connector(sft: Sft, tail: np.ndarray, head: np.ndarray,
     The reach rows are exact, so the least symbol that keeps the head
     reachable never leads to a dead end.  The first ``gap - last`` steps
     all read the fixed-point row ``reach[last]``: their choices form a map
-    node -> (symbol, next node), cached per head, and its walk is tiled
-    once a node repeats; the last steps go row by row.
+    node -> (symbol, next node), and its walk is tiled once a node repeats;
+    the last steps go row by row.
     """
     node, reach = _search_start(sft, tail, head, gap)
     if node < 0:
         raise NoConnectorError(
             f"no admissible connector of length {gap} between the given words")
-    moves = sft.factor_dfa()._moves()[:, :-1]
+    moves = sft.factor_dfa().moves[:, :-1]
     last = len(reach) - 1
     periodic = max(gap - last, 0)
     word = np.empty(gap, dtype=np.uint8)
     if periodic:
-        least = sft._least.get(head.tobytes())
-        if least is None:
-            sym = np.argmax(reach[last][moves], axis=1)
-            least = sft._least[head.tobytes()] = (
-                sym.astype(np.uint8), moves[np.arange(len(moves)), sym].tolist())
-        sym, nxt = least
+        sym = np.argmax(reach[last][moves], axis=1)
+        nxt = moves[np.arange(len(moves)), sym].tolist()
         path, seen = [], {}
         while node not in seen and len(path) < periodic:
             seen[node] = len(path)

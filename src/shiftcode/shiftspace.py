@@ -90,8 +90,8 @@ class Word:
                 f"word covers [{self.lo}, {self.hi}), needs [{lo}, {hi})")
         return Word(self.symbols[lo - self.base:hi - self.base], lo)
 
-    def rebase(self, base: int = 0) -> "Word":
-        return Word(self.symbols, base)
+    def rebase(self) -> "Word":
+        return Word(self.symbols, 0)
 
     def to_string(self) -> str:
         return "".join(str(int(a)) for a in self.symbols)
@@ -193,7 +193,6 @@ class Sft:
         self._dfa = None
         self._gap = None
         self._reach = {}        # right-context head -> interp reach rows
-        self._least = {}        # right-context head -> interp least-symbol map
         self._connectors = {}   # (left tail, right head, gap) -> least connector
 
     @classmethod

@@ -24,6 +24,7 @@ from sympy.polys.specialpolys import cyclotomic_poly
 from .errors import CertificationError
 
 _X = symbols("x")
+ENTROPY_TOL = 1e-10     # two successive precisions of an entropy agree this closely
 
 
 def _to_poly(coeffs) -> Poly:
@@ -139,7 +140,7 @@ def _circle_root_count(p: Poly) -> int:
     return 2 * q.count_roots(-2, 2)
 
 
-def _entropy_of_factor(p: Poly, tol: float) -> float:
+def _entropy_of_factor(p: Poly) -> float:
     """Sum of log moduli of the roots outside the unit circle of an
     irreducible non-cyclotomic factor."""
     on_circle = _circle_root_count(p)
@@ -158,16 +159,15 @@ def _entropy_of_factor(p: Poly, tol: float) -> float:
             if near == on_circle:
                 total = math.fsum(float(mpmath.log(m)) for m in moduli
                                   if m - 1 > margin)
-                if last is not None and abs(total - last) <= tol / 10:
+                if last is not None and abs(total - last) <= ENTROPY_TOL / 10:
                     return total
                 last = total
         prec *= 2
     raise CertificationError(
-        f"could not certify root moduli of {coeffs} at tolerance {tol}; "
-        "try a smaller tol")
+        f"could not certify root moduli of {coeffs} at tolerance {ENTROPY_TOL}")
 
 
-def toral_entropy(matrix, tol: float = 1e-10) -> float:
+def toral_entropy(matrix) -> float:
     """Sum of log |eigenvalue| over eigenvalues of modulus at least 1.
 
     Exact-circle detection plus high-precision root finding per
@@ -177,7 +177,7 @@ def toral_entropy(matrix, tol: float = 1e-10) -> float:
     total = 0.0
     for factor, mult in f.factor_list()[1]:
         if not factor.is_cyclotomic:   # cyclotomic roots lie on the circle
-            total += mult * _entropy_of_factor(factor, tol)
+            total += mult * _entropy_of_factor(factor)
     return total
 
 

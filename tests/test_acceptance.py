@@ -141,8 +141,7 @@ def test_dictionary_bounds_exact():
             g.unrank(0)
         with pytest.raises(ParameterError, match="suffix-count table"):
             g.rank(Word(np.zeros(g.length, dtype=np.uint8)))
-        assert "suffix" not in g.dfa._tables
-        assert "suffix64" not in g.dfa._tables
+        assert g.dfa._suffix is None
 
 
 def test_hall_mode_fidelity():

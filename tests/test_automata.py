@@ -218,15 +218,16 @@ def test_full_shift_sweep_across_int64_cutoff(length):
 def test_int64_copy_replaced_with_longer_table():
     dfa = one_count_dfa(70)
     check_sweep_boundary(dfa, 10)
-    short = dfa._tables["suffix64"]
+    short = dfa._suffix
     before = short.copy()
     assert len(short) == 11
     table = dfa.suffix_counts(70)
-    fits = dfa._tables["suffix64"]
-    assert fits is not short and np.array_equal(short, before)
-    assert fits.dtype == np.int64 and len(fits) == 63
-    assert fits.tolist() == table[:63].tolist()
+    assert dfa._suffix is table and table is not short
+    assert short.tolist() == before.tolist() == table[:11].tolist()
     assert max(table[63]) == 2**63
+    fits = dfa._sweep_table(62)
+    assert fits.dtype == np.int64 and fits.tolist() == table[:63].tolist()
+    assert dfa._sweep_table(63).dtype == object
     for length in (62, 63, 66):
         check_sweep_boundary(dfa, length)
 

@@ -240,6 +240,8 @@ class TestEncodeDecodeFiles(object):
          "[marker] field M=two is malformed"),
         ("M=2 alpha=0.5 word=00100x0010010011",
          "[marker] field word=00100x0010010011 is malformed"),
+        ("M=2 alpha=0.5 word=0010010010010011 extra",
+         "[marker] field extra is malformed"),
     ])
     @pytest.mark.parametrize("command", ["encode", "decode"])
     def test_cut_marker_line_ends_in_an_error_line(self, coded_stream,
@@ -259,6 +261,34 @@ class TestEncodeDecodeFiles(object):
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert f"dictionary file {bad}: {message}" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("name, key, value, message", [
+        ("dict", "N", "sixty-four", "[pack] field N sixty-four is malformed"),
+        ("dict", "boys", "many", "[counts] field boys many is malformed"),
+        ("dict", "mode", "hall\n[table]\n0101 0011",
+         "[table] field 0101 0011 is malformed"),
+        ("coded", "base", "zero", "base 'zero' is not an integer"),
+        ("coded", None, "01x0",
+         "line 5 is neither a header line nor a line of digits"),
+    ])
+    def test_malformed_value_ends_in_an_error_line(self, coded_stream, tmp_path,
+                                                   name, key, value, message):
+        files = dict(zip(["dict", "coded"], coded_stream))
+        lines = files[name].read_text().splitlines()
+        if key is None:         # the first digit line, after four header lines
+            lines[4] = value
+        else:
+            at = [line.split(" ", 1)[0] for line in lines].index(key)
+            lines[at] = f"{key} {value}"
+        files[name] = tmp_path / f"bad.{name}"
+        files[name].write_text("\n".join(lines) + "\n")
+        proc = cli("decode", "--dict", str(files["dict"]),
+                   "--coded", str(files["coded"]))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        where = {"dict": "dictionary file", "coded": "coded stream"}[name]
+        assert f"ShiftcodeError: {where} {files[name]}: {message}" in proc.stderr
         assert proc.stdout == ""
 
     def test_run_api(self, tmp_path, capsys):

@@ -1,4 +1,8 @@
 import math
+import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -300,6 +304,73 @@ class TestRoundtrip:
         assert pair.coverage >= 1 - (bad.bs1 + bad.bs2 + bad.bs3)
 
 
+def fresh_practical():
+    """(target, source measure, pack, scheme, dictionary) of the
+    roundtrip_setup instance, on Sft and Dfa objects of its own."""
+    target, mu = build_sft(2, []), MarkovMeasure.bernoulli([0.9, 0.1])
+    pack = practical_pack(H_01, LOG2, 0.2, N=64, M=2, delta=0.02)
+    scheme = find_marker(target, MarkovMeasure.bernoulli([0.5, 0.5]), M=2,
+                         alpha=0.5, seed=1)
+    d = dictionary(boys(mu, pack), girls(target, pack, scheme),
+                   "enumerative", pack=pack)
+    return target, mu, pack, scheme, d
+
+
+def roundtrip_outputs(instance, seed, length=20_000):
+    """Coded symbols, markers, decoded symbols and mask of one round."""
+    target, mu, pack, scheme, d = instance
+    x = mu.sample_path(length, seed=(seed, 1))
+    pair = encode(x, d, scheme, pack, target, seed=seed)
+    x_hat, mask = decode(pair.y, d, scheme, pack)
+    return (pair.y.symbols.tobytes(), pair.marker_positions,
+            x_hat.symbols.tobytes(), mask.tobytes())
+
+
+def test_roundtrip_writes_only_the_documented_caches():
+    # a Dfa writes only its suffix table after it is made, an Sft only
+    # its lazily built automaton, gap and connector caches
+    instance = fresh_practical()
+    target, mu, _, _, d = instance
+    sfts = [mu.sft, target]
+    dfas = [d.boys.dfa, d.girls.dfa] + [sft.factor_dfa() for sft in sfts]
+
+    def state(obj):
+        return {name: pickle.dumps(value) for name, value in vars(obj).items()}
+
+    before = [state(obj) for obj in sfts + dfas]
+    roundtrip_outputs(instance, seed=3)
+    changed = [{name for name in old.keys() | new.keys()
+                if old.get(name) != new.get(name)}
+               for old, new in zip(before, map(state, sfts + dfas))]
+    for names in changed[:2]:
+        assert names <= {"_dfa", "_gap", "_reach", "_connectors"}
+    for names in changed[2:]:
+        assert names <= {"_suffix"}
+    assert {"_reach", "_connectors"} <= changed[1]
+    assert changed[3] == {"_suffix"}     # the girls' rank table was built
+
+
+def test_threads_share_a_fresh_dictionary():
+    # two threads on one unwarmed instance, switching often, give a
+    # sequential run's outputs
+    shared, seeds = fresh_practical(), [11, 12]
+    start = threading.Barrier(len(seeds), timeout=60)
+
+    def run(seed):
+        start.wait()
+        return roundtrip_outputs(shared, seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(seeds)) as pool:
+            got = list(pool.map(run, seeds, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    alone = fresh_practical()
+    assert got == [roundtrip_outputs(alone, seed) for seed in seeds]
+
+
 class TestCorruption:
     def test_overwritten_marker_drops_block(self, roundtrip_setup, bern_01,
                                             full2):
@@ -407,7 +478,7 @@ def reference_weakstar(pair, reference_pairs, kmax):
             fams.append(BlockDistribution(k, {b: c / total for b, c in counts.items()}))
         return fams
 
-    fam_coded = family([(pair.x, pair.y.rebase(pair.x.lo))])
+    fam_coded = family([(pair.x, Word(pair.y.symbols, pair.x.lo))])
     return weakstar_surrogate(fam_coded, family(reference_pairs), kmax)
 
 
@@ -427,7 +498,7 @@ class TestAudits:
         pack, scheme, b, g, d = roundtrip_setup
         x = bern_01.sample_path(5000, seed=81)
         pair = encode(x, d, scheme, pack, full2, seed=82)
-        assert audit_weakstar(pair, [(pair.x, pair.y.rebase(pair.x.lo))],
+        assert audit_weakstar(pair, [(pair.x, Word(pair.y.symbols, pair.x.lo))],
                               kmax=2) == 0.0
 
     def test_weakstar_kmax1_is_tv(self, roundtrip_setup, bern_01, bern_half,

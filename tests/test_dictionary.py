@@ -201,8 +201,7 @@ class TestBoys:
             b.rank_rows(np.zeros((1, 8192), dtype=np.uint8))
         with pytest.raises(ParameterError, match="suffix-count table"):
             b.unrank(0)
-        assert "suffix" not in b.dfa._tables
-        assert "suffix64" not in b.dfa._tables
+        assert b.dfa._suffix is None
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_type_classes_match_listing(self, supports, seed):
