@@ -124,18 +124,28 @@ def read_dictionary_file(path: str):
             raise ShiftcodeError(f"dictionary file {path} has no [{name}] section")
         return sections[name]
 
-    def fields(name, parts, types, sep=None):
-        """``key value`` lines (or ``key=value`` parts) as a dict, each
-        value stripped and parsed by its key's type, else kept as text."""
+    def fields(name, parts, types, sep=None, text=str):
+        """``key value`` lines (or ``key=value`` parts) as a dict: key and
+        value stripped and checked by ``text``, each value then parsed by
+        its key's type; a key read twice is refused."""
         out = {}
         for part in filter(str.strip, parts):
             try:
-                key, value = (text.strip() for text in part.split(sep, 1))
-                out[key] = types.get(key, str)(value)
+                key, value = (text(t.strip()) for t in part.split(sep, 1))
+                value = types.get(key, str)(value)
             except ValueError:
                 raise ShiftcodeError(f"dictionary file {path}: [{name}] field "
                                      f"{part.strip()} is malformed") from None
+            if key in out:
+                raise ShiftcodeError(f"dictionary file {path}: [{name}] repeats "
+                                     f"the key {key}")
+            out[key] = value
         return out
+
+    def digits(text):
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"{text!r} is not a word of digits")
+        return text
 
     mode = fields("format", section("format"), {}).get("mode")
     if mode not in ("enumerative", "hall"):
@@ -168,7 +178,8 @@ def read_dictionary_file(path: str):
         raise ShiftcodeError(
             "dictionary file counts disagree with the rebuilt sets")
     if mode == "hall":
-        table = fields("table", sections.get("table", []), {}, sep="->")
+        table = fields("table", sections.get("table", []), {}, sep="->",
+                       text=digits)
         d = Dictionary("hall", boy_set, girl_set, table=table)
     else:
         d = build_dictionary(boy_set, girl_set, "enumerative", pack=pack)

@@ -26,7 +26,7 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -263,7 +263,6 @@ class BadsetReport:
     bs3: float      # coordinates in N-blocks with a non-dictionary flag
     bs4: float      # N-block coordinates at phases outside the info region
     bound: float    # 17 delta + eps/2
-    details: dict = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -294,8 +293,7 @@ def audit_badset(pair: CodedPair, pack: ParameterPack) -> BadsetReport:
     bs4 = n_blocks * (N - (pack.info_region[1] - pack.info_region[0]))
     bound = 17 * pack.delta + pack.eps / 2
     return BadsetReport(bs1 / total, bs2 / total, bs3 / total, bs4 / total,
-                        bound, details={"n_blocks": n_blocks, "n_errors": bs1,
-                                        "coords": total})
+                        bound)
 
 
 def audit_weakstar(pair: CodedPair, reference_pairs, kmax: int = 3) -> float:

@@ -749,7 +749,6 @@ class BoundsReport:
     boys_below: bool            # log|B| <= N(h_source + Delta)
     mass_exceeds: bool          # mu(union of boys) > 1 - 15 delta
     ratio_holds: bool           # log(|G|/|B|) >= N(h_target - h_source - 2 Delta)
-    details: dict = field(default_factory=dict)
 
     @property
     def all_hold(self) -> bool:
@@ -771,7 +770,4 @@ def verify_dictionary_bounds(boy_set: BoySet, girl_set: GirlSet,
         girls_exceed=lg > girls_rhs,
         boys_below=lb <= boys_rhs,
         mass_exceeds=boy_set.mass > 1 - 15 * pack.delta,
-        ratio_holds=lg - lb >= ratio_rhs,
-        details={"girls_rhs": girls_rhs, "boys_rhs": boys_rhs,
-                 "ratio_rhs": ratio_rhs, "ratio_lhs": lg - lb,
-                 "mass_rhs": 1 - 15 * pack.delta})
+        ratio_holds=lg - lb >= ratio_rhs)

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConnectorError
-from .shiftspace import Sft, Word, specification_gap, window_codes
-
-KEY_BITS = 63   # gap keys pack into one int64 while they fit
+from .shiftspace import Sft, Word, specification_gap
 
 
 def spans(starts, lengths) -> np.ndarray:
@@ -129,23 +127,18 @@ def _context(sft: Sft, word, last: bool) -> np.ndarray:
 
 def _reach_rows(sft: Sft, head: np.ndarray, length: int) -> list:
     """Bool rows ``reach[t][node]`` (sink last): a node that can read
-    ``head`` is exactly t steps away.  Cached per head and grown up to
-    ``length`` or the fixed point, so row t is ``reach[min(t, len - 1)]``;
-    a longer list replaces the cached one, never written in place."""
+    ``head`` is exactly t steps away.  Grown up to ``length`` or the fixed
+    point, so row t is ``reach[min(t, len - 1)]``."""
     moves = sft.factor_dfa().moves
-    sink = len(moves) - 1
-    rows = list(sft._reach.get(head.tobytes(), ()))
-    if not rows:
-        ends = np.arange(sink + 1)
-        for a in head:
-            ends = moves[ends, a]
-        rows = [ends < sink]
+    ends = np.arange(len(moves))
+    for a in head:
+        ends = moves[ends, a]
+    rows = [ends < len(moves) - 1]
     while len(rows) <= length:
         row = rows[-1][moves[:, :-1]].any(axis=1)
         if np.array_equal(row, rows[-1]):
             break
         rows.append(row)
-    sft._reach[head.tobytes()] = rows
     return rows
 
 
@@ -285,29 +278,23 @@ def _fill(sft: Sft, out: np.ndarray, a, b, head) -> None:
     left contexts and first ``head`` symbols after it are written.
 
     A gap's memo key (last k symbols before it, the ``head`` symbols
-    after it, its length) is coded with :func:`window_codes` as base-(m+1)
-    digits, 0 for a missing symbol, and packed with the length into one
-    int64 (keys past ``KEY_BITS`` are compared as rows); each distinct key
-    is looked up once, and only a miss goes to :func:`connect_words`.  One
-    gather writes every filler.
+    after it, its length) is one int64 row: the symbols as digits 1..m,
+    0 for a missing one, then the length.  Each distinct row, compared
+    as bytes, is looked up once, and only a miss goes to
+    :func:`connect_words`.  One gather writes every filler.
     """
-    k, m = sft.k, sft.alphabet_size
+    k = sft.k
     size = b - a
     cols = np.arange(k)
     tail = a[:, None] - k + cols
     after = b[:, None] + cols
-    digits = np.concatenate([
+    key = np.concatenate([
         np.where(tail >= 0, out[np.maximum(tail, 0)].astype(np.int64) + 1, 0),
         np.where(cols < head[:, None],
-                 out[np.minimum(after, len(out) - 1)].astype(np.int64) + 1, 0)],
-        axis=1)
-    radix = int(size.max()) + 1
-    if (m + 1) ** (2 * k) * radix <= 2 ** KEY_BITS:
-        key = window_codes(digits.T, 2 * k, m + 1)[0].astype(np.int64) * radix + size
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    else:
-        _, first, inverse = np.unique(np.column_stack([digits, size]), axis=0,
-                                      return_index=True, return_inverse=True)
+                 out[np.minimum(after, len(out) - 1)].astype(np.int64) + 1, 0),
+        size[:, None]], axis=1)
+    _, first, inverse = np.unique(key.view(f"V{key.itemsize * key.shape[1]}"),
+                                  return_index=True, return_inverse=True)
     fillers = []
     for i in first.tolist():
         lo, hi = int(a[i]), int(b[i])

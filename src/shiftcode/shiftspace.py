@@ -135,7 +135,6 @@ class Sft:
         table below is derived from it
     states : tuple of admissible k-words, k = max(memory, 1), in lex order
     state_codes : base-m codes of the states, ascending
-    state_index : dict from state tuple to its index
     last_symbol : uint8 array, the last symbol of each state
     adjacency : 0/1 matrix over states
     """
@@ -182,7 +181,6 @@ class Sft:
         digits = codes[:, None] // m ** np.arange(k - 1, -1, -1) % m
         self.state_codes = window_codes(digits.T, k, m)[0]
         self.states = tuple(map(tuple, digits.tolist()))
-        self.state_index = {s: i for i, s in enumerate(self.states)}
         self.last_symbol = digits[:, -1].astype(np.uint8)
         # step[state][symbol] -> next state index or -1
         out = codes[:, None] * m + np.arange(m)
@@ -190,9 +188,21 @@ class Sft:
         self.adjacency = np.zeros((len(codes), len(codes)), dtype=np.uint8)
         rows, syms = np.nonzero(self._step >= 0)
         self.adjacency[rows, self._step[rows, syms]] = 1
-        self._dfa = None
+        # the factor automaton: the length-j prefixes of states are the run
+        # starts of codes // m**(k - j), numbered level by level from the
+        # empty prefix to the states (level k); a prefix steps to the next
+        # level by one searchsorted, a state by its own step
+        levels = [codes // m ** (k - j) for j in range(k + 1)]
+        levels = [p[np.append(True, p[1:] != p[:-1])] for p in levels]
+        first = np.cumsum([0] + [len(p) for p in levels])
+        rows = []
+        for j, (p, q) in enumerate(zip(levels, levels[1:])):
+            nxt = p[:, None] * m + np.arange(m)
+            at = np.minimum(np.searchsorted(q, nxt), len(q) - 1)
+            rows.append(np.where(q[at] == nxt, first[j + 1] + at, -1))
+        rows.append(np.where(self._step >= 0, first[k] + self._step, -1))
+        self._factor = Dfa(m, np.concatenate(rows))
         self._gap = None
-        self._reach = {}        # right-context head -> interp reach rows
         self._connectors = {}   # (left tail, right head, gap) -> least connector
 
     @classmethod
@@ -207,33 +217,13 @@ class Sft:
         return not self.forbidden
 
     def factor_dfa(self) -> Dfa:
-        """DFA of the factor language: prefixes of states, then states.
+        """DFA of the factor language, built with the shift: the prefixes
+        of states by length, then the states.
 
         In an essential SFT every factor of an admissible word is a prefix
         of some state, so prefix nodes capture short words exactly.
         """
-        if self._dfa is not None:
-            return self._dfa
-        k = self.k
-        prefixes = sorted({s[:j] for s in self.states for j in range(k)})
-        pref_index = {p: i for i, p in enumerate(prefixes)}
-        n_pref = len(prefixes)
-        rows = []
-        for p in prefixes:
-            row = []
-            for a in range(self.alphabet_size):
-                q = p + (a,)
-                if len(q) < k:
-                    row.append(pref_index.get(q, -1))
-                else:
-                    j = self.state_index.get(q)
-                    row.append(-1 if j is None else n_pref + j)
-            rows.append(row)
-        for i in range(self.n_states):
-            rows.append([int(n_pref + t) if t >= 0 else -1 for t in self._step[i]])
-        self._dfa = Dfa(self.alphabet_size, np.array(rows, dtype=np.int64),
-                        start=pref_index[()])
-        return self._dfa
+        return self._factor
 
     def is_admissible(self, word) -> bool:
         """True iff the word occurs in the shift; false for a symbol

@@ -226,6 +226,32 @@ def reference_unrank(dfa, length, r):
     return tuple(out)
 
 
+def reference_factor_dfa(sft):
+    """Reference for Sft.factor_dfa by the per-prefix loop: the prefixes of
+    states numbered in tuple-sort order, then the states in their order."""
+    from shiftcode.automata import Dfa
+    k = sft.k
+    state_index = {s: i for i, s in enumerate(sft.states)}
+    prefixes = sorted({s[:j] for s in sft.states for j in range(k)})
+    pref_index = {p: i for i, p in enumerate(prefixes)}
+    n_pref = len(prefixes)
+    rows = []
+    for p in prefixes:
+        row = []
+        for a in range(sft.alphabet_size):
+            q = p + (a,)
+            if len(q) < k:
+                row.append(pref_index.get(q, -1))
+            else:
+                j = state_index.get(q)
+                row.append(-1 if j is None else n_pref + j)
+        rows.append(row)
+    for i in range(sft.n_states):
+        rows.append([int(n_pref + t) if t >= 0 else -1 for t in sft._step[i]])
+    return Dfa(sft.alphabet_size, np.array(rows, dtype=np.int64),
+               start=pref_index[()])
+
+
 def one_count_dfa(k_hi):
     """Binary words with at most k_hi ones: node = ones so far, every node
     accepting (counts are sums of binomials, far past 2^63 at length 70)."""

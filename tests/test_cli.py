@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -5,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from shiftcode.cli import first_schema_offence, read_dictionary_file, run
+from shiftcode.cli import (first_schema_offence, read_dictionary_file, run,
+                           write_dictionary_file)
+from shiftcode.dictionary import (Relation, boys, choose_parameters,
+                                  dictionary, girls)
+from shiftcode.markers import find_marker
+from shiftcode.measures import MarkovMeasure
+from shiftcode.shiftspace import build_sft
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -189,6 +196,30 @@ def coded_stream(tmp_path_factory):
     return dict_path, coded_path
 
 
+# the hall file's one boy and the two girls at N = 12, M = 1
+HALL_BOY, HALL_GIRLS = "0" * 12, ("0", "1")
+
+
+@pytest.fixture(scope="module")
+def hall_dict(tmp_path_factory):
+    """A hall-mode dictionary file whose table maps its one boy to the
+    first of its two girls."""
+    full2, mu = build_sft(2, []), MarkovMeasure.bernoulli([0.98, 0.02])
+    nu = MarkovMeasure.bernoulli([0.5, 0.5])
+    pack = choose_parameters(mu.entropy(), math.log(2), 0.2, mode="practical",
+                             overrides={"N": 12, "M": 1, "delta": 0.1,
+                                        "alpha": 0.5})
+    scheme = find_marker(full2, nu, M=1, alpha=0.9, seed=2)
+    b, g = boys(mu, pack), girls(full2, pack, scheme)
+    assert (b.count, b.unrank(0).to_string()) == (1, HALL_BOY)
+    assert tuple(g.unrank(i).to_string() for i in range(2)) == HALL_GIRLS
+    d = dictionary(b, g, "hall", K=1, pack=pack, relation=Relation(
+        edges={HALL_BOY: [HALL_GIRLS[0]]}, witnesses={}))
+    path = tmp_path_factory.mktemp("hall") / "hall.dict"
+    write_dictionary_file(str(path), pack, scheme, mu, nu, d)
+    return path
+
+
 class TestEncodeDecodeFiles(object):
     def test_pipeline(self, tmp_path):
         dict_path = tmp_path / "inst.dict"
@@ -289,6 +320,36 @@ class TestEncodeDecodeFiles(object):
         assert "Traceback" not in proc.stderr
         where = {"dict": "dictionary file", "coded": "coded stream"}[name]
         assert f"ShiftcodeError: {where} {files[name]}: {message}" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("name, edit, message", [
+        # an extra N line before the stored one
+        ("practical", lambda lines: lines.insert(lines.index("N 64"), "N 65"),
+         "[pack] repeats the key N"),
+        # the one boy listed again, to the other girl
+        ("hall", lambda lines: lines.append(f"{HALL_BOY} -> {HALL_GIRLS[1]}"),
+         f"[table] repeats the key {HALL_BOY}"),
+        ("hall", lambda lines: lines.__setitem__(-1, lines[-1][:-1] + "x"),
+         f"[table] field {HALL_BOY} -> {HALL_GIRLS[0][:-1]}x is malformed"),
+        ("hall", lambda lines: lines.__setitem__(-1, "x" + lines[-1][1:]),
+         f"[table] field x{HALL_BOY[1:]} -> {HALL_GIRLS[0]} is malformed"),
+    ], ids=["pack-repeated", "table-repeated", "table-girl-x", "table-boy-x"])
+    def test_bad_dictionary_entry_refused(self, coded_stream, hall_dict,
+                                          tmp_path, name, edit, message):
+        # a repeated key used to overwrite the one before it, and a
+        # non-digit table word ended in a bare int() ValueError
+        path = {"practical": coded_stream[0], "hall": hall_dict}[name]
+        args = ["--length", "1200", "--seed", "0",
+                "--coded-out", str(tmp_path / "y.coded")]
+        assert cli("encode", "--dict", str(path), *args).returncode == 0
+        lines = path.read_text().splitlines()
+        edit(lines)
+        bad = tmp_path / "bad.dict"
+        bad.write_text("\n".join(lines) + "\n")
+        proc = cli("encode", "--dict", str(bad), *args)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"ShiftcodeError: dictionary file {bad}: {message}" in proc.stderr
         assert proc.stdout == ""
 
     def test_run_api(self, tmp_path, capsys):

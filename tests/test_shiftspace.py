@@ -14,8 +14,8 @@ from shiftcode.shiftspace import (Sft, Word, WindowMetricParams, build_sft,
                                   topological_entropy, window_codes,
                                   window_distance_below)
 
-from conftest import (GOLDEN_ENTROPY, LOG2, reference_sft_tables,
-                      reference_walk)
+from conftest import (GOLDEN_ENTROPY, LOG2, reference_factor_dfa,
+                      reference_sft_tables, reference_walk)
 
 
 def brute_words(sft, n):
@@ -108,6 +108,12 @@ SFT_INPUTS = st.integers(1, 4).flatmap(lambda m: st.tuples(
     st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=4).map(tuple),
              max_size=6)))
 
+# alphabets of 1-4 symbols, up to five forbidden words of length 1-5
+FACTOR_INPUTS = st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=5).map(tuple),
+             max_size=5)))
+
 
 class TestTables:
     @given(SFT_INPUTS)
@@ -122,13 +128,34 @@ class TestTables:
             return
         sft = Sft(m, forbidden)
         assert sft.states == want["states"]
-        assert sft.state_index == {s: i for i, s in enumerate(want["states"])}
         for name, got in [("state_codes", sft.state_codes),
                           ("last_symbol", sft.last_symbol),
                           ("adjacency", sft.adjacency), ("step", sft._step)]:
             assert got.dtype == want[name].dtype, name
             assert np.array_equal(got, want[name]), name
         assert sft.adjacency.flags.c_contiguous
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_factor_dfa_matches_reference(self, supports, data):
+        # prefix nodes are numbered level by level, the reference's in
+        # tuple-sort order; the states, the start and the language agree
+        if data.draw(st.booleans(), label="support"):
+            sft = supports[data.draw(st.integers(0, len(supports) - 1), label="index")]
+        else:
+            m, forbidden = data.draw(FACTOR_INPUTS, label="sft")
+            try:
+                sft = Sft(m, forbidden)
+            except EmptySftError:
+                return
+        got, want = sft.factor_dfa(), reference_factor_dfa(sft)
+        assert (got.n_nodes, got.start) == (want.n_nodes, want.start)
+        assert got.step.dtype == want.step.dtype
+        assert np.array_equal(got.step[-sft.n_states:], want.step[-sft.n_states:])
+        for length in range(9):
+            assert got.count(length) == want.count(length)
+            assert np.array_equal(np.concatenate(list(got.enumerate(length))),
+                                  np.concatenate(list(want.enumerate(length))))
 
     def test_edges_are_the_live_words(self, golden_mean):
         # 2-words 00, 01, 10, 11: only 11 is forbidden
