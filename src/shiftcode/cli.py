@@ -81,11 +81,17 @@ def first_schema_offence(text: str) -> str | None:
 
 
 def _load_sft(path: str) -> shiftspace.Sft:
-    return shiftspace.parse_sft(Path(path).read_text())
+    try:
+        return shiftspace.parse_sft(Path(path).read_text())
+    except ValueError as exc:
+        raise ShiftcodeError(f"SFT file {path}: {exc}") from None
 
 
 def _load_measure(path: str, sft: shiftspace.Sft) -> measures.MarkovMeasure:
-    return measures.parse_measure(Path(path).read_text(), sft)
+    try:
+        return measures.parse_measure(Path(path).read_text(), sft)
+    except ValueError as exc:
+        raise ShiftcodeError(f"measure file {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +153,12 @@ def read_dictionary_file(path: str):
             raise ValueError(f"{text!r} is not a word of digits")
         return text
 
+    def parsed(name, parse, *args):
+        try:
+            return parse("\n".join(section(name)), *args)
+        except ValueError as exc:
+            raise ShiftcodeError(f"dictionary file {path}: [{name}] {exc}") from None
+
     mode = fields("format", section("format"), {}).get("mode")
     if mode not in ("enumerative", "hall"):
         raise ShiftcodeError(f"dictionary file {path}: [format] names no mode")
@@ -156,10 +168,10 @@ def read_dictionary_file(path: str):
     if set(raw) != set(types):
         raise ShiftcodeError(f"dictionary file {path}: [pack] keys missing or "
                              f"unknown: {sorted(set(raw) ^ set(types))}")
-    source_sft = shiftspace.parse_sft("\n".join(section("source-sft")))
-    target_sft = shiftspace.parse_sft("\n".join(section("target-sft")))
-    mu = measures.parse_measure("\n".join(section("source-measure")), source_sft)
-    nu = measures.parse_measure("\n".join(section("target-measure")), target_sft)
+    source_sft = parsed("source-sft", shiftspace.parse_sft)
+    target_sft = parsed("target-sft", shiftspace.parse_sft)
+    mu = parsed("source-measure", measures.parse_measure, source_sft)
+    nu = parsed("target-measure", measures.parse_measure, target_sft)
     pack = ParameterPack(**raw)
     line = section("marker")[0]
     checks = {"word": Word.from_string, "M": int, "alpha": float}
@@ -168,6 +180,18 @@ def read_dictionary_file(path: str):
         if key not in marker:
             raise ShiftcodeError(f"dictionary file {path}: [marker] has no "
                                  f"{key} field")
+    word, M, alpha = (marker[key] for key in checks)
+    if len(word) != 8 * M:     # first: check_scheme needs 8M symbols
+        raise ShiftcodeError(f"dictionary file {path}: [marker] word has "
+                             f"{len(word)} symbols, not 8M = {8 * M}")
+    viol, nu1, nu2, ok = markers.check_scheme(target_sft, nu, word, M, alpha)
+    if not ok:
+        why = (f"{viol} of its windows at offsets 0 to 6M-1 equal the one at 6M"
+               if viol else f"nu(H1) = {nu1:.6g} is not below alpha/M"
+               if nu1 >= alpha / M else f"nu(H2) = {nu2:.6g} is not below alpha/M"
+               if nu2 >= alpha / M else "it is not admissible in [target-sft]")
+        raise ShiftcodeError(f"dictionary file {path}: [marker] word "
+                             f"{word.to_string()} is not a marker: {why}")
     scheme = markers.MarkerScheme.parse(line, nu)
     boy_set = boys(mu, pack)
     girl_set = girls(target_sft, pack, scheme)

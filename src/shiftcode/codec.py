@@ -369,36 +369,35 @@ def lz78_phrases(word: Word) -> int:
     return phrases
 
 
-_LZ_FACTOR_CACHE: dict = {}
+def uniform_lz78_phrases(m: int, n: int) -> float:
+    """ĉ of ``lz78_entropy``: (ĉ + 1)(log_m(ĉ + 1) + a_m) = n, bisected."""
+    log_m = math.log(m)
+    a = (np.euler_gamma - 1) / log_m + 0.5 - sum(1 / (m**k - 1) for k in range(1, 64))
+    lo, hi = 1.0, n + 1.0     # the left side is convex and below n at ĉ = 0
+    while lo < (x := (lo + hi) / 2) < hi:
+        lo, hi = (x, hi) if x * (math.log(x) / log_m + a) < n else (lo, x)
+    return lo - 1           # at most n: the root, or n where it lies past n
 
 
 def lz78_entropy(word: Word) -> float:
-    """LZ78 phrase-rate entropy estimate, c log(c) / n nats.
-
-    The raw rate is biased upward at finite length (about +12% on a
-    uniform binary source at 10^6 symbols), so it is divided by the rate
-    measured on a uniform reference sample of the same length over the
-    alphabet up to the word's largest symbol.  The calibration is exact
-    for uniform sources and partial for skewed ones, where a residual
-    upward bias remains.
-    """
+    """LZ78 phrase-rate entropy estimate, c log(c) / n nats, divided by
+    ĉ log(ĉ) / (n log m) to undo its finite-length upward bias (+12% on
+    uniform bits at 10^6 symbols).  m is the alphabet up to the largest
+    symbol; ĉ is the expected phrase count of a uniform source, whose c
+    phrases and the empty word are a digital search tree of c + 1 keys and
+    path length n (P. Jacquet and W. Szpankowski, Theoret. Comput. Sci.
+    144, 1995; Knuth, TAOCP vol. 3, §6.3).  The model is asymptotic and
+    assumes independent keys (ĉ is about a phrase above sampled means at
+    n <= 20); skewed sources keep a residual upward bias."""
     n = len(word)
     if n == 0:
         return 0.0
-    c = lz78_phrases(word)
+    c, m = lz78_phrases(word), int(word.symbols.max()) + 1
     raw = c * math.log(max(c, 2)) / n
-    alphabet_size = int(word.symbols.max()) + 1
-    if alphabet_size < 2:
+    if m < 2:
         return raw
-    key = (alphabet_size, n)
-    factor = _LZ_FACTOR_CACHE.get(key)
-    if factor is None:
-        rng = np.random.default_rng((0xCA11B, alphabet_size, n))
-        ref = Word(rng.integers(0, alphabet_size, size=n).astype(np.uint8))
-        cr = lz78_phrases(ref)
-        factor = (cr * math.log(max(cr, 2)) / n) / math.log(alphabet_size)
-        _LZ_FACTOR_CACHE[key] = factor
-    return raw / factor
+    cr = uniform_lz78_phrases(m, n)
+    return raw / ((cr * math.log(max(cr, 2)) / n) / math.log(m))
 
 
 @dataclass

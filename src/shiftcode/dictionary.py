@@ -165,18 +165,15 @@ def choose_parameters(h_source: float, h_target: float, eps: float,
     def m_of(n):
         return int(math.floor(delta * n / 11.0))
 
-    m_floor = max(gap + 1, int(math.floor(math.log2(1.0 / r))) + 1)
-    if nu is not None:
-        m = m_floor
-        while log_cylinder_extreme(nu, 2 * m, np.max) >= math.log(alpha / m):
-            m += 1
-            if m > 10 ** 6:
-                raise ParameterError("marker condition (e) unattainable")
-        m_floor = m
-
     if mode == "strict":
         if delta <= 0:
             raise ParameterError("derived delta is non-positive")
+        m_floor = max(gap + 1, int(math.floor(math.log2(1.0 / r))) + 1)
+        while nu is not None and (log_cylinder_extreme(nu, 2 * m_floor, np.max)
+                                  >= math.log(alpha / m_floor)):
+            m_floor += 1
+            if m_floor > 10 ** 6:
+                raise ParameterError("marker condition (e) unattainable")
         n = max(int(math.ceil(math.log(2.0) / Delta)) + 1,
                 int(math.ceil(1.0 / delta)) + 1,
                 int(math.ceil(11.0 * m_floor / delta)))

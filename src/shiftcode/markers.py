@@ -121,36 +121,28 @@ def find_marker(sft: Sft, nu: MarkovMeasure, M: int, alpha: float,
             best = (viol, word, nu1, nu2)
         if ok:
             return MarkerScheme(word, M, alpha, nu1, nu2)
-        # hill climb: flip single symbols while violations decrease
-        improved = True
-        while improved and evals < budget:
-            improved = False
+        # hill climb: flips in (position, symbol) order, an inadmissible
+        # one skipped uncounted; the first that lowers the violations is
+        # taken and the pass starts over, a pass without one ends it
+        m, i = sft.alphabet_size, 0
+        while i < n * m and evals < budget:
+            pos, a = divmod(i, m)
+            i += 1
+            if word.symbols[pos] == a:
+                continue
             sym = word.symbols.copy()
-            for pos in range(n):
-                orig = sym[pos]
-                for a in range(sft.alphabet_size):
-                    if a == orig:
-                        continue
-                    sym[pos] = a
-                    cand = Word(sym.copy())
-                    if not sft.is_admissible(cand):
-                        continue
-                    v2, n1, n2, ok2 = check_scheme(sft, nu, cand, M, alpha)
-                    evals += 1
-                    if ok2:
-                        return MarkerScheme(cand, M, alpha, n1, n2)
-                    if v2 < viol:
-                        word, viol = cand, v2
-                        if viol < best[0]:
-                            best = (viol, word, n1, n2)
-                        improved = True
-                        break
-                    if evals >= budget:
-                        break
-                else:
-                    sym[pos] = orig
-                    continue
-                break
+            sym[pos] = a
+            cand = Word(sym)
+            if not sft.is_admissible(cand):
+                continue
+            v2, n1, n2, ok2 = check_scheme(sft, nu, cand, M, alpha)
+            evals += 1
+            if ok2:
+                return MarkerScheme(cand, M, alpha, n1, n2)
+            if v2 < viol:
+                word, viol, i = cand, v2, 0
+                if viol < best[0]:
+                    best = (viol, word, n1, n2)
     raise MarkerSearchError(
         f"budget {budget} exhausted; best candidate has {best[0]} violated "
         f"offsets (word {best[1].to_string()})", best=best)

@@ -223,12 +223,15 @@ def parse_measure(text: str, sft: Sft) -> MarkovMeasure:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "states" and len(parts) == 2:
-            n = int(parts[1])
-        elif parts[0] == "row":
-            rows.append([float(v) for v in parts[1:]])
-        else:
-            raise ValueError(f"line {lineno}: cannot parse {line!r}")
+        try:
+            if parts[0] == "states" and len(parts) == 2:
+                n = int(parts[1])
+            elif parts[0] == "row":
+                rows.append([float(v) for v in parts[1:]])
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"line {lineno}: cannot parse {line!r}") from None
     if n is None or len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("measure file must declare 'states n' and n rows of n entries")
     return MarkovMeasure(sft, np.array(rows))

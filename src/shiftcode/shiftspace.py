@@ -376,12 +376,15 @@ def parse_sft(text: str) -> Sft:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "alphabet" and len(parts) == 2:
-            alphabet = int(parts[1])
-        elif parts[0] == "forbid" and len(parts) == 2:
-            forbidden.append(parts[1])
-        else:
-            raise ValueError(f"line {lineno}: cannot parse {line!r}")
+        try:
+            if parts[0] == "alphabet" and len(parts) == 2:
+                alphabet = int(parts[1])
+            elif parts[0] == "forbid" and len(parts) == 2:
+                forbidden.append(parts[1])
+            else:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"line {lineno}: cannot parse {line!r}") from None
     if alphabet is None:
         raise ValueError("missing 'alphabet' line")
     return Sft(alphabet, forbidden)

@@ -200,6 +200,18 @@ def coded_stream(tmp_path_factory):
 HALL_BOY, HALL_GIRLS = "0" * 12, ("0", "1")
 
 
+def marker_word(word, counts=True):
+    """An edit of a dictionary file's lines: its [marker] word replaced,
+    and its [counts] section removed unless ``counts``."""
+    def edit(lines):
+        at = lines.index("[marker]") + 1
+        lines[at] = lines[at].split("word=")[0] + f"word={word}"
+        if not counts:
+            at = lines.index("[counts]")
+            del lines[at:at + 3]
+    return edit
+
+
 @pytest.fixture(scope="module")
 def hall_dict(tmp_path_factory):
     """A hall-mode dictionary file whose table maps its one boy to the
@@ -326,6 +338,16 @@ class TestEncodeDecodeFiles(object):
         # an extra N line before the stored one
         ("practical", lambda lines: lines.insert(lines.index("N 64"), "N 65"),
          "[pack] repeats the key N"),
+        # keeps the H1/H2 windows, so the stored counts still agree, but
+        # its offset-4 window equals its offset-12 window
+        ("practical", marker_word("0010001100100011"),
+         "[marker] word 0010001100100011 is not a marker: 1 of its windows "
+         "at offsets 0 to 6M-1 equal the one at 6M"),
+        ("practical", marker_word("001001001001001", counts=False),
+         "[marker] word has 15 symbols, not 8M = 16"),
+        ("practical", marker_word("0" * 16, counts=False),
+         f"[marker] word {'0' * 16} is not a marker: 12 of its windows "
+         "at offsets 0 to 6M-1 equal the one at 6M"),
         # the one boy listed again, to the other girl
         ("hall", lambda lines: lines.append(f"{HALL_BOY} -> {HALL_GIRLS[1]}"),
          f"[table] repeats the key {HALL_BOY}"),
@@ -333,11 +355,14 @@ class TestEncodeDecodeFiles(object):
          f"[table] field {HALL_BOY} -> {HALL_GIRLS[0][:-1]}x is malformed"),
         ("hall", lambda lines: lines.__setitem__(-1, "x" + lines[-1][1:]),
          f"[table] field x{HALL_BOY[1:]} -> {HALL_GIRLS[0]} is malformed"),
-    ], ids=["pack-repeated", "table-repeated", "table-girl-x", "table-boy-x"])
+    ], ids=["pack-repeated", "marker-repeats-its-window", "marker-short",
+            "marker-constant", "table-repeated", "table-girl-x", "table-boy-x"])
     def test_bad_dictionary_entry_refused(self, coded_stream, hall_dict,
                                           tmp_path, name, edit, message):
-        # a repeated key used to overwrite the one before it, and a
-        # non-digit table word ended in a bare int() ValueError
+        # a repeated key used to overwrite the one before it, a non-digit
+        # table word ended in a bare int() ValueError, and a [marker] word
+        # was never checked (the first two encoded with exit 0, the last
+        # failed inside encode on spurious marker occurrences)
         path = {"practical": coded_stream[0], "hall": hall_dict}[name]
         args = ["--length", "1200", "--seed", "0",
                 "--coded-out", str(tmp_path / "y.coded")]
@@ -351,6 +376,43 @@ class TestEncodeDecodeFiles(object):
         assert "Traceback" not in proc.stderr
         assert f"ShiftcodeError: dictionary file {bad}: {message}" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("section, line, replaced, message", [
+        ("source-sft", 1, "alphabet two", "line 1: cannot parse 'alphabet two'"),
+        ("target-measure", 2, "row 0.5 x", "line 2: cannot parse 'row 0.5 x'"),
+    ], ids=["source-sft", "target-measure"])
+    def test_bad_sft_or_measure_section_names_it(self, coded_stream, tmp_path,
+                                                  section, line, replaced,
+                                                  message):
+        # these once ended in a bare int() or float() ValueError
+        lines = coded_stream[0].read_text().splitlines()
+        lines[lines.index(f"[{section}]") + line] = replaced
+        bad = tmp_path / "bad.dict"
+        bad.write_text("\n".join(lines) + "\n")
+        proc = cli("encode", "--dict", str(bad), "--length", "100", "--seed",
+                   "5", "--coded-out", str(tmp_path / "run.coded"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert (f"ShiftcodeError: dictionary file {bad}: [{section}] {message}"
+                in proc.stderr)
+
+    @pytest.mark.parametrize("kind, text, message", [
+        ("SFT", "alphabet two\n", "line 1: cannot parse 'alphabet two'"),
+        ("measure", "states 2\nrow 0.5 x\nrow 0.5 0.5\n",
+         "line 2: cannot parse 'row 0.5 x'"),
+    ], ids=["sft", "measure"])
+    def test_bad_sft_or_measure_file_names_it(self, tmp_path, kind, text,
+                                               message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        args = {"SFT": ["entropy", "--sft", str(bad)],
+                "measure": ["marker", "--sft", str(DATA / "full2.sft"),
+                            "--measure", str(bad), "--M", "2", "--alpha", "0.5",
+                            "--seed", "1"]}
+        proc = cli(*args[kind])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"ShiftcodeError: {kind} file {bad}: {message}" in proc.stderr
 
     def test_run_api(self, tmp_path, capsys):
         code = run(["entropy", "--sft", str(DATA / "full2.sft")])

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shiftcode import codec
 from shiftcode.codec import (audit_badset, audit_entropy,
                              audit_weakstar, decode, dictionary_hash, encode,
                              lz78_entropy, lz78_phrases, pack_hash,
-                             read_coded, rokhlin_parse, write_coded)
+                             read_coded, rokhlin_parse, uniform_lz78_phrases,
+                             write_coded)
 from shiftcode.dictionary import (Relation, boys, choose_parameters,
                                   dictionary, girls)
 from shiftcode.errors import ParameterError, UnmatchedBoyError
@@ -576,6 +578,33 @@ class TestAudits:
     def test_lz_calibration(self, bern_half):
         y = bern_half.sample_path(1_000_000, seed=91)
         assert abs(lz78_entropy(y) - LOG2) < 0.05
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", [10 ** 4, 10 ** 5, 10 ** 6])
+    def test_uniform_phrases_match_samples(self, m, n):
+        counts = [lz78_phrases(Word(np.random.default_rng((seed, m, n))
+                                    .integers(0, m, n).astype(np.uint8)))
+                  for seed in range(5)]
+        # the five seeds spread by a sample deviation of 1.9-8.8 phrases;
+        # the tolerance is three standard errors of their mean, plus one
+        # phrase for the first-order model's own error
+        tol = 3 * np.std(counts, ddof=1) / math.sqrt(5) + 1
+        assert abs(np.mean(counts) - uniform_lz78_phrases(m, n)) <= tol
+
+    @pytest.mark.parametrize("m", [2, 3, 10])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_uniform_phrases_at_most_n(self, m, n):
+        assert 0 <= uniform_lz78_phrases(m, n) <= n
+
+    def test_lz_rate_parses_the_word_once(self, monkeypatch):
+        calls = []
+        parse = codec.lz78_phrases
+        monkeypatch.setattr(codec, "lz78_phrases",
+                            lambda word: calls.append(len(word)) or parse(word))
+        y = Word(np.random.default_rng(95).integers(0, 3, 12_345).astype(np.uint8))
+        rates = [lz78_entropy(y), lz78_entropy(y)]
+        assert calls == [12_345, 12_345]
+        assert rates[0] == rates[1]
 
     def test_lz_low_entropy_direction(self):
         m = MarkovMeasure.bernoulli([0.95, 0.05])

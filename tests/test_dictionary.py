@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from pathlib import Path
@@ -23,6 +24,8 @@ from conftest import (LOG2, markov_on_support, reference_binomial_rank,
 
 H_01 = 0.3250829733914482
 DATA = Path(__file__).parent / "data"
+# the package's ``dictionary`` attribute is the function of that name
+dictionary_module = importlib.import_module("shiftcode.dictionary")
 
 
 def practical_pack(h_s, h_t, eps, N, M, delta, alpha=0.5, **kw):
@@ -67,6 +70,20 @@ class TestChooseParameters:
         # inconsistent theM is recorded, not raised
         assert pack.checklist["theM"].passed is True  # practical accepts
         assert pack.checklist["choice-of-con"].passed is False  # 80d > eps
+
+    @pytest.mark.parametrize("alpha", [0.5, 1e-30, 1e-300])
+    def test_practical_mode_skips_the_marker_floor(self, bern_half,
+                                                   monkeypatch, alpha):
+        # the strict search for M with max nu(2M-cylinder) < alpha/M once
+        # ran in practical mode too: 2, 45 and 495 calls at these alphas
+        calls = []
+        extreme = dictionary_module.log_cylinder_extreme
+        monkeypatch.setattr(dictionary_module, "log_cylinder_extreme",
+                            lambda *a: calls.append(a[1]) or extreme(*a))
+        pack = practical_pack(H_01, LOG2, 0.2, N=64, M=2, delta=0.02,
+                              alpha=alpha, nu=bern_half)
+        assert calls == [4]         # checklist item e, at 2M
+        assert pack.checklist["e"].passed is (alpha == 0.5)
 
     def test_monte_carlo_checklist(self, bern_01, bern_half):
         pack = practical_pack(H_01, LOG2, 0.9, N=200, M=2, delta=0.01,
