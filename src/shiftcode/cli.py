@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -101,7 +102,8 @@ def _load_measure(path: str, sft: shiftspace.Sft) -> measures.MarkovMeasure:
 def write_dictionary_file(path: str, pack, scheme, mu, nu, dict_) -> None:
     parts = ["[format]", "shiftcode-dictionary v1", f"mode {dict_.mode}",
              "[pack]"]
-    parts += [f"{k} {_fmt(v)}" for k, v in sorted(pack.scalars().items())]
+    # str of a float is its repr, so the pack reads back exactly
+    parts += [f"{k} {v}" for k, v in sorted(pack.scalars().items())]
     parts += ["[counts]", f"boys {dict_.boys.count}", f"girls {dict_.girls.count}"]
     parts += ["[marker]", scheme.serialize()]
     parts += ["[source-sft]", shiftspace.serialize_sft(mu.sft).rstrip()]
@@ -131,9 +133,9 @@ def read_dictionary_file(path: str):
         return sections[name]
 
     def fields(name, parts, types, sep=None, text=str):
-        """``key value`` lines (or ``key=value`` parts) as a dict: key and
-        value stripped and checked by ``text``, each value then parsed by
-        its key's type; a key read twice is refused."""
+        """``key value`` lines (or ``key -> value`` lines) as a dict: key
+        and value stripped and checked by ``text``, each value then parsed
+        by its key's type; a key read twice is refused."""
         out = {}
         for part in filter(str.strip, parts):
             try:
@@ -173,34 +175,16 @@ def read_dictionary_file(path: str):
     mu = parsed("source-measure", measures.parse_measure, source_sft)
     nu = parsed("target-measure", measures.parse_measure, target_sft)
     pack = ParameterPack(**raw)
-    line = section("marker")[0]
-    checks = {"word": Word.from_string, "M": int, "alpha": float}
-    marker = fields("marker", line.split(), checks, sep="=")
-    for key in checks:
-        if key not in marker:
-            raise ShiftcodeError(f"dictionary file {path}: [marker] has no "
-                                 f"{key} field")
-    word, M, alpha = (marker[key] for key in checks)
-    if len(word) != 8 * M:     # first: check_scheme needs 8M symbols
-        raise ShiftcodeError(f"dictionary file {path}: [marker] word has "
-                             f"{len(word)} symbols, not 8M = {8 * M}")
-    viol, nu1, nu2, ok = markers.check_scheme(target_sft, nu, word, M, alpha)
-    if not ok:
-        why = (f"{viol} of its windows at offsets 0 to 6M-1 equal the one at 6M"
-               if viol else f"nu(H1) = {nu1:.6g} is not below alpha/M"
-               if nu1 >= alpha / M else f"nu(H2) = {nu2:.6g} is not below alpha/M"
-               if nu2 >= alpha / M else "it is not admissible in [target-sft]")
-        raise ShiftcodeError(f"dictionary file {path}: [marker] word "
-                             f"{word.to_string()} is not a marker: {why}")
-    scheme = markers.MarkerScheme.parse(line, nu)
+    scheme = parsed("marker", markers.MarkerScheme.parse, nu)
     boy_set = boys(mu, pack)
     girl_set = girls(target_sft, pack, scheme)
     stored = fields("counts", sections.get("counts", []),
                     {"boys": int, "girls": int})
-    if stored and ((stored.get("boys"), stored.get("girls"))
-                   != (boy_set.count, girl_set.count)):
-        raise ShiftcodeError(
-            "dictionary file counts disagree with the rebuilt sets")
+    for key, count in (("boys", boy_set.count), ("girls", girl_set.count)):
+        if stored and stored.get(key) != count:
+            raise ShiftcodeError(
+                f"dictionary file {path}: [counts] {key} is "
+                f"{stored.get(key, 'missing')}, the rebuilt set has {count}")
     if mode == "hall":
         table = fields("table", sections.get("table", []), {}, sep="->",
                        text=digits)
@@ -315,7 +299,13 @@ def _cmd_dict(args):
 def _cmd_encode(args):
     pack, scheme, mu, nu, d = read_dictionary_file(args.dict)
     if args.x_file:
-        x = Word.from_string(Path(args.x_file).read_text().strip())
+        text, m = Path(args.x_file).read_text().strip(), mu.sft.alphabet_size
+        bad = re.search(f"[^{'0123456789'[:m]}]", text)
+        if bad:
+            raise ShiftcodeError(
+                f"x file {args.x_file}: position {bad.start()} holds "
+                f"{bad.group()!r}, not a source symbol 0 to {m - 1}")
+        x = Word.from_string(text)
     else:
         x = mu.sample_path(_length(args), seed=(args.seed, 0x5A))
     pair = codec.encode(x, d, scheme, pack, nu.sft, seed=args.seed)
@@ -339,7 +329,8 @@ def _cmd_decode(args):
     for key, value in expected.items():
         if header.get(key) != value:
             raise ShiftcodeError(
-                f"coded stream {key} header does not match the dictionary file")
+                f"coded stream {key} header does not match the dictionary file "
+                f"(stream {args.coded}, dictionary {args.dict})")
     x_hat, mask = codec.decode(y, d, scheme, pack)
     if args.x_out:
         Path(args.x_out).write_text(x_hat.to_string() + "\n")

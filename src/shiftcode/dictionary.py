@@ -10,6 +10,7 @@ matching over a sampled relation (tiny scale, faithful to the relation).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -166,6 +167,10 @@ def choose_parameters(h_source: float, h_target: float, eps: float,
         return int(math.floor(delta * n / 11.0))
 
     if mode == "strict":
+        fixed = [key for key in ("N", "M") if key in overrides]
+        if fixed:
+            raise ParameterError(f"strict mode derives N and M; it refuses "
+                                 f"the {' and '.join(fixed)} override")
         if delta <= 0:
             raise ParameterError("derived delta is non-positive")
         m_floor = max(gap + 1, int(math.floor(math.log2(1.0 / r))) + 1)
@@ -533,11 +538,7 @@ class Relation:
         return len(self.edges.get(b, ()))
 
     def girl_degrees(self) -> dict:
-        deg: dict = {}
-        for gs in self.edges.values():
-            for g in gs:
-                deg[g] = deg.get(g, 0) + 1
-        return deg
+        return Counter(g for gs in self.edges.values() for g in gs)
 
 
 def build_relation(boy_set: BoySet, girl_set: GirlSet, paired_samples,
@@ -564,7 +565,9 @@ def build_relation(boy_set: BoySet, girl_set: GirlSet, paired_samples,
 
 
 def hall_match(relation: Relation, K: int) -> dict:
-    """Injection boys -> girls inside the relation via Hopcroft-Karp.
+    """Injection boys -> girls inside the relation: one augmenting-path
+    search per boy, boys and their girls in sorted order; a search
+    recurses at most once per boy.
 
     Preconditions from the marriage theorem: every boy degree >= K and
     every girl degree <= K; K > 0.
@@ -579,59 +582,22 @@ def hall_match(relation: Relation, K: int) -> dict:
     for g, deg in sorted(relation.girl_degrees().items()):
         if deg > K:
             raise DegreeError(f"girl {g} has degree {deg} > K = {K}", vertex=g)
-    matching = _hopcroft_karp(relation.edges)
-    if len(matching) != len(relation.edges):
+    husband: dict = {}
+
+    def augment(b, seen: set) -> bool:     # a girl at most once a search
+        for g in relation.edges[b]:
+            if g not in seen:
+                seen.add(g)
+                if g not in husband or augment(husband[g], seen):
+                    husband[g] = b
+                    return True
+        return False
+
+    if not all(augment(b, set()) for b in sorted(relation.edges)):
         raise ShiftcodeError(
             "internal inconsistency: matching smaller than the boy set "
             "despite valid degrees")
-    return matching
-
-
-def _hopcroft_karp(adj: dict) -> dict:
-    """Maximum bipartite matching; deterministic under sorted iteration."""
-    INF = float("inf")
-    pair_b: dict = {}
-    pair_g: dict = {}
-    dist: dict = {}
-    lefts = sorted(adj)
-
-    def bfs() -> bool:
-        from collections import deque
-        queue = deque()
-        for b in lefts:
-            if b not in pair_b:
-                dist[b] = 0
-                queue.append(b)
-            else:
-                dist[b] = INF
-        found = INF
-        while queue:
-            b = queue.popleft()
-            if dist[b] < found:
-                for g in adj[b]:
-                    nxt = pair_g.get(g)
-                    if nxt is None:
-                        found = dist[b] + 1
-                    elif dist[nxt] == INF:
-                        dist[nxt] = dist[b] + 1
-                        queue.append(nxt)
-        return found != INF
-
-    def dfs(b) -> bool:
-        for g in adj[b]:
-            nxt = pair_g.get(g)
-            if nxt is None or (dist[nxt] == dist[b] + 1 and dfs(nxt)):
-                pair_b[b] = g
-                pair_g[g] = b
-                return True
-        dist[b] = INF
-        return False
-
-    while bfs():
-        for b in lefts:
-            if b not in pair_b:
-                dfs(b)
-    return pair_b
+    return dict(sorted((b, g) for g, b in husband.items()))
 
 
 def marriage_bound(pack: ParameterPack, h_joint: float, h_source: float) -> float:

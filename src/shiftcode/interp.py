@@ -47,7 +47,7 @@ class SegmentPlan:
     Segment i covers [starts[i], starts[i] + lengths[i]) in absolute
     coordinates inside [lo, hi), and its symbols are the next lengths[i]
     entries of ``symbols``.  Gaps between consecutive segments must be at
-    least ``min_gap``, and no segment may exceed ``max_segment``.
+    least ``min_gap``.
     """
 
     lo: int
@@ -56,7 +56,6 @@ class SegmentPlan:
     lengths: np.ndarray = ()
     symbols: np.ndarray = ()
     min_gap: int = 1
-    max_segment: int | None = None
 
     def __post_init__(self):
         self.starts = np.asarray(self.starts, dtype=np.int64).reshape(-1)
@@ -84,8 +83,6 @@ class SegmentPlan:
             ("segments must be non-empty", n == 0),
             ("segment [{lo}, {hi}) outside range",
              (lo < self.lo) | (lo + n > self.hi)),
-            ("segment of length {n} exceeds {max_segment}",
-             n > (np.inf if self.max_segment is None else self.max_segment)),
             ("segments overlap", later & (gap < 0)),
             ("gap {gap} below min_gap {min_gap}", later & (gap < self.min_gap)),
         )
@@ -93,8 +90,7 @@ class SegmentPlan:
         if failing.any():
             i = int(np.argmax(failing.any(axis=0)))
             raise ValueError(checks[int(np.argmax(failing[:, i]))][0].format(
-                lo=int(lo[i]), hi=int(lo[i] + n[i]), n=int(n[i]),
-                max_segment=self.max_segment, gap=int(gap[i]),
+                lo=int(lo[i]), hi=int(lo[i] + n[i]), gap=int(gap[i]),
                 min_gap=self.min_gap))
         self.starts, self.lengths, self.symbols = lo, n, sym
 

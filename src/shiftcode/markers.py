@@ -42,16 +42,42 @@ class MarkerScheme:
         return Word(self.word.symbols[6 * self.M:8 * self.M])
 
     def serialize(self) -> str:
-        return f"M={self.M} alpha={self.alpha:.12g} word={self.word.to_string()}"
+        return f"M={self.M} alpha={self.alpha!r} word={self.word.to_string()}"
 
     @classmethod
-    def parse(cls, line: str, nu: MarkovMeasure | None = None) -> "MarkerScheme":
-        fields = dict(part.split("=", 1) for part in line.split())
-        word = Word.from_string(fields["word"])
-        m = int(fields["M"])
-        nu_h1 = nu.cylinder_probability(Word(word.symbols[:2 * m])) if nu else float("nan")
-        nu_h2 = nu.cylinder_probability(Word(word.symbols[6 * m:8 * m])) if nu else float("nan")
-        return cls(word, m, float(fields["alpha"]), nu_h1, nu_h2)
+    def parse(cls, line: str, nu: MarkovMeasure) -> "MarkerScheme":
+        """The scheme of a :meth:`serialize` line, checked as a marker of
+        ``nu.sft``; a ``ValueError`` names a missing, unknown, repeated or
+        malformed field, a word not 8M long, or the check the word fails."""
+        kinds = {"word": Word.from_string, "M": int, "alpha": float}
+        fields: dict = {}
+        for part in line.split():
+            key, eq, text = part.partition("=")
+            if eq and key not in kinds:
+                raise ValueError(f"field {part} is unknown")
+            if key in fields:
+                raise ValueError(f"repeats the key {key}")
+            try:
+                value = kinds[key](text) if eq else None
+                if value is None or key != "word" and not value > 0:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"field {part} is malformed") from None
+            fields[key] = value
+        missing = [key for key in kinds if key not in fields]
+        if missing:
+            raise ValueError(f"has no {missing[0]} field")
+        word, M, alpha = (fields[key] for key in kinds)
+        if len(word) != 8 * M:     # first: check_scheme needs 8M symbols
+            raise ValueError(f"word has {len(word)} symbols, not 8M = {8 * M}")
+        viol, nu1, nu2, ok = check_scheme(nu.sft, nu, word, M, alpha)
+        if not ok:
+            why = (f"{viol} of its windows at offsets 0 to 6M-1 equal the one at 6M"
+                   if viol else f"nu(H1) = {nu1:.6g} is not below alpha/M"
+                   if nu1 >= alpha / M else f"nu(H2) = {nu2:.6g} is not below alpha/M"
+                   if nu2 >= alpha / M else "it is not admissible in the target SFT")
+            raise ValueError(f"word {word.to_string()} is not a marker: {why}")
+        return cls(word, M, alpha, nu1, nu2)
 
 
 def check_scheme(sft: Sft, nu: MarkovMeasure, word: Word, M: int, alpha: float):

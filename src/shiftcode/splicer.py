@@ -121,7 +121,7 @@ def splice_entropy_boost(sft: Sft, y1: Word, y2: Word, skeleton: Skeleton) -> Wo
     plan = SegmentPlan(0, n, np.concatenate([s1, s2]), np.concatenate([n1, n2]),
                        np.concatenate([y1.symbols[spans(s1 - y1.lo, n1)],
                                        y2.symbols[spans(s2 - y2.lo, n2)]]),
-                       min_gap=k0, max_segment=k1 + 1)
+                       min_gap=k0)
     return interpolate(sft, plan)
 
 

@@ -404,6 +404,24 @@ def halmos_oracle(n: int, m: int) -> bool:
     return False
 
 
+def brute_max_matching(edges):
+    """Reference for dictionary.hall_match: the size of a largest matching
+    by exhaustive search over every partial injection of the boys into
+    their girls, memoised on (boys left, girls taken); for a few boys."""
+    from functools import cache
+
+    boys = sorted(edges)
+
+    @cache
+    def best(i, taken):
+        if i == len(boys):
+            return 0
+        return max([best(i + 1, taken)] + [1 + best(i + 1, taken | {g})
+                                           for g in edges[boys[i]] if g not in taken])
+
+    return best(0, frozenset())
+
+
 def reference_connectors(sft, left, right, gap):
     """Reference for interp.iter_connectors: reach sets of states, a full
     shift's words counted out in base m, and a recursive search; reads
@@ -579,8 +597,6 @@ def reference_validate(plan):
             raise ValueError("segments must be non-empty")
         if w.lo < plan.lo or w.hi > plan.hi:
             raise ValueError(f"segment [{w.lo}, {w.hi}) outside range")
-        if plan.max_segment is not None and len(w) > plan.max_segment:
-            raise ValueError(f"segment of length {len(w)} exceeds {plan.max_segment}")
         if prev_hi is not None:
             gap = w.lo - prev_hi
             if gap < 0:

@@ -26,7 +26,7 @@ from shiftcode.splicer import skeleton_params, splice_full_support
 from shiftcode.toral import (classify, halmos_membership,
                              is_quasi_hyperbolic, toral_entropy)
 
-from conftest import halmos_oracle, plan_from_words
+from conftest import brute_max_matching, halmos_oracle, plan_from_words
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -166,19 +166,7 @@ def test_hall_mode_fidelity():
         assert all(gs in rel.edges[bs] for bs, gs in phi.items())
         assert len(set(phi.values())) == len(phi)
         # cross-validate against an exhaustive matching oracle
-        def brute(edges):
-            match_g = {}
-            def aug(bb, seen):
-                for gg in edges[bb]:
-                    if gg in seen:
-                        continue
-                    seen.add(gg)
-                    if gg not in match_g or aug(match_g[gg], seen):
-                        match_g[gg] = bb
-                        return True
-                return False
-            return sum(aug(bb, set()) for bb in sorted(edges))
-        assert len(phi) == brute(rel.edges)
+        assert len(phi) == brute_max_matching(rel.edges)
         # failing-degree instances rejected with the named vertex
         with pytest.raises(DegreeError) as exc:
             hall_match(rel, K + len(g.unrank(0)) + 2)
@@ -211,6 +199,36 @@ def test_end_to_end_roundtrip():
         for n in blocks[:1000]:
             w = Word(pair.y.symbols[n:n + pack.N])
             assert locate_offset(w, scheme, pack.N) == 0
+
+
+# the paper pack: Bernoulli(0.1) into the full 2-shift under Bernoulli(1/2)
+# at eps = 0.2, N = 1024, M = 4, delta = 0.01, alpha = 0.5
+PAPER_PACK = ["--source-sft", str(DATA / "full2.sft"),
+              "--source-measure", str(DATA / "b01.msr"),
+              "--sft", str(DATA / "full2.sft"), "--measure", str(DATA / "b5.msr"),
+              "--eps", "0.2", "--N", "1024", "--M", "4", "--delta", "0.01",
+              "--alpha", "0.5"]
+
+
+def test_paper_pack_every_bound_and_audit_holds():
+    with Criterion("paper-pack", budget=60.0):
+        reports = {}
+        for name, args in (("dict", ["--seed", "1"]),
+                           ("verify", ["--seed", "3", "--length", "200000"])):
+            proc = subprocess.run(
+                [sys.executable, "-m", "shiftcode", name, *PAPER_PACK, *args],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            reports[name] = dict(line.split("=", 1)
+                                 for line in proc.stdout.splitlines())
+        rep = reports["dict"]
+        assert all(rep[key] == "true" for key in (
+            "girls_exceed", "boys_below", "mass_exceeds", "ratio_holds",
+            "bounds_all_hold"))
+        rep = reports["verify"]
+        assert all(rep[key] == "true" for key in (
+            "coverage_ok", "phase_ok", "badset_ok", "ratio_ok", "eg_ok"))
+        assert rep["errors_on_mask"] == "0"
 
 
 def test_splicer_bounds():

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from shiftcode.cli import (first_schema_offence, read_dictionary_file, run,
-                           write_dictionary_file)
+from shiftcode import codec
+from shiftcode.cli import (_build_instance, build_parser, first_schema_offence,
+                           read_dictionary_file, run, write_dictionary_file)
 from shiftcode.dictionary import (Relation, boys, choose_parameters,
                                   dictionary, girls)
 from shiftcode.markers import find_marker
@@ -45,6 +46,18 @@ GOLDEN_CASES = {
         "--sft", str(DATA / "full2.sft"), "--measure", str(DATA / "b5.msr"),
         "--eps", "0.2", "--N", "64", "--M", "2", "--delta", "0.02",
         "--alpha", "0.5", "--seed", "1"],
+    "dict_paper.txt": [
+        "dict", "--source-sft", str(DATA / "full2.sft"),
+        "--source-measure", str(DATA / "b01.msr"),
+        "--sft", str(DATA / "full2.sft"), "--measure", str(DATA / "b5.msr"),
+        "--eps", "0.2", "--N", "1024", "--M", "4", "--delta", "0.01",
+        "--alpha", "0.5", "--seed", "1"],
+    "verify_paper.txt": [
+        "verify", "--source-sft", str(DATA / "full2.sft"),
+        "--source-measure", str(DATA / "b01.msr"),
+        "--sft", str(DATA / "full2.sft"), "--measure", str(DATA / "b5.msr"),
+        "--eps", "0.2", "--N", "1024", "--M", "4", "--delta", "0.01",
+        "--alpha", "0.5", "--seed", "3", "--length", "200000"],
     "verify.txt": [
         "verify", "--source-sft", str(DATA / "full2.sft"),
         "--source-measure", str(DATA / "b01.msr"),
@@ -163,6 +176,26 @@ def test_missing_input_ends_in_an_error_line(case, coded_stream, tmp_path):
     assert proc.stdout == ""
 
 
+def test_strict_params_refuse_N_and_M():
+    # both were once dropped without a word: the report matched the run
+    # without them
+    proc = cli(*GOLDEN_CASES["params_strict.txt"], "--N", "64", "--M", "2")
+    assert proc.returncode == 1
+    assert ("ParameterError: strict mode derives N and M; it refuses the N "
+            "and M override") in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_boost_splice_with_long_two_runs():
+    # k2 = 750 exceeds k1 + 1 = 150, which once capped every segment
+    proc = cli("splice", "--sft", str(DATA / "full2.sft"),
+               "--measure", str(DATA / "b5.msr"), "--kind", "boost",
+               "--eps", "0.8", "--gamma", "0.1", "--N", "1000",
+               "--length", "20000", "--seed", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "admissible=true\nk0=50\nk1=149\nk2=750\n" in proc.stdout
+
+
 class TestSchemaCheck:
     def test_well_formed(self):
         assert first_schema_offence((GOLDEN / "verify.txt").read_text()) is None
@@ -260,6 +293,34 @@ class TestEncodeDecodeFiles(object):
         # the --out file carries the same bytes as stdout
         assert out1.read_text() == proc.stdout
 
+    def test_file_reads_back_the_built_pack(self, coded_stream):
+        # [pack] floats and the marker's alpha were once written to 12
+        # significant digits, so the read-back pack hashed differently
+        pack, scheme, mu, nu, d = read_dictionary_file(str(coded_stream[0]))
+        args = build_parser().parse_args(GOLDEN_CASES["dict_practical.txt"])
+        _, _, built, built_scheme, *_ = _build_instance(args)
+        assert pack.scalars() == built.scalars()
+        assert codec.pack_hash(pack) == codec.pack_hash(built)
+        assert scheme == built_scheme
+
+    @pytest.mark.parametrize("text, position, char", [
+        ("01012", 4, "2"), ("0101a10", 4, "a")])
+    def test_x_file_off_the_source_alphabet_refused(self, coded_stream,
+                                                    tmp_path, text, position,
+                                                    char):
+        # the first encoded with exit 0, the second ended in a bare int()
+        # ValueError that named no file
+        x_file = tmp_path / "x.txt"
+        x_file.write_text(text + "\n")
+        proc = cli("encode", "--dict", str(coded_stream[0]), "--x-file",
+                   str(x_file), "--seed", "5",
+                   "--coded-out", str(tmp_path / "run.coded"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert (f"ShiftcodeError: x file {x_file}: position {position} holds "
+                f"{char!r}, not a source symbol 0 to 1") in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("key", ["pack", "dict", "marker"])
     def test_decode_rejects_tampered_header(self, coded_stream, tmp_path, key):
         dict_path, coded_path = coded_stream
@@ -274,6 +335,7 @@ class TestEncodeDecodeFiles(object):
         proc = cli("decode", "--dict", str(dict_path), "--coded", str(bad))
         assert proc.returncode == 1
         assert f"coded stream {key} header does not match" in proc.stderr
+        assert f"(stream {bad}, dictionary {dict_path})" in proc.stderr
 
     @pytest.mark.parametrize("marker, message", [
         ("M=2 alpha=0.5", "[marker] has no word field"),
@@ -348,6 +410,10 @@ class TestEncodeDecodeFiles(object):
         ("practical", marker_word("0" * 16, counts=False),
          f"[marker] word {'0' * 16} is not a marker: 12 of its windows "
          "at offsets 0 to 6M-1 equal the one at 6M"),
+        # one more boy than the rebuilt set holds
+        ("practical", lambda lines: lines.__setitem__(
+            lines.index("[counts]") + 1, "boys 704494194"),
+         "[counts] boys is 704494194, the rebuilt set has 704494193"),
         # the one boy listed again, to the other girl
         ("hall", lambda lines: lines.append(f"{HALL_BOY} -> {HALL_GIRLS[1]}"),
          f"[table] repeats the key {HALL_BOY}"),
@@ -356,7 +422,8 @@ class TestEncodeDecodeFiles(object):
         ("hall", lambda lines: lines.__setitem__(-1, "x" + lines[-1][1:]),
          f"[table] field x{HALL_BOY[1:]} -> {HALL_GIRLS[0]} is malformed"),
     ], ids=["pack-repeated", "marker-repeats-its-window", "marker-short",
-            "marker-constant", "table-repeated", "table-girl-x", "table-boy-x"])
+            "marker-constant", "counts-disagree", "table-repeated",
+            "table-girl-x", "table-boy-x"])
     def test_bad_dictionary_entry_refused(self, coded_stream, hall_dict,
                                           tmp_path, name, edit, message):
         # a repeated key used to overwrite the one before it, a non-digit

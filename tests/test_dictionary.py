@@ -18,9 +18,9 @@ from shiftcode.markers import MarkerScheme, avoidance_filter, find_marker
 from shiftcode.measures import MarkovMeasure, parse_measure
 from shiftcode.shiftspace import Word, build_sft, enumerate_words, parse_sft
 
-from conftest import (LOG2, markov_on_support, reference_binomial_rank,
-                      reference_binomial_unrank, reference_boys,
-                      reference_unrank)
+from conftest import (LOG2, brute_max_matching, markov_on_support,
+                      reference_binomial_rank, reference_binomial_unrank,
+                      reference_boys, reference_unrank)
 
 H_01 = 0.3250829733914482
 DATA = Path(__file__).parent / "data"
@@ -55,6 +55,16 @@ class TestChooseParameters:
             choose_parameters(LOG2, LOG2, 0.5)
         with pytest.raises(ParameterError):
             choose_parameters(0.0, LOG2, 0.5)
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"N": 64}, "N"), ({"M": 2}, "M"), ({"N": 64, "M": 2, "delta": 0.01},
+                                            "N and M")])
+    def test_strict_refuses_N_and_M(self, overrides, named):
+        # both were once dropped: strict mode derives them from delta
+        with pytest.raises(ParameterError) as exc:
+            choose_parameters(H_01, LOG2, 0.5, overrides=overrides)
+        assert str(exc.value) == (f"strict mode derives N and M; it refuses "
+                                  f"the {named} override")
 
     def test_checklist_items_strict(self, full2, bern_half):
         pack = choose_parameters(H_01, LOG2, 0.5, nu=bern_half)
@@ -553,28 +563,6 @@ class TestMarriageBound:
         assert lk == pytest.approx(math.log(0.5) + 100 * (0.3 - 0.02))
 
 
-def brute_max_matching(edges):
-    """Exhaustive augmenting-path matching oracle."""
-    boys_list = sorted(edges)
-    match_g = {}
-
-    def try_augment(b, seen):
-        for g in edges[b]:
-            if g in seen:
-                continue
-            seen.add(g)
-            if g not in match_g or try_augment(match_g[g], seen):
-                match_g[g] = b
-                return True
-        return False
-
-    size = 0
-    for b in boys_list:
-        if try_augment(b, set()):
-            size += 1
-    return size
-
-
 class TestHallMatch:
     def test_spec_example(self):
         rel = Relation(edges={"b1": ["g1", "g2"], "b2": ["g2", "g3"]},
@@ -617,6 +605,20 @@ class TestHallMatch:
             assert len(phi) == len(edges) == brute_max_matching(edges)
             assert len(set(phi.values())) == len(phi)
             assert all(g in edges[b] for b, g in phi.items())
+            assert hall_match(rel, K) == phi
+
+    def test_augmenting_path_moves_earlier_boys(self):
+        # b3's girls are both taken when its turn comes: b1 and b2 each
+        # move once along one alternating path
+        rel = Relation(edges={"b1": ["g1", "g2"], "b2": ["g1", "g3"],
+                              "b3": ["g2", "g3"]}, witnesses={})
+        assert hall_match(rel, 2) == {"b1": "g1", "b2": "g3", "b3": "g2"}
+
+    def test_oracle_is_exhaustive(self):
+        # greedy in sorted order would match only b1 -> g1
+        assert brute_max_matching({"b1": ["g1", "g2"], "b2": ["g1"]}) == 2
+        assert brute_max_matching({"b1": ["g1"], "b2": ["g1"]}) == 1
+        assert brute_max_matching({}) == 0
 
 
 class TestBuildRelation:

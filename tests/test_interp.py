@@ -340,28 +340,22 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             plan.validate()
 
-    def test_max_segment(self):
-        plan = plan_from_words(0, 10, [Word.from_string("0000", 0)],
-                               min_gap=1, max_segment=3)
-        with pytest.raises(ValueError):
-            plan.validate()
-
     @pytest.mark.parametrize("plan,message", [
         (_plan([], lo=5, hi=5), "empty or inverted range"),
         (_plan([("0", 1), ("", 4)]), "segments must be non-empty"),
         (_plan([("000", 8)]), "segment [8, 11) outside range"),
         (_plan([("0", -1)]), "segment [-1, 0) outside range"),
-        (_plan([("0000", 0)], max_segment=3), "segment of length 4 exceeds 3"),
+        # an empty segment past hi fails both of the first two checks
+        (_plan([("", 12)]), "segments must be non-empty"),
         (_plan([("000", 0), ("000", 2)]), "segments overlap"),
         (_plan([("00", 0), ("00", 3)], min_gap=2), "gap 1 below min_gap 2"),
         (_plan([("0", 0), ("0", 1)]), "gap 0 below min_gap 1"),
         (_plan([("00", 4)], lo=5), "segment [4, 6) outside range"),
         # the first segment in start order is named, with its first
         # failing check: here both segments fail, the later-listed first
-        (_plan([("0000", 8), ("0000", 0), ("0", 5)], min_gap=2, max_segment=3),
-         "segment of length 4 exceeds 3"),
-        (_plan([("00000", 6), ("0", 5)], max_segment=3),
-         "segment [6, 11) outside range"),
+        (_plan([("0000", 8), ("", 0), ("0", 5)], min_gap=2),
+         "segments must be non-empty"),
+        (_plan([("00000", 6), ("0", 5)]), "segment [6, 11) outside range"),
         (_plan([("00", 4), ("000", 2)], min_gap=3), "segments overlap"),
     ])
     def test_messages(self, plan, message):
@@ -383,8 +377,7 @@ class TestPlanValidation:
                          data.draw(st.integers(-2, 14)))
                     for _ in range(data.draw(st.integers(0, 5), label="segments"))]
         args = dict(lo=data.draw(st.integers(-1, 2)), hi=data.draw(st.integers(0, 16)),
-                    min_gap=data.draw(st.integers(0, 3)),
-                    max_segment=data.draw(st.none() | st.integers(0, 4)))
+                    min_gap=data.draw(st.integers(0, 3)))
         try:
             want = reference_validate(plan_from_words(words=segments, **args))
         except ValueError as exc:
@@ -428,9 +421,8 @@ def test_interpolate_waves_match_reference(sft_zoo, data):
     # a few short words repeated at gaps of one or two lengths repeat the
     # memo keys; runs of segments shorter than k that do not start at lo
     # chain their gaps into several waves; a segment may start at lo or
-    # end at hi (an empty boundary gap), and max_segment may refuse.  In
-    # the 010-free shift the tail 1 of a segment at lo and a tail 01 need
-    # different connectors
+    # end at hi (an empty boundary gap).  In the 010-free shift the tail 1
+    # of a segment at lo and a tail 01 need different connectors
     sfts = sft_zoo + [build_sft(2, ["010"])]
     sft = sfts[data.draw(st.integers(0, len(sfts) - 1), label="sft")]
     dfa, L = sft.factor_dfa(), specification_gap(sft)
@@ -450,13 +442,11 @@ def test_interpolate_waves_match_reference(sft_zoo, data):
         pos += len(sym) + L + data.draw(st.sampled_from([0, 0, 1]), label="gap")
     end = segments[-1].hi if segments else pos
     hi = end + data.draw(st.sampled_from([0, L, 3]), label="trail") + (end == lo)
-    options = dict(min_gap=L, max_segment=data.draw(
-        st.none() | st.integers(1, sft.k + 1), label="max_segment"))
     want = _outcome(reference_interpolate, sft,
-                    plan_from_words(lo, hi, segments, **options))
+                    plan_from_words(lo, hi, segments, min_gap=L))
     event("error" if isinstance(want[0], type) else f"waves {min(waves, 3)}")
     assert _outcome(interpolate, sft,
-                    plan_from_words(lo, hi, segments, **options)) == want
+                    plan_from_words(lo, hi, segments, min_gap=L)) == want
 
 
 @pytest.mark.parametrize("m,forbidden", [

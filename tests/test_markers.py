@@ -290,5 +290,46 @@ class TestSerialization:
         again = MarkerScheme.parse(line, bern_half)
         assert again.word == scheme.word
         assert again.M == scheme.M
-        assert again.alpha == pytest.approx(scheme.alpha)
-        assert again.nu_h1 == pytest.approx(scheme.nu_h1)
+        assert again.alpha == scheme.alpha
+        assert again.nu_h1 == scheme.nu_h1
+        assert again == scheme
+
+    def test_alpha_read_back_exactly(self, full2, bern_half):
+        # alpha was once written to 12 significant digits
+        scheme = find_marker(full2, bern_half, M=2, alpha=0.5 / 3, seed=1)
+        assert MarkerScheme.parse(scheme.serialize(), bern_half) == scheme
+
+    @pytest.mark.parametrize("line, message", [
+        ("M=2 alpha=0.5", "has no word field"),
+        ("alpha=0.5 word=0010010010010011", "has no M field"),
+        ("M=2 word=0010010010010011", "has no alpha field"),
+        ("M=2 alpha=0.5 word=0010010010010011 beta=1",
+         "field beta=1 is unknown"),
+        ("M=2 alpha=0.5 word=0010010010010011 M=2", "repeats the key M"),
+        ("M=two alpha=0.5 word=0010010010010011", "field M=two is malformed"),
+        ("M=0 alpha=0.5 word=", "field M=0 is malformed"),
+        ("M=2 alpha=nan word=0010010010010011", "field alpha=nan is malformed"),
+        ("M=2 alpha=0.5 word=00100x0010010011",
+         "field word=00100x0010010011 is malformed"),
+        ("M=2 alpha=0.5 word=0010010010010011 extra", "field extra is malformed"),
+        ("M=2 alpha=0.5 word=001001001001001",
+         "word has 15 symbols, not 8M = 16"),
+        ("M=2 alpha=0.5 word=0010001100100011",
+         "word 0010001100100011 is not a marker: 1 of its windows at offsets "
+         "0 to 6M-1 equal the one at 6M"),
+        ("M=2 alpha=0.5 word=0000000000000000",
+         "word 0000000000000000 is not a marker: 12 of its windows at offsets "
+         "0 to 6M-1 equal the one at 6M"),
+        ("M=2 alpha=0.1 word=0010010010010011",
+         "word 0010010010010011 is not a marker: nu(H1) = 0.0625 is not "
+         "below alpha/M"),
+        ("M=2 alpha=0.5 word=0010010010010012",
+         "word 0010010010010012 is not a marker: it is not admissible in the "
+         "target SFT"),
+    ], ids=["no-word", "no-M", "no-alpha", "unknown", "repeated", "M-two",
+            "M-zero", "alpha-nan", "word-x", "extra", "short", "repeats-window",
+            "constant", "frequent-window", "off-alphabet"])
+    def test_parse_refuses(self, bern_half, line, message):
+        with pytest.raises(ValueError) as exc:
+            MarkerScheme.parse(line, bern_half)
+        assert str(exc.value) == message
