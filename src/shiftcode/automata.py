@@ -3,9 +3,17 @@
 Counting, lex enumeration, membership and rank/unrank (Cover's enumerative
 coding) run over one prefix-closed DFA abstraction: an SFT's factor
 language, a pattern avoider, their product, or a source's type-class
-automaton (its boys, built in ``dictionary``).  Batch methods sweep the
-columns of a ``(B, L)`` array of words; counts are exact Python ints, in
-one suffix table per automaton, read as int64 by a sweep where they fit.
+automaton (its boys, built in ``dictionary``).  Counts are exact Python
+ints, in one suffix table per automaton (``Dfa._suffix``, the only cache),
+read as int64 by a sweep where they fit.
+
+Batch methods sweep a ``(B, L)`` array of words w symbols at a time.  Per
+sweep, uncached, the suffix rows give a jump table (node, chunk code) ->
+node and a lex-offset table (node, code) -> accepted words whose chunk is
+lex-smaller: a chunk is one gather for a walk, one more and an add for a
+rank, one ``searchsorted`` for an unrank.  w is the largest width with
+(n_nodes + 1) m^w <= B, so no table outgrows the batch; where even w = 1
+would (one-row calls, big automata), the tables are taken per row, w = 1.
 """
 
 from __future__ import annotations
@@ -49,25 +57,69 @@ class Dfa:
     def n_nodes(self) -> int:
         return self.step.shape[0]
 
-    def _codes(self, rows) -> np.ndarray:
-        """Rows as a 2-D int array, symbols off the alphabet set to ``alphabet_size``."""
-        codes = np.asarray(rows)
-        if codes.ndim != 2:
+    def _symbols(self, rows):
+        """(symbols, off): rows as a 2-D integer array with symbols off the
+        alphabet set to 0, and a bool vector of the rows that had one (None
+        where no row had)."""
+        sym = np.asarray(rows)
+        if sym.ndim != 2:
             raise ValueError("rows must form a 2-D array")
+        if sym.dtype.kind not in "iu":
+            sym = sym.astype(np.intp)
         m = self.alphabet_size
-        codes = np.where((codes >= 0) & (codes < m), codes, m)
-        return codes if codes.dtype.kind in "iu" else codes.astype(np.intp)
+        on = sym < m if sym.dtype.kind == "u" else (sym >= 0) & (sym < m)
+        if on.all():
+            return sym, None
+        return np.where(on, sym, 0), ~on.all(axis=1)
+
+    def _plan(self, n_rows: int, length: int):
+        """(widths, by_row, jumps) of a sweep: its chunk widths, the first
+        taking the length mod w symbols and the rest w (at most the length)
+        each; whether its tables are indexed by row (see the module
+        docstring); and ``jumps[c][node, code]``, the node (or the sink)
+        that the c-symbol chunk with base-m code ``code`` leads to."""
+        m, size, w = self.alphabet_size, self.n_nodes + 1, 0
+        while w < length and size * m <= n_rows:
+            size, w = size * m, w + 1
+        by_row, w = w == 0, max(w, 1)
+        jumps = [None, self.moves[:, :m]]
+        while len(jumps) <= w:
+            jumps.append(jumps[1].take(jumps[-1], axis=0)
+                         .reshape(len(self.moves), -1))
+        return [length % w] * (length % w > 0) + [w] * (length // w), by_row, jumps
+
+    def _chunk_codes(self, sym: np.ndarray, widths: list):
+        """Base-m code of each chunk of every row (first symbol most
+        significant), one vector per chunk, in the narrowest unsigned
+        dtype."""
+        if max(widths, default=1) == 1:
+            return sym.T
+        m, (n_rows, length), w = self.alphabet_size, sym.shape, widths[-1]
+        head, dtype = length % w, np.min_scalar_type(m ** w - 1)
+        sym = sym.astype(np.min_scalar_type(m - 1), copy=False)
+        groups = [sym[:, :head].reshape(n_rows, 1, head)] if head else []
+        groups.append(sym[:, head:].reshape(n_rows, length // w, w))
+        chunks = []
+        for blocks in groups:
+            codes = np.zeros(blocks.shape[1::-1], dtype=dtype)
+            for j in range(blocks.shape[2]):
+                codes *= m
+                codes += blocks[:, :, j].T
+            chunks.extend(codes)
+        return chunks
 
     def _ends(self, rows) -> np.ndarray:
         """The node every row ends on; the sink where it dies."""
-        nodes = np.full(len(rows), self.start, dtype=np.intp)
-        for col in self._codes(rows).T:
-            nodes = self.moves[nodes, col]
-        return nodes
+        sym, off = self._symbols(rows)
+        widths, _, jumps = self._plan(*sym.shape)
+        nodes = np.full(len(sym), self.start, dtype=np.intp)
+        for c, codes in zip(widths, self._chunk_codes(sym, widths)):
+            nodes = jumps[c][nodes, codes]
+        return nodes if off is None else np.where(off, self.n_nodes, nodes)
 
     def walk(self, symbols) -> int:
         """The node a word ends on from the start; -1 if it dies."""
-        end = int(self._ends([symbols])[0])
+        end = int(self._ends(np.asarray(symbols)[None])[0])
         return -1 if end == self.n_nodes else end
 
     def member_rows(self, rows) -> np.ndarray:
@@ -158,42 +210,61 @@ class Dfa:
 
     def rank_rows(self, rows) -> np.ndarray:
         """Lex rank of every row among accepted words of its length (object
-        ints): per column, ``f[rem, moves[node, b]]`` for each b below the
-        row's symbol.  ``ValueError`` if a row reaches the sink."""
-        codes = self._codes(rows)
-        n_rows, length = codes.shape
+        ints): per chunk, the lex offset of its code from the row's node.
+        ``ValueError`` if a row reaches the sink."""
+        sym, off = self._symbols(rows)
+        n_rows, length = sym.shape
         table = self._sweep_table(length)
-        moves, sink = self.moves, self.n_nodes
+        widths, by_row, jumps = self._plan(n_rows, length)
+        m = self.alphabet_size
+        rows = np.arange(n_rows) * m
         nodes = np.full(n_rows, self.start, dtype=np.intp)
         ranks = np.zeros(n_rows, dtype=table.dtype)
-        for pos, col in enumerate(codes.T):
-            counts = table[length - pos - 1]
-            for b in range(self.alphabet_size - 1):
-                ranks += counts[np.where(col > b, moves[nodes, b], sink)]
-            nodes = moves[nodes, col]
-        if (nodes == sink).any():
+        left = length
+        for c, codes in zip(widths, self._chunk_codes(sym, widths)):
+            left -= c
+            jump = jumps[1].take(nodes, axis=0) if by_row else jumps[c]
+            at = (rows if by_row else nodes * m ** c) + codes
+            ranks += _below(table[left], jump).ravel()[at]
+            nodes = jump.ravel()[at]
+        if off is not None or (nodes == self.n_nodes).any():
             raise ValueError("word not accepted by automaton")
         return ranks.astype(object, copy=False)
 
     def unrank_rows(self, length: int, ranks) -> np.ndarray:
         """Inverse of :meth:`rank_rows`: a ``(len(ranks), length)`` uint8
-        array; ``ValueError`` if a rank is outside ``[0, count(length))``."""
+        array; ``ValueError`` if a rank is outside ``[0, count(length))``.
+        Per chunk, each row takes the last code whose lex offset its rank
+        reaches: by one ``searchsorted`` over the offsets of every node,
+        each node's row shifted by the counts of the nodes before it so
+        that the flat table is sorted, or by comparing within the row."""
         table = self._sweep_table(length)
         total = int(table[length, self.start])
         ranks = rank_vector(ranks, total).astype(table.dtype)
-        nodes = np.full(len(ranks), self.start, dtype=np.intp)
-        out = np.empty((len(ranks), length), dtype=np.uint8)
-        for pos in range(length):
-            counts = table[length - pos - 1]
-            syms = np.zeros(len(ranks), dtype=np.intp)
-            # a row passes symbol a, paying its count, while its rank allows
-            for a in range(self.alphabet_size - 1):
-                c = counts[self.moves[nodes, a]]
-                past = (syms == a) & (ranks >= c)
-                ranks = np.where(past, ranks - c, ranks)
-                syms += past
-            out[:, pos] = syms
-            nodes = self.moves[nodes, syms]
+        n_rows, m = len(ranks), self.alphabet_size
+        widths, by_row, jumps = self._plan(n_rows, length)
+        digits = {c: _digits(m, c) for c in set(widths) - {1}}
+        rows = np.arange(n_rows) * m
+        nodes = np.full(n_rows, self.start, dtype=np.intp)
+        out = np.empty((n_rows, length), dtype=np.uint8)
+        left = length
+        for c in widths:
+            left -= c
+            jump = jumps[1].take(nodes, axis=0) if by_row else jumps[c]
+            below = _below(table[left], jump)
+            if by_row:
+                codes = (below[:, 1:] <= ranks[:, None]).sum(axis=1)
+                at = rows + codes
+            else:
+                shift = _shifts(table[left + c])
+                at = np.searchsorted((below + shift[:, None]).ravel(),
+                                     ranks + shift[nodes], "right") - 1
+                codes = at - nodes * m ** c
+            ranks -= below.ravel()[at]
+            nodes = jump.ravel()[at]
+            out[:, length - left - c:length - left] = (
+                codes[:, None] if c == 1
+                else digits[c].take(codes).view(np.uint8).reshape(-1, c))
         return out
 
     def rank(self, symbols) -> int:
@@ -203,6 +274,32 @@ class Dfa:
     def unrank(self, length: int, r: int) -> tuple:
         """Inverse of :meth:`rank` for the given word length."""
         return tuple(self.unrank_rows(length, [r])[0].tolist())
+
+
+def _below(counts: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Lex offsets of one chunk: ``below[key, code]`` sums the suffix counts
+    ``counts`` of the nodes ``targets[key, :code]`` that the chunks coded
+    below ``code`` reach."""
+    reach = counts[targets]
+    below = np.zeros(reach.shape, dtype=reach.dtype)
+    np.add.accumulate(reach[:, :-1], axis=1, out=below[:, 1:])
+    return below
+
+
+def _shifts(totals: np.ndarray) -> np.ndarray:
+    """Exclusive running sums of the per-node counts ``totals`` (the sink's,
+    0, last), int64 when their sum fits, else Python ints.  A float sum of
+    nonnegative entries is off by far less than the margin to 2^63."""
+    if totals.dtype == object or totals.sum(dtype=np.float64) >= 2.0 ** 62:
+        totals = totals.astype(object)
+    return np.cumsum(totals) - totals
+
+
+def _digits(m: int, c: int) -> np.ndarray:
+    """``_digits(m, c)[code]``: the c uint8 symbols of a base-m chunk code,
+    as one c-byte item."""
+    digits = np.stack(np.unravel_index(np.arange(m ** c), (m,) * c), axis=1)
+    return digits.astype(np.uint8).view(f"V{c}").ravel()
 
 
 def rank_vector(ranks, count: int) -> np.ndarray:

@@ -141,6 +141,9 @@ def choose_parameters(h_source: float, h_target: float, eps: float,
     if mode not in ("strict", "practical"):
         raise ParameterError(f"unknown mode {mode!r}")
     overrides = dict(overrides or {})
+    # floats, as a dictionary file reads them back, so the packs hash alike
+    overrides.update({key: float(overrides[key]) for key in ("delta", "alpha")
+                      if key in overrides})
 
     Delta = (h_target - h_source) / 10.0
     h_joint_bound = h_source + h_target

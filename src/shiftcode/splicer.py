@@ -23,9 +23,9 @@ def skeleton_params(eps: float, gamma: float, N: int):
     """Block-run lengths (k0, k1, k2) for the entropy-boost skeleton.
 
     k0 = floor(gamma/2 N), k1 = floor((1-eps-gamma/2) N),
-    k2 = floor((eps-gamma/2) N); both time-ratio inequalities
-    k1/total > 1-eps-gamma and k2/total > eps-gamma are verified and
-    returned as a report.
+    k2 = floor((eps-gamma/2) N), each at least 1; both time-ratio
+    inequalities k1/total > 1-eps-gamma and k2/total > eps-gamma are
+    verified and returned as a report.
     """
     if not 0 < gamma < eps < 1:
         raise ParameterError(f"need 0 < gamma < eps < 1, got gamma={gamma}, eps={eps}")
@@ -34,6 +34,11 @@ def skeleton_params(eps: float, gamma: float, N: int):
     k2 = int(math.floor((eps - gamma / 2) * N))
     if k0 < 1:
         raise ParameterError(f"k0 = floor(gamma/2 N) = {k0} < 1: N too small")
+    if k1 < 1 or k2 < 1:
+        raise ParameterError(
+            f"k1 = floor((1 - eps - gamma/2) N) = {k1} and k2 = floor((eps - "
+            f"gamma/2) N) = {k2} must both be >= 1; got eps={eps}, "
+            f"gamma={gamma}, N={N}")
     total = 2 * k0 + k1 + k2
     report = {
         "time_ratio_1": (k1 / total, 1 - eps - gamma, k1 / total > 1 - eps - gamma),
@@ -80,15 +85,19 @@ class Skeleton:
 
     @classmethod
     def sample(cls, kind: str, params: tuple, seed: int, min_length: int) -> "Skeleton":
-        """Whole blocks, fair coin long/short per block, until min_length."""
+        """Whole blocks, fair coin long/short per block, until min_length.
+        The coins come from one draw of as many as all-short blocks would
+        take, the same stream as one draw per block; the blocks stop at the
+        first whose end reaches min_length."""
+        if min_length < 1:
+            raise ValueError(f"min_length must be >= 1, got {min_length}")
         short, long_ = cls._blocks(kind, params)
         rng = np.random.default_rng(seed)
-        pieces, total = [], 0
-        while total < min_length:
-            blk = long_ if rng.integers(0, 2) else short
-            pieces.append(blk)
-            total += len(blk)
-        return cls(np.concatenate(pieces), kind, tuple(params))
+        coins = rng.integers(0, 2, -(-min_length // len(short)))
+        ends = np.cumsum(np.where(coins, len(long_), len(short)))
+        coins = coins[:np.searchsorted(ends, min_length) + 1]
+        return cls(np.concatenate([long_ if c else short for c in coins.tolist()]),
+                   kind, tuple(params))
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -226,6 +226,63 @@ def reference_unrank(dfa, length, r):
     return tuple(out)
 
 
+def _column_codes(dfa, rows):
+    """Rows as a 2-D int array, symbols off the alphabet set to m."""
+    codes = np.asarray(rows)
+    m = dfa.alphabet_size
+    codes = np.where((codes >= 0) & (codes < m), codes, m)
+    return codes if codes.dtype.kind in "iu" else codes.astype(np.intp)
+
+
+def column_ends(dfa, rows):
+    """Oracle for the chunked walk behind Dfa.member_rows: one ``moves``
+    gather per column; the sink where a row dies or leaves the alphabet."""
+    nodes = np.full(len(rows), dfa.start, dtype=np.intp)
+    for col in _column_codes(dfa, rows).T:
+        nodes = dfa.moves[nodes, col]
+    return nodes
+
+
+def column_rank_rows(dfa, rows):
+    """Oracle for Dfa.rank_rows: per column, ``f[rem, moves[node, b]]``
+    for each b below the row's symbol, on the same int64 or object rows."""
+    codes = _column_codes(dfa, rows)
+    n_rows, length = codes.shape
+    table = dfa._sweep_table(length)
+    moves, sink = dfa.moves, dfa.n_nodes
+    nodes = np.full(n_rows, dfa.start, dtype=np.intp)
+    ranks = np.zeros(n_rows, dtype=table.dtype)
+    for pos, col in enumerate(codes.T):
+        counts = table[length - pos - 1]
+        for b in range(dfa.alphabet_size - 1):
+            ranks += counts[np.where(col > b, moves[nodes, b], sink)]
+        nodes = moves[nodes, col]
+    if (nodes == sink).any():
+        raise ValueError("word not accepted by automaton")
+    return ranks.astype(object, copy=False)
+
+
+def column_unrank_rows(dfa, length, ranks):
+    """Oracle for Dfa.unrank_rows: per column, a row passes symbol a,
+    paying its count, while its rank allows."""
+    from shiftcode.automata import rank_vector
+    table = dfa._sweep_table(length)
+    ranks = rank_vector(ranks, int(table[length, dfa.start])).astype(table.dtype)
+    nodes = np.full(len(ranks), dfa.start, dtype=np.intp)
+    out = np.empty((len(ranks), length), dtype=np.uint8)
+    for pos in range(length):
+        counts = table[length - pos - 1]
+        syms = np.zeros(len(ranks), dtype=np.intp)
+        for a in range(dfa.alphabet_size - 1):
+            c = counts[dfa.moves[nodes, a]]
+            past = (syms == a) & (ranks >= c)
+            ranks = np.where(past, ranks - c, ranks)
+            syms += past
+        out[:, pos] = syms
+        nodes = dfa.moves[nodes, syms]
+    return out
+
+
 def reference_factor_dfa(sft):
     """Reference for Sft.factor_dfa by the per-prefix loop: the prefixes of
     states numbered in tuple-sort order, then the states in their order."""
@@ -549,6 +606,20 @@ def periodic_closure(sft, word, gap=None):
     period = np.concatenate([word.symbols, w.symbols])
     assert sft.is_admissible(Word(np.tile(period, 3)))
     return w
+
+
+def reference_skeleton_symbols(kind, params, seed, min_length):
+    """Oracle for Skeleton.sample: one fair-coin draw per block, whole
+    blocks until min_length."""
+    from shiftcode.splicer import Skeleton
+    short, long_ = Skeleton._blocks(kind, params)
+    rng = np.random.default_rng(seed)
+    pieces, total = [], 0
+    while total < min_length:
+        blk = long_ if rng.integers(0, 2) else short
+        pieces.append(blk)
+        total += len(blk)
+    return np.concatenate(pieces)
 
 
 def greedy_parse(skeleton):

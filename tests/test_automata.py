@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from shiftcode import automata
 from shiftcode.automata import avoider_dfa, product_dfa
+from shiftcode.dictionary import _type_class_boys
+from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import build_sft
 
-from conftest import (one_count_dfa, reference_binomial_rank,
+from conftest import (column_ends, column_rank_rows, column_unrank_rows,
+                      markov_on_support, one_count_dfa, reference_binomial_rank,
                       reference_binomial_unrank, reference_rank,
                       reference_suffix_counts, reference_unrank, reference_walk)
 
@@ -100,6 +103,8 @@ def check_batch_methods(dfa, length, data):
         with pytest.raises(ValueError, match="rank out of range"):
             dfa.unrank_rows(length, [r])
 
+    assert (words == column_unrank_rows(dfa, length, ranks)).all()
+
     drawn = data.draw(st.lists(
         st.lists(st.integers(0, m) | st.just(255), min_size=length,
                  max_size=length), max_size=6), label="rows")
@@ -107,10 +112,12 @@ def check_batch_methods(dfa, length, data):
     want = [reference_walk(dfa, row) for row in drawn]
     accepted = [w >= 0 for w in want]
     assert dfa.member_rows(rows).tolist() == accepted
+    assert (column_ends(dfa, rows) < dfa.n_nodes).tolist() == accepted
     assert [dfa.walk(row) for row in drawn] == want
     good = rows[accepted]
     assert dfa.rank_rows(good).tolist() == [reference_rank(dfa, row)
                                             for row in good.tolist()]
+    assert dfa.rank_rows(good).tolist() == column_rank_rows(dfa, good).tolist()
     if not all(accepted):
         with pytest.raises(ValueError):
             dfa.rank_rows(rows)
@@ -162,6 +169,128 @@ def test_one_count_batches_match_reference(data):
     check_batch_methods(dfa, N, data)
 
 
+# ---------------------------------------------------------------------------
+# wide chunks: batches big enough to read several symbols per gather
+
+
+def batch_sizes(dfa, top=2100):
+    """1, either side of each width threshold (n_nodes + 1) m^w up to top,
+    and top: the batch sizes where a sweep's chunk width changes."""
+    sizes, size = {1, top}, dfa.n_nodes + 1
+    while size * dfa.alphabet_size <= top:
+        size *= dfa.alphabet_size
+        sizes |= {size - 1, size}
+    return sorted(sizes)
+
+
+def check_wide_batch(dfa, length, n_rows, rng):
+    """All four batch methods on n_rows rows of one length equal the
+    column-loop oracles; the first rows also equal the per-row references.
+    The ranks include 0 and count - 1; the rows for membership have
+    symbols m and 255 planted in some of them."""
+    total = dfa.count(length)
+    if not total:
+        return
+    ranks = ([0, total - 1] + [rng.randrange(total) for _ in range(n_rows)])[:n_rows]
+    words = dfa.unrank_rows(length, ranks)
+    assert words.dtype == np.uint8 and words.shape == (n_rows, length)
+    assert (words == column_unrank_rows(dfa, length, ranks)).all()
+    got = dfa.rank_rows(words)
+    assert got.tolist() == ranks == column_rank_rows(dfa, words).tolist()
+    assert all(type(r) is int for r in got)
+    for w, r in list(zip(words.tolist(), ranks))[:3]:
+        assert tuple(w) == reference_unrank(dfa, length, r)
+        assert reference_rank(dfa, w) == r
+
+    rows = words.copy()
+    if length:
+        # random symbols, on and off the alphabet, in every other row
+        for i in range(0, n_rows, 2):
+            rows[i, rng.randrange(length)] = rng.choice(
+                [*range(dfa.alphabet_size), dfa.alphabet_size, 255])
+    ends = column_ends(dfa, rows)
+    assert (dfa._ends(rows) == ends).all()
+    assert (dfa.member_rows(rows) == (ends < dfa.n_nodes)).all()
+    for row, end in list(zip(rows.tolist(), ends.tolist()))[:3]:
+        assert dfa.walk(row) == reference_walk(dfa, row) == (
+            -1 if end == dfa.n_nodes else end)
+    if not (ends < dfa.n_nodes).all():
+        with pytest.raises(ValueError, match="not accepted"):
+            dfa.rank_rows(rows)
+
+
+@pytest.fixture(scope="module")
+def kernel_dfas(zoo_dfas):
+    """Factor, product, type-class and one-count automata, with a length
+    for each that no chunk width above 1 divides."""
+    bern = MarkovMeasure.bernoulli([0.9, 0.1])
+    gm = build_sft(2, ["11"])
+    markov = markov_on_support(gm, np.array([[0.7, 0.3], [1.0, 1.0]]))
+    return [(dfa, 13) for dfa in zoo_dfas] + [
+        (_type_class_boys(bern, 64, -64 * (bern.entropy() + 0.03)).dfa, 61),
+        (_type_class_boys(markov, 24, -24 * (markov.entropy() + 0.1)).dfa, 23),
+        (one_count_dfa(9), 29),
+    ]
+
+
+@pytest.mark.parametrize("index", range(13))
+def test_wide_chunks_match_column_oracle(kernel_dfas, index):
+    dfa, length = kernel_dfas[index]
+    rng = random.Random(index)
+    sizes = batch_sizes(dfa)
+    widths = [dfa._plan(n, length)[:2] for n in sizes]
+    assert widths[0] == ([1] * length, True)        # one row: per-row tables
+    assert max(w for ws, _ in widths for w in ws) >= 2
+    for n_rows in sizes:
+        for L in (length, 2 * length // 3, 1, 0):
+            check_wide_batch(dfa, L, n_rows, rng)
+    # an empty batch at every width rule
+    for L in (length, 0):
+        empty = np.zeros((0, L), dtype=np.uint8)
+        assert dfa.member_rows(empty).shape == dfa.rank_rows(empty).shape == (0,)
+        assert dfa.unrank_rows(L, []).shape == (0, L)
+
+
+def test_width_rule():
+    # (n_nodes + 1) m^w <= rows: 5 table rows (the sink's too) on the full
+    # 3-shift; the first chunk takes the length mod w
+    dfa = build_sft(3, []).factor_dfa()
+    assert dfa.n_nodes + 1 == 5
+    assert dfa._plan(14, 7)[:2] == ([1] * 7, True)
+    assert dfa._plan(15, 7)[:2] == ([1] * 7, False)
+    assert dfa._plan(44, 7)[:2] == ([1] * 7, False)
+    assert dfa._plan(45, 7)[:2] == ([1, 2, 2, 2], False)
+    assert dfa._plan(5 * 3 ** 5, 7)[:2] == ([2, 5], False)
+    assert dfa._plan(10 ** 6, 7)[:2] == ([7], False)      # never past the length
+    assert dfa._plan(10 ** 6, 0)[0] == []
+
+
+@pytest.mark.parametrize("length", [61, 62])
+def test_full_shift_offsets_past_int64(length):
+    # every suffix count fits int64 (the table is int64) but the per-node
+    # offsets of a big batch sum past 2^62 (past 2^63 at L = 62), where the
+    # unrank's offsets turn to Python ints
+    dfa = build_sft(2, []).factor_dfa()
+    table = dfa._sweep_table(length)
+    assert table.dtype == np.int64
+    assert sum(table[length].tolist()) >= 2 ** 62
+    rng = random.Random(length)
+    for n_rows in (dfa.n_nodes + 1) * 2 ** 7, 2000:
+        assert dfa._plan(n_rows, length)[0][-1] >= 7
+        check_wide_batch(dfa, length, n_rows, rng)
+    check_sweep_boundary(dfa, length, n_rows=2000)
+
+
+@pytest.mark.parametrize("N", range(60, 64))
+def test_one_count_offsets_past_int64(N):
+    dfa = one_count_dfa(N)
+    assert sum(dfa._sweep_table(min(N, 62))[min(N, 62)].tolist()) >= 2 ** 63
+    rng = random.Random(N)
+    for n_rows in (N + 1) * 2 - 1, (N + 1) * 2, (N + 1) * 16, 2000:
+        check_wide_batch(dfa, N, n_rows, rng)
+    check_sweep_boundary(dfa, N, n_rows=2000)
+
+
 def test_big_counts_match_reference(zoo_dfas):
     # counts far past 2^64 exercise the object-dtype table
     rng = random.Random(6)
@@ -177,20 +306,28 @@ def test_big_counts_match_reference(zoo_dfas):
         assert all(type(r) is int for r in dfa.rank_rows(words))
 
 
-def check_sweep_boundary(dfa, length):
+def check_sweep_boundary(dfa, length, n_rows=0):
     """rank_rows/unrank_rows at ranks 0, count - 1 and either side of 2^63
-    equal the reference and return Python ints; ranks 2^63 and 2^70 are
-    refused unless the count reaches them."""
+    equal the reference and return Python ints, also in a batch with n_rows
+    random ranks more (checked against the column-loop oracles); ranks 2^63
+    and 2^70 are refused unless the count reaches them."""
     total = dfa.count(length)
     ranks = [0, total - 1] + [r for r in (2**63 - 1, 2**63, 2**63 + 1)
                               if r < total]
+    edge = len(ranks)
+    rng = random.Random(length)
+    ranks += [rng.randrange(total) for _ in range(n_rows)]
     words = dfa.unrank_rows(length, ranks)
-    assert [tuple(w) for w in words.tolist()] == [
-        reference_unrank(dfa, length, r) for r in ranks]
+    assert [tuple(w) for w in words[:edge].tolist()] == [
+        reference_unrank(dfa, length, r) for r in ranks[:edge]]
     got = dfa.rank_rows(words)
     assert got.tolist() == ranks
     assert all(type(r) is int for r in got)
-    assert got.tolist() == [reference_rank(dfa, w) for w in words.tolist()]
+    assert got[:edge].tolist() == [reference_rank(dfa, w)
+                                   for w in words[:edge].tolist()]
+    if n_rows:
+        assert (words == column_unrank_rows(dfa, length, ranks)).all()
+        assert column_rank_rows(dfa, words).tolist() == ranks
     for r in (2**63, 2**70):
         if r >= total:
             with pytest.raises(ValueError, match="rank out of range"):

@@ -196,6 +196,21 @@ def test_boost_splice_with_long_two_runs():
     assert "admissible=true\nk0=50\nk1=149\nk2=750\n" in proc.stdout
 
 
+def test_boost_splice_refuses_negative_k1():
+    # eps + gamma/2 > 1 makes k1 = floor((1 - eps - gamma/2) N) negative;
+    # the refusal names the three flags, not a numpy shape
+    proc = cli("splice", "--sft", str(DATA / "full2.sft"),
+               "--measure", str(DATA / "b5.msr"), "--kind", "boost",
+               "--eps", "0.9", "--gamma", "0.5", "--N", "10",
+               "--length", "200", "--seed", "2")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "ParameterError: k1 = floor((1 - eps - gamma/2) N) = -2" in proc.stderr
+    assert "eps=0.9, gamma=0.5, N=10" in proc.stderr
+    assert "negative dimensions" not in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestSchemaCheck:
     def test_well_formed(self):
         assert first_schema_offence((GOLDEN / "verify.txt").read_text()) is None
@@ -302,6 +317,33 @@ class TestEncodeDecodeFiles(object):
         assert pack.scalars() == built.scalars()
         assert codec.pack_hash(pack) == codec.pack_hash(built)
         assert scheme == built_scheme
+
+    def test_int_overrides_hash_like_their_file(self, tmp_path):
+        # a library pack once kept an int alpha 1 where its dictionary file
+        # reads back 1.0, so the two hashed differently and decode would
+        # refuse the built pack's streams
+        from fractions import Fraction
+        full2 = build_sft(2, [])
+        mu, nu = MarkovMeasure.bernoulli([0.9, 0.1]), MarkovMeasure.bernoulli([0.5, 0.5])
+
+        def pack_with(delta, alpha):
+            return choose_parameters(
+                mu.entropy(), nu.entropy(), 0.2, mode="practical",
+                overrides={"N": 64, "M": 2, "delta": delta, "alpha": alpha},
+                source_alphabet=2, gap=1, nu=nu)
+
+        pack = pack_with(Fraction(1, 50), 1)
+        assert type(pack.delta) is type(pack.alpha) is float
+        assert codec.pack_hash(pack) == codec.pack_hash(pack_with(0.02, 1.0))
+        scheme = find_marker(full2, nu, pack.M, pack.alpha, seed=1)
+        d = dictionary(boys(mu, pack), girls(full2, pack, scheme),
+                       "enumerative", pack=pack)
+        path = tmp_path / "int.dict"
+        write_dictionary_file(str(path), pack, scheme, mu, nu, d)
+        back, back_scheme, *_ = read_dictionary_file(str(path))
+        assert back.scalars() == pack.scalars()
+        assert codec.pack_hash(back) == codec.pack_hash(pack)
+        assert back_scheme == scheme
 
     @pytest.mark.parametrize("text, position, char", [
         ("01012", 4, "2"), ("0101a10", 4, "a")])

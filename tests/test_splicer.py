@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftcode.codec import lz78_entropy
 from shiftcode.errors import ParameterError
@@ -8,7 +10,7 @@ from shiftcode.shiftspace import Word, build_sft
 from shiftcode.splicer import (Skeleton, skeleton_params, splice_entropy_boost,
                                splice_full_support)
 
-from conftest import greedy_parse
+from conftest import greedy_parse, reference_skeleton_symbols
 
 
 class TestSkeletonParams:
@@ -28,6 +30,17 @@ class TestSkeletonParams:
         with pytest.raises(ParameterError):
             skeleton_params(0.2, 0.1, 10)
 
+    @pytest.mark.parametrize("eps,gamma,N,k1", [
+        (0.9, 0.5, 10, -2),     # eps + gamma/2 > 1
+        (0.75, 0.5, 100, 0),    # eps + gamma/2 = 1
+    ])
+    def test_k1_below_one_refused(self, eps, gamma, N, k1):
+        # once returned, and the boost skeleton failed on a negative size
+        with pytest.raises(ParameterError, match=(
+                rf"k1 = floor\(\(1 - eps - gamma/2\) N\) = {k1} .* "
+                rf"eps={eps}, gamma={gamma}, N={N}")):
+            skeleton_params(eps, gamma, N)
+
 
 class TestSkeletonLegality:
     @pytest.mark.parametrize("kind,params", [
@@ -44,6 +57,24 @@ class TestSkeletonLegality:
                         else Skeleton._blocks_support(*params))
         rebuilt = np.concatenate([long_ if k == "long" else short for k in kinds])
         assert np.array_equal(rebuilt, sk.symbols)
+
+    @given(kind=st.sampled_from(["boost", "support"]),
+           a=st.integers(1, 6), b=st.integers(1, 40), c=st.integers(0, 12),
+           seed=st.integers(0, 2**32 - 1), min_length=st.integers(1, 4000))
+    @settings(max_examples=200)
+    def test_sample_matches_per_block_draws(self, kind, a, b, c, seed,
+                                            min_length):
+        # one bulk coin draw, cut at min_length, is the per-block loop
+        params = (a, b, c) if kind == "boost" else (b + 2 * a, a)
+        sk = Skeleton.sample(kind, params, seed, min_length)
+        want = reference_skeleton_symbols(kind, params, seed, min_length)
+        assert sk.symbols.dtype == want.dtype
+        assert np.array_equal(sk.symbols, want)
+        assert len(sk) >= min_length
+
+    def test_sample_needs_a_positive_length(self):
+        with pytest.raises(ValueError, match="min_length must be >= 1"):
+            Skeleton.sample("support", (20, 2), 3, 0)
 
     def test_corrupted_not_parseable(self):
         sk = Skeleton.sample("support", (20, 2), 3, 200)
