@@ -36,14 +36,13 @@ RANK_BIT_LIMIT = 2 ** 32
 class Dfa:
     """A DFA with integer nodes; ``step[node][symbol] == -1`` means dead.
 
-    Every node accepts: a word is accepted iff its walk never dies, so the
-    language is prefix-closed.  Batch methods send dead steps and symbols
-    off the alphabet to a sink node.
+    Node 0 is the start.  Every node accepts: a word is accepted iff its
+    walk never dies, so the language is prefix-closed.  Batch methods send
+    dead steps and symbols off the alphabet to a sink node.
     """
 
     alphabet_size: int
     step: np.ndarray           # shape (n_nodes, alphabet_size), dtype int64
-    start: int = 0
     # step plus a sink row and an off-alphabet column, all to the sink
     moves: np.ndarray = field(init=False, repr=False)
     _suffix: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -112,7 +111,7 @@ class Dfa:
         """The node every row ends on; the sink where it dies."""
         sym, off = self._symbols(rows)
         widths, _, jumps = self._plan(*sym.shape)
-        nodes = np.full(len(sym), self.start, dtype=np.intp)
+        nodes = np.zeros(len(sym), dtype=np.intp)
         for c, codes in zip(widths, self._chunk_codes(sym, widths)):
             nodes = jumps[c][nodes, codes]
         return nodes if off is None else np.where(off, self.n_nodes, nodes)
@@ -172,7 +171,7 @@ class Dfa:
         vec = self._first_row()
         for _ in range(length):
             vec = self._next_row(vec)
-        return vec[self.start]
+        return vec[0]
 
     def enumerate(self, length: int):
         """Yield accepted words of the given length in lex order, in blocks.
@@ -190,7 +189,7 @@ class Dfa:
             raise ValueError("length must be >= 0")
         step = self.step
         pending = [(np.zeros((1, 0), dtype=np.uint8),
-                    np.array([self.start], dtype=np.int64))]
+                    np.zeros(1, dtype=np.int64))]
         while pending:
             words, nodes = pending.pop()
             while words.shape[1] < length and len(nodes):
@@ -218,7 +217,7 @@ class Dfa:
         widths, by_row, jumps = self._plan(n_rows, length)
         m = self.alphabet_size
         rows = np.arange(n_rows) * m
-        nodes = np.full(n_rows, self.start, dtype=np.intp)
+        nodes = np.zeros(n_rows, dtype=np.intp)
         ranks = np.zeros(n_rows, dtype=table.dtype)
         left = length
         for c, codes in zip(widths, self._chunk_codes(sym, widths)):
@@ -239,13 +238,13 @@ class Dfa:
         each node's row shifted by the counts of the nodes before it so
         that the flat table is sorted, or by comparing within the row."""
         table = self._sweep_table(length)
-        total = int(table[length, self.start])
+        total = int(table[length, 0])
         ranks = rank_vector(ranks, total).astype(table.dtype)
         n_rows, m = len(ranks), self.alphabet_size
         widths, by_row, jumps = self._plan(n_rows, length)
         digits = {c: _digits(m, c) for c in set(widths) - {1}}
         rows = np.arange(n_rows) * m
-        nodes = np.full(n_rows, self.start, dtype=np.intp)
+        nodes = np.zeros(n_rows, dtype=np.intp)
         out = np.empty((n_rows, length), dtype=np.uint8)
         left = length
         for c in widths:
@@ -317,8 +316,8 @@ def product_dfa(a: Dfa, b: Dfa) -> Dfa:
     """
     if a.alphabet_size != b.alphabet_size:
         raise ValueError("alphabet mismatch")
-    index = {(a.start, b.start): 0}
-    order = [(a.start, b.start)]
+    index = {(0, 0): 0}
+    order = [(0, 0)]
     rows = []
     for na, nb in order:            # order grows while it is read
         row = []
@@ -328,7 +327,7 @@ def product_dfa(a: Dfa, b: Dfa) -> Dfa:
                 order.append(key)
             row.append(index[key] if min(key) >= 0 else -1)
         rows.append(row)
-    return Dfa(a.alphabet_size, np.array(rows, dtype=np.int64), start=0)
+    return Dfa(a.alphabet_size, np.array(rows, dtype=np.int64))
 
 
 def avoider_dfa(alphabet_size: int, patterns) -> Dfa:

@@ -22,30 +22,6 @@ from .dictionary import (Dictionary, ParameterPack, boys, choose_parameters,
 from .errors import ParameterError, ShiftcodeError
 from .shiftspace import Word
 
-SCHEMA = {
-    "entropy": ["subcommand", "h_top"],
-    "gap": ["subcommand", "gap"],
-    "marker": ["subcommand", "marker", "M", "alpha", "nu_h1", "nu_h2"],
-    "params": None,   # dynamic: scalars + checklist keys (validated loosely)
-    "dict": ["subcommand", "mode", "N", "M", "log_boys", "log_girls",
-             "boy_mass", "girls_exceed", "boys_below", "mass_exceeds",
-             "ratio_holds", "bounds_all_hold", "marker"],
-    "encode": ["subcommand", "length", "coverage", "markers", "rewrites",
-               "boy_blocks"],
-    "decode": ["subcommand", "decoded_blocks", "mask_fraction"],
-    "verify": ["subcommand", "length", "coverage", "coverage_bound",
-               "coverage_ok", "errors_on_mask", "phase_ok", "badset_total",
-               "badset_bound", "badset_ok", "ratio_ok", "eg_ok", "weakstar",
-               "lz_rate", "rewrites"],
-    "splice": ["subcommand", "kind", "length", "admissible", "k0", "k1",
-               "k2", "time_ratio_1_ok", "time_ratio_2_ok", "N", "M",
-               "target_frequency", "guarantee"],
-    "toral": ["subcommand", "operation", "quasi_hyperbolic", "entropy",
-              "classification", "dim_q", "dim_o", "index"],
-    "halmos": ["subcommand", "n", "m", "member"],
-}
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -62,23 +38,6 @@ def emit_report(name: str, pairs, out: str | None = None) -> str:
     if out:
         Path(out).write_text(text)
     return text
-
-
-def first_schema_offence(text: str) -> str | None:
-    """The first line violating the key=value report schema, if any."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
-        return None
-    head = lines[0].split("=", 1)
-    if head[0] != "subcommand" or len(head) != 2 or head[1] not in SCHEMA:
-        return lines[0]
-    allowed = SCHEMA[head[1]]
-    for ln in lines[1:]:
-        key, eq, _ = ln.partition("=")
-        if (not (eq and key) or " " in key
-                or allowed is not None and key not in allowed):
-            return ln
-    return None
 
 
 def _load_sft(path: str) -> shiftspace.Sft:
@@ -176,6 +135,11 @@ def read_dictionary_file(path: str):
     nu = parsed("target-measure", measures.parse_measure, target_sft)
     pack = ParameterPack(**raw)
     scheme = parsed("marker", markers.MarkerScheme.parse, nu)
+    for key in ("M", "alpha"):      # floats are written exactly
+        if getattr(scheme, key) != getattr(pack, key):
+            raise ShiftcodeError(
+                f"dictionary file {path}: [marker] {key} is "
+                f"{getattr(scheme, key)!r}, [pack] {key} is {getattr(pack, key)!r}")
     boy_set = boys(mu, pack)
     girl_set = girls(target_sft, pack, scheme)
     stored = fields("counts", sections.get("counts", []),
@@ -300,6 +264,8 @@ def _cmd_encode(args):
     pack, scheme, mu, nu, d = read_dictionary_file(args.dict)
     if args.x_file:
         text, m = Path(args.x_file).read_text().strip(), mu.sft.alphabet_size
+        if not text:
+            raise ShiftcodeError(f"x file {args.x_file} holds no source symbols")
         bad = re.search(f"[^{'0123456789'[:m]}]", text)
         if bad:
             raise ShiftcodeError(
@@ -405,6 +371,8 @@ def _cmd_splice(args):
             ("time_ratio_1_ok", rep["time_ratio_1"][2]),
             ("time_ratio_2_ok", rep["time_ratio_2"][2])], args.out)
     else:
+        if not (args.target.isascii() and args.target.isdigit()):
+            raise ShiftcodeError(f"--target {args.target!r} is not a word of digits")
         target = Word.from_string(args.target)
         y1 = nu.sample_path(args.length + args.N + 3, seed=(args.seed, 1))
         out = splicer.splice_full_support(sft, y1, target, args.N, args.M,
@@ -421,12 +389,20 @@ def _cmd_splice(args):
 
 
 def _read_matrix(args) -> list:
-    if args.matrix_file:
-        text = Path(args.matrix_file).read_text()
-    else:
-        text = args.matrix.replace(";", "\n")
-    return [[int(v) for v in line.split()] for line in text.splitlines()
-            if line.strip()]
+    """The rows of ``--matrix`` (rows split by ';') or ``--matrix-file``
+    (one row a line); ``ShiftcodeError`` naming the flag unless they are a
+    square of integers."""
+    flag = f"--matrix-file {args.matrix_file}" if args.matrix_file else "--matrix"
+    text = (Path(args.matrix_file).read_text() if args.matrix_file
+            else args.matrix.replace(";", "\n"))
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    bad = [v for row in rows for v in row if not re.fullmatch("[+-]?[0-9]+", v)]
+    if bad:
+        raise ShiftcodeError(f"{flag}: entry {bad[0]!r} is not an integer")
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ShiftcodeError(f"{flag}: entries per row {[len(r) for r in rows]} "
+                             f"do not form a square matrix")
+    return [[int(v) for v in row] for row in rows]
 
 
 def _cmd_toral(args):

@@ -412,23 +412,18 @@ class EntropyReport:
 
 
 def audit_entropy(y: Word, pack: ParameterPack, h_source: float,
-                  counts: tuple, pair: CodedPair | None = None) -> EntropyReport:
+                  counts: tuple, pair: CodedPair) -> EntropyReport:
     """The three entropy-side checks: the LZ78 rate of the output, the
-    count-ratio inequality, and the entropy-gain block frequency.
-
-    ``counts`` is (log_boys, log_girls).  The gain frequency needs the
-    parse, so it is evaluated only when the coded pair is supplied.
+    count-ratio inequality, and the entropy-gain block frequency of the
+    coded pair's parse.  ``counts`` is (log_boys, log_girls).
     """
     log_boys, log_girls = counts
     n, D = pack.N, pack.Delta
     ratio_lhs = log_girls - log_boys
     ratio_rhs = n * (pack.h_target - h_source - 2 * D)
-    eg_freq = float("nan")
-    eg_ok = False
-    if pair is not None:
-        _, boy, flagged = block_kinds(pair)
-        eg_freq = int((boy & ~flagged).sum()) / len(pair.x)
-        eg_ok = 8 * n * D * eg_freq > 3 * pack.eps * D
+    _, boy, flagged = block_kinds(pair)
+    eg_freq = int((boy & ~flagged).sum()) / len(pair.x)
+    eg_ok = 8 * n * D * eg_freq > 3 * pack.eps * D
     eg_target = (1.0 / n) * (1 - pack.delta) * (1 - 15 * pack.delta) * (pack.eps / 2)
     return EntropyReport(
         lz_rate=lz78_entropy(y),

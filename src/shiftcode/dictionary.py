@@ -443,7 +443,7 @@ def _type_class_boys(mu: MarkovMeasure, N: int, log_threshold: float) -> BoySet:
 
     # a node: d + m + 1 int64 table entries and a count of <= N log2(m) bits
     most = RANK_BIT_LIMIT / (64 * (d + m + 1) + N * math.log2(m))
-    index = {(int(ids[factor.start]), (0,) * d): 0}
+    index = {(int(ids[0]), (0,) * d): 0}
     nodes, rows, made = list(index), [], []     # made: (parent, class) past the start
     for node, counts in nodes:          # nodes grows while it is read
         rows.append([])
@@ -530,65 +530,41 @@ def girls(sft: Sft, pack: ParameterPack, scheme: MarkerScheme) -> GirlSet:
 # relation and matching
 
 
-@dataclass
-class Relation:
-    """Sampled bipartite relation with a witness index per edge."""
-
-    edges: dict                 # boy string -> sorted list of girl strings
-    witnesses: dict             # (boy string, girl string) -> sample index
-
-    def boy_degree(self, b: str) -> int:
-        return len(self.edges.get(b, ()))
-
-    def girl_degrees(self) -> dict:
-        return Counter(g for gs in self.edges.values() for g in gs)
-
-
 def build_relation(boy_set: BoySet, girl_set: GirlSet, paired_samples,
-                   pack: ParameterPack) -> Relation:
-    """(B, g) is an edge iff some sample pair has x-block B and girl
-    window g."""
+                   pack: ParameterPack) -> dict:
+    """The sampled relation as {boy string: sorted girl strings}: (B, g) is
+    an edge iff some sample pair has x-block B and girl window g."""
     N = pack.N
     lo, hi = pack.info_region
     edges: dict = {}
-    witnesses: dict = {}
-    for idx, (x, y) in enumerate(paired_samples):
+    for x, y in paired_samples:
         b = x.window(x.lo, x.lo + N).rebase()
         g = y.window(y.lo + lo, y.lo + hi).rebase()
-        if not boy_set.member(b) or not girl_set.member(g):
-            continue
-        bs, gs = b.to_string(), g.to_string()
-        bucket = edges.setdefault(bs, [])
-        if gs not in bucket:
-            bucket.append(gs)
-            witnesses[(bs, gs)] = idx
-    for bucket in edges.values():
-        bucket.sort()
-    return Relation(edges, witnesses)
+        if boy_set.member(b) and girl_set.member(g):
+            edges.setdefault(b.to_string(), set()).add(g.to_string())
+    return {bs: sorted(gs) for bs, gs in edges.items()}
 
 
-def hall_match(relation: Relation, K: int) -> dict:
-    """Injection boys -> girls inside the relation: one augmenting-path
-    search per boy, boys and their girls in sorted order; a search
-    recurses at most once per boy.
+def hall_match(relation: dict, K: int) -> dict:
+    """Injection boys -> girls inside the relation {boy: sorted girls}: one
+    augmenting-path search per boy, boys and their girls in sorted order; a
+    search recurses at most once per boy.
 
     Preconditions from the marriage theorem: every boy degree >= K and
     every girl degree <= K; K > 0.
     """
     if K < 1:
         raise ParameterError("K must be a positive integer")
-    for b in sorted(relation.edges):
-        if relation.boy_degree(b) < K:
-            raise DegreeError(
-                f"boy {b} has degree {relation.boy_degree(b)} < K = {K}",
-                vertex=b)
-    for g, deg in sorted(relation.girl_degrees().items()):
+    for b, gs in sorted(relation.items()):
+        if len(gs) < K:
+            raise DegreeError(f"boy {b} has degree {len(gs)} < K = {K}", vertex=b)
+    for g, deg in sorted(Counter(g for gs in relation.values() for g in gs).items()):
         if deg > K:
             raise DegreeError(f"girl {g} has degree {deg} > K = {K}", vertex=g)
     husband: dict = {}
 
     def augment(b, seen: set) -> bool:     # a girl at most once a search
-        for g in relation.edges[b]:
+        for g in relation[b]:
             if g not in seen:
                 seen.add(g)
                 if g not in husband or augment(husband[g], seen):
@@ -596,7 +572,7 @@ def hall_match(relation: Relation, K: int) -> dict:
                     return True
         return False
 
-    if not all(augment(b, set()) for b in sorted(relation.edges)):
+    if not all(augment(b, set()) for b in sorted(relation)):
         raise ShiftcodeError(
             "internal inconsistency: matching smaller than the boy set "
             "despite valid degrees")
@@ -680,7 +656,7 @@ def _table_rows(table: dict, rows, width: int) -> np.ndarray:
 
 
 def dictionary(boy_set: BoySet, girl_set: GirlSet, mode: str = "enumerative",
-               relation: Relation | None = None, K: int | None = None,
+               relation: dict | None = None, K: int | None = None,
                pack: ParameterPack | None = None) -> Dictionary:
     """Build the injection, checking capacity (enumerative) or the Hall
     degree conditions (explicit matching over a relation)."""

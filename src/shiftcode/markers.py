@@ -213,12 +213,7 @@ def _exhaustive_marker(sft: Sft, nu: MarkovMeasure, M: int,
             best = (longest[i], block[ok[i]].copy(), float(nu1[ok[i]]),
                     float(nu2[ok[i]]))
     if best is not None:
-        word = Word(best[1])
-        if not sft.is_admissible(word):
-            raise MarkerSearchError(
-                f"enumerated marker {word.to_string()} is not admissible",
-                best=None)
-        return MarkerScheme(word, M, alpha, best[2], best[3])
+        return MarkerScheme(Word(best[1]), M, alpha, best[2], best[3])
     if not any_distinguishing:
         raise NoMarkerExistsError(
             "every length-2M window coincides with the 6M-offset window: "

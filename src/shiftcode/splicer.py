@@ -59,29 +59,21 @@ class Skeleton:
     params: tuple             # (k0, k1, k2) or (N, M)
 
     @staticmethod
-    def _blocks_boost(k0: int, k1: int, k2: int):
-        short = np.concatenate([np.ones(k1, np.uint8), np.zeros(k0, np.uint8),
-                                np.full(k2, 2, np.uint8), np.zeros(k0, np.uint8)])
-        long_ = np.concatenate([np.ones(k1 + 1, np.uint8), short[k1:]])
-        return short, long_
-
-    @staticmethod
-    def _blocks_support(N: int, M: int):
-        if N - 2 * M < 1:
-            raise ParameterError("need N - 2M >= 1 for the full-support blocks")
-        short = np.concatenate([np.ones(N - 2 * M, np.uint8), np.zeros(M, np.uint8),
-                                np.full(1, 2, np.uint8), np.zeros(M, np.uint8)])
-        long_ = np.concatenate([np.ones(N + 1 - 2 * M, np.uint8), short[N - 2 * M:]])
-        return short, long_
-
-    @classmethod
-    def _blocks(cls, kind: str, params: tuple):
-        """The (short, long) blocks of the kind's family."""
+    def _blocks(kind: str, params: tuple):
+        """The (short, long) blocks of the kind's family: short =
+        1^a 0^b 2^c 0^b and long = 1^(a+1) 0^b 2^c 0^b, with (a, b, c) =
+        (k1, k0, k2) for boost and (N - 2M, M, 1) for support."""
         if kind == "boost":
-            return cls._blocks_boost(*params)
-        if kind == "support":
-            return cls._blocks_support(*params)
-        raise ValueError(f"unknown skeleton kind {kind!r}")
+            b, a, c = params
+        elif kind == "support":
+            N, M = params
+            a, b, c = N - 2 * M, M, 1
+            if a < 1:
+                raise ParameterError("need N - 2M >= 1 for the full-support blocks")
+        else:
+            raise ValueError(f"unknown skeleton kind {kind!r}")
+        runs = np.array([1, 0, 2, 0], np.uint8)
+        return np.repeat(runs, [a, b, c, b]), np.repeat(runs, [a + 1, b, c, b])
 
     @classmethod
     def sample(cls, kind: str, params: tuple, seed: int, min_length: int) -> "Skeleton":

@@ -165,7 +165,7 @@ def reference_block_distribution(words, k):
 def reference_walk(dfa, symbols):
     """Reference for Dfa.walk: the per-symbol loop; -1 once a step is dead
     or a symbol lies outside the alphabet."""
-    cur = dfa.start
+    cur = 0
     for a in symbols:
         if not 0 <= a < dfa.alphabet_size:
             return -1
@@ -191,7 +191,7 @@ def reference_rank(dfa, symbols):
     smaller live symbol."""
     n = len(symbols)
     table = reference_suffix_counts(dfa, n)
-    node = dfa.start
+    node = 0
     r = 0
     for pos, a in enumerate(symbols):
         for b in range(a):
@@ -208,9 +208,9 @@ def reference_unrank(dfa, length, r):
     """Reference for Dfa.unrank: per position, the first symbol whose
     suffix count exceeds the remaining rank."""
     table = reference_suffix_counts(dfa, length)
-    if not 0 <= r < table[length][dfa.start]:
+    if not 0 <= r < table[length][0]:
         raise ValueError("rank out of range")
-    node = dfa.start
+    node = 0
     out = []
     for pos in range(length):
         for a in range(dfa.alphabet_size):
@@ -237,7 +237,7 @@ def _column_codes(dfa, rows):
 def column_ends(dfa, rows):
     """Oracle for the chunked walk behind Dfa.member_rows: one ``moves``
     gather per column; the sink where a row dies or leaves the alphabet."""
-    nodes = np.full(len(rows), dfa.start, dtype=np.intp)
+    nodes = np.zeros(len(rows), dtype=np.intp)
     for col in _column_codes(dfa, rows).T:
         nodes = dfa.moves[nodes, col]
     return nodes
@@ -250,7 +250,7 @@ def column_rank_rows(dfa, rows):
     n_rows, length = codes.shape
     table = dfa._sweep_table(length)
     moves, sink = dfa.moves, dfa.n_nodes
-    nodes = np.full(n_rows, dfa.start, dtype=np.intp)
+    nodes = np.zeros(n_rows, dtype=np.intp)
     ranks = np.zeros(n_rows, dtype=table.dtype)
     for pos, col in enumerate(codes.T):
         counts = table[length - pos - 1]
@@ -267,8 +267,8 @@ def column_unrank_rows(dfa, length, ranks):
     paying its count, while its rank allows."""
     from shiftcode.automata import rank_vector
     table = dfa._sweep_table(length)
-    ranks = rank_vector(ranks, int(table[length, dfa.start])).astype(table.dtype)
-    nodes = np.full(len(ranks), dfa.start, dtype=np.intp)
+    ranks = rank_vector(ranks, int(table[length, 0])).astype(table.dtype)
+    nodes = np.zeros(len(ranks), dtype=np.intp)
     out = np.empty((len(ranks), length), dtype=np.uint8)
     for pos in range(length):
         counts = table[length - pos - 1]
@@ -305,8 +305,8 @@ def reference_factor_dfa(sft):
         rows.append(row)
     for i in range(sft.n_states):
         rows.append([int(n_pref + t) if t >= 0 else -1 for t in sft._step[i]])
-    return Dfa(sft.alphabet_size, np.array(rows, dtype=np.int64),
-               start=pref_index[()])
+    assert pref_index[()] == 0      # the empty prefix sorts first: the start
+    return Dfa(sft.alphabet_size, np.array(rows, dtype=np.int64))
 
 
 def one_count_dfa(k_hi):
@@ -608,11 +608,25 @@ def periodic_closure(sft, word, gap=None):
     return w
 
 
+def reference_skeleton_blocks(kind, params):
+    """Oracle for Skeleton._blocks: the (short, long) blocks of each
+    family, built per kind."""
+    if kind == "boost":
+        k0, k1, k2 = params
+        short = np.concatenate([np.ones(k1, np.uint8), np.zeros(k0, np.uint8),
+                                np.full(k2, 2, np.uint8), np.zeros(k0, np.uint8)])
+        return short, np.concatenate([np.ones(k1 + 1, np.uint8), short[k1:]])
+    N, M = params
+    short = np.concatenate([np.ones(N - 2 * M, np.uint8), np.zeros(M, np.uint8),
+                            np.full(1, 2, np.uint8), np.zeros(M, np.uint8)])
+    return short, np.concatenate([np.ones(N + 1 - 2 * M, np.uint8),
+                                  short[N - 2 * M:]])
+
+
 def reference_skeleton_symbols(kind, params, seed, min_length):
     """Oracle for Skeleton.sample: one fair-coin draw per block, whole
     blocks until min_length."""
-    from shiftcode.splicer import Skeleton
-    short, long_ = Skeleton._blocks(kind, params)
+    short, long_ = reference_skeleton_blocks(kind, params)
     rng = np.random.default_rng(seed)
     pieces, total = [], 0
     while total < min_length:
@@ -625,7 +639,7 @@ def reference_skeleton_symbols(kind, params, seed, min_length):
 def greedy_parse(skeleton):
     """Oracle for Skeleton.sample: parse back into legal blocks; raises if
     the sequence is not a concatenation of exactly the two blocks."""
-    short, long_ = skeleton._blocks(skeleton.kind, skeleton.params)
+    short, long_ = reference_skeleton_blocks(skeleton.kind, skeleton.params)
     symbols = skeleton.symbols
     out = []
     pos = 0
@@ -701,3 +715,46 @@ def reference_interpolate(sft, plan):
         pos = seg.hi
     pieces.append(connect_words(sft, tail, None, plan.hi - pos).symbols)
     return Word(np.concatenate(pieces), plan.lo)
+
+
+# keys each CLI report may hold, by subcommand; params reports are dynamic
+# (the pack scalars plus one check_ key per checklist item)
+SCHEMA = {
+    "entropy": ["subcommand", "h_top"],
+    "gap": ["subcommand", "gap"],
+    "marker": ["subcommand", "marker", "M", "alpha", "nu_h1", "nu_h2"],
+    "params": None,
+    "dict": ["subcommand", "mode", "N", "M", "log_boys", "log_girls",
+             "boy_mass", "girls_exceed", "boys_below", "mass_exceeds",
+             "ratio_holds", "bounds_all_hold", "marker"],
+    "encode": ["subcommand", "length", "coverage", "markers", "rewrites",
+               "boy_blocks"],
+    "decode": ["subcommand", "decoded_blocks", "mask_fraction"],
+    "verify": ["subcommand", "length", "coverage", "coverage_bound",
+               "coverage_ok", "errors_on_mask", "phase_ok", "badset_total",
+               "badset_bound", "badset_ok", "ratio_ok", "eg_ok", "weakstar",
+               "lz_rate", "rewrites"],
+    "splice": ["subcommand", "kind", "length", "admissible", "k0", "k1",
+               "k2", "time_ratio_1_ok", "time_ratio_2_ok", "N", "M",
+               "target_frequency", "guarantee"],
+    "toral": ["subcommand", "operation", "quasi_hyperbolic", "entropy",
+              "classification", "dim_q", "dim_o", "index"],
+    "halmos": ["subcommand", "n", "m", "member"],
+}
+
+
+def first_schema_offence(text: str) -> str | None:
+    """The first line violating the key=value report schema, if any."""
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines:
+        return None
+    head = lines[0].split("=", 1)
+    if head[0] != "subcommand" or len(head) != 2 or head[1] not in SCHEMA:
+        return lines[0]
+    allowed = SCHEMA[head[1]]
+    for ln in lines[1:]:
+        key, eq, _ = ln.partition("=")
+        if (not (eq and key) or " " in key
+                or allowed is not None and key not in allowed):
+            return ln
+    return None

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -7,13 +8,14 @@ from pathlib import Path
 import pytest
 
 from shiftcode import codec
-from shiftcode.cli import (_build_instance, build_parser, first_schema_offence,
-                           read_dictionary_file, run, write_dictionary_file)
-from shiftcode.dictionary import (Relation, boys, choose_parameters,
-                                  dictionary, girls)
+from shiftcode.cli import (_build_instance, build_parser, read_dictionary_file,
+                           run, write_dictionary_file)
+from shiftcode.dictionary import boys, choose_parameters, dictionary, girls
 from shiftcode.markers import find_marker
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import build_sft
+
+from conftest import first_schema_offence
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -146,8 +148,19 @@ MISSING_INPUT = {
     "verify-length-1": ([*GOLDEN_CASES["verify.txt"][:-1], "1"],
                         "verify --length must be at least 2 for the weak* "
                         "audit, got 1"),
+    "encode-x-file-empty": (["encode", "--seed", "5", "--x-file", os.devnull],
+                            f"x file {os.devnull} holds no source symbols"),
     "toral-no-matrix": (["toral", "entropy"],
                         "one of the arguments --matrix --matrix-file is required"),
+    "toral-matrix-ragged": (["toral", "entropy", "--matrix", "2 1; 1"],
+                            "--matrix: entries per row [2, 1] do not form a "
+                            "square matrix"),
+    "toral-matrix-entry": (["toral", "entropy", "--matrix", "2 x; 1 1"],
+                           "--matrix: entry 'x' is not an integer"),
+    "splice-target-not-digits": (
+        ["splice", "--sft", str(DATA / "gm.sft"), "--measure", str(DATA / "gmu.msr"),
+         "--kind", "support", "--target", "1x", "--length", "200", "--seed", "2"],
+        "--target '1x' is not a word of digits"),
     "params-eps-only": (["params", "--eps", "0.5"],
                         "params needs --h-source, or --source-sft with "
                         "--source-measure"),
@@ -174,6 +187,15 @@ def test_missing_input_ends_in_an_error_line(case, coded_stream, tmp_path):
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert proc.stdout == ""
+
+
+def test_malformed_matrix_file_named(tmp_path):
+    bad = tmp_path / "m.txt"
+    bad.write_text("2 1\n1 1 0\n")
+    proc = cli("toral", "classify", "--matrix-file", str(bad))
+    assert proc.returncode == 1
+    assert (f"ShiftcodeError: --matrix-file {bad}: entries per row [2, 3] do "
+            f"not form a square matrix") in proc.stderr
 
 
 def test_strict_params_refuse_N_and_M():
@@ -214,6 +236,10 @@ def test_boost_splice_refuses_negative_k1():
 class TestSchemaCheck:
     def test_well_formed(self):
         assert first_schema_offence((GOLDEN / "verify.txt").read_text()) is None
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.txt")))
+    def test_every_golden_meets_the_schema(self, name):
+        assert first_schema_offence((GOLDEN / name).read_text()) is None
 
     def test_stray_prose(self):
         text = "subcommand=gap\ngap=2\nsome stray prose\n"
@@ -260,6 +286,14 @@ def marker_word(word, counts=True):
     return edit
 
 
+def marker_line(change):
+    """An edit of a dictionary file's lines: its [marker] line changed."""
+    def edit(lines):
+        at = lines.index("[marker]") + 1
+        lines[at] = change(lines[at])
+    return edit
+
+
 @pytest.fixture(scope="module")
 def hall_dict(tmp_path_factory):
     """A hall-mode dictionary file whose table maps its one boy to the
@@ -268,13 +302,13 @@ def hall_dict(tmp_path_factory):
     nu = MarkovMeasure.bernoulli([0.5, 0.5])
     pack = choose_parameters(mu.entropy(), math.log(2), 0.2, mode="practical",
                              overrides={"N": 12, "M": 1, "delta": 0.1,
-                                        "alpha": 0.5})
+                                        "alpha": 0.9})
     scheme = find_marker(full2, nu, M=1, alpha=0.9, seed=2)
     b, g = boys(mu, pack), girls(full2, pack, scheme)
     assert (b.count, b.unrank(0).to_string()) == (1, HALL_BOY)
     assert tuple(g.unrank(i).to_string() for i in range(2)) == HALL_GIRLS
-    d = dictionary(b, g, "hall", K=1, pack=pack, relation=Relation(
-        edges={HALL_BOY: [HALL_GIRLS[0]]}, witnesses={}))
+    d = dictionary(b, g, "hall", K=1, pack=pack,
+                   relation={HALL_BOY: [HALL_GIRLS[0]]})
     path = tmp_path_factory.mktemp("hall") / "hall.dict"
     write_dictionary_file(str(path), pack, scheme, mu, nu, d)
     return path
@@ -463,9 +497,17 @@ class TestEncodeDecodeFiles(object):
          f"[table] field {HALL_BOY} -> {HALL_GIRLS[0][:-1]}x is malformed"),
         ("hall", lambda lines: lines.__setitem__(-1, "x" + lines[-1][1:]),
          f"[table] field x{HALL_BOY[1:]} -> {HALL_GIRLS[0]} is malformed"),
+        # a marker of another alpha or M than the pack's: the first
+        # encoded with exit 0, the second failed naming no file
+        ("practical", marker_line(lambda line: line.replace(
+            "alpha=0.5", "alpha=1e300")),
+         "[marker] alpha is 1e+300, [pack] alpha is 0.5"),
+        ("practical", marker_line(lambda line: "M=1 alpha=0.5 word=11000001"),
+         "[marker] M is 1, [pack] M is 2"),
     ], ids=["pack-repeated", "marker-repeats-its-window", "marker-short",
             "marker-constant", "counts-disagree", "table-repeated",
-            "table-girl-x", "table-boy-x"])
+            "table-girl-x", "table-boy-x", "marker-alpha-not-the-pack's",
+            "marker-M-not-the-pack's"])
     def test_bad_dictionary_entry_refused(self, coded_stream, hall_dict,
                                           tmp_path, name, edit, message):
         # a repeated key used to overwrite the one before it, a non-digit

@@ -15,8 +15,7 @@ from shiftcode.codec import (audit_badset, audit_entropy,
                              lz78_entropy, lz78_phrases, pack_hash,
                              read_coded, rokhlin_parse, uniform_lz78_phrases,
                              write_coded)
-from shiftcode.dictionary import (Relation, boys, choose_parameters,
-                                  dictionary, girls)
+from shiftcode.dictionary import boys, choose_parameters, dictionary, girls
 from shiftcode.errors import ParameterError, UnmatchedBoyError
 from shiftcode.estimators import BlockDistribution, weakstar_surrogate
 from shiftcode.markers import find_marker, locate_offset
@@ -54,8 +53,7 @@ def hall_setup(full2, bern_half):
     assert b.count == 1 and g.count == 2
     table = {b.unrank(0).to_string(): g.unrank(0).to_string()}
     d = dictionary(b, g, "hall",
-                   relation=Relation(edges={bs: [gs] for bs, gs in table.items()},
-                                     witnesses={}), K=1, pack=pack)
+                   relation={bs: [gs] for bs, gs in table.items()}, K=1, pack=pack)
     return mu, pack, scheme, b, g, d
 
 
@@ -169,14 +167,14 @@ class TestRoundtrip:
         # with a bare KeyError from the table lookup
         from shiftcode.cli import run, write_dictionary_file
         pack = practical_pack(bern_01.entropy(), LOG2, 0.2, N=12, M=1,
-                              delta=0.1)
+                              delta=0.1, alpha=0.9)
         scheme = find_marker(full2, bern_half, M=1, alpha=0.9, seed=2)
         b = boys(bern_01, pack)
         g = girls(full2, pack, scheme)
         table = {b.unrank(0).to_string(): g.unrank(0).to_string()}
         d = dictionary(b, g, "hall",
-                       relation=Relation(edges={bs: [gs] for bs, gs in table.items()},
-                                         witnesses={}), K=1, pack=pack)
+                       relation={bs: [gs] for bs, gs in table.items()}, K=1,
+                       pack=pack)
         assert b.count > 1
         x = bern_01.sample_path(1200, seed=(0, 2))
         with pytest.raises(UnmatchedBoyError,
@@ -201,9 +199,9 @@ class TestRoundtrip:
         b, g = boys(mu, pack), girls(full2, pack, scheme)
         table = {b.unrank(i).to_string(): g.unrank(i).to_string()
                  for i in range(b.count)}
-        d = dictionary(b, g, "hall", relation=Relation(
-            edges={bs: [gs] for bs, gs in table.items()}, witnesses={}),
-            K=1, pack=pack)
+        d = dictionary(b, g, "hall",
+                       relation={bs: [gs] for bs, gs in table.items()}, K=1,
+                       pack=pack)
         N, M = pack.N, pack.M
         pair = encode(mu.sample_path(2000, seed=(0, 3)), d, scheme, pack,
                       full2, seed=0)
@@ -611,10 +609,12 @@ class TestAudits:
         y = m.sample_path(200_000, seed=92)
         assert lz78_entropy(y) < 0.5 * LOG2
 
-    def test_ratio_predicate_reported(self, roundtrip_setup):
+    def test_ratio_predicate_reported(self, roundtrip_setup, bern_01, full2):
         pack, scheme, b, g, d = roundtrip_setup
+        pair = encode(bern_01.sample_path(1500, seed=93), d, scheme, pack,
+                      full2, seed=93)
         rep = audit_entropy(Word(np.zeros(10, dtype=np.uint8)), pack, H_01,
-                            (math.log(b.count), math.log(g.count)))
+                            (math.log(b.count), math.log(g.count)), pair)
         # practical small-N pack: reported honestly as failing
         assert rep.ratio_ok is False
         assert rep.ratio_lhs == pytest.approx(

@@ -1,13 +1,14 @@
 import importlib
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shiftcode.dictionary import (BoySet, ParameterPack, Relation,
-                                  _type_class_boys, boys, build_relation,
+from shiftcode.dictionary import (BoySet, ParameterPack, _type_class_boys,
+                                  boys, build_relation,
                                   choose_parameters, dictionary, girls,
                                   hall_match, log_cylinder_extreme,
                                   marriage_bound, verify_dictionary_bounds,
@@ -563,27 +564,31 @@ class TestMarriageBound:
         assert lk == pytest.approx(math.log(0.5) + 100 * (0.3 - 0.02))
 
 
+def girl_degrees(relation):
+    """The number of boys each girl of a {boy: girls} relation has."""
+    return Counter(g for gs in relation.values() for g in gs)
+
+
 class TestHallMatch:
     def test_spec_example(self):
-        rel = Relation(edges={"b1": ["g1", "g2"], "b2": ["g2", "g3"]},
-                       witnesses={})
+        rel = {"b1": ["g1", "g2"], "b2": ["g2", "g3"]}
         phi = hall_match(rel, 2)
         assert phi in ({"b1": "g1", "b2": "g2"}, {"b1": "g1", "b2": "g3"},
                        {"b1": "g2", "b2": "g3"})
         assert len(set(phi.values())) == 2
 
     def test_degree_violation_names_vertex(self):
-        rel = Relation(edges={"b1": ["g1"], "b2": ["g1"]}, witnesses={})
+        rel = {"b1": ["g1"], "b2": ["g1"]}
         with pytest.raises(DegreeError) as exc:
             hall_match(rel, 1)
         assert exc.value.vertex == "g1"
-        rel2 = Relation(edges={"b1": ["g1"]}, witnesses={})
+        rel2 = {"b1": ["g1"]}
         with pytest.raises(DegreeError) as exc2:
             hall_match(rel2, 2)
         assert exc2.value.vertex == "b1"
 
     def test_empty(self):
-        assert hall_match(Relation(edges={}, witnesses={}), 3) == {}
+        assert hall_match({}, 3) == {}
 
     def test_against_bruteforce_oracle(self):
         rng = np.random.default_rng(17)
@@ -594,24 +599,21 @@ class TestHallMatch:
                 nbrs = sorted({f"g{int(j)}" for j in
                                rng.integers(0, ng, size=rng.integers(1, ng + 1))})
                 edges[f"b{i}"] = nbrs
-            rel = Relation(edges=edges, witnesses={})
-            girl_deg = rel.girl_degrees()
-            K = max(girl_deg.values())
+            K = max(girl_degrees(edges).values())
             if any(len(v) < K for v in edges.values()):
                 with pytest.raises(DegreeError):
-                    hall_match(rel, K)
+                    hall_match(edges, K)
                 continue
-            phi = hall_match(rel, K)
+            phi = hall_match(edges, K)
             assert len(phi) == len(edges) == brute_max_matching(edges)
             assert len(set(phi.values())) == len(phi)
             assert all(g in edges[b] for b, g in phi.items())
-            assert hall_match(rel, K) == phi
+            assert hall_match(edges, K) == phi
 
     def test_augmenting_path_moves_earlier_boys(self):
         # b3's girls are both taken when its turn comes: b1 and b2 each
         # move once along one alternating path
-        rel = Relation(edges={"b1": ["g1", "g2"], "b2": ["g1", "g3"],
-                              "b3": ["g2", "g3"]}, witnesses={})
+        rel = {"b1": ["g1", "g2"], "b2": ["g1", "g3"], "b3": ["g2", "g3"]}
         assert hall_match(rel, 2) == {"b1": "g1", "b2": "g3", "b3": "g2"}
 
     def test_oracle_is_exhaustive(self):
@@ -636,24 +638,26 @@ class TestBuildRelation:
         pairs = [(mu.sample_path(pack.N, seed=i),
                   nu.sample_path(pack.N, seed=500 + i)) for i in range(40)]
         rel = build_relation(b, g, pairs, pack)
-        assert rel.edges, "sampled relation should be non-empty"
-        for (bs, gs), idx in rel.witnesses.items():
-            x, y = pairs[idx]
-            assert x.window(0, pack.N).to_string() == bs
-            lo, hi = pack.info_region
-            assert y.window(lo, hi).to_string() == gs
+        assert rel, "sampled relation should be non-empty"
+        lo, hi = pack.info_region
+        witnessed = {}
+        for x, y in pairs:
+            bw, gw = x.window(0, pack.N), y.window(lo, hi).rebase()
+            if b.member(bw) and g.member(gw):
+                witnessed.setdefault(bw.to_string(), set()).add(gw.to_string())
+        assert rel == {bs: sorted(gs) for bs, gs in witnessed.items()}
 
     def test_empty_samples(self, full2, bern_half):
         mu, nu, pack, scheme, b, g = self.setup_instance(full2, bern_half)
         rel = build_relation(b, g, [], pack)
-        assert rel.edges == {}
+        assert rel == {}
 
     def test_non_boy_contributes_nothing(self, full2, bern_half):
         mu, nu, pack, scheme, b, g = self.setup_instance(full2, bern_half)
         ones = Word(np.ones(pack.N, dtype=np.uint8))
         rel = build_relation(b, g, [(ones, nu.sample_path(pack.N, seed=1))],
                              pack)
-        assert rel.edges == {}
+        assert rel == {}
 
 
 class TestDictionary:
@@ -696,7 +700,7 @@ class TestDictionary:
         non_boy = "1" * pack.N
         assert not b.member(Word.from_string(non_boy))
         for table in ({non_boy: girl}, {boy: "2" * g.length}, {boy: girl + "0"}):
-            rel = Relation(edges={k: [v] for k, v in table.items()}, witnesses={})
+            rel = {k: [v] for k, v in table.items()}
             with pytest.raises(ParameterError, match="is not a boy to a girl"):
                 dictionary(b, g, "hall", relation=rel, K=1, pack=pack)
 
@@ -723,13 +727,12 @@ class TestDictionary:
                   bern_half.sample_path(pack.N, seed=900 + i))
                  for i in range(200)]
         rel = build_relation(b, g, pairs, pack)
-        K = max(rel.girl_degrees().values())
-        usable = {bs: gs for bs, gs in rel.edges.items() if len(gs) >= K}
-        rel2 = Relation(edges=usable, witnesses=rel.witnesses)
-        if usable and max(rel2.girl_degrees().values()) <= K:
-            d = dictionary(b, g, "hall", relation=rel2, K=K, pack=pack)
+        K = max(girl_degrees(rel).values())
+        usable = {bs: gs for bs, gs in rel.items() if len(gs) >= K}
+        if usable and max(girl_degrees(usable).values()) <= K:
+            d = dictionary(b, g, "hall", relation=usable, K=K, pack=pack)
             for bs, gs in d.table.items():
-                assert gs in rel2.edges[bs]
+                assert gs in usable[bs]
             assert len(set(d.table.values())) == len(d.table)
 
 

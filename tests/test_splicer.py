@@ -10,7 +10,8 @@ from shiftcode.shiftspace import Word, build_sft
 from shiftcode.splicer import (Skeleton, skeleton_params, splice_entropy_boost,
                                splice_full_support)
 
-from conftest import greedy_parse, reference_skeleton_symbols
+from conftest import (greedy_parse, reference_skeleton_blocks,
+                      reference_skeleton_symbols)
 
 
 class TestSkeletonParams:
@@ -53,10 +54,27 @@ class TestSkeletonLegality:
         kinds = greedy_parse(sk)
         assert set(kinds) <= {"short", "long"}
         # round-trip: rebuild from the parse and compare
-        short, long_ = (Skeleton._blocks_boost(*params) if kind == "boost"
-                        else Skeleton._blocks_support(*params))
+        short, long_ = Skeleton._blocks(kind, params)
         rebuilt = np.concatenate([long_ if k == "long" else short for k in kinds])
         assert np.array_equal(rebuilt, sk.symbols)
+
+    @given(kind=st.sampled_from(["boost", "support"]),
+           a=st.integers(0, 12), b=st.integers(1, 60), c=st.integers(0, 12))
+    @settings(max_examples=300)
+    def test_one_rule_is_the_per_kind_blocks(self, kind, a, b, c):
+        # short = 1^a 0^b 2^c 0^b and long = 1^(a+1) + short[a:] for both
+        # families, against the blocks built per kind
+        params = (a, b, c) if kind == "boost" else (b + 2 * a, a)
+        got = Skeleton._blocks(kind, params)
+        for blk, want in zip(got, reference_skeleton_blocks(kind, params)):
+            assert blk.dtype == want.dtype
+            assert np.array_equal(blk, want)
+
+    def test_support_blocks_need_a_one(self):
+        with pytest.raises(ParameterError, match="need N - 2M >= 1"):
+            Skeleton._blocks("support", (4, 2))
+        with pytest.raises(ValueError, match="unknown skeleton kind"):
+            Skeleton._blocks("other", (4, 1))
 
     @given(kind=st.sampled_from(["boost", "support"]),
            a=st.integers(1, 6), b=st.integers(1, 40), c=st.integers(0, 12),
