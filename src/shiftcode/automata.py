@@ -256,8 +256,18 @@ class Dfa:
                 at = rows + codes
             else:
                 shift = _shifts(table[left + c])
-                at = np.searchsorted((below + shift[:, None]).ravel(),
-                                     ranks + shift[nodes], "right") - 1
+                flat = (below + shift[:, None]).ravel()
+                keys = ranks + shift[nodes]
+                # sorted needles walk flat once, but sorting Python ints
+                # costs more: the paper pack's 160-row girl unrank (CLI
+                # verify; no bench workload has object keys) took 44.6 ms
+                # as they come and 66.5 ms sorted
+                if keys.dtype == object:
+                    at = np.searchsorted(flat, keys, "right") - 1
+                else:
+                    order = keys.argsort()
+                    at = np.empty(n_rows, dtype=np.intp)
+                    at[order] = np.searchsorted(flat, keys[order], "right") - 1
                 codes = at - nodes * m ** c
             ranks -= below.ravel()[at]
             nodes = jump.ravel()[at]

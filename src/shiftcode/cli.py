@@ -58,7 +58,18 @@ def _load_measure(path: str, sft: shiftspace.Sft) -> measures.MarkovMeasure:
 # dictionary file format
 
 
+def _check_marker_pack(path: str, scheme, pack) -> None:
+    """Refuse a marker scheme whose M or alpha is not the pack's, naming the
+    dictionary file; floats are written exactly, so they compare with ==."""
+    for key in ("M", "alpha"):
+        if getattr(scheme, key) != getattr(pack, key):
+            raise ShiftcodeError(
+                f"dictionary file {path}: [marker] {key} is "
+                f"{getattr(scheme, key)!r}, [pack] {key} is {getattr(pack, key)!r}")
+
+
 def write_dictionary_file(path: str, pack, scheme, mu, nu, dict_) -> None:
+    _check_marker_pack(path, scheme, pack)      # before anything is written
     parts = ["[format]", "shiftcode-dictionary v1", f"mode {dict_.mode}",
              "[pack]"]
     # str of a float is its repr, so the pack reads back exactly
@@ -135,11 +146,7 @@ def read_dictionary_file(path: str):
     nu = parsed("target-measure", measures.parse_measure, target_sft)
     pack = ParameterPack(**raw)
     scheme = parsed("marker", markers.MarkerScheme.parse, nu)
-    for key in ("M", "alpha"):      # floats are written exactly
-        if getattr(scheme, key) != getattr(pack, key):
-            raise ShiftcodeError(
-                f"dictionary file {path}: [marker] {key} is "
-                f"{getattr(scheme, key)!r}, [pack] {key} is {getattr(pack, key)!r}")
+    _check_marker_pack(path, scheme, pack)
     boy_set = boys(mu, pack)
     girl_set = girls(target_sft, pack, scheme)
     stored = fields("counts", sections.get("counts", []),

@@ -14,7 +14,8 @@ from .errors import ReducibleChainError
 from .shiftspace import Sft, Word
 
 _ROW_TOL = 1e-12
-SAMPLE_CHUNK = 1 << 15     # iid uniforms drawn per rng.random call
+SAMPLE_CHUNK = 1 << 15     # uniforms drawn per rng.random call
+_WALK_TOP = 64             # columns of the scan's top level, threaded in Python
 
 
 def stationary_vector(transition: np.ndarray) -> np.ndarray:
@@ -74,8 +75,8 @@ class MarkovMeasure:
         self.sft = sft
         self.transition = p
         self.stationary = stationary_vector(p)
-        # the sampler's per-row cumulative sums, and whether its iid rule applies
-        self._cum = np.cumsum(p, axis=1)
+        # the sampler's cut points, and whether its iid rule applies
+        self._cuts = np.cumsum(p, axis=1)[:, :-1]
         self._iid = sft.k == 1 and np.allclose(p, p[0])
         with np.errstate(divide="ignore"):
             self._log_p = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
@@ -133,6 +134,19 @@ class MarkovMeasure:
         terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
         return float(-(self.stationary @ terms.sum(axis=1)))
 
+    def _next_states(self, u: np.ndarray, row=None) -> np.ndarray:
+        """The rule's states on the uniforms ``u``: after every state,
+        ``(n_states, len(u))``, or after ``row``.
+
+        The state after s, ``min(searchsorted(cum[s], u, "right"), n - 1)``,
+        is the number of ``cum[s, :n - 1]`` at or below u (a row's cumsum
+        never decreases), so it is counted by comparisons, with no binary
+        search per draw; the count is at most n - 1, so it needs no clamp.
+        """
+        cuts = self._cuts if row is None else self._cuts[row]
+        return np.add.reduce(cuts[..., None] <= u, axis=-2,
+                             dtype=np.min_scalar_type(len(self._cuts) - 1))
+
     def sample_path(self, length: int, seed) -> Word:
         """A length-n sample of the stationary chain, deterministic per seed.
 
@@ -145,12 +159,13 @@ class MarkovMeasure:
         symbol, which moves state s to ``searchsorted(cumsum(P[s]), u,
         "right")`` clamped to the last state, and the new state emits its
         last symbol.  An iid chain (k = 1, equal rows) draws every state
-        by the same rule from one ``rng.random(n)``, taken in calls of
-        ``SAMPLE_CHUNK`` uniforms: they continue one stream, so the chunks
-        are the same uniforms, without n-long float and index temporaries.
-
-        The chain with memory holds an n_states x n next-state table of
-        the narrowest unsigned dtype (n_states * n bytes below 256 states).
+        by the same rule from row 0 and one ``rng.random(n)``.  The
+        uniforms are taken in calls of ``SAMPLE_CHUNK``: they continue one
+        stream, so the chunks are the same uniforms.  A chunk's states are
+        counted by :meth:`_next_states`; with memory, that is every state's
+        next state on each draw, an n_states x chunk array of the narrowest
+        unsigned dtype (counted from n_states x (n_states - 1) x chunk
+        comparisons), which :func:`_walk` threads the carried state through.
         """
         if length < 0:
             raise ValueError("length must be >= 0")
@@ -158,60 +173,62 @@ class MarkovMeasure:
             return Word(np.zeros(0, dtype=np.uint8))
         rng = np.random.default_rng(seed)
         sft = self.sft
-        if self._iid:
-            out = np.empty(length, dtype=sft.last_symbol.dtype)
-            for i in range(0, length, SAMPLE_CHUNK):
-                u = rng.random(min(SAMPLE_CHUNK, length - i))
-                draws = np.searchsorted(self._cum[0], u, side="right")
-                out[i:i + len(u)] = sft.last_symbol[np.minimum(draws, sft.n_states - 1)]
-            return Word(out)
-        start = rng.choice(sft.n_states, p=self.stationary)
-        head = np.array(sft.states[start][:length], dtype=np.uint8)
-        if len(head) == length:
-            return Word(head)
-        path = _state_path(self._cum, rng.random(length - len(head)), start)
-        return Word(np.concatenate([head, sft.last_symbol[path]]))
+        out = np.empty(length, dtype=np.uint8)
+        done = 0
+        if not self._iid:
+            state = rng.choice(sft.n_states, p=self.stationary)
+            head = sft.states[state][:length]
+            done = len(head)
+            out[:done] = head
+        for i in range(done, length, SAMPLE_CHUNK):
+            u = rng.random(min(SAMPLE_CHUNK, length - i))
+            if self._iid:
+                states = self._next_states(u, 0)
+            else:
+                states = _walk(self._next_states(u), state)
+                state = states[-1]
+            out[i:i + len(u)] = sft.last_symbol.take(states)
+        return Word(out)
 
 
-def _state_path(cum: np.ndarray, draws: np.ndarray, start: int) -> np.ndarray:
-    """The states after ``start`` on the uniforms ``draws``, without a
-    Python loop per symbol.
-
-    First a next-state table: ``table[s, i]`` is the state after s on
-    ``draws[i]``, by ``searchsorted(cum[s], draws[i], "right")`` clamped to
-    the last state.  Then a blocked composition scan over its columns
-    (Blelloch 1990, "Prefix sums and their applications"): the columns
-    are cut into about sqrt(L) blocks of sqrt(L); each block's composed
-    map is found for every state, all blocks at once; the start state is
-    threaded through the composed maps block by block; and every block
-    expands its own states, all blocks at once.  That is n_states * L work
-    in about 3 sqrt(L) numpy calls.
+def _walk(maps: np.ndarray, state) -> np.ndarray:
+    """The states after each column of ``maps`` from ``state``, where
+    ``maps[s, i]`` is the state after s on draw i, without a Python loop
+    per symbol: a recursive block composition (Blelloch 1990, "Prefix
+    sums and their applications").  Going up, neighbouring columns are
+    composed in pairs, all pairs at once, until at most ``_WALK_TOP``
+    columns are left; the state is threaded through those in Python.
+    Going down, each level's block entry states give the entry states of
+    its halves: the left half enters where its parent does, the right half
+    where the left half's map sends that state.  That is n_states * L work
+    in one gather per level each way, and the entry states of the single
+    draws are the path.
     """
-    n, length = cum.shape[0], len(draws)
-    width = math.isqrt(length - 1) + 1
-    n_blocks = -(-length // width)
-    # padding columns past the draws map every state to itself
-    table = np.empty((n, n_blocks * width), dtype=np.min_scalar_type(n - 1))
-    for s in range(n):
-        np.minimum(np.searchsorted(cum[s], draws, side="right"), n - 1,
-                   out=table[s, :length], casting="unsafe")
-    table[:, length:] = np.arange(n, dtype=table.dtype)[:, None]
-    blocks = table.reshape(n, n_blocks, width)
-    cols = np.arange(n_blocks)
-    composed = blocks[:, :, 0]
-    for j in range(1, width):
-        composed = blocks[composed, cols, j]
-    entry = np.empty(n_blocks, dtype=table.dtype)
-    state = start
-    for b in range(n_blocks):
-        entry[b] = state
-        state = composed[state, b]
-    path = np.empty((n_blocks, width), dtype=table.dtype)
-    cur = entry
-    for j in range(width):
-        cur = blocks[cur, cols, j]
-        path[:, j] = cur
-    return path.reshape(-1)[:length]
+    levels = [maps]
+    while levels[-1].shape[1] > _WALK_TOP:
+        f = levels[-1]
+        width, half = f.shape[1], f.shape[1] // 2
+        # column j above is column 2j + 1 after column 2j, as flat indices
+        at = f[:, 0:2 * half:2] * np.intp(width)
+        at += np.arange(1, 2 * half, 2)
+        up = np.empty((len(f), width - half), dtype=f.dtype)
+        f.take(at, out=up[:, :half])
+        up[:, half:] = f[:, 2 * half:]      # an odd last column goes up alone
+        levels.append(up)
+    entry = []
+    for column in levels[-1].T.tolist():
+        entry.append(state)
+        state = column[state]
+    entry = np.array(entry, dtype=maps.dtype)
+    for f in reversed(levels[:-1]):
+        width, half = f.shape[1], f.shape[1] // 2
+        down = np.empty(width, dtype=f.dtype)
+        down[0::2] = entry
+        at = entry[:half] * np.intp(width)
+        at += np.arange(0, 2 * half, 2)
+        down[1:2 * half:2] = f.take(at)
+        entry = down
+    return np.append(entry[1:], maps.dtype.type(state))
 
 
 def parse_measure(text: str, sft: Sft) -> MarkovMeasure:

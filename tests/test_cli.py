@@ -11,6 +11,7 @@ from shiftcode import codec
 from shiftcode.cli import (_build_instance, build_parser, read_dictionary_file,
                            run, write_dictionary_file)
 from shiftcode.dictionary import boys, choose_parameters, dictionary, girls
+from shiftcode.errors import ShiftcodeError
 from shiftcode.markers import find_marker
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import build_sft
@@ -378,6 +379,29 @@ class TestEncodeDecodeFiles(object):
         assert back.scalars() == pack.scalars()
         assert codec.pack_hash(back) == codec.pack_hash(pack)
         assert back_scheme == scheme
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha", 0.9, "[marker] alpha is 0.9, [pack] alpha is 0.5"),
+        ("M", 1, "[marker] M is 1, [pack] M is 2")])
+    def test_writer_refuses_a_scheme_of_another_pack(self, tmp_path, key,
+                                                     value, message):
+        # the writer used to store such a scheme, in a file that
+        # read_dictionary_file then refused
+        from dataclasses import replace
+        full2 = build_sft(2, [])
+        mu, nu = MarkovMeasure.bernoulli([0.9, 0.1]), MarkovMeasure.bernoulli([0.5, 0.5])
+        pack = choose_parameters(mu.entropy(), nu.entropy(), 0.2, mode="practical",
+                                 overrides={"N": 64, "M": 2, "delta": 0.02,
+                                            "alpha": 0.5})
+        scheme = find_marker(full2, nu, pack.M, pack.alpha, seed=1)
+        d = dictionary(boys(mu, pack), girls(full2, pack, scheme),
+                       "enumerative", pack=pack)
+        path = tmp_path / "other.dict"
+        with pytest.raises(ShiftcodeError) as exc:
+            write_dictionary_file(str(path), pack, replace(scheme, **{key: value}),
+                                  mu, nu, d)
+        assert str(exc.value) == f"dictionary file {path}: {message}"
+        assert not path.exists()
 
     @pytest.mark.parametrize("text, position, char", [
         ("01012", 4, "2"), ("0101a10", 4, "a")])

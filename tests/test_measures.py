@@ -201,11 +201,15 @@ class TestSampling:
         m = markov_on_support(sft, np.reshape(weights, (n, n)))
         # equal rows at k = 1 take the iid branch, which the loop is not
         assume(k > 1 or not np.allclose(m.transition, m.transition[0]))
-        # the scan cuts the length - k draws into blocks of ceil(sqrt(.))
         near_square = st.tuples(st.integers(1, 70), st.integers(-1, 1)).map(
             lambda rd: k + rd[0] ** 2 + rd[1])
+        # the scan threads at most _WALK_TOP columns in Python and halves
+        # wider levels, an odd last column going up alone
+        block_edge = st.tuples(st.integers(0, 6), st.integers(-1, 1)).map(
+            lambda jd: k + measures._WALK_TOP * 2 ** jd[0] + jd[1])
         length = data.draw(st.one_of(st.integers(0, k + 3), near_square,
-                                     st.integers(0, 5000)), label="length")
+                                     block_edge, st.integers(0, 5000)),
+                           label="length")
         seed = data.draw(st.one_of(st.integers(0, 2 ** 32),
                                    st.tuples(st.integers(0, 99), st.integers(0, 9))),
                          label="seed")
@@ -227,6 +231,59 @@ class TestSampling:
             got = m.sample_path(length, seed=seed).symbols
             assert got.dtype == np.uint8
             assert got.tobytes() == draws.astype(np.uint8).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("index", range(8))
+    def test_memory_chunks_continue_one_stream(self, monkeypatch, supports,
+                                               index, chunk):
+        # a chain with memory takes its uniforms in chunks too and carries
+        # its state across them
+        monkeypatch.setattr(measures, "SAMPLE_CHUNK", chunk)
+        sft = supports[index]
+        n = sft.n_states
+        m = markov_on_support(sft, np.arange(1.0, n * n + 1).reshape(n, n))
+        for length in (1, sft.k, sft.k + 1, sft.k + chunk, sft.k + chunk + 1,
+                       sft.k + 3 * chunk - 1, 1000):
+            for seed in (4, (2001, 3, 0x5A)):
+                got = m.sample_path(length, seed=seed).symbols
+                want = reference_sample_path(m, length, seed)
+                assert got.tobytes() == want.tobytes(), (length, seed)
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_memory_chunk_edge(self, supports, index):
+        sft = supports[index]
+        n = sft.n_states
+        m = markov_on_support(sft, np.arange(1.0, n * n + 1).reshape(n, n))
+        length = sft.k + measures.SAMPLE_CHUNK + 1
+        got = m.sample_path(length, seed=9).symbols
+        assert got.tobytes() == reference_sample_path(m, length, 9).tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_next_states_match_searchsorted(self, data):
+        # every row's counted states against the documented rule, at every
+        # cut, the doubles on either side of it, and the ends of [0, 1)
+        n = data.draw(st.integers(1, 7), label="n_states")
+        weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+        w = np.reshape(data.draw(st.lists(weight, min_size=n * n, max_size=n * n),
+                                 label="weights"), (n, n))
+        if data.draw(st.booleans(), label="equal rows"):
+            w = np.tile(w[0] + 0.01, (n, 1))
+        else:   # a positive cycle keeps the chain irreducible
+            w[np.arange(n), (np.arange(n) + 1) % n] += 0.01
+        p = w / w.sum(axis=1, keepdims=True)
+        m = MarkovMeasure(build_sft(n, []), p)
+        cum = np.cumsum(p, axis=1)
+        draws = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                   max_size=20), label="draws")
+        u = np.concatenate([cum.ravel(), np.nextafter(cum.ravel(), 0.0),
+                            np.nextafter(cum.ravel(), 2.0), draws,
+                            [0.0, 5e-324, 2.0 ** -53, np.nextafter(1.0, 0.0)]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = np.minimum([np.searchsorted(row, u, "right") for row in cum], n - 1)
+        assert np.array_equal(m._next_states(u), want)
+        for s in range(n):
+            assert np.array_equal(m._next_states(u, s), want[s])
 
     def test_deterministic_per_seed(self, bern_01):
         assert bern_01.sample_path(1000, seed=5) == bern_01.sample_path(1000, seed=5)
