@@ -159,7 +159,7 @@ def encode(x: Word, dict_: Dictionary, scheme: MarkerScheme,
 
     plan, mask = block_plan(x.lo, x.hi, boys_at, girl_rows, flagged, pack, scheme)
     y_sym = interpolate(target, plan).symbols.copy()
-    marker_positions = tuple((boys_at[flagged] + N - 9 * M).tolist())
+    marker_positions = tuple((boys_at[flagged] + pack.marker_offset).tolist())
     rewrites = _scrub_spurious_markers(target, y_sym, x.lo, plan, scheme,
                                        set(marker_positions))
     return CodedPair(x, Word(y_sym, x.lo), parse, mask, marker_positions,
@@ -182,7 +182,7 @@ def block_plan(lo: int, hi: int, boys_at: np.ndarray, girl_rows: np.ndarray,
     rows[:, :width], rows[:, width:] = girl_rows, marker
     keep = np.ones(rows.shape, dtype=bool)
     keep[~flagged, width:] = False
-    starts = boys_at[:, None] + [pack.info_region[0], N - 9 * M]
+    starts = boys_at[:, None] + [pack.info_region[0], pack.marker_offset]
     has = np.column_stack([np.ones(len(boys_at), dtype=bool), flagged])
     lengths = np.broadcast_to([width, len(marker)], starts.shape)
     plan = SegmentPlan(lo, hi, starts[has], lengths[has], rows[keep], min_gap=M)
@@ -237,12 +237,12 @@ def decode(y: Word, dict_: Dictionary, scheme: MarkerScheme,
     recovered ones.  Corrupted info windows mark their block undecodable
     without failing the whole decode.
     """
-    N, M = pack.N, pack.M
+    N = pack.N
     info_lo, info_hi = pack.info_region
     x_hat = np.full(len(y), 255, dtype=np.uint8)
     mask = np.zeros(len(y), dtype=bool)
     hits = np.array(_find_all(y.symbols.tobytes(), scheme.word.symbols.tobytes()),
-                    dtype=np.int64) - (N - 9 * M)   # marker sits at n + N - 9M
+                    dtype=np.int64) - pack.marker_offset
     hits = hits[(hits >= 0) & (hits + N <= len(y))]
     windows = y.symbols[(hits + info_lo)[:, None] + np.arange(info_hi - info_lo)]
     blocks, found = dict_.invert_rows(windows)

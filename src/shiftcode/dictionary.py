@@ -81,6 +81,11 @@ class ParameterPack:
         """Relative info window [M, N-10M) within an N-block."""
         return self.M, self.N - 10 * self.M
 
+    @property
+    def marker_offset(self) -> int:
+        """Where the marker starts within a flagged N-block: N - 9M."""
+        return self.N - 9 * self.M
+
     @classmethod
     def scalar_types(cls) -> dict:
         """The scalars: every field but ``checklist``, name -> type string."""
@@ -271,12 +276,13 @@ def _window_conditions(pack, mu, nu, x: Word, y: Word, t: int, t2: int):
     """The window-measure inequalities s1-s4 for the N-blocks at x.lo + t
     and y.lo + t: whole-block windows widened by t on each side, info
     windows [M, N - 10M) by t2."""
-    N, M, D = pack.N, pack.M, pack.Delta
+    N, D = pack.N, pack.Delta
+    lo, hi = pack.info_region
     n, m = x.lo + t, y.lo + t
     lmx = mu.log_cylinder_probability(x.window(n - t, n + N + t))
     lny = nu.log_cylinder_probability(y.window(m - t, m + N + t))
-    lmx2 = mu.log_cylinder_probability(x.window(n + M - t2, n + N - 10 * M + t2))
-    lny2 = nu.log_cylinder_probability(y.window(m + M - t2, m + N - 10 * M + t2))
+    lmx2 = mu.log_cylinder_probability(x.window(n + lo - t2, n + hi + t2))
+    lny2 = nu.log_cylinder_probability(y.window(m + lo - t2, m + hi + t2))
     return (lmx > -(pack.h_source + D) * N,
             lny2 < -(pack.h_target - D) * N,
             lmx2 + lny2 < -(pack.h_joint_bound - D) * N,
@@ -289,7 +295,7 @@ def _estimate_condition_sets(pack, mu, nu, samples, seed):
     1 - delta.  s5 compares blocks of 1..S5_KMAX symbols."""
     from .estimators import (BlockDistribution, empirical_family,
                              weakstar_surrogate)
-    N, M = pack.N, pack.M
+    N = pack.N
     t = pack.eta_radius
     t2 = max(pack.eta_radius - 1, 0)   # radius for threshold 2 eta
     d = pack.delta
@@ -310,8 +316,8 @@ def _estimate_condition_sets(pack, mu, nu, samples, seed):
         for key, ok in zip(("s1", "s2", "s3", "s4"),
                            _window_conditions(pack, mu, nu, x, y, t, t2)):
             hits[key] += ok
-        pair = np.stack([x.window(M, N - 10 * M).symbols,
-                         y.window(M, N - 10 * M).symbols], axis=1)
+        pair = np.stack([x.window(*pack.info_region).symbols,
+                         y.window(*pack.info_region).symbols], axis=1)
         emp = empirical_family(pair, S5_KMAX)
         if weakstar_surrogate(emp, exact_joint, S5_KMAX) < pack.eps / 12:
             hits["s5"] += 1

@@ -20,7 +20,6 @@ from .measures import MarkovMeasure
 from .shiftspace import Sft, Word, specification_gap, window_codes
 
 EXHAUSTIVE_BITS = 24
-RESTART_BATCH = 64      # most random restarts unranked at once
 
 
 @dataclass(frozen=True)
@@ -107,12 +106,16 @@ def find_marker(sft: Sft, nu: MarkovMeasure, M: int, alpha: float,
     fillers are unlikely to reproduce the marker by accident.  Working
     memory is a few blocks, about 30 MB at 8M = 24, whatever the number
     of candidates.  Otherwise seeded random restarts with single-symbol
-    hill climbing on the count of violated offsets.
+    hill climbing on the count of violated offsets, at most ``budget``
+    (>= 1) candidates checked: each restart unranks one uniform draw from
+    the admissible words, and hill climbing draws nothing.
     """
     if M < 1:
         raise ParameterError("M must be >= 1")
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
+    if budget < 1:
+        raise ParameterError(f"budget must be >= 1, got {budget}")
     specification_gap(sft)  # raises NotMixingError when not primitive
     n = 8 * M
     dfa = sft.factor_dfa()
@@ -127,20 +130,8 @@ def find_marker(sft: Sft, nu: MarkovMeasure, M: int, alpha: float,
     rng = random.Random(seed)
     evals = 0
     best = None  # (violations, word, nu1, nu2)
-
-    def restarts():
-        # hill climbing draws nothing, so restart i unranks the i-th draw;
-        # one unrank_rows per batch, the batches doubling from one word, as
-        # a search that accepts mostly does so on its first restart
-        size = 1
-        while True:
-            yield from dfa.unrank_rows(n, [rng.randrange(total)
-                                           for _ in range(size)])
-            size = min(2 * size, RESTART_BATCH)
-
-    starts = restarts()
     while evals < budget:
-        word = Word(next(starts))
+        word = Word(dfa.unrank_rows(n, [rng.randrange(total)])[0])
         viol, nu1, nu2, ok = check_scheme(sft, nu, word, M, alpha)
         evals += 1
         if best is None or viol < best[0]:

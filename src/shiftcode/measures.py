@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ReducibleChainError
-from .shiftspace import Sft, Word
+from .shiftspace import Sft, Word, power_squares
 
 _ROW_TOL = 1e-12
 SAMPLE_CHUNK = 1 << 15     # uniforms drawn per rng.random call
@@ -34,6 +34,9 @@ def stationary_vector(transition: np.ndarray) -> np.ndarray:
     n = p.shape[0]
     if p.shape != (n, n):
         raise ValueError("transition matrix must be square")
+    finite = np.isfinite(p).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {np.argmin(finite)} has an entry that is not finite")
     if np.any(np.abs(p.sum(axis=1) - 1.0) > _ROW_TOL) or np.any(p < 0):
         raise ValueError("rows must be non-negative and sum to 1")
     _check_irreducible(p)
@@ -51,10 +54,8 @@ def stationary_vector(transition: np.ndarray) -> np.ndarray:
 
 
 def _check_irreducible(p: np.ndarray) -> None:
-    n = p.shape[0]
-    reach = (p > 0) | np.eye(n, dtype=bool)
-    for _ in range(max(1, int(math.ceil(math.log2(n + 1))))):
-        reach = reach @ reach
+    # (I + A)^(n-1) is positive iff every state reaches every other
+    reach = power_squares((p > 0) | np.eye(len(p), dtype=bool), len(p))[-1]
     if not reach.all():
         i, j = np.argwhere(~reach)[0]
         raise ReducibleChainError(
@@ -88,8 +89,6 @@ class MarkovMeasure:
     def bernoulli(cls, probs) -> "MarkovMeasure":
         """IID measure on the full shift over len(probs) symbols."""
         probs = np.asarray(probs, dtype=np.float64)
-        if abs(probs.sum() - 1.0) > _ROW_TOL or np.any(probs < 0):
-            raise ValueError("probabilities must be non-negative and sum to 1")
         sft = Sft.full_shift(len(probs))
         return cls(sft, np.tile(probs, (len(probs), 1)))
 

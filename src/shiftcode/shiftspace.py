@@ -178,13 +178,15 @@ class Sft:
             raise EmptySftError("no admissible word survives pruning: empty SFT")
         self.edges = edges
         codes = np.flatnonzero(alive)
+        self._index = np.full(n_codes, -1, dtype=np.intp)   # k-word code -> state
+        self._index[codes] = np.arange(len(codes))
         digits = codes[:, None] // m ** np.arange(k - 1, -1, -1) % m
-        self.state_codes = window_codes(digits.T, k, m)[0]
+        self.state_codes = codes.astype(np.min_scalar_type(n_codes - 1))
         self.states = tuple(map(tuple, digits.tolist()))
         self.last_symbol = digits[:, -1].astype(np.uint8)
         # step[state][symbol] -> next state index or -1
         out = codes[:, None] * m + np.arange(m)
-        self._step = np.where(edges[out], np.searchsorted(codes, out % n_codes), -1)
+        self._step = np.where(edges[out], self._index[out % n_codes], -1)
         self.adjacency = np.zeros((len(codes), len(codes)), dtype=np.uint8)
         rows, syms = np.nonzero(self._step >= 0)
         self.adjacency[rows, self._step[rows, syms]] = 1
@@ -283,10 +285,7 @@ class Sft:
         """State index of every full k-window of the word, -1 where the
         window is not a state (empty when the word is shorter than k).
         The symbols must lie in the alphabet."""
-        codes = window_codes(word.symbols, self.k, self.alphabet_size)
-        idx = np.searchsorted(self.state_codes, codes)
-        idx[idx == self.n_states] = 0
-        return np.where(self.state_codes[idx] == codes, idx, -1)
+        return self._index[window_codes(word.symbols, self.k, self.alphabet_size)]
 
 
 def build_sft(alphabet_size: int, forbidden_words=()) -> Sft:
@@ -318,23 +317,38 @@ def topological_entropy(sft: Sft) -> float:
     return math.log(rho) if rho > 1.0 else 0.0
 
 
+def power_squares(a: np.ndarray, bound: int) -> list:
+    """``[a, a^2, a^4, ...]`` as bool matrices, squared until a power is
+    all positive or its exponent reaches ``bound``; a square is a float32
+    (BLAS) product, whose rounding cannot turn a positive sum to zero."""
+    squares = [np.asarray(a, dtype=bool)]
+    while not squares[-1].all() and 2 ** (len(squares) - 1) < bound:
+        f = squares[-1].astype(np.float32)
+        squares.append(f @ f > 0)
+    return squares
+
+
 def specification_gap(sft: Sft) -> int:
     """Least p with all entries of adjacency^p positive (primitivity index).
 
     For any admissible u, v and any g >= L there is a connecting word w of
     length exactly g with u w v admissible; see interp.connect_words.
-    """
+    A is primitive iff A^((n-1)^2+1) > 0 (Wielandt 1950).  As every state
+    of the pruned shift has an in-edge, A^p > 0 implies A^(p+1) > 0, so
+    the least p is found by walking down the squares: keep a non-positive
+    A^p, adding 2^j while A^(p+2^j) stays non-positive."""
     if sft._gap is not None:
         return sft._gap
-    a = sft.adjacency.astype(bool)
-    n = a.shape[0]
-    p = a.copy()
-    for power in range(1, (n - 1) ** 2 + 2):
-        if p.all():
-            sft._gap = power
-            return power
-        p = (p.astype(np.uint16) @ a.astype(np.uint16)) > 0
-    raise NotMixingError("adjacency matrix is not primitive: not mixing")
+    squares = power_squares(sft.adjacency, (sft.n_states - 1) ** 2 + 1)
+    if not squares[-1].all():
+        raise NotMixingError("adjacency matrix is not primitive: not mixing")
+    p, power = 0, np.eye(sft.n_states, dtype=np.float32)
+    for j in reversed(range(len(squares) - 1)):
+        step = power @ squares[j].astype(np.float32) > 0
+        if not step.all():
+            p, power = p + 2 ** j, step.astype(np.float32)
+    sft._gap = p + 1
+    return sft._gap
 
 
 def window_distance_below(u: Word, v: Word, params: WindowMetricParams) -> bool:

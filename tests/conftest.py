@@ -423,6 +423,21 @@ def reference_sft_tables(alphabet_size, forbidden):
     }
 
 
+def reference_specification_gap(sft):
+    """Reference for shiftspace.specification_gap: one boolean product per
+    power, up to Wielandt's (n-1)^2 + 1, the first all-positive power
+    wins; raises NotMixingError past it."""
+    from shiftcode.errors import NotMixingError
+    a = sft.adjacency.astype(bool)
+    n = a.shape[0]
+    p = a.copy()
+    for power in range(1, (n - 1) ** 2 + 2):
+        if p.all():
+            return power
+        p = (p.astype(np.uint16) @ a.astype(np.uint16)) > 0
+    raise NotMixingError("adjacency matrix is not primitive: not mixing")
+
+
 def halmos_oracle(n: int, m: int) -> bool:
     """Reference for toral.halmos_membership by an independent path.
 

@@ -162,6 +162,10 @@ MISSING_INPUT = {
         ["splice", "--sft", str(DATA / "gm.sft"), "--measure", str(DATA / "gmu.msr"),
          "--kind", "support", "--target", "1x", "--length", "200", "--seed", "2"],
         "--target '1x' is not a word of digits"),
+    "marker-budget-0": (["marker", "--sft", str(DATA / "full2.sft"),
+                         "--measure", str(DATA / "b5.msr"), "--M", "4",
+                         "--alpha", "0.5", "--budget", "0", "--seed", "1"],
+                        "ParameterError: budget must be >= 1, got 0"),
     "params-eps-only": (["params", "--eps", "0.5"],
                         "params needs --h-source, or --source-sft with "
                         "--source-measure"),
@@ -197,6 +201,18 @@ def test_malformed_matrix_file_named(tmp_path):
     assert proc.returncode == 1
     assert (f"ShiftcodeError: --matrix-file {bad}: entries per row [2, 3] do "
             f"not form a square matrix") in proc.stderr
+
+
+def test_measure_row_not_finite_named(tmp_path):
+    # a NaN once reached LAPACK, which printed DLASCL lines and then failed
+    bad = tmp_path / "nan.msr"
+    bad.write_text("states 2\nrow nan 1\nrow 0.5 0.5\n")
+    proc = cli("splice", "--sft", str(DATA / "full2.sft"), "--measure", str(bad),
+               "--kind", "support", "--length", "200", "--seed", "2")
+    assert proc.returncode == 1
+    assert (f"measure file {bad}: row 0 has an entry that is not "
+            f"finite") in proc.stderr
+    assert "DLASCL" not in proc.stderr
 
 
 def test_strict_params_refuse_N_and_M():

@@ -138,6 +138,11 @@ class TestFindMarker:
         with pytest.raises(ParameterError):
             find_marker(full2, bern_half, M=1, alpha=0.0)
 
+    @pytest.mark.parametrize("M", [1, 4])    # exhaustive and random branches
+    def test_budget_zero(self, full2, bern_half, M):
+        with pytest.raises(ParameterError, match="budget must be >= 1, got 0"):
+            find_marker(full2, bern_half, M=M, alpha=0.5, budget=0)
+
     def test_alpha_too_small_reports_condition(self, full2, bern_half):
         # every 2-window has mass 1/4 >= alpha/M
         with pytest.raises(MarkerSearchError) as exc:
@@ -174,8 +179,7 @@ class TestFindMarker:
 
     def test_random_restarts_unrank_successive_draws(self, monkeypatch, full2,
                                                      bern_half):
-        # restart i starts from the i-th seeded draw, across the ends of
-        # the doubling batches and of the capped ones: every candidate
+        # restart i starts from the i-th seeded draw: every candidate
         # passes with no violation and no mass, so each restart's hill
         # climb tries its n single-symbol flips and stops
         monkeypatch.setattr(markers, "EXHAUSTIVE_BITS", 0)
@@ -186,7 +190,7 @@ class TestFindMarker:
             return 0, 0.0, 0.0, False
 
         monkeypatch.setattr(markers, "check_scheme", check)
-        n, restarts = 24, 3 * markers.RESTART_BATCH + 6
+        n, restarts = 24, 198
         with pytest.raises(MarkerSearchError):
             find_marker(full2, bern_half, M=3, alpha=0.5,
                         budget=restarts * (n + 1), seed=9)

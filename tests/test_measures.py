@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -61,6 +62,24 @@ class TestStationary:
     def test_not_stochastic(self):
         with pytest.raises(ValueError):
             stationary_vector(np.array([[0.7, 0.2], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_not_finite_names_row(self, bad):
+        with pytest.raises(ValueError, match="row 1 has an entry that is not finite"):
+            stationary_vector(np.array([[0.5, 0.5], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("probs", [[0.7, 0.2], [-0.5, 1.5], [np.nan, 1.0]])
+    def test_bernoulli_rows_checked(self, probs):
+        with pytest.raises(ValueError):
+            MarkovMeasure.bernoulli(probs)
+
+    def test_large_reducible_refused_fast(self):
+        # 512 states; nine 0s in a row are never left
+        sft = build_sft(2, ["0000000001"])
+        start = time.perf_counter()
+        with pytest.raises(ReducibleChainError):
+            MarkovMeasure.uniform(sft)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestCylinder:

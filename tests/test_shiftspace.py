@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftcode.errors import CoverageError, EmptySftError, NotMixingError
@@ -15,6 +16,7 @@ from shiftcode.shiftspace import (Sft, Word, WindowMetricParams, build_sft,
                                   window_distance_below)
 
 from conftest import (GOLDEN_ENTROPY, LOG2, reference_factor_dfa,
+                      reference_specification_gap,
                       reference_sft_tables, reference_walk)
 
 
@@ -263,14 +265,52 @@ class TestEntropy:
         assert abs(c41 / c40 - math.exp(h)) < 1e-4 * math.exp(h)
 
 
+# alphabets of 1-4 symbols, at most 16 states: words of length 1-5 over
+# 1-2 symbols, 1-3 over 3-4
+GAP_INPUTS = st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.lists(st.integers(0, m - 1), min_size=1,
+                      max_size=5 if m <= 2 else 3).map(tuple),
+             max_size=5)))
+
+
 class TestSpecificationGap:
     def test_anchors(self, full2, golden_mean):
         assert specification_gap(full2) == 1
         assert specification_gap(golden_mean) == 2
+        assert specification_gap(build_sft(2, ["1111111111"])) == 10
 
     def test_not_mixing(self):
         with pytest.raises(NotMixingError):
             specification_gap(build_sft(2, ["00", "11"]))
+
+    @given(GAP_INPUTS)
+    @example((2, [(0, 0), (1, 1)]))       # period 2
+    @example((2, [(1, 0)]))               # reducible: 0 reaches 1, not back
+    @example((2, [(0, 1), (1, 0)]))       # two fixed points
+    @example((3, [(0, 0), (1, 1), (2, 2), (0, 2), (2, 1), (1, 0)]))  # a 3-cycle
+    @settings(max_examples=300)
+    def test_matches_reference(self, inputs):
+        m, forbidden = inputs
+        try:
+            sft = Sft(m, forbidden)
+        except EmptySftError:
+            return
+        try:
+            want = reference_specification_gap(sft)
+        except NotMixingError:
+            with pytest.raises(NotMixingError):
+                specification_gap(sft)
+            return
+        assert specification_gap(sft) == want
+
+    def test_large_non_mixing_refused_fast(self):
+        # 512 states, Wielandt exponent 261,122: a product per power took hours
+        sft = build_sft(2, ["0000000001"])
+        start = time.perf_counter()
+        with pytest.raises(NotMixingError):
+            specification_gap(sft)
+        assert time.perf_counter() - start < 2.0
 
     def test_connecting_contract_brute(self, sft_zoo):
         # every gap in [L, L+3]; all word pairs up to length 6 on binary
