@@ -43,7 +43,7 @@ def emit_report(name: str, pairs, out: str | None = None) -> str:
 def _load_sft(path: str) -> shiftspace.Sft:
     try:
         return shiftspace.parse_sft(Path(path).read_text())
-    except ValueError as exc:
+    except (ValueError, ParameterError) as exc:
         raise ShiftcodeError(f"SFT file {path}: {exc}") from None
 
 
@@ -128,7 +128,7 @@ def read_dictionary_file(path: str):
     def parsed(name, parse, *args):
         try:
             return parse("\n".join(section(name)), *args)
-        except ValueError as exc:
+        except (ValueError, ParameterError) as exc:
             raise ShiftcodeError(f"dictionary file {path}: [{name}] {exc}") from None
 
     mode = fields("format", section("format"), {}).get("mode")

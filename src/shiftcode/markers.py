@@ -190,7 +190,7 @@ def _exhaustive_marker(sft: Sft, nu: MarkovMeasure, M: int,
         if not distinct.any():
             continue
         any_distinguishing = True
-        nu1, nu2 = mass[codes[0]], mass[codes[6 * M]]
+        nu1, nu2 = mass.take(codes[0]), mass.take(codes[6 * M])
         ok = np.flatnonzero(distinct & (nu1 < limit) & (nu2 < limit))
         if len(ok) == 0:
             continue

@@ -76,8 +76,11 @@ class MarkovMeasure:
         self.sft = sft
         self.transition = p
         self.stationary = stationary_vector(p)
-        # the sampler's cut points, and whether its iid rule applies
-        self._cuts = np.cumsum(p, axis=1)[:, :-1]
+        # the sampler's cut points, and whether its iid rule applies; a cut
+        # with no positive entry after it is +inf, so a draw at or above a
+        # row's float total stays on the row's last positive state
+        later = np.logical_or.accumulate(p[:, :0:-1] > 0, axis=1)[:, ::-1]
+        self._cuts = np.where(later, np.cumsum(p, axis=1)[:, :-1], np.inf)
         self._iid = sft.k == 1 and np.allclose(p, p[0])
         with np.errstate(divide="ignore"):
             self._log_p = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
@@ -137,10 +140,11 @@ class MarkovMeasure:
         """The rule's states on the uniforms ``u``: after every state,
         ``(n_states, len(u))``, or after ``row``.
 
-        The state after s, ``min(searchsorted(cum[s], u, "right"), n - 1)``,
-        is the number of ``cum[s, :n - 1]`` at or below u (a row's cumsum
-        never decreases), so it is counted by comparisons, with no binary
-        search per draw; the count is at most n - 1, so it needs no clamp.
+        The state after s, ``searchsorted(cum[s], u, "right")`` clamped
+        to the last state j with P[s, j] > 0, is the number of cuts at or
+        below u: ``cum[s, :n - 1]``, each +inf past j (a row's cumsum never
+        decreases).  So it is counted by comparisons, with no binary search
+        per draw, and needs no clamp.
         """
         cuts = self._cuts if row is None else self._cuts[row]
         return np.add.reduce(cuts[..., None] <= u, axis=-2,
@@ -156,9 +160,10 @@ class MarkovMeasure:
         from the stationary vector and emits that state's first k symbols;
         then one ``rng.random(n - k)`` call supplies a uniform u per later
         symbol, which moves state s to ``searchsorted(cumsum(P[s]), u,
-        "right")`` clamped to the last state, and the new state emits its
-        last symbol.  An iid chain (k = 1, equal rows) draws every state
-        by the same rule from row 0 and one ``rng.random(n)``.  The
+        "right")`` clamped to the last state of positive probability in
+        row s, and the new state emits its last symbol.  An iid chain
+        (k = 1, equal rows) draws every state by the same rule from row 0
+        and one ``rng.random(n)``.  The
         uniforms are taken in calls of ``SAMPLE_CHUNK``: they continue one
         stream, so the chunks are the same uniforms.  A chunk's states are
         counted by :meth:`_next_states`; with memory, that is every state's

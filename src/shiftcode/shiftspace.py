@@ -13,9 +13,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import Dfa
-from .errors import CoverageError, EmptySftError, NotMixingError
+from .errors import CoverageError, EmptySftError, NotMixingError, ParameterError
 
 MAX_TEXT_ALPHABET = 10  # text format writes symbols as single digits
+# Bytes an SFT's largest table may take before it is built, counted at 8
+# bytes an entry: the (k+1)-word grid (whose m^k state index is intp) and
+# the dense n_states x n_states float64 matrix of topological_entropy,
+# which also bounds the mixing gap's float32 squares.  512 MiB admits the
+# 8,192 states of ``forbid 0^14`` and refuses the 65,536 of ``forbid 0^17``
+# before numpy fails on a multi-GiB allocation.
+MAX_TABLE_BYTES = 1 << 29
+
+
+def _check_table(what: str, entries: int) -> None:
+    """Refuse a table of this many entries above ``MAX_TABLE_BYTES``."""
+    if 8 * entries > MAX_TABLE_BYTES:
+        raise ParameterError(f"{what} would take {8 * entries:,} bytes, above the "
+                             f"{MAX_TABLE_BYTES:,}-byte table budget")
 
 
 def window_codes(symbols, k: int, m: int) -> np.ndarray:
@@ -24,7 +38,8 @@ def window_codes(symbols, k: int, m: int) -> np.ndarray:
     Row i of the result codes symbols[i:i + k], first symbol most
     significant, so codes sort like the windows in lex order; a 2-D input
     is coded column by column.  The dtype is the narrowest unsigned type
-    that holds all m^k codes.
+    that holds all m^k codes; ``table.take(codes)`` gathers by them
+    faster than ``table[codes]`` and with no intp copy.
     """
     dtype = np.min_scalar_type(m ** k - 1)
     if dtype.kind != "u":
@@ -158,6 +173,7 @@ class Sft:
         self.k = k
         m = alphabet_size
         n_codes = m ** k
+        _check_table(f"a table of the {m}^{k + 1} words of length {k + 1}", m * n_codes)
         # edges[c] for the (k+1)-word coded c (see window_codes): its
         # first k symbols are the source state, its last k the target
         grid = np.ones((m,) * (k + 1), dtype=bool)
@@ -178,6 +194,8 @@ class Sft:
             raise EmptySftError("no admissible word survives pruning: empty SFT")
         self.edges = edges
         codes = np.flatnonzero(alive)
+        _check_table(f"an SFT with {len(codes):,} states: its "
+                     f"{len(codes):,} x {len(codes):,} matrices", len(codes) ** 2)
         self._index = np.full(n_codes, -1, dtype=np.intp)   # k-word code -> state
         self._index[codes] = np.arange(len(codes))
         digits = codes[:, None] // m ** np.arange(k - 1, -1, -1) % m
@@ -253,7 +271,7 @@ class Sft:
             ok[np.searchsorted(ends, np.flatnonzero(off), side="right")] = False
             sym = np.where(off, 0, sym)
         # window i covers symbols i..i+k: it counts iff its piece ends later
-        bad = np.flatnonzero(~self.edges[window_codes(sym, k + 1, m)])
+        bad = np.flatnonzero(~self.edges.take(window_codes(sym, k + 1, m)))
         piece = np.searchsorted(ends, bad, side="right")
         ok[piece[bad + k < ends[piece]]] = False
         starts = ends - lengths
@@ -285,7 +303,7 @@ class Sft:
         """State index of every full k-window of the word, -1 where the
         window is not a state (empty when the word is shorter than k).
         The symbols must lie in the alphabet."""
-        return self._index[window_codes(word.symbols, self.k, self.alphabet_size)]
+        return self._index.take(window_codes(word.symbols, self.k, self.alphabet_size))
 
 
 def build_sft(alphabet_size: int, forbidden_words=()) -> Sft:

@@ -59,10 +59,10 @@ class Skeleton:
     params: tuple             # (k0, k1, k2) or (N, M)
 
     @staticmethod
-    def _blocks(kind: str, params: tuple):
-        """The (short, long) blocks of the kind's family: short =
-        1^a 0^b 2^c 0^b and long = 1^(a+1) 0^b 2^c 0^b, with (a, b, c) =
-        (k1, k0, k2) for boost and (N - 2M, M, 1) for support."""
+    def _run_lengths(kind: str, params: tuple) -> np.ndarray:
+        """[a, b, c, b]: the runs of the kind's short block 1^a 0^b 2^c 0^b
+        (the long block starts 1^(a+1)), with (a, b, c) = (k1, k0, k2) for
+        boost and (N - 2M, M, 1) for support."""
         if kind == "boost":
             b, a, c = params
         elif kind == "support":
@@ -72,34 +72,45 @@ class Skeleton:
                 raise ParameterError("need N - 2M >= 1 for the full-support blocks")
         else:
             raise ValueError(f"unknown skeleton kind {kind!r}")
-        runs = np.array([1, 0, 2, 0], np.uint8)
-        return np.repeat(runs, [a, b, c, b]), np.repeat(runs, [a + 1, b, c, b])
+        return np.array([a, b, c, b])
 
     @classmethod
     def sample(cls, kind: str, params: tuple, seed: int, min_length: int) -> "Skeleton":
         """Whole blocks, fair coin long/short per block, until min_length.
         The coins come from one draw of as many as all-short blocks would
         take, the same stream as one draw per block; the blocks stop at the
-        first whose end reaches min_length."""
+        first whose end reaches min_length, and one repeat writes them."""
         if min_length < 1:
             raise ValueError(f"min_length must be >= 1, got {min_length}")
-        short, long_ = cls._blocks(kind, params)
-        rng = np.random.default_rng(seed)
-        coins = rng.integers(0, 2, -(-min_length // len(short)))
-        ends = np.cumsum(np.where(coins, len(long_), len(short)))
-        coins = coins[:np.searchsorted(ends, min_length) + 1]
-        return cls(np.concatenate([long_ if c else short for c in coins.tolist()]),
-                   kind, tuple(params))
+        runs = cls._run_lengths(kind, params)
+        coins = np.random.default_rng(seed).integers(0, 2, -(-min_length // runs.sum()))
+        coins = coins[:np.searchsorted(np.cumsum(coins + runs.sum()), min_length) + 1]
+        runs = runs + np.outer(coins, [1, 0, 0, 0])     # a long block's extra 1
+        return cls(np.repeat(np.tile(np.array([1, 0, 2, 0], np.uint8), len(coins)),
+                             runs.reshape(-1)), kind, tuple(params))
 
     def __len__(self) -> int:
         return len(self.symbols)
 
 
-def _runs(symbols: np.ndarray, value: int):
-    """(starts, lengths) of the maximal runs of the given value."""
-    edges = np.flatnonzero(np.diff(np.concatenate(
-        [[False], symbols == value, [False]]).astype(np.int8)))
-    return edges[0::2], edges[1::2] - edges[0::2]
+def _plan(skeleton: Skeleton, y1: Word, planted: Word, min_gap: int) -> SegmentPlan:
+    """The plan copying y1 on the skeleton's 1-runs and ``planted`` on its
+    2-runs (y2, or the target centred on every 2), in start order: one
+    gather from a copy of y1 with the planted symbols written over it."""
+    sym, n = skeleton.symbols, len(skeleton)
+    starts = np.append(0, np.flatnonzero(sym[1:] != sym[:-1]) + 1)   # the runs
+    kept = sym[starts] > 0
+    starts, lengths = starts[kept], np.diff(starts, append=n)[kept]
+    two = sym[starts] == 2
+    canvas = y1.symbols[-y1.lo:n - y1.lo].copy()
+    if skeleton.kind == "boost":
+        at = spans(starts[two], lengths[two])
+        canvas[at] = planted.symbols[at - planted.lo]
+    else:
+        starts[two] -= len(planted) // 2
+        lengths[two] = len(planted)
+        canvas[starts[two, None] + np.arange(len(planted))] = planted.symbols
+    return SegmentPlan(0, n, starts, lengths, canvas[spans(starts, lengths)], min_gap)
 
 
 def splice_entropy_boost(sft: Sft, y1: Word, y2: Word, skeleton: Skeleton) -> Word:
@@ -118,12 +129,7 @@ def splice_entropy_boost(sft: Sft, y1: Word, y2: Word, skeleton: Skeleton) -> Wo
             raise ValueError(f"{name} must cover [0, {n})")
         if not sft.is_admissible(y):
             raise ValueError(f"{name} is not admissible")
-    (s1, n1), (s2, n2) = _runs(skeleton.symbols, 1), _runs(skeleton.symbols, 2)
-    plan = SegmentPlan(0, n, np.concatenate([s1, s2]), np.concatenate([n1, n2]),
-                       np.concatenate([y1.symbols[spans(s1 - y1.lo, n1)],
-                                       y2.symbols[spans(s2 - y2.lo, n2)]]),
-                       min_gap=k0)
-    return interpolate(sft, plan)
+    return interpolate(sft, _plan(skeleton, y1, y2, k0))
 
 
 def splice_full_support(sft: Sft, y1: Word, target: Word, N: int, M: int,
@@ -149,11 +155,4 @@ def splice_full_support(sft: Sft, y1: Word, target: Word, N: int, M: int,
         raise ValueError(f"y1 must cover [0, {n}) (skeleton rounds up to blocks)")
     if not sft.is_admissible(y1):
         raise ValueError("y1 is not admissible")
-    (s1, n1), (s2, n2) = _runs(skeleton.symbols, 1), _runs(skeleton.symbols, 2)
-    assert (n2 == 1).all()
-    plan = SegmentPlan(0, n, np.concatenate([s1, s2 - radius]),
-                       np.concatenate([n1, np.full(len(s2), len(target))]),
-                       np.concatenate([y1.symbols[spans(s1 - y1.lo, n1)],
-                                       np.tile(target.symbols, len(s2))]),
-                       min_gap=M - radius)
-    return interpolate(sft, plan)
+    return interpolate(sft, _plan(skeleton, y1, target, M - radius))

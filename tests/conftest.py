@@ -75,6 +75,12 @@ def supports(sft_zoo):
     return sft_zoo + [build_sft(3, ["0"]), build_sft(3, ["0", "11"])]
 
 
+@pytest.fixture(scope="session")
+def wide_codes():
+    """SFTs whose (k+1)-window codes need uint16: 3^6 and 2^9 codes."""
+    return [build_sft(3, ["001122"]), build_sft(2, ["101010101"])]
+
+
 LOG2 = math.log(2)
 GOLDEN_ENTROPY = math.log((1 + math.sqrt(5)) / 2)
 
@@ -88,7 +94,8 @@ def markov_on_support(sft, weights):
 def reference_sample_path(measure, length, seed):
     """Reference for MarkovMeasure.sample_path on a chain with memory or
     dependence: the per-symbol loop, one searchsorted per symbol on the
-    same uniforms.  Returns the symbols as a uint8 array."""
+    same uniforms, clamped to the last state of positive probability in
+    the row.  Returns the symbols as a uint8 array."""
     rng = np.random.default_rng(seed)
     states = measure.sft.states
     out = np.empty(length, dtype=np.uint8)
@@ -98,8 +105,9 @@ def reference_sample_path(measure, length, seed):
     emit = min(measure.sft.k, length)
     out[:emit] = states[s][:emit]
     cum = np.cumsum(measure.transition, axis=1)
+    last = [int(np.flatnonzero(row > 0)[-1]) for row in measure.transition]
     for i, u in enumerate(rng.random(length - emit)):
-        s = min(int(np.searchsorted(cum[s], u, side="right")), len(states) - 1)
+        s = min(int(np.searchsorted(cum[s], u, side="right")), last[s])
         out[emit + i] = states[s][-1]
     return out
 
@@ -649,6 +657,31 @@ def reference_skeleton_symbols(kind, params, seed, min_length):
         pieces.append(blk)
         total += len(blk)
     return np.concatenate(pieces)
+
+
+def reference_splice_plan(skeleton, y1, planted, min_gap):
+    """Reference for splicer._plan: the 1-runs and the 2-runs each found by
+    their own scan, and their segments concatenated out of start order
+    (``SegmentPlan.validate`` sorts them)."""
+    from shiftcode.interp import SegmentPlan, spans
+
+    def runs(value):
+        edges = np.flatnonzero(np.diff(np.concatenate(
+            [[False], skeleton.symbols == value, [False]]).astype(np.int8)))
+        return edges[0::2], edges[1::2] - edges[0::2]
+
+    (s1, n1), (s2, n2) = runs(1), runs(2)
+    ones = y1.symbols[spans(s1 - y1.lo, n1)]
+    if skeleton.kind == "boost":
+        return SegmentPlan(0, len(skeleton), np.concatenate([s1, s2]),
+                           np.concatenate([n1, n2]),
+                           np.concatenate([ones, planted.symbols[spans(s2 - planted.lo, n2)]]),
+                           min_gap=min_gap)
+    assert (n2 == 1).all()
+    return SegmentPlan(0, len(skeleton), np.concatenate([s1, s2 - len(planted) // 2]),
+                       np.concatenate([n1, np.full(len(s2), len(planted))]),
+                       np.concatenate([ones, np.tile(planted.symbols, len(s2))]),
+                       min_gap=min_gap)
 
 
 def greedy_parse(skeleton):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -192,6 +193,19 @@ def test_missing_input_ends_in_an_error_line(case, coded_stream, tmp_path):
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert proc.stdout == ""
+
+
+def test_sft_above_table_budget_named(tmp_path):
+    # 2^21 states: the n x n adjacency alone once asked numpy for 4 TiB
+    big = tmp_path / "big.sft"
+    big.write_text("alphabet 2\nforbid " + "0" * 22 + "\n")
+    start = time.perf_counter()
+    proc = cli("gap", "--sft", str(big))
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert (f"SFT file {big}: an SFT with 2,097,152 states" in proc.stderr
+            and "table budget" in proc.stderr)
 
 
 def test_malformed_matrix_file_named(tmp_path):
@@ -571,7 +585,9 @@ class TestEncodeDecodeFiles(object):
     @pytest.mark.parametrize("section, line, replaced, message", [
         ("source-sft", 1, "alphabet two", "line 1: cannot parse 'alphabet two'"),
         ("target-measure", 2, "row 0.5 x", "line 2: cannot parse 'row 0.5 x'"),
-    ], ids=["source-sft", "target-measure"])
+        ("target-sft", 1, "alphabet 2\nforbid " + "0" * 22,
+         "an SFT with 2,097,152 states"),
+    ], ids=["source-sft", "target-measure", "target-sft-above-table-budget"])
     def test_bad_sft_or_measure_section_names_it(self, coded_stream, tmp_path,
                                                   section, line, replaced,
                                                   message):

@@ -299,10 +299,38 @@ class TestSampling:
                             np.nextafter(cum.ravel(), 2.0), draws,
                             [0.0, 5e-324, 2.0 ** -53, np.nextafter(1.0, 0.0)]])
         u = u[(u >= 0.0) & (u < 1.0)]
-        want = np.minimum([np.searchsorted(row, u, "right") for row in cum], n - 1)
+        last = [np.flatnonzero(row > 0)[-1] for row in p]   # the clamp
+        want = np.array([np.minimum(np.searchsorted(row, u, "right"), j)
+                         for row, j in zip(cum, last)])
         assert np.array_equal(m._next_states(u), want)
         for s in range(n):
             assert np.array_equal(m._next_states(u, s), want[s])
+
+    def test_draw_above_row_total_stays_on_a_successor(self, monkeypatch):
+        # row 2's float total is 0.9999999999999999, so the largest double
+        # below 1 lies above it: it once stepped 2 -> 3, a forbidden word
+        sft = build_sft(4, ["23"])
+        p = MarkovMeasure.uniform(sft).transition
+        p[2] = [0.2, 0.7, 0.1, 0.0]
+        m = MarkovMeasure(sft, p)
+        top = np.nextafter(1.0, 0.0)
+        assert np.cumsum(p[2])[-1] <= top
+        assert m._next_states(np.array([top]), 2).tolist() == [2]
+
+        class Top:      # a generator whose every uniform is ``top``
+            def __init__(self, seed):
+                pass
+
+            def choice(self, n, p):
+                return 2
+
+            def random(self, size):
+                return np.full(size, top)
+
+        monkeypatch.setattr(np.random, "default_rng", Top)
+        path = m.sample_path(1000, seed=0)
+        assert sft.is_admissible(path)
+        assert path.symbols.tolist() == [2] * 1000
 
     def test_deterministic_per_seed(self, bern_01):
         assert bern_01.sample_path(1000, seed=5) == bern_01.sample_path(1000, seed=5)

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftcode.errors import CoverageError, EmptySftError, NotMixingError
+from shiftcode.errors import (CoverageError, EmptySftError, NotMixingError,
+                              ParameterError)
 from shiftcode.interp import iter_connectors
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import (Sft, Word, WindowMetricParams, build_sft,
@@ -97,6 +99,22 @@ class TestBuild:
             build_sft(2, ["2"])
         with pytest.raises(ValueError):
             build_sft(2, [""])
+
+    @pytest.mark.parametrize("length,what", [
+        (17, "an SFT with 65,536 states: its 65,536 x 65,536 matrices"),
+        (22, "an SFT with 2,097,152 states"),
+        (41, "a table of the 2^41 words of length 41"),
+    ])
+    def test_tables_above_budget_refused_fast(self, length, what):
+        # refused before the grid or the n x n tables are allocated
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match=re.escape(what) + r".* would take "
+                           r"[\d,]+ bytes, above the 536,870,912-byte table budget"):
+            build_sft(2, ["0" * length])
+        assert time.perf_counter() - start < 1.0
+
+    def test_largest_sft_within_budget_builds(self):
+        assert build_sft(2, ["0" * 14]).n_states == 8192
 
     def test_pruning_drops_dead_ends(self):
         # forbidding 00 and 01 kills symbol 0 entirely
@@ -191,13 +209,14 @@ class TestAdmissible:
         assert sft.is_admissible(word) == (
             reference_walk(sft.factor_dfa(), word.symbols) >= 0)
 
-    @pytest.mark.parametrize("index", range(8))
+    @pytest.mark.parametrize("index", range(10))
     @given(data=st.data())
     @settings(max_examples=40)
-    def test_pieces_match_walk(self, supports, index, data):
+    def test_pieces_match_walk(self, supports, wide_codes, index, data):
         # pieces shorter and longer than k, empty ones, admissible ones
-        # next to inadmissible ones, and symbols off the alphabet
-        sft = supports[index]
+        # next to inadmissible ones, and symbols off the alphabet; the
+        # last SFTs' (k+1)-window codes are uint16, the others' uint8
+        sft = (supports + wide_codes)[index]
         m, dfa = sft.alphabet_size, sft.factor_dfa()
         pieces = []
         for _ in range(data.draw(st.integers(0, 6), label="pieces")):

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from shiftcode.codec import lz78_entropy
 from shiftcode.errors import ParameterError
+from shiftcode.interp import interpolate
 from shiftcode.measures import MarkovMeasure
-from shiftcode.shiftspace import Word, build_sft
-from shiftcode.splicer import (Skeleton, skeleton_params, splice_entropy_boost,
-                               splice_full_support)
+from shiftcode.shiftspace import Word, build_sft, specification_gap
+from shiftcode.splicer import (Skeleton, _plan, skeleton_params,
+                               splice_entropy_boost, splice_full_support)
 
 from conftest import (greedy_parse, reference_skeleton_blocks,
-                      reference_skeleton_symbols)
+                      reference_skeleton_symbols, reference_splice_plan)
 
 
 class TestSkeletonParams:
@@ -54,7 +55,7 @@ class TestSkeletonLegality:
         kinds = greedy_parse(sk)
         assert set(kinds) <= {"short", "long"}
         # round-trip: rebuild from the parse and compare
-        short, long_ = Skeleton._blocks(kind, params)
+        short, long_ = reference_skeleton_blocks(kind, params)
         rebuilt = np.concatenate([long_ if k == "long" else short for k in kinds])
         assert np.array_equal(rebuilt, sk.symbols)
 
@@ -65,16 +66,17 @@ class TestSkeletonLegality:
         # short = 1^a 0^b 2^c 0^b and long = 1^(a+1) + short[a:] for both
         # families, against the blocks built per kind
         params = (a, b, c) if kind == "boost" else (b + 2 * a, a)
-        got = Skeleton._blocks(kind, params)
+        runs = Skeleton._run_lengths(kind, params)
+        got = [np.repeat(np.array([1, 0, 2, 0], np.uint8), runs + extra)
+               for extra in ([0, 0, 0, 0], [1, 0, 0, 0])]
         for blk, want in zip(got, reference_skeleton_blocks(kind, params)):
-            assert blk.dtype == want.dtype
             assert np.array_equal(blk, want)
 
     def test_support_blocks_need_a_one(self):
         with pytest.raises(ParameterError, match="need N - 2M >= 1"):
-            Skeleton._blocks("support", (4, 2))
+            Skeleton._run_lengths("support", (4, 2))
         with pytest.raises(ValueError, match="unknown skeleton kind"):
-            Skeleton._blocks("other", (4, 1))
+            Skeleton._run_lengths("other", (4, 1))
 
     @given(kind=st.sampled_from(["boost", "support"]),
            a=st.integers(1, 6), b=st.integers(1, 40), c=st.integers(0, 12),
@@ -116,7 +118,6 @@ class TestEntropyBoost:
     def test_agreement_and_admissibility(self, sft_zoo):
         for sft in sft_zoo:
             nu = MarkovMeasure.uniform(sft)
-            from shiftcode.shiftspace import specification_gap
             L = specification_gap(sft)
             sk = Skeleton.sample("boost", (max(3, L), 40, 10), 2, 3000)
             y1 = nu.sample_path(len(sk), seed=1)
@@ -210,3 +211,47 @@ class TestFullSupport:
         with pytest.raises(ParameterError):   # inadmissible target
             splice_full_support(golden_mean, y1, Word.from_string("11011"),
                                 N=50, M=4, seed=1, length=1000)
+
+
+class TestPlan:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_plan_matches_reference(self, sft_zoo, data):
+        # both kinds, target radius 0 and 1, y1 and y2 starting before 0:
+        # the plan comes out sorted and equals the reference once that is
+        # validated, and the splice interpolates the reference plan
+        sft = sft_zoo[data.draw(st.integers(0, len(sft_zoo) - 1), label="sft")]
+        nu, gap = MarkovMeasure.uniform(sft), specification_gap(sft)
+        kind = data.draw(st.sampled_from(["boost", "support"]), label="kind")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        length = data.draw(st.integers(1, 600), label="length")
+        lo = data.draw(st.integers(-5, 0), label="y1 lo")
+        if kind == "boost":
+            params = (gap + data.draw(st.integers(0, 3)), data.draw(st.integers(1, 20)),
+                      data.draw(st.integers(1, 10)))
+            min_gap = params[0]
+        else:
+            radius = data.draw(st.integers(0, 1), label="radius")
+            M = gap + radius + data.draw(st.integers(0, 2))
+            params = (2 * M + data.draw(st.integers(1, 20)), M)
+            min_gap = M - radius
+        sk = Skeleton.sample(kind, params, seed, length)
+        n = len(sk)
+        y1 = Word(nu.sample_path(n + 3 - lo, seed=(seed, 1)).symbols, lo)
+        if kind == "boost":
+            planted = Word(nu.sample_path(n + 2, seed=(seed, 2)).symbols,
+                           data.draw(st.integers(-2, 0), label="y2 lo"))
+        else:
+            planted = Word(y1.symbols[:2 * radius + 1])
+        plan = _plan(sk, y1, planted, min_gap)
+        assert (np.diff(plan.starts) > 0).all()
+        want = reference_splice_plan(sk, y1, planted, min_gap)
+        want.validate()
+        plan.validate()
+        for field in ("lo", "hi", "starts", "lengths", "symbols", "min_gap"):
+            assert np.array_equal(getattr(plan, field), getattr(want, field))
+        if kind == "boost":
+            got = splice_entropy_boost(sft, y1, planted, sk)
+        else:
+            got = splice_full_support(sft, y1, planted, *params, seed, length=length)
+        assert got == interpolate(sft, want)
