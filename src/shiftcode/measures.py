@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ReducibleChainError
-from .shiftspace import Sft, Word, power_squares
+from .shiftspace import Sft, Word, adjacency_matrix, reach_levels
 
 _ROW_TOL = 1e-12
 SAMPLE_CHUNK = 1 << 15     # uniforms drawn per rng.random call
@@ -39,7 +39,10 @@ def stationary_vector(transition: np.ndarray) -> np.ndarray:
         raise ValueError(f"row {np.argmin(finite)} has an entry that is not finite")
     if np.any(np.abs(p.sum(axis=1) - 1.0) > _ROW_TOL) or np.any(p < 0):
         raise ValueError("rows must be non-negative and sum to 1")
-    _check_irreducible(p)
+    pair = reach_levels(np.where(p > 0, np.arange(n), -1))[1]
+    if pair is not None:
+        raise ReducibleChainError(
+            f"reducible: state {pair[0]} does not communicate with state {pair[1]}")
     # solve pi (P - I) = 0 with sum(pi) = 1 via a bordered dense system
     a = np.vstack([(p.T - np.eye(n)), np.ones((1, n))])
     b = np.zeros(n + 1)
@@ -53,15 +56,6 @@ def stationary_vector(transition: np.ndarray) -> np.ndarray:
     return pi
 
 
-def _check_irreducible(p: np.ndarray) -> None:
-    # (I + A)^(n-1) is positive iff every state reaches every other
-    reach = power_squares((p > 0) | np.eye(len(p), dtype=bool), len(p))[-1]
-    if not reach.all():
-        i, j = np.argwhere(~reach)[0]
-        raise ReducibleChainError(
-            f"reducible: state {i} does not communicate with state {j}")
-
-
 class MarkovMeasure:
     """A stationary Markov measure on the recoded states of an SFT."""
 
@@ -69,7 +63,7 @@ class MarkovMeasure:
         p = np.asarray(transition, dtype=np.float64)
         if p.shape != (sft.n_states, sft.n_states):
             raise ValueError("transition matrix must match the SFT state count")
-        support_ok = (p > 0) <= (sft.adjacency > 0)
+        support_ok = (p > 0) <= adjacency_matrix(sft)
         if not support_ok.all():
             i, j = np.argwhere(~support_ok)[0]
             raise ValueError(f"transition {i}->{j} positive but not allowed by the SFT")
@@ -98,7 +92,7 @@ class MarkovMeasure:
     @classmethod
     def uniform(cls, sft: Sft) -> "MarkovMeasure":
         """Equal weight on the allowed transitions out of every state."""
-        adj = sft.adjacency.astype(np.float64)
+        adj = adjacency_matrix(sft)
         return cls(sft, adj / adj.sum(axis=1, keepdims=True))
 
     def log_cylinder_probability(self, word: Word) -> float:

@@ -1,8 +1,8 @@
-"""Shifts of finite type: words, adjacency structure, entropy, mixing gap.
+"""Shifts of finite type: words, step tables, entropy, mixing gap.
 
 Every SFT is recoded internally to a memory-1 vertex shift whose vertices
-are the admissible k-words (k = max(memory, 1)); all matrix computations
-run on that form.
+are the admissible k-words (k = max(memory, 1)); every graph computation
+reads its one (n_states, m) step table, or a matrix scattered from it.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from .errors import CoverageError, EmptySftError, NotMixingError, ParameterError
 MAX_TEXT_ALPHABET = 10  # text format writes symbols as single digits
 # Bytes an SFT's largest table may take before it is built, counted at 8
 # bytes an entry: the (k+1)-word grid (whose m^k state index is intp) and
-# the dense n_states x n_states float64 matrix of topological_entropy,
-# which also bounds the mixing gap's float32 squares.  512 MiB admits the
-# 8,192 states of ``forbid 0^14`` and refuses the 65,536 of ``forbid 0^17``
-# before numpy fails on a multi-GiB allocation.
+# the n_states^2 arrays of a Markov measure and of a reducible shift's
+# entropy eigensolve, which also bound the gap's n_states^2 / 8-byte reach
+# rows.  512 MiB admits the 8,192 states of ``forbid 0^14`` and refuses
+# the 65,536 of ``forbid 0^17`` before numpy fails on a multi-GiB allocation.
 MAX_TABLE_BYTES = 1 << 29
 
 
@@ -151,7 +151,6 @@ class Sft:
     states : tuple of admissible k-words, k = max(memory, 1), in lex order
     state_codes : base-m codes of the states, ascending
     last_symbol : uint8 array, the last symbol of each state
-    adjacency : 0/1 matrix over states
     """
 
     def __init__(self, alphabet_size: int, forbidden=()):
@@ -205,9 +204,6 @@ class Sft:
         # step[state][symbol] -> next state index or -1
         out = codes[:, None] * m + np.arange(m)
         self._step = np.where(edges[out], self._index[out % n_codes], -1)
-        self.adjacency = np.zeros((len(codes), len(codes)), dtype=np.uint8)
-        rows, syms = np.nonzero(self._step >= 0)
-        self.adjacency[rows, self._step[rows, syms]] = 1
         # the factor automaton: the length-j prefixes of states are the run
         # starts of codes // m**(k - j), numbered level by level from the
         # empty prefix to the states (level k); a prefix steps to the next
@@ -311,39 +307,47 @@ def build_sft(alphabet_size: int, forbidden_words=()) -> Sft:
     return Sft(alphabet_size, forbidden_words)
 
 
+def reach_levels(succ: np.ndarray):
+    """Levels breadth-first from state 0 over a padded successor table (-1
+    for no successor) and the first row-major zero (i, j) of its reach closure
+    or None: (0, least state 0 does not reach), else (least state not reaching 0, 0)."""
+    level = np.r_[0, np.full(len(succ) - 1, -1), 0]   # the last entry, for -1, is seen
+    frontier, d = [0], 0
+    while len(frontier):
+        nxt = succ[frontier]
+        level[nxt[level[nxt] < 0]] = d + 1
+        frontier, d = np.flatnonzero(level == d + 1), d + 1
+    if (level < 0).any():
+        return level[:-1], (0, int(np.argmax(level < 0)))
+    back = np.arange(len(level)) == 0    # the last entry, for -1, stays False
+    while not np.array_equal(back[:-1], grown := back[:-1] | back[succ].any(axis=1)):
+        back[:-1] = grown
+    return level[:-1], (None if back[:-1].all() else (int(np.argmin(back)), 0))
+
+
+def adjacency_matrix(sft: Sft) -> np.ndarray:
+    """The bool n x n edge matrix, for an eigensolve and MarkovMeasure only."""
+    a = np.zeros((sft.n_states, sft.n_states), dtype=bool)
+    a[np.nonzero(sft._step >= 0)[0], sft._step[sft._step >= 0]] = True
+    return a
+
+
 def topological_entropy(sft: Sft) -> float:
-    """log of the Perron eigenvalue of the adjacency matrix, in nats.
-
-    Power iteration on A + I with the Collatz-Wielandt bracket, which
-    certifies the eigenvalue for primitive matrices; a dense eigensolve
-    backs up the rare non-primitive (still essential) cases.
-    """
-    a = sft.adjacency.astype(np.float64)
-    n = a.shape[0]
-    if n == 1:
-        return math.log(float(a[0, 0])) if a[0, 0] > 1 else 0.0
-    b = a + np.eye(n)
-    x = np.full(n, 1.0 / n)
-    for _ in range(100_000):
-        y = b @ x
-        ratios = y / x
-        lo, hi = ratios.min(), ratios.max()
-        x = y / y.sum()
-        if hi - lo <= 1e-13 * hi:
-            return math.log(0.5 * (lo + hi) - 1.0)
-    rho = max(ev.real for ev in np.linalg.eigvals(a))
-    return math.log(rho) if rho > 1.0 else 0.0
-
-
-def power_squares(a: np.ndarray, bound: int) -> list:
-    """``[a, a^2, a^4, ...]`` as bool matrices, squared until a power is
-    all positive or its exponent reaches ``bound``; a square is a float32
-    (BLAS) product, whose rounding cannot turn a positive sum to zero."""
-    squares = [np.asarray(a, dtype=bool)]
-    while not squares[-1].all() and 2 ** (len(squares) - 1) < bound:
-        f = squares[-1].astype(np.float32)
-        squares.append(f @ f > 0)
-    return squares
+    """log of the Perron eigenvalue of A, in nats: power iteration on A + I by
+    gathers over the step table, certified by the Collatz-Wielandt bracket when
+    the shift is irreducible; else a dense eigensolve, read as 0 for disjoint
+    cycles (one successor a state), on which eigvals can err by an ulp."""
+    if reach_levels(sft._step)[1] is None:
+        x = np.append(np.full(sft.n_states, 1.0 / sft.n_states), 0.0)   # -1 reads 0
+        for _ in range(100_000):
+            y = x[:-1] + x[sft._step].sum(axis=1)
+            ratios = y / x[:-1]
+            lo, hi = ratios.min(), ratios.max()
+            x[:-1] = y / y.sum()
+            if hi - lo <= 1e-13 * hi:
+                return math.log(0.5 * (lo + hi) - 1.0)
+    rho = max(ev.real for ev in np.linalg.eigvals(adjacency_matrix(sft)))
+    return math.log(rho) if rho > 1.0 and (sft._step >= 0).sum(axis=1).max() > 1 else 0.0
 
 
 def specification_gap(sft: Sft) -> int:
@@ -351,21 +355,23 @@ def specification_gap(sft: Sft) -> int:
 
     For any admissible u, v and any g >= L there is a connecting word w of
     length exactly g with u w v admissible; see interp.connect_words.
-    A is primitive iff A^((n-1)^2+1) > 0 (Wielandt 1950).  As every state
-    of the pruned shift has an in-edge, A^p > 0 implies A^(p+1) > 0, so
-    the least p is found by walking down the squares: keep a non-positive
-    A^p, adding 2^j while A^(p+2^j) stays non-positive."""
-    if sft._gap is not None:
-        return sft._gap
-    squares = power_squares(sft.adjacency, (sft.n_states - 1) ** 2 + 1)
-    if not squares[-1].all():
-        raise NotMixingError("adjacency matrix is not primitive: not mixing")
-    p, power = 0, np.eye(sft.n_states, dtype=np.float32)
-    for j in reversed(range(len(squares) - 1)):
-        step = power @ squares[j].astype(np.float32) > 0
-        if not step.all():
-            p, power = p + 2 ** j, step.astype(np.float32)
-    sft._gap = p + 1
+    A is primitive iff irreducible with period 1, the gcd of level[u] + 1 -
+    level[v] over its edges (u, v); then bit-packed rows of the states reachable
+    in exactly p steps are walked from A, p = 1, 2, ..., until every row is full."""
+    if sft._gap is None:
+        step, n = sft._step, sft.n_states
+        level, pair = reach_levels(step)
+        period = np.gcd.reduce((level[:, None] + 1 - level[step])[step >= 0])
+        if pair is not None or period != 1:
+            raise NotMixingError("adjacency matrix is not primitive: not mixing")
+        full = np.packbits(np.ones(n, dtype=bool))
+        walk = np.zeros((n + 1, len(full)), dtype=np.uint8)   # row n: a -1 step
+        walk[np.arange(n), np.arange(n) >> 3] = 128 >> (np.arange(n) & 7)   # I
+        p = 0
+        while p == 0 or not (walk[:n] == full).all():
+            walk[:n] = np.bitwise_or.reduce(walk[step], axis=1)
+            p += 1
+        sft._gap = p
     return sft._gap
 
 

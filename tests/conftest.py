@@ -85,9 +85,15 @@ LOG2 = math.log(2)
 GOLDEN_ENTROPY = math.log((1 + math.sqrt(5)) / 2)
 
 
+def reference_adjacency(sft):
+    """The SFT's 0/1 state matrix by the per-state construction of
+    reference_sft_tables, independent of the library's step table."""
+    return reference_sft_tables(sft.alphabet_size, sft.forbidden)["adjacency"]
+
+
 def markov_on_support(sft, weights):
     """Markov measure with the given positive weights on the SFT's edges."""
-    p = sft.adjacency * np.asarray(weights, dtype=np.float64)
+    p = reference_adjacency(sft) * np.asarray(weights, dtype=np.float64)
     return MarkovMeasure(sft, p / p.sum(axis=1, keepdims=True))
 
 
@@ -436,7 +442,7 @@ def reference_specification_gap(sft):
     power, up to Wielandt's (n-1)^2 + 1, the first all-positive power
     wins; raises NotMixingError past it."""
     from shiftcode.errors import NotMixingError
-    a = sft.adjacency.astype(bool)
+    a = reference_adjacency(sft).astype(bool)
     n = a.shape[0]
     p = a.copy()
     for power in range(1, (n - 1) ** 2 + 2):
@@ -444,6 +450,43 @@ def reference_specification_gap(sft):
             return power
         p = (p.astype(np.uint16) @ a.astype(np.uint16)) > 0
     raise NotMixingError("adjacency matrix is not primitive: not mixing")
+
+
+def reference_topological_entropy(sft):
+    """Reference for shiftspace.topological_entropy: power iteration on the
+    dense A + I with the Collatz-Wielandt bracket, up to 100,000 products,
+    then a dense eigensolve.  Division warnings are silenced: on a
+    reducible shift a transient state's mass can underflow to 0."""
+    a = reference_adjacency(sft).astype(np.float64)
+    n = a.shape[0]
+    if n == 1:
+        return math.log(float(a[0, 0])) if a[0, 0] > 1 else 0.0
+    b = a + np.eye(n)
+    x = np.full(n, 1.0 / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100_000):
+            y = b @ x
+            ratios = y / x
+            lo, hi = ratios.min(), ratios.max()
+            x = y / y.sum()
+            if hi - lo <= 1e-13 * hi:
+                return math.log(0.5 * (lo + hi) - 1.0)
+    rho = max(ev.real for ev in np.linalg.eigvals(a))
+    return math.log(rho) if rho > 1.0 else 0.0
+
+
+def reference_reach_pair(p):
+    """The first row-major pair (i, j) with no path from i to j in the
+    chain with transition matrix p, from the boolean closure of I + (p > 0)
+    squared to a fixed point, or None when it is irreducible."""
+    reach = (np.asarray(p) > 0) | np.eye(len(p), dtype=bool)
+    while True:
+        closed = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    zeros = np.argwhere(~reach)
+    return tuple(int(v) for v in zeros[0]) if len(zeros) else None
 
 
 def halmos_oracle(n: int, m: int) -> bool:

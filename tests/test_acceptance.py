@@ -27,7 +27,8 @@ from shiftcode.splicer import skeleton_params, splice_full_support
 from shiftcode.toral import (classify, halmos_membership,
                              is_quasi_hyperbolic, toral_entropy)
 
-from conftest import brute_max_matching, halmos_oracle, plan_from_words
+from conftest import (brute_max_matching, halmos_oracle, plan_from_words,
+                      reference_adjacency)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,7 +66,7 @@ def test_entropy_anchors():
         # the factor-language count carries a log(c)/n offset ~4e-3 and
         # is checked at the coarser module tolerance elsewhere
         periodic = int(np.trace(np.linalg.matrix_power(
-            gm.adjacency.astype(np.int64), 40)))
+            reference_adjacency(gm).astype(np.int64), 40)))
         assert abs(h - math.log(periodic) / 40) < 1e-3
         assert abs(h - math.log(count_words(gm, 40)) / 40) < 0.02
 

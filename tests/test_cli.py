@@ -31,6 +31,7 @@ def cli(*args):
 
 GOLDEN_CASES = {
     "entropy_full2.txt": ["entropy", "--sft", str(DATA / "full2.sft")],
+    "entropy_gm.txt": ["entropy", "--sft", str(DATA / "gm.sft")],
     "gap_gm.txt": ["gap", "--sft", str(DATA / "gm.sft")],
     "marker_full2.txt": ["marker", "--sft", str(DATA / "full2.sft"),
                          "--measure", str(DATA / "b5.msr"), "--M", "2",

@@ -13,7 +13,8 @@ from shiftcode.measures import (MarkovMeasure, parse_measure,
                                 serialize_measure, stationary_vector)
 from shiftcode.shiftspace import Word, build_sft, enumerate_words
 
-from conftest import LOG2, markov_on_support, reference_sample_path
+from conftest import (LOG2, markov_on_support, reference_reach_pair,
+                      reference_sample_path)
 
 # -(0.1 log 0.1 + 0.9 log 0.9), evaluated directly
 H_01 = 0.3250829733914482
@@ -72,6 +73,27 @@ class TestStationary:
     def test_bernoulli_rows_checked(self, probs):
         with pytest.raises(ValueError):
             MarkovMeasure.bernoulli(probs)
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n,
+                 max_size=n),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n))))
+    @settings(max_examples=300)
+    def test_reducible_names_closure_pair(self, inputs):
+        # a random support, with one forced entry a row so that every row
+        # has mass; reducible and irreducible chains both occur
+        support, forced = inputs
+        n = len(support)
+        p = np.array(support, dtype=np.float64)
+        p[np.arange(n), forced] = 1.0
+        p /= p.sum(axis=1, keepdims=True)
+        pair = reference_reach_pair(p)
+        if pair is None:
+            stationary_vector(p)
+            return
+        with pytest.raises(ReducibleChainError,
+                           match=f"state {pair[0]} does not communicate with state {pair[1]}$"):
+            stationary_vector(p)
 
     def test_large_reducible_refused_fast(self):
         # 512 states; nine 0s in a row are never left

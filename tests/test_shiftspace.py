@@ -19,7 +19,8 @@ from shiftcode.shiftspace import (Sft, Word, WindowMetricParams, build_sft,
 
 from conftest import (GOLDEN_ENTROPY, LOG2, reference_factor_dfa,
                       reference_specification_gap,
-                      reference_sft_tables, reference_walk)
+                      reference_sft_tables, reference_topological_entropy,
+                      reference_walk)
 
 
 def brute_words(sft, n):
@@ -83,12 +84,15 @@ class TestBuild:
     def test_full_shift(self, full2):
         assert full2.memory == 0
         assert full2.alphabet_size == 2
-        assert np.array_equal(full2.adjacency, np.ones((2, 2), dtype=np.uint8))
+        assert full2._step.tolist() == [[0, 1], [0, 1]]
 
     def test_golden_mean(self, golden_mean):
         assert golden_mean.memory == 1
-        assert np.array_equal(golden_mean.adjacency,
-                              np.array([[1, 1], [1, 0]], dtype=np.uint8))
+        assert golden_mean._step.tolist() == [[0, 1], [0, -1]]
+
+    def test_no_dense_matrix(self, golden_mean):
+        # the step table is the one graph table an Sft keeps
+        assert not hasattr(golden_mean, "adjacency")
 
     def test_empty(self):
         with pytest.raises(EmptySftError):
@@ -149,11 +153,9 @@ class TestTables:
         sft = Sft(m, forbidden)
         assert sft.states == want["states"]
         for name, got in [("state_codes", sft.state_codes),
-                          ("last_symbol", sft.last_symbol),
-                          ("adjacency", sft.adjacency), ("step", sft._step)]:
+                          ("last_symbol", sft.last_symbol), ("step", sft._step)]:
             assert got.dtype == want[name].dtype, name
             assert np.array_equal(got, want[name]), name
-        assert sft.adjacency.flags.c_contiguous
 
     @given(data=st.data())
     @settings(max_examples=200)
@@ -259,12 +261,63 @@ class TestAdmissible:
             sft.states_ending_in([0] * (sft.k + 1))
 
 
+# alphabets of 1-4 symbols, at most 16 states: words of length 1-5 over
+# 1-2 symbols, 1-3 over 3-4
+GAP_INPUTS = st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.lists(st.integers(0, m - 1), min_size=1,
+                      max_size=5 if m <= 2 else 3).map(tuple),
+             max_size=5)))
+
+
 class TestEntropy:
     def test_full2_anchor(self, full2):
         assert abs(topological_entropy(full2) - LOG2) < 1e-10
 
     def test_single_loop(self):
         assert topological_entropy(build_sft(1, [])) == 0.0
+
+    @given(GAP_INPUTS)
+    @example((2, [(1, 0)]))               # reducible: 0 reaches 1, not back
+    @example((2, [(0, 1), (1, 0)]))       # reducible: two fixed points
+    @example((2, [(1, 0, 0)]))            # reducible: a fixed point feeds a mixing part
+    @example((2, [(0, 0), (1, 1)]))       # period 2
+    @settings(max_examples=150)
+    def test_matches_reference(self, inputs):
+        m, forbidden = inputs
+        try:
+            sft = Sft(m, forbidden)
+        except EmptySftError:
+            return
+        got, want = topological_entropy(sft), reference_topological_entropy(sft)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert f"{got:.12g}" == f"{want:.12g}"
+
+    @pytest.mark.parametrize("length", [7, 14, 18])
+    def test_disjoint_cycles_exactly_zero(self, length):
+        # a cycle through symbols 0..length-1 beside a fixed point: reducible,
+        # and the eigensolve reads its Perron root 1 as 1 + 2^-51 or so
+        allowed = {(i, (i + 1) % length) for i in range(length)} | {(length, length)}
+        sft = build_sft(length + 1, [(a, b) for a in range(length + 1)
+                                     for b in range(length + 1) if (a, b) not in allowed])
+        assert topological_entropy(sft) == 0.0 == reference_topological_entropy(sft)
+
+    def test_large_shift_fast(self):
+        # 8,192 states: the dense A + I product took seconds
+        sft = build_sft(2, ["0" * 14])
+        start = time.perf_counter()
+        h = topological_entropy(sft)
+        assert time.perf_counter() - start < 0.5
+        assert abs(h - LOG2) < 1e-4
+
+    def test_large_reducible_fast(self):
+        # 512 states; nine 0s in a row are never left: straight to the
+        # eigensolve, with no power iteration that cannot settle
+        sft = build_sft(2, ["0000000001"])
+        start = time.perf_counter()
+        h = topological_entropy(sft)
+        assert time.perf_counter() - start < 2.0
+        assert 0 < h < LOG2
 
     def test_golden_mean_vs_count(self, golden_mean):
         # derived cross-check at n = 40 against exhaustive-style counting
@@ -284,15 +337,6 @@ class TestEntropy:
         assert abs(c41 / c40 - math.exp(h)) < 1e-4 * math.exp(h)
 
 
-# alphabets of 1-4 symbols, at most 16 states: words of length 1-5 over
-# 1-2 symbols, 1-3 over 3-4
-GAP_INPUTS = st.integers(1, 4).flatmap(lambda m: st.tuples(
-    st.just(m),
-    st.lists(st.lists(st.integers(0, m - 1), min_size=1,
-                      max_size=5 if m <= 2 else 3).map(tuple),
-             max_size=5)))
-
-
 class TestSpecificationGap:
     def test_anchors(self, full2, golden_mean):
         assert specification_gap(full2) == 1
@@ -302,6 +346,38 @@ class TestSpecificationGap:
     def test_not_mixing(self):
         with pytest.raises(NotMixingError):
             specification_gap(build_sft(2, ["00", "11"]))
+
+    def test_one_state(self):
+        # A = [[1]]: the walk starts from A, so the gap is 1 (from I it is 0)
+        assert specification_gap(build_sft(1, [])) == 1
+        assert specification_gap(build_sft(2, ["1"])) == 1
+
+    @staticmethod
+    def wielandt(a):
+        """a + 1 states whose gap reaches Wielandt's bound a^2 + 1: ones
+        apart by a - 1 or a zeros, cycles of lengths a and a + 1."""
+        return build_sft(2, ["11"] + ["1" + "0" * j + "1" for j in range(1, a - 1)]
+                         + ["0" * (a + 1)])
+
+    @pytest.mark.parametrize("a", [2, 3, 4, 5, 6, 8])
+    def test_wielandt_bound_matches_reference(self, a):
+        sft = self.wielandt(a)
+        assert sft.n_states == a + 1
+        assert specification_gap(sft) == reference_specification_gap(sft) == a * a + 1
+
+    def test_wielandt_bound_long_walk(self):
+        sft = self.wielandt(20)
+        assert sft.n_states == 21
+        start = time.perf_counter()
+        assert specification_gap(sft) == 401
+        assert time.perf_counter() - start < 2.0
+
+    def test_large_mixing_fast(self):
+        # 8,192 states: the float32 squares took seconds
+        sft = build_sft(2, ["0" * 14])
+        start = time.perf_counter()
+        assert specification_gap(sft) == 14
+        assert time.perf_counter() - start < 2.0
 
     @given(GAP_INPUTS)
     @example((2, [(0, 0), (1, 1)]))       # period 2
