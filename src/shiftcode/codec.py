@@ -13,11 +13,11 @@ Block layout, for an N-block starting at n with the dictionary flag:
 Girl-flagged blocks carry a random girl in the info region and no marker;
 non-boy and unit error blocks are pure filler and are unrecoverable by
 design.  The encoder builds its segment plan as arrays (``block_plan``:
-the girl rows of one batched unrank, the marker tiled once per
-dictionary-flagged block) and interpolates it in one call.  After
-interpolation it rewrites any filler that happens to reproduce the
-marker, so every marker occurrence in the output is a planted one and
-offset recovery is exact.
+the girl rows of one batched unrank and the marker, once per
+dictionary-flagged block, written at their coordinates) and interpolates
+it in one call.  After interpolation it rewrites any filler that happens
+to reproduce the marker, so every marker occurrence in the output is a
+planted one and offset recovery is exact.
 """
 
 from __future__ import annotations
@@ -172,22 +172,23 @@ def block_plan(lo: int, hi: int, boys_at: np.ndarray, girl_rows: np.ndarray,
 
     The boy block at ``boys_at[i]`` = n carries girl row i at n + M; when
     ``flagged[i]`` it also carries the marker at n + N - 9M and is
-    recoverable on [n, n + N).  The plan's arrays come out sorted: each
-    block's girl row, then its marker if flagged.
+    recoverable on [n, n + N).  Girl rows, markers and mask rows fill
+    writeable windows of zeroed arrays; the segments come out sorted.
     """
     N, M = pack.N, pack.M
     marker = scheme.word.symbols
     width = girl_rows.shape[1]
-    rows = np.empty((len(boys_at), width + len(marker)), dtype=np.uint8)
-    rows[:, :width], rows[:, width:] = girl_rows, marker
-    keep = np.ones(rows.shape, dtype=bool)
-    keep[~flagged, width:] = False
     starts = boys_at[:, None] + [pack.info_region[0], pack.marker_offset]
+    symbols, mask = np.zeros(hi - lo, dtype=np.uint8), np.zeros(hi - lo, dtype=bool)
+    for out, at, rows in ((symbols, starts[:, 0], girl_rows),
+                          (symbols, starts[flagged, 1], marker),
+                          (mask, boys_at[flagged], np.ones(N, dtype=bool))):
+        if len(at):     # row i fills the window at at[i]; the windows are disjoint
+            np.lib.stride_tricks.sliding_window_view(
+                out, rows.shape[-1], writeable=True)[at - lo] = rows
     has = np.column_stack([np.ones(len(boys_at), dtype=bool), flagged])
     lengths = np.broadcast_to([width, len(marker)], starts.shape)
-    plan = SegmentPlan(lo, hi, starts[has], lengths[has], rows[keep], min_gap=M)
-    mask = np.zeros(hi - lo, dtype=bool)
-    mask[spans(boys_at[flagged] - lo, np.full(int(flagged.sum()), N))] = True
+    plan = SegmentPlan(lo, hi, starts[has], lengths[has], symbols, min_gap=M)
     return plan, mask
 
 
@@ -471,7 +472,7 @@ def read_coded(text: str):
         key, *value = line.split(None, 1) or [""]
         if key in ("pack", "dict", "marker", "base"):
             header[key] = "".join(value)
-        elif value or (key and not key.isdecimal()):
+        elif value or (key and not (key.isascii() and key.isdigit())):
             raise ShiftcodeError(
                 f"line {n} is neither a header line nor a line of digits")
         else:

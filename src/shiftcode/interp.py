@@ -1,19 +1,19 @@
 """Constructive specification for mixing SFTs: splice planned orbit
 segments, separated by sufficient gaps, into one admissible word.
 
-A plan holds its segments as arrays: start and length per segment and
-their symbols end to end.  A connector is a path through the SFT's
-factor automaton from the node the left context's last k symbols reach
-to a node that can read the right context's first k; bool reach rows,
-exact per remaining length, say which symbols can still finish.  The
-least connector takes the least such symbol at every step and never
-backtracks: past the rows' fixed point that choice is a fixed map
-node -> (symbol, next node), whose walk turns periodic within n_nodes
-steps and is tiled.  :func:`iter_connectors` walks depth-first in lex
-order for the later connectors.  Interpolation checks all planned
-segments in one window pass, scatters them into one output array and
-fills the gaps in dependency waves, with one memo lookup per distinct
-gap key and one gather per wave.
+A plan holds its segments as arrays: start and length per segment, and
+the symbols of its range, each segment's at its own coordinates.  A
+connector is a path through the SFT's factor automaton from the node the
+left context's last k symbols reach to a node that can read the right
+context's first k; bool reach rows, exact per remaining length, say
+which symbols can still finish.  The least connector takes the least
+such symbol at every step and never backtracks: past the rows' fixed
+point that choice is a fixed map node -> (symbol, next node), whose walk
+turns periodic within n_nodes steps and is tiled.
+:func:`iter_connectors` walks depth-first in lex order for the later
+connectors.  Interpolation copies the plan's symbols, checks every
+segment in one window pass and fills the gaps in dependency waves, with
+one memo lookup per distinct gap key and one gather per wave.
 """
 
 from __future__ import annotations
@@ -45,26 +45,28 @@ class SegmentPlan:
     """Orbit segments to realize verbatim inside one admissible word.
 
     Segment i covers [starts[i], starts[i] + lengths[i]) in absolute
-    coordinates inside [lo, hi), and its symbols are the next lengths[i]
-    entries of ``symbols``.  Gaps between consecutive segments must be at
-    least ``min_gap``.
+    coordinates inside [lo, hi).  ``symbols`` holds the hi - lo symbols
+    of [lo, hi), each segment's at its own coordinates; entries outside
+    the segments are ignored.  Gaps between segments are >= ``min_gap``.
     """
 
     lo: int
     hi: int
-    starts: np.ndarray = ()
-    lengths: np.ndarray = ()
-    symbols: np.ndarray = ()
+    starts: np.ndarray
+    lengths: np.ndarray
+    symbols: np.ndarray
     min_gap: int = 1
 
     def __post_init__(self):
         self.starts = np.asarray(self.starts, dtype=np.int64).reshape(-1)
         self.lengths = np.asarray(self.lengths, dtype=np.int64).reshape(-1)
         self.symbols = np.asarray(self.symbols, dtype=np.uint8).reshape(-1)
-        if (len(self.lengths) != len(self.starts) or (self.lengths < 0).any()
-                or self.lengths.sum() != len(self.symbols)):
-            raise ValueError("a plan needs one length >= 0 per start, "
-                             "summing to the number of symbols")
+        if len(self.lengths) != len(self.starts) or (self.lengths < 0).any():
+            raise ValueError("a plan needs one length >= 0 per start")
+        size = max(self.hi - self.lo, 0)        # an inverted range has none
+        if len(self.symbols) != size:
+            raise ValueError(f"a plan over [{self.lo}, {self.hi}) needs {size} "
+                             f"symbols, got {len(self.symbols)}")
 
     def validate(self) -> None:
         """Sort the segments by start (stable) and check the plan; the
@@ -72,11 +74,8 @@ class SegmentPlan:
         first failing check in the order of ``checks``."""
         if self.hi <= self.lo:
             raise ValueError("empty or inverted range")
-        lo, n, sym = self.starts, self.lengths, self.symbols
-        if (np.diff(lo) < 0).any():
-            order = np.argsort(lo, kind="stable")
-            sym = sym[spans((np.cumsum(n) - n)[order], n[order])]
-            lo, n = lo[order], n[order]
+        order = np.argsort(self.starts, kind="stable")
+        lo, n = self.starts[order], self.lengths[order]
         gap = lo - np.roll(lo + n, 1)       # from the previous segment's end
         later = np.arange(len(lo)) > 0
         checks = (
@@ -92,7 +91,7 @@ class SegmentPlan:
             raise ValueError(checks[int(np.argmax(failing[:, i]))][0].format(
                 lo=int(lo[i]), hi=int(lo[i] + n[i]), gap=int(gap[i]),
                 min_gap=self.min_gap))
-        self.starts, self.lengths, self.symbols = lo, n, sym
+        self.starts, self.lengths = lo, n
 
     def gaps(self, k: int):
         """``(a, b, right, head)``: the non-empty gaps [a, b) around the
@@ -236,28 +235,28 @@ def connect_words(sft: Sft, left, right, gap: int) -> Word:
 def interpolate(sft: Sft, plan: SegmentPlan) -> Word:
     """An admissible word over [lo, hi) agreeing with every planned segment.
 
-    One :meth:`Sft.admissible_pieces` pass checks every segment, one
-    index write puts them into the output array, and the gaps of
-    :meth:`SegmentPlan.gaps` are filled with lexicographically least
-    connectors.  A gap's left context is the last k symbols written
-    before it, so segments shorter than the SFT memory are still spliced
-    exactly: a gap whose left context runs into the filler before it
-    (the segment between them is shorter than k and does not start at
-    lo) waits for a later wave.  Each wave fills its gaps with
-    :func:`_fill`.
+    One :meth:`Sft.admissible_pieces` pass over the plan's symbols, cut
+    into gap, segment, ..., segment, gap, checks every segment (the odd
+    pieces); the gaps of :meth:`SegmentPlan.gaps` in a copy of the
+    symbols are then filled with lexicographically least connectors.  A
+    gap's left context is the last k symbols written before it, so
+    segments shorter than the SFT memory are still spliced exactly: a
+    gap whose left context runs into the filler before it (the segment
+    between them is shorter than k and does not start at lo) waits for a
+    later wave.  Each wave fills its gaps with :func:`_fill`.
     """
     plan.validate()
     if plan.min_gap < specification_gap(sft):
         raise ValueError("plan min_gap below the specification gap")
     k = sft.k
     starts, lengths = plan.starts - plan.lo, plan.lengths
-    if len(starts):
-        ok = sft.admissible_pieces(plan.symbols, lengths)
-        if not ok.all():
-            raise ValueError(f"planned segment at {plan.starts[int(np.argmin(ok))]} "
-                             "is not admissible")
-    out = np.empty(plan.hi - plan.lo, dtype=np.uint8)
-    out[spans(starts, lengths)] = plan.symbols
+    out = plan.symbols.copy()
+    pieces = np.diff(np.column_stack([starts, starts + lengths]).ravel(),
+                     prepend=0, append=len(out))
+    ok = sft.admissible_pieces(out, pieces)[1::2]
+    if not ok.all():
+        raise ValueError(f"planned segment at {plan.starts[int(np.argmin(ok))]} "
+                         "is not admissible")
     a, b, right, head = plan.gaps(k)
     short = np.append((lengths < k) & (starts > 0), False)
     waits = short[right - 1]        # the gap starting at lo reads the False

@@ -417,7 +417,8 @@ def parse_sft(text: str) -> Sft:
         try:
             if parts[0] == "alphabet" and len(parts) == 2:
                 alphabet = int(parts[1])
-            elif parts[0] == "forbid" and len(parts) == 2:
+            elif (parts[0] == "forbid" and len(parts) == 2
+                    and parts[1].isascii() and parts[1].isdigit()):
                 forbidden.append(parts[1])
             else:
                 raise ValueError

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .interp import SegmentPlan, interpolate, spans
+from .interp import SegmentPlan, interpolate
 from .shiftspace import Sft, Word, specification_gap
 
 
@@ -95,8 +95,8 @@ class Skeleton:
 
 def _plan(skeleton: Skeleton, y1: Word, planted: Word, min_gap: int) -> SegmentPlan:
     """The plan copying y1 on the skeleton's 1-runs and ``planted`` on its
-    2-runs (y2, or the target centred on every 2), in start order: one
-    gather from a copy of y1 with the planted symbols written over it."""
+    2-runs (y2, or the target centred on every 2), in start order: its
+    symbols are y1 with the planted symbols written over it."""
     sym, n = skeleton.symbols, len(skeleton)
     starts = np.append(0, np.flatnonzero(sym[1:] != sym[:-1]) + 1)   # the runs
     kept = sym[starts] > 0
@@ -104,13 +104,12 @@ def _plan(skeleton: Skeleton, y1: Word, planted: Word, min_gap: int) -> SegmentP
     two = sym[starts] == 2
     canvas = y1.symbols[-y1.lo:n - y1.lo].copy()
     if skeleton.kind == "boost":
-        at = spans(starts[two], lengths[two])
-        canvas[at] = planted.symbols[at - planted.lo]
+        np.copyto(canvas, planted.symbols[-planted.lo:n - planted.lo], where=sym == 2)
     else:
         starts[two] -= len(planted) // 2
         lengths[two] = len(planted)
         canvas[starts[two, None] + np.arange(len(planted))] = planted.symbols
-    return SegmentPlan(0, n, starts, lengths, canvas[spans(starts, lengths)], min_gap)
+    return SegmentPlan(0, n, starts, lengths, canvas, min_gap)
 
 
 def splice_entropy_boost(sft: Sft, y1: Word, y2: Word, skeleton: Skeleton) -> Word:

@@ -626,20 +626,25 @@ def reference_connectors(sft, left, right, gap):
 
 
 def plan_from_words(lo, hi, words=(), **options):
-    """The SegmentPlan of Words placed at their own coordinates."""
+    """The SegmentPlan of Words placed at their own coordinates: each
+    word's symbols inside [lo, hi) are written at them (a word outside
+    the range is clipped), and every other coordinate holds 0."""
     from shiftcode.interp import SegmentPlan
     words = list(words)
+    symbols = np.zeros(max(hi - lo, 0), dtype=np.uint8)
+    for w in words:
+        a, b = max(w.lo, lo), min(w.hi, hi)
+        if a < b:
+            symbols[a - lo:b - lo] = w.symbols[a - w.lo:b - w.lo]
     return SegmentPlan(lo, hi, [w.lo for w in words], [len(w) for w in words],
-                       np.concatenate([w.symbols for w in words]) if words else (),
-                       **options)
+                       symbols, **options)
 
 
 def plan_words(plan):
     """The plan's segments as Words at their coordinates, in plan order."""
     from shiftcode.shiftspace import Word
-    ends = np.cumsum(plan.lengths)
-    return [Word(plan.symbols[end - n:end], start) for start, n, end in
-            zip(plan.starts.tolist(), plan.lengths.tolist(), ends.tolist())]
+    return [Word(plan.symbols[start - plan.lo:start - plan.lo + n], start)
+            for start, n in zip(plan.starts.tolist(), plan.lengths.tolist())]
 
 
 def parse_plan(text, lo, hi, **options):
@@ -704,9 +709,9 @@ def reference_skeleton_symbols(kind, params, seed, min_length):
 
 def reference_splice_plan(skeleton, y1, planted, min_gap):
     """Reference for splicer._plan: the 1-runs and the 2-runs each found by
-    their own scan, and their segments concatenated out of start order
+    their own scan, and their segments listed out of start order
     (``SegmentPlan.validate`` sorts them)."""
-    from shiftcode.interp import SegmentPlan, spans
+    from shiftcode.shiftspace import Word
 
     def runs(value):
         edges = np.flatnonzero(np.diff(np.concatenate(
@@ -714,17 +719,13 @@ def reference_splice_plan(skeleton, y1, planted, min_gap):
         return edges[0::2], edges[1::2] - edges[0::2]
 
     (s1, n1), (s2, n2) = runs(1), runs(2)
-    ones = y1.symbols[spans(s1 - y1.lo, n1)]
+    words = [y1.window(a, a + n) for a, n in zip(s1.tolist(), n1.tolist())]
     if skeleton.kind == "boost":
-        return SegmentPlan(0, len(skeleton), np.concatenate([s1, s2]),
-                           np.concatenate([n1, n2]),
-                           np.concatenate([ones, planted.symbols[spans(s2 - planted.lo, n2)]]),
-                           min_gap=min_gap)
-    assert (n2 == 1).all()
-    return SegmentPlan(0, len(skeleton), np.concatenate([s1, s2 - len(planted) // 2]),
-                       np.concatenate([n1, np.full(len(s2), len(planted))]),
-                       np.concatenate([ones, np.tile(planted.symbols, len(s2))]),
-                       min_gap=min_gap)
+        words += [planted.window(a, a + n) for a, n in zip(s2.tolist(), n2.tolist())]
+    else:
+        assert (n2 == 1).all()
+        words += [Word(planted.symbols, a - len(planted) // 2) for a in s2.tolist()]
+    return plan_from_words(0, len(skeleton), words, min_gap=min_gap)
 
 
 def greedy_parse(skeleton):
@@ -766,21 +767,23 @@ def reference_validate(plan):
     same messages; returns the segments sorted by start."""
     if plan.hi <= plan.lo:
         raise ValueError("empty or inverted range")
-    segs = sorted(plan_words(plan), key=lambda w: w.lo)
+    segs = sorted(zip(plan.starts.tolist(), plan.lengths.tolist()),
+                  key=lambda seg: seg[0])
     prev_hi = None
-    for w in segs:
-        if len(w) == 0:
+    for lo, n in segs:
+        if n == 0:
             raise ValueError("segments must be non-empty")
-        if w.lo < plan.lo or w.hi > plan.hi:
-            raise ValueError(f"segment [{w.lo}, {w.hi}) outside range")
+        if lo < plan.lo or lo + n > plan.hi:
+            raise ValueError(f"segment [{lo}, {lo + n}) outside range")
         if prev_hi is not None:
-            gap = w.lo - prev_hi
+            gap = lo - prev_hi
             if gap < 0:
                 raise ValueError("segments overlap")
             if gap < plan.min_gap:
                 raise ValueError(f"gap {gap} below min_gap {plan.min_gap}")
-        prev_hi = w.hi
-    return segs
+        prev_hi = lo + n
+    return [Word(plan.symbols[lo - plan.lo:lo - plan.lo + n], lo)
+            for lo, n in segs]
 
 
 def reference_interpolate(sft, plan):

@@ -82,14 +82,21 @@ def test_specification_gap():
             words = []
             for n in range(1, 7):
                 words.extend(enumerate_words(sft, n))
+            triples, joined = [], []
             for u in words:
                 for v in words:
                     for gap in range(L, L + 4):
                         w = next(iter_connectors(sft, u, v, gap), None)
                         assert w is not None
-                        joined = Word(np.concatenate(
+                        triples.append((u, v, gap))
+                        joined.append(np.concatenate(
                             [u.symbols, w.symbols, v.symbols]))
-                        assert sft.is_admissible(joined)
+            # every joined word u w v in one window pass
+            ok = sft.admissible_pieces(np.concatenate(joined),
+                                       [len(j) for j in joined])
+            u, v, gap = triples[int(np.argmin(ok))]
+            assert ok.all(), (f"{u.to_string()} w {v.to_string()} at gap {gap} "
+                              "is not admissible")
 
 
 def test_estimator_convergence():

@@ -507,6 +507,8 @@ class TestEncodeDecodeFiles(object):
         ("coded", "base", "zero", "base 'zero' is not an integer"),
         ("coded", None, "01x0",
          "line 5 is neither a header line nor a line of digits"),
+        ("coded", None, "01\u06630",
+         "line 5 is neither a header line nor a line of digits"),
     ])
     def test_malformed_value_ends_in_an_error_line(self, coded_stream, tmp_path,
                                                    name, key, value, message):
@@ -606,9 +608,10 @@ class TestEncodeDecodeFiles(object):
 
     @pytest.mark.parametrize("kind, text, message", [
         ("SFT", "alphabet two\n", "line 1: cannot parse 'alphabet two'"),
+        ("SFT", "alphabet 2\nforbid 1a\n", "line 2: cannot parse 'forbid 1a'"),
         ("measure", "states 2\nrow 0.5 x\nrow 0.5 0.5\n",
          "line 2: cannot parse 'row 0.5 x'"),
-    ], ids=["sft", "measure"])
+    ], ids=["sft", "sft-forbid", "measure"])
     def test_bad_sft_or_measure_file_names_it(self, tmp_path, kind, text,
                                                message):
         bad = tmp_path / "bad.txt"

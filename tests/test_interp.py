@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from shiftcode import interp
 from shiftcode.errors import NoConnectorError
-from shiftcode.interp import connect_words, interpolate, iter_connectors
+from shiftcode.interp import (SegmentPlan, connect_words, interpolate,
+                             iter_connectors)
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import (Word, build_sft, enumerate_words,
                                   specification_gap)
@@ -291,6 +292,42 @@ def test_interpolate_matches_reference(supports, data):
     assert _outcome(interpolate, sft, plan_from_words(**plan)) == want
 
 
+@given(data=st.data())
+@settings(max_examples=200)
+def test_interpolate_ignores_unplanned_symbols_and_segment_order(supports, data):
+    # the plan's symbols off its segments may hold anything, 255 included,
+    # and its segments may be listed in any order: the word, or the error
+    # naming the first bad segment in start order, stays the same
+    sft = supports[data.draw(st.integers(0, len(supports) - 1), label="sft")]
+    m, dfa, min_gap = sft.alphabet_size, sft.factor_dfa(), specification_gap(sft)
+    lo = data.draw(st.integers(-5, 5), label="lo")
+    pos = lo + data.draw(st.sampled_from([0, 1, 3]), label="lead")
+    segments = []
+    for _ in range(data.draw(st.integers(0, 5), label="segments")):
+        n = data.draw(st.integers(1, sft.k + 3), label="length")
+        r = data.draw(st.integers(0, dfa.count(n) - 1), label="rank")
+        sym = dfa.unrank_rows(n, [r])[0]
+        if data.draw(st.integers(0, 4), label="spoil") == 0:
+            sym = np.array(data.draw(st.lists(st.integers(0, m), min_size=n,
+                                              max_size=n)), dtype=np.uint8)
+        segments.append(Word(sym, pos))
+        pos += n + min_gap + data.draw(st.integers(0, 2))
+    hi = pos + data.draw(st.integers(0, 3), label="trail")
+    want = _outcome(interpolate, sft, plan_from_words(lo, hi, segments,
+                                                      min_gap=min_gap))
+    size = max(hi - lo, 0)
+    noise = np.array(data.draw(st.lists(st.sampled_from([m, 255]) | st.integers(0, 255),
+                                        min_size=size, max_size=size), label="noise"),
+                     dtype=np.uint8)
+    for w in segments:
+        noise[w.lo - lo:w.hi - lo] = w.symbols
+    order = data.draw(st.permutations(range(len(segments))), label="order")
+    shuffled = SegmentPlan(lo, hi, [segments[i].lo for i in order],
+                           [len(segments[i]) for i in order], noise, min_gap)
+    event("error" if isinstance(want[0], type) else "word")
+    assert _outcome(interpolate, sft, shuffled) == want
+
+
 def test_interpolate_names_first_bad_segment(golden_mean):
     # plan order, not input order, decides which segment is named
     plan = plan_from_words(0, 20, [
@@ -362,6 +399,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError) as exc:
             plan.validate()
         assert str(exc.value) == message
+
+    def test_symbols_must_span_the_range(self):
+        with pytest.raises(ValueError,
+                           match=r"^a plan over \[2, 7\) needs 5 symbols, got 4$"):
+            SegmentPlan(2, 7, [3], [2], np.zeros(4, dtype=np.uint8))
 
     def test_sorts_stably_by_start(self):
         a, b, c = (Word.from_string("0", 3), Word.from_string("1", 0),

@@ -11,7 +11,7 @@ from shiftcode.shiftspace import Word, build_sft, specification_gap
 from shiftcode.splicer import (Skeleton, _plan, skeleton_params,
                                splice_entropy_boost, splice_full_support)
 
-from conftest import (greedy_parse, reference_skeleton_blocks,
+from conftest import (greedy_parse, plan_words, reference_skeleton_blocks,
                       reference_skeleton_symbols, reference_splice_plan)
 
 
@@ -248,8 +248,9 @@ class TestPlan:
         want = reference_splice_plan(sk, y1, planted, min_gap)
         want.validate()
         plan.validate()
-        for field in ("lo", "hi", "starts", "lengths", "symbols", "min_gap"):
+        for field in ("lo", "hi", "starts", "lengths", "min_gap"):
             assert np.array_equal(getattr(plan, field), getattr(want, field))
+        assert plan_words(plan) == plan_words(want)
         if kind == "boost":
             got = splice_entropy_boost(sft, y1, planted, sk)
         else:
