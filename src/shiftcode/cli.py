@@ -136,7 +136,7 @@ def read_dictionary_file(path: str):
         raise ShiftcodeError(f"dictionary file {path}: [format] names no mode")
     types = {key: {"int": int, "float": float}.get(kind, str)
              for key, kind in ParameterPack.scalar_types().items()}
-    raw = fields("pack", section("pack"), types)
+    raw = fields("pack", section("pack"), types, text=shiftspace.ascii_text)
     if set(raw) != set(types):
         raise ShiftcodeError(f"dictionary file {path}: [pack] keys missing or "
                              f"unknown: {sorted(set(raw) ^ set(types))}")
@@ -150,7 +150,7 @@ def read_dictionary_file(path: str):
     boy_set = boys(mu, pack)
     girl_set = girls(target_sft, pack, scheme)
     stored = fields("counts", sections.get("counts", []),
-                    {"boys": int, "girls": int})
+                    {"boys": int, "girls": int}, text=shiftspace.ascii_text)
     for key, count in (("boys", boy_set.count), ("girls", girl_set.count)):
         if stored and stored.get(key) != count:
             raise ShiftcodeError(
@@ -305,8 +305,9 @@ def _cmd_decode(args):
                 f"coded stream {key} header does not match the dictionary file "
                 f"(stream {args.coded}, dictionary {args.dict})")
     x_hat, mask = codec.decode(y, d, scheme, pack)
-    if args.x_out:
-        Path(args.x_out).write_text(x_hat.to_string() + "\n")
+    if args.x_out:      # a digit per coordinate, "-" where no block was recovered
+        text = np.where(mask, x_hat.symbols + ord("0"), ord("-"))    # uint8
+        Path(args.x_out).write_text(text.tobytes().decode() + "\n")
     emit_report("decode", [
         ("decoded_blocks", int(np.sum(mask)) // pack.N),
         ("mask_fraction", float(np.mean(mask)))], args.out)

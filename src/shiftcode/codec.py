@@ -29,12 +29,13 @@ import random
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dictionary import Dictionary, ParameterPack
 from .errors import EncodingCollisionError, ParameterError, ShiftcodeError
-from .interp import SegmentPlan, interpolate, iter_connectors, spans
+from .interp import SegmentPlan, interpolate, iter_connectors
 from .markers import MarkerScheme
-from .shiftspace import Sft, Word, specification_gap
+from .shiftspace import Sft, Word, ascii_text, specification_gap
 
 MAX_FILLER_REWRITES = 500
 
@@ -148,7 +149,8 @@ def encode(x: Word, dict_: Dictionary, scheme: MarkerScheme,
     # batched over all N-blocks: boy test, the dictionary's girls of the
     # dictionary-flagged boys, one girl unrank for the random-girl flags
     longs = np.flatnonzero(parse.lengths > 1)
-    blocks = x.symbols[(parse.starts[longs] - x.lo)[:, None] + np.arange(N)]
+    blocks = (sliding_window_view(x.symbols, N)[parse.starts[longs] - x.lo]
+              if len(longs) else np.zeros((0, N), dtype=np.uint8))  # x may be short
     is_boy = dict_.boys.member_rows(blocks)
     boys_at = parse.starts[longs[is_boy]]
     flags = parse.flags[longs[is_boy]]
@@ -184,8 +186,7 @@ def block_plan(lo: int, hi: int, boys_at: np.ndarray, girl_rows: np.ndarray,
                           (symbols, starts[flagged, 1], marker),
                           (mask, boys_at[flagged], np.ones(N, dtype=bool))):
         if len(at):     # row i fills the window at at[i]; the windows are disjoint
-            np.lib.stride_tricks.sliding_window_view(
-                out, rows.shape[-1], writeable=True)[at - lo] = rows
+            sliding_window_view(out, rows.shape[-1], writeable=True)[at - lo] = rows
     has = np.column_stack([np.ones(len(boys_at), dtype=bool), flagged])
     lengths = np.broadcast_to([width, len(marker)], starts.shape)
     plan = SegmentPlan(lo, hi, starts[has], lengths[has], symbols, min_gap=M)
@@ -245,11 +246,11 @@ def decode(y: Word, dict_: Dictionary, scheme: MarkerScheme,
     hits = np.array(_find_all(y.symbols.tobytes(), scheme.word.symbols.tobytes()),
                     dtype=np.int64) - pack.marker_offset
     hits = hits[(hits >= 0) & (hits + N <= len(y))]
-    windows = y.symbols[(hits + info_lo)[:, None] + np.arange(info_hi - info_lo)]
-    blocks, found = dict_.invert_rows(windows)
-    idx = spans(hits[found], np.full(int(found.sum()), N))
-    x_hat[idx] = blocks[found].reshape(-1)
-    mask[idx] = True
+    if len(hits):       # else y may be shorter than a window
+        windows = sliding_window_view(y.symbols, info_hi - info_lo)[hits + info_lo]
+        blocks, found = dict_.invert_rows(windows)
+        sliding_window_view(x_hat, N, writeable=True)[hits[found]] = blocks[found]
+        sliding_window_view(mask, N, writeable=True)[hits[found]] = True
     return Word(x_hat, y.lo), mask
 
 
@@ -478,7 +479,7 @@ def read_coded(text: str):
         else:
             digits.append(key)
     try:
-        base = int(header.get("base", 0))
+        base = int(ascii_text(header.get("base", "0")))
     except ValueError:
         raise ShiftcodeError(f"base {header['base']!r} is not an integer") from None
     return Word.from_string("".join(digits), base), header

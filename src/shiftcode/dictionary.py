@@ -657,7 +657,7 @@ class Dictionary:
 
 def _table_rows(table: dict, rows, width: int) -> np.ndarray:
     """Hall-mode lookups of uint8 rows in a string -> string table."""
-    return np.array([list(map(int, table[Word(row).to_string()]))
+    return np.array([Word.from_string(table[Word(row).to_string()]).symbols
                      for row in rows], dtype=np.uint8).reshape(-1, width)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (CoverageError, MarkerSearchError, NoMarkerExistsError,
                      ParameterError, ShiftcodeError)
 from .measures import MarkovMeasure
-from .shiftspace import Sft, Word, specification_gap, window_codes
+from .shiftspace import Sft, Word, ascii_text, specification_gap, window_codes
 
 EXHAUSTIVE_BITS = 24
 
@@ -57,7 +57,7 @@ class MarkerScheme:
             if key in fields:
                 raise ValueError(f"repeats the key {key}")
             try:
-                value = kinds[key](text) if eq else None
+                value = kinds[key](ascii_text(text)) if eq else None
                 if value is None or key != "word" and not value > 0:
                     raise ValueError
             except ValueError:

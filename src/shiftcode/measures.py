@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ReducibleChainError
-from .shiftspace import Sft, Word, adjacency_matrix, reach_levels
+from .shiftspace import Sft, Word, adjacency_matrix, ascii_text, reach_levels
 
 _ROW_TOL = 1e-12
 SAMPLE_CHUNK = 1 << 15     # uniforms drawn per rng.random call
@@ -240,9 +240,9 @@ def parse_measure(text: str, sft: Sft) -> MarkovMeasure:
         parts = line.split()
         try:
             if parts[0] == "states" and len(parts) == 2:
-                n = int(parts[1])
+                n = int(ascii_text(parts[1]))
             elif parts[0] == "row":
-                rows.append([float(v) for v in parts[1:]])
+                rows.append([float(ascii_text(v)) for v in parts[1:]])
             else:
                 raise ValueError
         except ValueError:

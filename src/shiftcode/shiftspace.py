@@ -69,7 +69,12 @@ class Word:
 
     @classmethod
     def from_string(cls, text: str, base: int = 0) -> "Word":
-        return cls(np.array([int(c) for c in text], dtype=np.uint8), base)
+        """ASCII digits to symbols; ``ValueError`` on any other character."""
+        sym = np.frombuffer(text.encode(), dtype=np.uint8) - np.uint8(ord("0"))
+        if (bad := sym > 9).any():  # wrapped below "0", or a non-ASCII byte (>= 0x80)
+            i = int(bad.argmax())   # the bytes before it are digits, a character each
+            raise ValueError(f"position {i} holds {text[i]!r}, not an ASCII digit")
+        return cls(sym, base)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -109,13 +114,15 @@ class Word:
         return Word(self.symbols, 0)
 
     def to_string(self) -> str:
-        return "".join(str(int(a)) for a in self.symbols)
+        """The symbols as ASCII digits; ``ValueError`` on a symbol above 9."""
+        if (self.symbols > 9).any():
+            raise ValueError("a symbol above 9 has no digit")
+        return (self.symbols + np.uint8(ord("0"))).tobytes().decode()
 
     def __repr__(self) -> str:
-        s = self.to_string()
-        if len(s) > 40:
-            s = s[:37] + "..."
-        return f"Word('{s}', base={self.base})"
+        sym = self.symbols[:37] if len(self) > 40 else self.symbols
+        s = Word(sym).to_string() if (sym <= 9).all() else str(sym.tolist())
+        return f"Word('{s}{'...' * (len(sym) < len(self))}', base={self.base})"
 
 
 @dataclass(frozen=True)
@@ -158,8 +165,8 @@ class Sft:
             raise ValueError("alphabet_size must be >= 1")
         canon = set()
         for w in forbidden:
-            sym = tuple(int(a) for a in (w.symbols if isinstance(w, Word) else
-                                         (int(c) for c in w) if isinstance(w, str) else w))
+            w = Word.from_string(w) if isinstance(w, str) else w
+            sym = tuple(int(a) for a in (w.symbols if isinstance(w, Word) else w))
             if len(sym) == 0:
                 raise ValueError("forbidden words must have length >= 1")
             if any(a < 0 or a >= alphabet_size for a in sym):
@@ -405,6 +412,14 @@ def enumerate_words(sft: Sft, length: int):
     return out
 
 
+def ascii_text(text: str) -> str:
+    """The text of a number field, refused (``ValueError``) unless ASCII:
+    int() and float() also read the digits of other scripts."""
+    if not text.isascii():
+        raise ValueError(f"{text!r} is not ASCII")
+    return text
+
+
 def parse_sft(text: str) -> Sft:
     """Parse the SFT text format: ``alphabet <size>`` then ``forbid <word>``."""
     alphabet = None
@@ -416,10 +431,9 @@ def parse_sft(text: str) -> Sft:
         parts = line.split()
         try:
             if parts[0] == "alphabet" and len(parts) == 2:
-                alphabet = int(parts[1])
-            elif (parts[0] == "forbid" and len(parts) == 2
-                    and parts[1].isascii() and parts[1].isdigit()):
-                forbidden.append(parts[1])
+                alphabet = int(ascii_text(parts[1]))
+            elif parts[0] == "forbid" and len(parts) == 2:
+                forbidden.append(Word.from_string(parts[1]))
             else:
                 raise ValueError
         except ValueError:
@@ -434,5 +448,5 @@ def serialize_sft(sft: Sft) -> str:
         raise ValueError("text format limited to single-digit symbols")
     lines = [f"alphabet {sft.alphabet_size}"]
     for f in sft.forbidden:
-        lines.append("forbid " + "".join(str(a) for a in f))
+        lines.append("forbid " + Word(f).to_string())
     return "\n".join(lines) + "\n"

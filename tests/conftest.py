@@ -762,6 +762,26 @@ def reference_block_plan(lo, hi, boys_at, girl_rows, flagged, pack, scheme):
     return plan_from_words(lo, hi, segments, min_gap=M), mask
 
 
+def reference_decode(y, dict_, scheme, pack):
+    """Reference for codec.decode: the info windows gathered by an index
+    matrix and the decoded blocks scattered by ``spans``."""
+    from shiftcode.codec import _find_all
+    from shiftcode.interp import spans
+    N = pack.N
+    info_lo, info_hi = pack.info_region
+    x_hat = np.full(len(y), 255, dtype=np.uint8)
+    mask = np.zeros(len(y), dtype=bool)
+    hits = np.array(_find_all(y.symbols.tobytes(), scheme.word.symbols.tobytes()),
+                    dtype=np.int64) - pack.marker_offset
+    hits = hits[(hits >= 0) & (hits + N <= len(y))]
+    windows = y.symbols[(hits + info_lo)[:, None] + np.arange(info_hi - info_lo)]
+    blocks, found = dict_.invert_rows(windows)
+    idx = spans(hits[found], np.full(int(found.sum()), N))
+    x_hat[idx] = blocks[found].reshape(-1)
+    mask[idx] = True
+    return Word(x_hat, y.lo), mask
+
+
 def reference_validate(plan):
     """Reference for SegmentPlan.validate: the per-segment loop, with the
     same messages; returns the segments sorted by start."""

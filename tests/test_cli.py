@@ -20,6 +20,7 @@ from shiftcode.shiftspace import build_sft
 from conftest import first_schema_offence
 
 DATA = Path(__file__).parent / "data"
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -374,6 +375,27 @@ class TestEncodeDecodeFiles(object):
         # the --out file carries the same bytes as stdout
         assert out1.read_text() == proc.stdout
 
+    def test_x_out_writes_a_character_per_coordinate(self, coded_stream,
+                                                     tmp_path):
+        # the source digit where the block was recovered, "-" elsewhere;
+        # each unrecovered coordinate was once written as "255"
+        dict_path = coded_stream[0]
+        pack, scheme, mu, nu, d = read_dictionary_file(str(dict_path))
+        x = mu.sample_path(2000, seed=17)
+        x_file, coded, x_out = (tmp_path / name for name in
+                                ("x.txt", "run.coded", "xhat.txt"))
+        x_file.write_text(x.to_string() + "\n")
+        assert cli("encode", "--dict", str(dict_path), "--x-file", str(x_file),
+                   "--seed", "5", "--coded-out", str(coded)).returncode == 0
+        proc = cli("decode", "--dict", str(dict_path), "--coded", str(coded),
+                   "--x-out", str(x_out))
+        assert proc.returncode == 0, proc.stderr
+        pair = codec.encode(x, d, scheme, pack, nu.sft, seed=5)
+        assert coded.read_text() == codec.write_coded(pair.y, pack, d, scheme)
+        assert 0 < pair.coverage < 1
+        assert x_out.read_text() == "".join(
+            c if m else "-" for c, m in zip(x.to_string(), pair.mask)) + "\n"
+
     def test_file_reads_back_the_built_pack(self, coded_stream):
         # [pack] floats and the marker's alpha were once written to 12
         # significant digits, so the read-back pack hashed differently
@@ -478,6 +500,14 @@ class TestEncodeDecodeFiles(object):
          "[marker] field word=00100x0010010011 is malformed"),
         ("M=2 alpha=0.5 word=0010010010010011 extra",
          "[marker] field extra is malformed"),
+        # int(), float() and the digit loop once read Arabic-Indic digits
+        ("M=\u0662 alpha=0.5 word=0010010010010011",
+         "[marker] field M=\u0662 is malformed"),
+        ("M=2 alpha=\u0660.\u0665 word=0010010010010011",
+         "[marker] field alpha=\u0660.\u0665 is malformed"),
+        ("M=2 alpha=0.5 word=" + "0010010010010011".translate(ARABIC_INDIC),
+         "[marker] field word=" + "0010010010010011".translate(ARABIC_INDIC)
+         + " is malformed"),
     ])
     @pytest.mark.parametrize("command", ["encode", "decode"])
     def test_cut_marker_line_ends_in_an_error_line(self, coded_stream,
@@ -505,6 +535,12 @@ class TestEncodeDecodeFiles(object):
         ("dict", "mode", "hall\n[table]\n0101 0011",
          "[table] field 0101 0011 is malformed"),
         ("coded", "base", "zero", "base 'zero' is not an integer"),
+        # int() and float() once read Arabic-Indic digits
+        ("dict", "N", "\u0666\u0664", "[pack] field N \u0666\u0664 is malformed"),
+        ("dict", "delta", "\u0660.\u0660\u0662",
+         "[pack] field delta \u0660.\u0660\u0662 is malformed"),
+        ("dict", "boys", "\u0667", "[counts] field boys \u0667 is malformed"),
+        ("coded", "base", "\u0660", "base '\u0660' is not an integer"),
         ("coded", None, "01x0",
          "line 5 is neither a header line nor a line of digits"),
         ("coded", None, "01\u06630",
@@ -611,7 +647,14 @@ class TestEncodeDecodeFiles(object):
         ("SFT", "alphabet 2\nforbid 1a\n", "line 2: cannot parse 'forbid 1a'"),
         ("measure", "states 2\nrow 0.5 x\nrow 0.5 0.5\n",
          "line 2: cannot parse 'row 0.5 x'"),
-    ], ids=["sft", "sft-forbid", "measure"])
+        # int() and float() once read Arabic-Indic digits
+        ("SFT", "alphabet \u0663\n", "line 1: cannot parse 'alphabet \u0663'"),
+        ("measure", "states \u0662\nrow 0.5 0.5\nrow 0.5 0.5\n",
+         "line 1: cannot parse 'states \u0662'"),
+        ("measure", "states 2\nrow \u0660.\u0665 0.5\nrow 0.5 0.5\n",
+         "line 2: cannot parse 'row \u0660.\u0665 0.5'"),
+    ], ids=["sft", "sft-forbid", "measure", "sft-arabic-indic-alphabet",
+            "measure-arabic-indic-states", "measure-arabic-indic-row"])
     def test_bad_sft_or_measure_file_names_it(self, tmp_path, kind, text,
                                                message):
         bad = tmp_path / "bad.txt"

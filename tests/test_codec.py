@@ -22,7 +22,8 @@ from shiftcode.markers import find_marker, locate_offset
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft
 
-from conftest import LOG2, reference_lz78_phrases, reference_rokhlin_parse
+from conftest import (LOG2, reference_decode, reference_lz78_phrases,
+                      reference_rokhlin_parse)
 
 H_01 = 0.3250829733914482
 
@@ -371,6 +372,22 @@ def test_threads_share_a_fresh_dictionary():
     assert got == [roundtrip_outputs(alone, seed) for seed in seeds]
 
 
+def test_every_short_length_roundtrips(roundtrip_setup, bern_01, full2):
+    # lengths 1 to N + 2 of the practical pack: below N the parse has no
+    # N-block, and a window view of a word shorter than its window raises
+    pack, scheme, b, g, d = roundtrip_setup
+    for n in range(1, pack.N + 3):
+        x = bern_01.sample_path(n, seed=(n, 9))
+        pair = encode(x, d, scheme, pack, full2, seed=n)
+        assert len(pair.y) == n and full2.is_admissible(pair.y)
+        assert pair.mask.any() == (n >= pack.N and bool(pair.marker_positions))
+        x_hat, mask = decode(pair.y, d, scheme, pack)
+        want, want_mask = reference_decode(pair.y, d, scheme, pack)
+        assert x_hat == want and np.array_equal(mask, want_mask)
+        assert np.array_equal(mask, pair.mask), n
+        assert np.array_equal(x_hat.symbols[mask], x.symbols[mask]), n
+
+
 class TestCorruption:
     def test_overwritten_marker_drops_block(self, roundtrip_setup, bern_01,
                                             full2):
@@ -394,6 +411,61 @@ class TestCorruption:
         y = Word(np.zeros(5000, dtype=np.uint8))
         x_hat, mask = decode(y, d, scheme, pack)
         assert not mask.any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_decode_matches_reference(self, roundtrip_setup, bern_01, full2,
+                                      data):
+        # flipped symbols, a repeated stretch (two decodable blocks less
+        # than N apart), ends cut inside a marker, words shorter than N
+        pack, scheme, b, g, d = roundtrip_setup
+        N, seed = pack.N, data.draw(st.integers(0, 2 ** 16), label="seed")
+        n = data.draw(st.integers(4 * N, 2000) | st.integers(1, 4 * N), label="n")
+        x = bern_01.sample_path(n, seed=(seed, 4))
+        pair = encode(x, d, scheme, pack, full2, seed=seed)
+        sym = pair.y.symbols.copy()
+        for pos in data.draw(st.lists(st.integers(0, len(sym) - 1), max_size=3)):
+            sym[pos] ^= 1
+        starts = [q - pack.marker_offset for q in pair.marker_positions]
+        if starts and data.draw(st.booleans(), label="repeat"):
+            at = data.draw(st.sampled_from(starts))
+            s = data.draw(st.integers(1, 2 * pack.M) | st.integers(1, N - 1))
+            sym = np.concatenate([sym[:at + N - s], sym[at:]])
+        cuts = [q + j for q in pair.marker_positions for j in range(1, 8 * pack.M)]
+
+        def inside(lo):     # a cut inside a marker, at lo or later
+            later = [c for c in cuts if lo <= c <= len(sym)]
+            return st.sampled_from(later) if later else st.nothing()
+
+        lo = data.draw(st.integers(0, min(2 * N, len(sym))) | inside(0))
+        hi = data.draw(st.integers(max(lo, len(sym) - 2 * N), len(sym))
+                       | st.integers(lo, min(lo + N - 1, len(sym))) | inside(lo))
+        y = Word(sym[lo:hi], lo - 5)
+        x_hat, mask = decode(y, d, scheme, pack)
+        want, want_mask = reference_decode(y, d, scheme, pack)
+        assert x_hat == want
+        assert np.array_equal(mask, want_mask)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_blocks_less_than_N_apart_decode_like_reference(
+            self, roundtrip_setup, bern_01, full2, s):
+        # a block repeated s <= M symbols before its copy ends keeps both
+        # markers: where the two decoded blocks overlap, the later is written
+        # (the block's first s symbols, here not its last s)
+        pack, scheme, b, g, d = roundtrip_setup
+        N = pack.N
+        pair = encode(bern_01.sample_path(3000, seed=61), d, scheme, pack,
+                      full2, seed=61)
+        x = pair.x.symbols
+        n = next(n for n in (q - pack.marker_offset for q in pair.marker_positions)
+                 if not np.array_equal(x[n:n + s], x[n + N - s:n + N]))
+        sym = pair.y.symbols
+        y = Word(np.concatenate([sym[:n + N - s], sym[n:]]))
+        x_hat, mask = decode(y, d, scheme, pack)
+        want, want_mask = reference_decode(y, d, scheme, pack)
+        assert x_hat == want and np.array_equal(mask, want_mask)
+        assert mask[n:n + 2 * N - s].all()
+        assert np.array_equal(x_hat.symbols[n + N - s:n + 2 * N - s], x[n:n + N])
 
 
 class TestBadset:

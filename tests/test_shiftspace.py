@@ -412,24 +412,13 @@ class TestSpecificationGap:
         # alphabets, and up to length 4 plus a seeded sample of longer
         # pairs on ternary ones (the full ternary product is ~10^6 pairs)
         rng = np.random.default_rng(99)
-
-        def check(sft, L, u, v):
-            for gap in range(L, L + 4):
-                w = next(iter_connectors(sft, u, v, gap), None)
-                assert w is not None, (sft.forbidden, u, v, gap)
-                joined = Word(np.concatenate(
-                    [u.symbols, w.symbols, v.symbols]))
-                assert sft.is_admissible(joined)
-
         for sft in sft_zoo:
             L = specification_gap(sft)
             full_len = 6 if sft.alphabet_size <= 2 else 4
             words = []
             for n in range(1, full_len + 1):
                 words.extend(enumerate_words(sft, n))
-            for u in words:
-                for v in words:
-                    check(sft, L, u, v)
+            pairs = [(u, v) for u in words for v in words]
             if sft.alphabet_size > 2:
                 longer = []
                 for n in (5, 6):
@@ -437,7 +426,19 @@ class TestSpecificationGap:
                 for _ in range(500):
                     u = longer[rng.integers(0, len(longer))]
                     v = longer[rng.integers(0, len(longer))]
-                    check(sft, L, u, v)
+                    pairs.append((u, v))
+            triples, joined = [], []
+            for u, v in pairs:
+                for gap in range(L, L + 4):
+                    w = next(iter_connectors(sft, u, v, gap), None)
+                    assert w is not None, (sft.forbidden, u, v, gap)
+                    triples.append((u, v, gap))
+                    joined.append(np.concatenate(
+                        [u.symbols, w.symbols, v.symbols]))
+            # every joined word u w v of this SFT in one window pass
+            ok = sft.admissible_pieces(np.concatenate(joined),
+                                       [len(j) for j in joined])
+            assert ok.all(), (sft.forbidden, *triples[int(np.argmin(ok))])
 
 
 class TestWindowDistance:
@@ -521,3 +522,36 @@ class TestWord:
         w = Word.from_string("01")
         with pytest.raises(ValueError):
             w.symbols[0] = 1
+
+    @given(st.lists(st.integers(0, 9), max_size=200), st.integers(-50, 50))
+    def test_text_roundtrip(self, symbols, base):
+        w = Word(np.array(symbols, dtype=np.uint8), base)
+        assert w.to_string() == "".join(map(str, symbols))
+        assert Word.from_string(w.to_string(), base) == w
+
+    @pytest.mark.parametrize("text, position", [
+        ("01٣", 2), ("0a1", 1), ("²", 0), (" 1", 0), ("0/", 1), ("٣" * 10 ** 6, 0),
+    ], ids=["arabic-indic-3", "letter", "superscript-2", "space", "slash", "long"])
+    def test_from_string_refuses_all_but_ascii_digits(self, text, position):
+        # int() read "٣" (Arabic-Indic three) as 3; the message names one
+        # character, however long the text
+        with pytest.raises(ValueError) as exc:
+            Word.from_string(text)
+        assert str(exc.value) == (f"position {position} holds {text[position]!r}, "
+                                  "not an ASCII digit")
+
+    def test_to_string_refuses_a_symbol_above_9(self):
+        with pytest.raises(ValueError, match="above 9"):
+            Word(np.array([0, 10, 1], dtype=np.uint8)).to_string()
+
+    def test_repr_of_any_symbols(self):
+        # the decoder writes 255 at coordinates it did not recover
+        assert repr(Word(np.array([1, 255, 0]), 4)) == "Word('[1, 255, 0]', base=4)"
+        assert repr(Word.from_string("01" * 25)) == f"Word('{'01' * 18}0...', base=0)"
+
+    def test_non_ascii_forbidden_word_refused(self):
+        # Sft(10, ["٣"]) once forbade the symbol 3
+        with pytest.raises(ValueError, match="not an ASCII digit"):
+            Sft(10, ["٣"])
+        with pytest.raises(ValueError, match="line 2: cannot parse"):
+            parse_sft("alphabet 10\nforbid ٣\n")
