@@ -207,10 +207,10 @@ class Dfa:
             if len(words):
                 yield words
 
-    def rank_rows(self, rows) -> np.ndarray:
-        """Lex rank of every row among accepted words of its length (object
-        ints): per chunk, the lex offset of its code from the row's node.
-        ``ValueError`` if a row reaches the sink."""
+    def rank_sweep(self, rows):
+        """(ranks, accepted): lex ranks among accepted words of the rows'
+        length, in the sweep table's dtype and meaningless for a rejected
+        row; per chunk, the lex offset of its code from the row's node."""
         sym, off = self._symbols(rows)
         n_rows, length = sym.shape
         table = self._sweep_table(length)
@@ -226,20 +226,26 @@ class Dfa:
             at = (rows if by_row else nodes * m ** c) + codes
             ranks += _below(table[left], jump).ravel()[at]
             nodes = jump.ravel()[at]
-        if off is not None or (nodes == self.n_nodes).any():
+        accepted = nodes < self.n_nodes
+        return ranks, accepted if off is None else accepted & ~off
+
+    def rank_rows(self, rows) -> np.ndarray:
+        """The ranks as Python ints; ``ValueError`` on a rejected row."""
+        ranks, accepted = self.rank_sweep(rows)
+        if not accepted.all():
             raise ValueError("word not accepted by automaton")
         return ranks.astype(object, copy=False)
 
     def unrank_rows(self, length: int, ranks) -> np.ndarray:
         """Inverse of :meth:`rank_rows`: a ``(len(ranks), length)`` uint8
-        array; ``ValueError`` if a rank is outside ``[0, count(length))``.
-        Per chunk, each row takes the last code whose lex offset its rank
-        reaches: by one ``searchsorted`` over the offsets of every node,
-        each node's row shifted by the counts of the nodes before it so
-        that the flat table is sorted, or by comparing within the row."""
+        array; ``ValueError`` if a rank, checked in its own dtype, is outside
+        ``[0, count(length))``.  Per chunk, each row takes the last code whose
+        lex offset its rank reaches: by one ``searchsorted`` over the offsets
+        of every node, each node's row shifted by the counts of the nodes
+        before it so that the flat table is sorted, or by comparing in the row."""
         table = self._sweep_table(length)
         total = int(table[length, 0])
-        ranks = rank_vector(ranks, total).astype(table.dtype)
+        ranks = rank_vector(ranks, total, table.dtype)
         n_rows, m = len(ranks), self.alphabet_size
         widths, by_row, jumps = self._plan(n_rows, length)
         digits = {c: _digits(m, c) for c in set(widths) - {1}}
@@ -311,12 +317,13 @@ def _digits(m: int, c: int) -> np.ndarray:
     return digits.astype(np.uint8).view(f"V{c}").ravel()
 
 
-def rank_vector(ranks, count: int) -> np.ndarray:
-    """Ranks as an object vector; ``ValueError`` if one is not in [0, count)."""
-    ranks = np.array(ranks, dtype=object).reshape(-1)
+def rank_vector(ranks, count: int, dtype=object) -> np.ndarray:
+    """Ranks as a new ``dtype`` vector, checked in their own dtype (Python ints
+    for an object ``dtype``); ``ValueError`` if one is not in [0, count)."""
+    ranks = np.array(ranks, dtype=object if dtype == object else None).reshape(-1)
     if not ((ranks >= 0) & (ranks < count)).all():
         raise ValueError("rank out of range")
-    return ranks
+    return ranks.astype(dtype, copy=False)
 
 
 def product_dfa(a: Dfa, b: Dfa) -> Dfa:

@@ -117,11 +117,10 @@ class CodedPair:
 def _draw_flags(parse: BlockParse, eps: float, n_girls: int, seed: int) -> np.ndarray:
     """Per N-block the dictionary flag with probability 1 - eps/2, else a
     uniform girl rank; None per unit block."""
-    rng = random.Random(f"flags-{seed}")
+    rng, longs, p = random.Random(f"flags-{seed}"), parse.lengths > 1, 1.0 - eps / 2.0
     flags = np.full(len(parse), None, dtype=object)
-    for i in np.flatnonzero(parse.lengths > 1).tolist():
-        flags[i] = (D_FLAG if rng.random() < 1.0 - eps / 2.0
-                    else rng.randrange(n_girls))
+    flags[longs] = [D_FLAG if rng.random() < p else rng.randrange(n_girls)
+                    for _ in range(longs.sum())]
     return flags
 
 
@@ -146,18 +145,14 @@ def encode(x: Word, dict_: Dictionary, scheme: MarkerScheme,
     parse = replace(parse, flags=_draw_flags(parse, pack.eps,
                                              dict_.girls.count, seed))
 
-    # batched over all N-blocks: boy test, the dictionary's girls of the
-    # dictionary-flagged boys, one girl unrank for the random-girl flags
+    # one lookup of all N-blocks: the boy test, and per boy the dictionary's
+    # girl (D_FLAG is negative) or the drawn one
     longs = np.flatnonzero(parse.lengths > 1)
     blocks = (sliding_window_view(x.symbols, N)[parse.starts[longs] - x.lo]
               if len(longs) else np.zeros((0, N), dtype=np.uint8))  # x may be short
-    is_boy = dict_.boys.member_rows(blocks)
+    is_boy, girl_rows = dict_.lookup_rows(blocks, parse.flags[longs])
     boys_at = parse.starts[longs[is_boy]]
-    flags = parse.flags[longs[is_boy]]
-    flagged = flags == D_FLAG
-    girl_rows = np.empty((len(flags), dict_.girls.length), dtype=np.uint8)
-    girl_rows[flagged] = dict_.lookup_rows(blocks[is_boy][flagged])
-    girl_rows[~flagged] = dict_.girls.unrank_rows(flags[~flagged])
+    flagged = parse.flags[longs[is_boy]] == D_FLAG
 
     plan, mask = block_plan(x.lo, x.hi, boys_at, girl_rows, flagged, pack, scheme)
     y_sym = interpolate(target, plan).symbols.copy()

@@ -348,16 +348,18 @@ class _WordSet:
             return np.zeros(len(rows), dtype=bool)
         return self.dfa.member_rows(rows)
 
+    def rank_sweep(self, rows):
+        """(ranks, members) of :meth:`Dfa.rank_sweep`, none of another width."""
+        if len(rows) and np.shape(rows)[1] != self._width:
+            return np.zeros(len(rows), dtype=np.int64), np.zeros(len(rows), dtype=bool)
+        return self.dfa.rank_sweep(np.reshape(rows, (-1, self._width)))
+
     def rank_rows(self, rows) -> np.ndarray:
         """Lex ranks, an object vector; ``ValueError`` on a non-member."""
-        rows = np.asarray(rows)
-        if len(rows) and rows.shape[1] != self._width:
+        ranks, members = self.rank_sweep(rows)
+        if not members.all():
             raise ValueError(f"not a {self._noun}")
-        try:
-            # an empty batch of another width ranks as one of this width
-            return self.dfa.rank_rows(rows.reshape(-1, self._width))
-        except ValueError:
-            raise ValueError(f"not a {self._noun}") from None
+        return ranks.astype(object, copy=False)
 
     def unrank_rows(self, ranks) -> np.ndarray:
         """Members of the given ranks; ``ValueError`` if one is out of range."""
@@ -393,13 +395,11 @@ class _FullShiftBoys(BoySet):
 
     rank, unrank = _WordSet.rank, _WordSet.unrank
 
-    def rank_rows(self, rows) -> np.ndarray:
-        if not self.member_rows(rows).all():
-            raise ValueError("not a boy")
+    def rank_sweep(self, rows):
         ranks = np.zeros(len(rows), dtype=object)
         for col in np.asarray(rows).T:
             ranks = ranks * self.dfa.alphabet_size + col
-        return ranks
+        return ranks, self.member_rows(rows)
 
     def unrank_rows(self, ranks) -> np.ndarray:
         ranks = rank_vector(ranks, self.count)
@@ -617,21 +617,34 @@ class Dictionary:
         if len(self.inverse) < len(self.table):
             raise ParameterError("hall table: two boys map to one girl")
 
-    def lookup_rows(self, boy_rows) -> np.ndarray:
-        """The girl of every boy row, as a ``(B, girl length)`` array."""
+    def lookup_rows(self, blocks, draws):
+        """(is_boy, girl rows): which ``blocks`` are boys and, per boy, its
+        girl where its ``draws`` entry is negative, else the girl of that
+        rank.  Enumerative mode makes one boys and one girls sweep."""
         if self.mode == "hall":
+            is_boy = self.boys.member_rows(blocks)
+            draws = np.asarray(draws)[is_boy]
+            rows = np.empty((len(draws), self.girls.length), dtype=np.uint8)
             try:
-                return _table_rows(self.table, boy_rows, self.girls.length)
+                rows[draws < 0] = _table_rows(self.table, blocks[is_boy][draws < 0],
+                                              self.girls.length)
             except KeyError as exc:
                 raise UnmatchedBoyError(
                     f"hall-mode dictionary lookup: boy block {exc.args[0]} is "
                     f"not among the {len(self.table)} boys the table "
                     f"covers") from None
-        return self.girls.unrank_rows(self.boys.rank_rows(boy_rows))
+            rows[draws >= 0] = self.girls.unrank_rows(draws[draws >= 0])
+            return is_boy, rows
+        ranks, is_boy = self.boys.rank_sweep(blocks)
+        draws = np.asarray(draws)[is_boy]
+        ranks = ranks[is_boy].astype(object if self.girls.count >= 2 ** 63 else ranks.dtype)
+        ranks[draws >= 0] = draws[draws >= 0]
+        return is_boy, self.girls.unrank_rows(ranks)
 
     def invert_rows(self, girl_rows):
         """(boy rows, found): each girl row's boy, zero where ``found`` is
-        false because no boy maps to it."""
+        false because no boy maps to it.  Enumerative mode makes one girls
+        and one boys sweep."""
         girl_rows = np.asarray(girl_rows)
         out = np.zeros((len(girl_rows), self.boys.N), dtype=np.uint8)
         if self.mode == "hall":
@@ -639,15 +652,16 @@ class Dictionary:
                               for row in girl_rows], dtype=bool)
             out[found] = _table_rows(self.inverse, girl_rows[found], self.boys.N)
             return out, found
-        found = self.girls.member_rows(girl_rows)
-        ranks = self.girls.rank_rows(girl_rows[found])
-        mapped = ranks < self.boys.count
-        found[found] = mapped
-        out[found] = self.boys.unrank_rows(ranks[mapped])
+        ranks, found = self.girls.rank_sweep(girl_rows)
+        found &= ranks < self.boys.count
+        out[found] = self.boys.unrank_rows(ranks[found])
         return out, found
 
     def lookup(self, boy_word: Word) -> Word:
-        return Word(self.lookup_rows(boy_word.symbols[None])[0])
+        is_boy, rows = self.lookup_rows(boy_word.symbols[None], [-1])
+        if not is_boy[0]:
+            raise ValueError("not a boy")
+        return Word(rows[0])
 
     def invert(self, girl_word: Word):
         """The boy mapped to this girl, or None when none is."""

@@ -274,9 +274,9 @@ def _fill(sft: Sft, out: np.ndarray, a, b, head) -> None:
 
     A gap's memo key (last k symbols before it, the ``head`` symbols
     after it, its length) is one int64 row: the symbols as digits 1..m,
-    0 for a missing one, then the length.  Each distinct row, compared
-    as bytes, is looked up once, and only a miss goes to
-    :func:`connect_words`.  One gather writes every filler.
+    0 for a missing one, then the length.  One ``lexsort`` of the columns
+    finds the distinct rows, each is looked up once, and only a miss goes
+    to :func:`connect_words`.  One gather writes every filler.
     """
     k = sft.k
     size = b - a
@@ -288,8 +288,10 @@ def _fill(sft: Sft, out: np.ndarray, a, b, head) -> None:
         np.where(cols < head[:, None],
                  out[np.minimum(after, len(out) - 1)].astype(np.int64) + 1, 0),
         size[:, None]], axis=1)
-    _, first, inverse = np.unique(key.view(f"V{key.itemsize * key.shape[1]}"),
-                                  return_index=True, return_inverse=True)
+    order = np.lexsort(key.T)
+    new = np.append(True, np.diff(key[order], axis=0).any(axis=1))
+    first, inverse = order[new], np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
     fillers = []
     for i in first.tolist():
         lo, hi = int(a[i]), int(b[i])
@@ -298,5 +300,5 @@ def _fill(sft: Sft, out: np.ndarray, a, b, head) -> None:
         if w is None:
             w = connect_words(sft, left, right, hi - lo)
         fillers.append(w.symbols)
-    offsets = (np.cumsum(size[first]) - size[first])[inverse.reshape(-1)]
+    offsets = (np.cumsum(size[first]) - size[first])[inverse]
     out[spans(a, size)] = np.concatenate(fillers)[spans(offsets, size)]

@@ -341,9 +341,9 @@ def adjacency_matrix(sft: Sft) -> np.ndarray:
 
 def topological_entropy(sft: Sft) -> float:
     """log of the Perron eigenvalue of A, in nats: power iteration on A + I by
-    gathers over the step table, certified by the Collatz-Wielandt bracket when
-    the shift is irreducible; else a dense eigensolve, read as 0 for disjoint
-    cycles (one successor a state), on which eigvals can err by an ulp."""
+    gathers over the step table, certified by the Collatz-Wielandt bracket, when
+    irreducible; else 0 if every strongly connected component is one cycle (read
+    from bit-packed reach rows; eigvals can err by an ulp), or a dense eigensolve."""
     if reach_levels(sft._step)[1] is None:
         x = np.append(np.full(sft.n_states, 1.0 / sft.n_states), 0.0)   # -1 reads 0
         for _ in range(100_000):
@@ -353,8 +353,15 @@ def topological_entropy(sft: Sft) -> float:
             x[:-1] = y / y.sum()
             if hi - lo <= 1e-13 * hi:
                 return math.log(0.5 * (lo + hi) - 1.0)
-    rho = max(ev.real for ev in np.linalg.eigvals(adjacency_matrix(sft)))
-    return math.log(rho) if rho > 1.0 and (sft._step >= 0).sum(axis=1).max() > 1 else 0.0
+    step, n = sft._step, sft.n_states
+    reach = np.packbits(np.eye(n + 1, n, dtype=bool), axis=1)   # row u: what u reaches
+    while not np.array_equal(reach[:n], grown := reach[:n] | np.bitwise_or.reduce(
+            reach[step], axis=1)):          # row n, for a -1 step, reaches none
+        reach[:n] = grown
+    back = np.unpackbits(reach, axis=1, count=n)[step, np.arange(n)[:, None]]
+    if back.sum(axis=1).max() <= 1:     # no state has two successors reaching it back
+        return 0.0
+    return math.log(max(ev.real for ev in np.linalg.eigvals(adjacency_matrix(sft))))
 
 
 def specification_gap(sft: Sft) -> int:

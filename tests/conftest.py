@@ -762,6 +762,44 @@ def reference_block_plan(lo, hi, boys_at, girl_rows, flagged, pack, scheme):
     return plan_from_words(lo, hi, segments, min_gap=M), mask
 
 
+def reference_draw_flags(parse, eps, n_girls, seed):
+    """Reference for codec._draw_flags: one flag per N-block in a loop."""
+    import random
+    from shiftcode.codec import D_FLAG
+    rng = random.Random(f"flags-{seed}")
+    flags = np.full(len(parse), None, dtype=object)
+    for i in np.flatnonzero(parse.lengths > 1).tolist():
+        flags[i] = (D_FLAG if rng.random() < 1.0 - eps / 2.0
+                    else rng.randrange(n_girls))
+    return flags
+
+
+def reference_lookup_rows(dict_, blocks, draws):
+    """Reference for the enumerative Dictionary.lookup_rows: a boys
+    membership sweep, a boys rank and a girls unrank sweep for the boys
+    with a negative draw, and a girls unrank sweep for the drawn ranks."""
+    is_boy = dict_.boys.member_rows(blocks)
+    draws = np.asarray(draws, dtype=object)[is_boy]
+    own = draws < 0
+    rows = np.empty((len(draws), dict_.girls.length), dtype=np.uint8)
+    rows[own] = dict_.girls.unrank_rows(dict_.boys.rank_rows(blocks[is_boy][own]))
+    rows[~own] = dict_.girls.unrank_rows(draws[~own])
+    return is_boy, rows
+
+
+def reference_invert_rows(dict_, girl_rows):
+    """Reference for the enumerative Dictionary.invert_rows: a girls
+    membership sweep, a girls rank sweep and a boys unrank sweep."""
+    girl_rows = np.asarray(girl_rows)
+    out = np.zeros((len(girl_rows), dict_.boys.N), dtype=np.uint8)
+    found = dict_.girls.member_rows(girl_rows)
+    ranks = dict_.girls.rank_rows(girl_rows[found])
+    mapped = ranks < dict_.boys.count
+    found[found] = mapped
+    out[found] = dict_.boys.unrank_rows(ranks[mapped])
+    return out, found
+
+
 def reference_decode(y, dict_, scheme, pack):
     """Reference for codec.decode: the info windows gathered by an index
     matrix and the decoded blocks scattered by ``spans``."""

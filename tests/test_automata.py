@@ -306,6 +306,48 @@ def test_big_counts_match_reference(zoo_dfas):
         assert all(type(r) is int for r in dfa.rank_rows(words))
 
 
+@given(data=st.data())
+@settings(max_examples=80)
+def test_rank_sweep_matches_member_and_rank(zoo_dfas, data):
+    # one sweep gives what member_rows and rank_rows give in two: words
+    # of random ranks with random symbols planted, on and off the
+    # alphabet; one-row and small batches take the per-row tables, and
+    # at length 150 the table holds Python ints
+    dfa = zoo_dfas[data.draw(st.integers(0, len(zoo_dfas) - 1), label="dfa")]
+    length = data.draw(st.sampled_from([0, 1, 5, 13, 150]), label="length")
+    n_rows = data.draw(st.sampled_from([0, 1, 2, 7, 300]), label="rows")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    m, total = dfa.alphabet_size, dfa.count(length)
+    rows = (dfa.unrank_rows(length, [rng.randrange(total) for _ in range(n_rows)])
+            if total else np.zeros((n_rows, length), dtype=np.uint8))
+    for _ in range(rng.randrange(n_rows + 1) if length else 0):
+        rows[rng.randrange(n_rows), rng.randrange(length)] = rng.choice(
+            [*range(m), m, 255])
+    ranks, accepted = dfa.rank_sweep(rows)
+    assert ranks.dtype == dfa._sweep_table(length).dtype
+    assert ranks.shape == accepted.shape == (n_rows,)
+    assert accepted.tolist() == dfa.member_rows(rows).tolist()
+    assert ranks[accepted].tolist() == dfa.rank_rows(rows[accepted]).tolist()
+
+
+def test_unrank_checks_integer_arrays(zoo_dfas):
+    # int64 and uint64 ranks are range-checked in int64 (a uint64 past
+    # 2^63 wraps negative), and the caller's array is left as it was
+    for dfa in zoo_dfas[:8]:
+        total = dfa.count(9)
+        assert dfa._sweep_table(9).dtype == np.int64
+        for bad in (np.array([-1]), np.array([0, total]), np.array([2 ** 62]),
+                    np.array([total], dtype=np.uint64),
+                    np.array([0, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)):
+            with pytest.raises(ValueError, match="rank out of range"):
+                dfa.unrank_rows(9, bad)
+        ranks = np.array([total - 1, 0, total // 2])
+        words = dfa.unrank_rows(9, ranks)
+        assert ranks.tolist() == [total - 1, 0, total // 2]
+        assert (words == dfa.unrank_rows(9, ranks.tolist())).all()
+        assert (words == dfa.unrank_rows(9, ranks.astype(np.uint64))).all()
+
+
 def check_sweep_boundary(dfa, length, n_rows=0):
     """rank_rows/unrank_rows at ranks 0, count - 1 and either side of 2^63
     equal the reference and return Python ints, also in a batch with n_rows

@@ -668,6 +668,18 @@ class TestEncodeDecodeFiles(object):
         assert "Traceback" not in proc.stderr
         assert f"ShiftcodeError: {kind} file {bad}: {message}" in proc.stderr
 
+    def test_entropy_of_cycle_with_transient_exit_is_zero(self, tmp_path,
+                                                          capsys):
+        # a 7-cycle on 0..6 that also steps from 6 into the fixed point 7,
+        # for which the eigensolve printed h_top=4.4408920985e-16
+        allowed = {(i, (i + 1) % 7) for i in range(7)} | {(6, 7), (7, 7)}
+        path = tmp_path / "cycle.sft"
+        path.write_text("alphabet 8\n" + "".join(
+            f"forbid {a}{b}\n" for a in range(8) for b in range(8)
+            if (a, b) not in allowed))
+        assert run(["entropy", "--sft", str(path)]) == 0
+        assert "h_top=0\n" in capsys.readouterr().out
+
     def test_run_api(self, tmp_path, capsys):
         code = run(["entropy", "--sft", str(DATA / "full2.sft")])
         assert code == 0

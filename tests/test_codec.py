@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftcode import codec
+from shiftcode.automata import Dfa
 from shiftcode.codec import (audit_badset, audit_entropy,
                              audit_weakstar, decode, dictionary_hash, encode,
                              lz78_entropy, lz78_phrases, pack_hash,
@@ -22,8 +23,8 @@ from shiftcode.markers import find_marker, locate_offset
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft
 
-from conftest import (LOG2, reference_decode, reference_lz78_phrases,
-                      reference_rokhlin_parse)
+from conftest import (LOG2, reference_decode, reference_draw_flags,
+                      reference_lz78_phrases, reference_rokhlin_parse)
 
 H_01 = 0.3250829733914482
 
@@ -370,6 +371,40 @@ def test_threads_share_a_fresh_dictionary():
         sys.setswitchinterval(interval)
     alone = fresh_practical()
     assert got == [roundtrip_outputs(alone, seed) for seed in seeds]
+
+
+def test_encode_and_decode_sweep_each_word_set_once(roundtrip_setup, bern_01,
+                                                    full2, monkeypatch):
+    # Dfa._plan runs once per sweep: encode ranks the N-blocks in one boys
+    # sweep and unranks every girl in one girls sweep; decode ranks the
+    # info windows in one girls sweep and unranks the boys in one
+    pack, scheme, b, g, d = roundtrip_setup
+    x = bern_01.sample_path(20_000, seed=(5, 1))
+    names, plans, plan = {id(b.dfa): "boys", id(g.dfa): "girls"}, [], Dfa._plan
+
+    def counted(self, *args):
+        plans.append(names.get(id(self), "other"))
+        return plan(self, *args)
+
+    encode(x, d, scheme, pack, full2, seed=5)     # fills the connector memo
+    monkeypatch.setattr(Dfa, "_plan", counted)
+    pair = encode(x, d, scheme, pack, full2, seed=5)
+    assert plans == ["boys", "girls"] and pair.rewrites == 0
+    assert pair.marker_positions and len(pair.boy_blocks) > len(pair.marker_positions)
+    del plans[:]
+    x_hat, mask = decode(pair.y, d, scheme, pack)
+    assert plans == ["girls", "boys"] and mask.any()
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.9])
+@pytest.mark.parametrize("seed", range(5))
+def test_draw_flags_match_loop(bern_01, eps, seed):
+    parse = rokhlin_parse(bern_01.sample_path(5000, seed=seed), 64, 0.02, seed)
+    got = codec._draw_flags(parse, eps, 10 ** 20, seed)
+    want = reference_draw_flags(parse, eps, 10 ** 20, seed)
+    assert got.dtype == want.dtype == object
+    assert got.tolist() == want.tolist()
+    assert [type(f) for f in got] == [type(f) for f in want]
 
 
 def test_every_short_length_roundtrips(roundtrip_setup, bern_01, full2):

@@ -21,7 +21,8 @@ from shiftcode.shiftspace import Word, build_sft, enumerate_words, parse_sft
 
 from conftest import (LOG2, brute_max_matching, markov_on_support,
                       reference_binomial_rank, reference_binomial_unrank,
-                      reference_boys, reference_unrank)
+                      reference_boys, reference_invert_rows,
+                      reference_lookup_rows, reference_unrank)
 
 H_01 = 0.3250829733914482
 DATA = Path(__file__).parent / "data"
@@ -432,7 +433,8 @@ class TestBatchMethods:
             reference_binomial_unrank(64, 7, r) for r in ranks]
         assert b.rank_rows(boy_rows).tolist() == ranks == [
             reference_binomial_rank(64, 7, w) for w in boy_rows.tolist()]
-        girl_rows = d.lookup_rows(boy_rows)
+        is_boy, girl_rows = d.lookup_rows(boy_rows, [-1] * len(ranks))
+        assert is_boy.all()
         assert [tuple(w) for w in girl_rows.tolist()] == [
             reference_unrank(g.dfa, g.length, r) for r in ranks]
         assert g.rank_rows(girl_rows).tolist() == ranks
@@ -449,7 +451,8 @@ class TestBatchMethods:
         no_girls = np.zeros((0, g.length), dtype=np.uint8)
         assert b.member_rows(no_boys).shape == b.rank_rows(no_boys).shape == (0,)
         assert b.unrank_rows([]).shape == (0, 64)
-        assert d.lookup_rows(no_boys).shape == (0, g.length)
+        is_boy, girl_rows = d.lookup_rows(no_boys, [])
+        assert is_boy.shape == (0,) and girl_rows.shape == (0, g.length)
         back, found = d.invert_rows(no_girls)
         assert back.shape == (0, 64) and found.shape == (0,)
         assert listed.member_rows(no_boys[:, :12]).shape == (0,)
@@ -548,6 +551,91 @@ class TestBatchMethods:
                 b.unrank(r)
         rows[1, 3] = 2
         assert b.member_rows(rows).tolist() == [True, False, True, True]
+
+
+@pytest.fixture(scope="module")
+def three_shift_dicts(full3, bern_01, bern_half):
+    """Dictionaries into the full 3-shift at N = 64, M = 2, whose girls
+    (3^42 words less the marker windows) pass 2^63: one-count boys with
+    int64 ranks, and every block of the uniform source a boy (2^64)."""
+    scheme = find_marker(full3, MarkovMeasure.uniform(full3), M=2, alpha=0.5,
+                         seed=1)
+    out = []
+    for mu in (bern_01, bern_half):
+        pack = practical_pack(mu.entropy(), math.log(3), 0.2, N=64, M=2,
+                              delta=0.02)
+        b, g = boys(mu, pack), girls(full3, pack, scheme)
+        assert g.count >= 2 ** 63 and g.dfa._sweep_table(g.length).dtype == object
+        out.append(dictionary(b, g, "enumerative", pack=pack))
+    assert type(out[1].boys).__name__ == "_FullShiftBoys"
+    return out
+
+
+class TestOneSweepPerWordSet:
+    """lookup_rows and invert_rows, one sweep per word set, against the
+    member, rank and unrank sweeps they replace."""
+
+    @staticmethod
+    def check(d, seed):
+        b, g = d.boys, d.girls
+        rng = random.Random(seed)
+        boy_rows = b.unrank_rows([rng.randrange(b.count) for _ in range(150)])
+        blocks = np.concatenate([
+            boy_rows,
+            np.array([[rng.randrange(2) for _ in range(b.N)] for _ in range(150)],
+                     dtype=np.uint8),
+            np.full((1, b.N), 2, dtype=np.uint8), np.full((1, b.N), 255, dtype=np.uint8)])
+        draws = np.array([-1 if rng.random() < 0.8 else rng.randrange(g.count)
+                          for _ in blocks], dtype=object)
+        for n in (0, 1, len(blocks)):
+            got, want = d.lookup_rows(blocks[:n], draws[:n]), \
+                reference_lookup_rows(d, blocks[:n], draws[:n])
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        assert got[0][:150].all() and not got[0][-2:].any()
+        girl_rows = np.concatenate([
+            got[1], g.unrank_rows([b.count - 1, g.count - 1]),
+            np.full((1, g.length), 2, dtype=np.uint8)])
+        girl_rows[::3, rng.randrange(g.length)] ^= 1    # some stay girls
+        for n in (0, 1, len(girl_rows)):
+            got, want = d.invert_rows(girl_rows[:n]), \
+                reference_invert_rows(d, girl_rows[:n])
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        assert got[1].any() and not got[1].all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_int64_ranks(self, practical, seed):
+        self.check(practical[2], seed)
+
+    @pytest.mark.parametrize("index", range(2))
+    def test_python_int_girls(self, three_shift_dicts, index):
+        self.check(three_shift_dicts[index], index)
+
+
+def test_hall_lookup_rows_table_and_drawn_girls(full2, bern_half):
+    # a hall dictionary looks a negative draw's girl up in its table and
+    # unranks the others; non-boys get no row
+    mu = MarkovMeasure.bernoulli([0.98, 0.02])
+    pack = practical_pack(mu.entropy(), LOG2, 0.2, N=32, M=2, delta=0.02)
+    scheme = find_marker(full2, bern_half, M=2, alpha=0.5, seed=1)
+    b, g = boys(mu, pack), girls(full2, pack, scheme)
+    d = dictionary(b, g, "hall", relation={
+        b.unrank(i).to_string(): [g.unrank(g.count - 1 - i).to_string()]
+        for i in range(b.count)}, K=1, pack=pack)
+    rng = random.Random(5)
+    blocks = np.concatenate([
+        b.unrank_rows([rng.randrange(b.count) for _ in range(40)]),
+        np.ones((2, pack.N), dtype=np.uint8)])
+    draws = np.array([-1 if rng.random() < 0.5 else rng.randrange(g.count)
+                      for _ in blocks], dtype=object)
+    for n in (0, 1, len(blocks)):
+        is_boy, rows = d.lookup_rows(blocks[:n], draws[:n])
+        assert is_boy.tolist() == [i < 40 for i in range(n)]
+        assert [Word(row).to_string() for row in rows] == [
+            d.table[Word(block).to_string()] if draw < 0 else g.unrank(draw).to_string()
+            for block, draw in zip(blocks[:40][:n], draws[:40][:n])]
+    assert (draws[:40] < 0).any() and (draws[:40] >= 0).any()
 
 
 class TestMarriageBound:

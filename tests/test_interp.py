@@ -550,3 +550,22 @@ def test_short_tail_at_lo_keyed_apart_from_full_tail():
     want = reference_interpolate(sft, plan_from_words(**plan))
     assert interpolate(sft, plan_from_words(**plan)) == want
     assert want.symbols[1] != want.symbols[3 + L]
+
+
+@pytest.mark.parametrize("tail", [100, 5000])
+def test_gap_keys_past_int64_match_reference(tail):
+    # memory k = 16 on two symbols: with a last gap of 5000, a gap key read
+    # as one base-3 code times the gap length, 3^32 * 5001, passes 2^63;
+    # segments drawn from four words repeat their keys
+    sfts = [build_sft(2, ["11", "0" * 17]) for _ in range(2)]
+    dfa, L = sfts[0].factor_dfa(), specification_gap(sfts[0])
+    assert (sfts[0].k, L) == (16, 19)
+    rng = np.random.default_rng(tail)
+    words = dfa.unrank_rows(17, rng.integers(dfa.count(17), size=4))
+    segments, pos = [], 0
+    for i in rng.integers(4, size=40).tolist():
+        segments.append(Word(words[i], pos))
+        pos += 17 + L + int(rng.integers(0, 3))
+    plan = dict(lo=0, hi=pos + tail, words=segments, min_gap=L)
+    got = interpolate(sfts[0], plan_from_words(**plan))
+    assert got == reference_interpolate(sfts[1], plan_from_words(**plan))

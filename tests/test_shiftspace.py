@@ -270,6 +270,15 @@ GAP_INPUTS = st.integers(1, 4).flatmap(lambda m: st.tuples(
              max_size=5)))
 
 
+def cycle_exit_sft(length, chords=()):
+    """A cycle on symbols 0..length-1, a step from its last symbol into the
+    fixed point ``length``, and the given extra steps."""
+    allowed = ({(i, (i + 1) % length) for i in range(length)}
+               | {(length - 1, length), (length, length)} | set(chords))
+    return build_sft(length + 1, [(a, b) for a in range(length + 1)
+                                  for b in range(length + 1) if (a, b) not in allowed])
+
+
 class TestEntropy:
     def test_full2_anchor(self, full2):
         assert abs(topological_entropy(full2) - LOG2) < 1e-10
@@ -301,6 +310,22 @@ class TestEntropy:
         sft = build_sft(length + 1, [(a, b) for a in range(length + 1)
                                      for b in range(length + 1) if (a, b) not in allowed])
         assert topological_entropy(sft) == 0.0 == reference_topological_entropy(sft)
+
+    @pytest.mark.parametrize("length", [7, 60])
+    def test_cycle_with_transient_exit_exactly_zero(self, length):
+        # a cycle that also steps into a fixed point: every component is one
+        # cycle, but not every state has one successor, and the eigensolve
+        # read the Perron root of the 7-cycle as 1 + 2^-51; the 60-cycle
+        # takes 60 rounds to close its reach rows
+        assert topological_entropy(cycle_exit_sft(length)) == 0.0
+
+    @pytest.mark.parametrize("length", [7, 60])
+    def test_cycle_with_chord_and_exit_positive(self, length):
+        # a step from the last symbol to the middle one makes two cycles
+        # through the last symbol, so the component is no longer one cycle
+        sft = cycle_exit_sft(length, [(length - 1, length // 2)])
+        got, want = topological_entropy(sft), reference_topological_entropy(sft)
+        assert got > 0 and abs(got - want) <= 1e-9 * want
 
     def test_large_shift_fast(self):
         # 8,192 states: the dense A + I product took seconds
