@@ -63,7 +63,7 @@ class MarkovMeasure:
         p = np.asarray(transition, dtype=np.float64)
         if p.shape != (sft.n_states, sft.n_states):
             raise ValueError("transition matrix must match the SFT state count")
-        support_ok = (p > 0) <= adjacency_matrix(sft)
+        support_ok = (p > 0) <= adjacency_matrix(sft._step)
         if not support_ok.all():
             i, j = np.argwhere(~support_ok)[0]
             raise ValueError(f"transition {i}->{j} positive but not allowed by the SFT")
@@ -92,7 +92,7 @@ class MarkovMeasure:
     @classmethod
     def uniform(cls, sft: Sft) -> "MarkovMeasure":
         """Equal weight on the allowed transitions out of every state."""
-        adj = adjacency_matrix(sft)
+        adj = adjacency_matrix(sft._step)
         return cls(sft, adj / adj.sum(axis=1, keepdims=True))
 
     def log_cylinder_probability(self, word: Word) -> float:

@@ -17,10 +17,10 @@ from .errors import CoverageError, EmptySftError, NotMixingError, ParameterError
 
 MAX_TEXT_ALPHABET = 10  # text format writes symbols as single digits
 # Bytes an SFT's largest table may take before it is built, counted at 8
-# bytes an entry: the (k+1)-word grid (whose m^k state index is intp) and
-# the n_states^2 arrays of a Markov measure and of a reducible shift's
-# entropy eigensolve, which also bound the gap's n_states^2 / 8-byte reach
-# rows.  512 MiB admits the 8,192 states of ``forbid 0^14`` and refuses
+# bytes an entry: the (k+1)-word grid (whose m^k state index is intp) and the
+# n_states^2 arrays of a Markov measure, which bound the gap's n_states^2 / 8
+# reach rows and the entropy's one eigensolved block of a component that does
+# not settle.  512 MiB admits the 8,192 states of ``forbid 0^14`` and refuses
 # the 65,536 of ``forbid 0^17`` before numpy fails on a multi-GiB allocation.
 MAX_TABLE_BYTES = 1 << 29
 
@@ -314,10 +314,43 @@ def build_sft(alphabet_size: int, forbidden_words=()) -> Sft:
     return Sft(alphabet_size, forbidden_words)
 
 
+def strong_components(succ: np.ndarray) -> np.ndarray:
+    """Strongly connected component label of every state of a padded successor
+    table (-1 for no successor): Tarjan's depth-first search, O(n * m), with no
+    recursion; labels count components as they complete, so no edge raises one."""
+    n, live = len(succ), succ >= 0
+    targets, ends = succ[live].tolist(), np.cumsum(live.sum(axis=1)).tolist()
+    nxt = [0] + ends[:-1]             # the next edge each state tries
+    order, low, label, stack, seen, done = [-1] * n, [0] * n, [-1] * n, [], 0, 0
+    for root in range(n):
+        path = [root] if order[root] < 0 else []
+        while path:
+            v = path[-1]
+            if order[v] < 0:
+                order[v] = low[v] = seen = seen + 1
+                stack.append(v)
+            if nxt[v] < ends[v]:
+                w = targets[nxt[v]]
+                nxt[v] += 1
+                if order[w] < 0:
+                    path.append(w)
+                elif label[w] < 0:    # still on the stack
+                    low[v] = min(low[v], order[w])
+                continue
+            path.pop()
+            if path:
+                low[path[-1]] = min(low[path[-1]], low[v])
+            if low[v] == order[v]:
+                while label[v] < 0:
+                    label[stack.pop()] = done
+                done += 1
+    return np.array(label, dtype=np.intp)
+
+
 def reach_levels(succ: np.ndarray):
-    """Levels breadth-first from state 0 over a padded successor table (-1
-    for no successor) and the first row-major zero (i, j) of its reach closure
-    or None: (0, least state 0 does not reach), else (least state not reaching 0, 0)."""
+    """Levels breadth-first from state 0 over a padded successor table (-1 for
+    no successor) and the first row-major zero (i, j) of its reach closure or None:
+    (0, least state 0 does not reach), else (least state outside 0's component, 0)."""
     level = np.r_[0, np.full(len(succ) - 1, -1), 0]   # the last entry, for -1, is seen
     frontier, d = [0], 0
     while len(frontier):
@@ -326,42 +359,43 @@ def reach_levels(succ: np.ndarray):
         frontier, d = np.flatnonzero(level == d + 1), d + 1
     if (level < 0).any():
         return level[:-1], (0, int(np.argmax(level < 0)))
-    back = np.arange(len(level)) == 0    # the last entry, for -1, stays False
-    while not np.array_equal(back[:-1], grown := back[:-1] | back[succ].any(axis=1)):
-        back[:-1] = grown
-    return level[:-1], (None if back[:-1].all() else (int(np.argmin(back)), 0))
+    apart = (label := strong_components(succ)) != label[0]
+    return level[:-1], ((int(np.argmax(apart)), 0) if apart.any() else None)
 
 
-def adjacency_matrix(sft: Sft) -> np.ndarray:
-    """The bool n x n edge matrix, for an eigensolve and MarkovMeasure only."""
-    a = np.zeros((sft.n_states, sft.n_states), dtype=bool)
-    a[np.nonzero(sft._step >= 0)[0], sft._step[sft._step >= 0]] = True
+def adjacency_matrix(succ: np.ndarray) -> np.ndarray:
+    """The bool n x n edge matrix of a padded successor table (-1 for none)."""
+    a = np.zeros((len(succ), len(succ)), dtype=bool)
+    a[np.nonzero(succ >= 0)[0], succ[succ >= 0]] = True
     return a
 
 
 def topological_entropy(sft: Sft) -> float:
-    """log of the Perron eigenvalue of A, in nats: power iteration on A + I by
-    gathers over the step table, certified by the Collatz-Wielandt bracket, when
-    irreducible; else 0 if every strongly connected component is one cycle (read
-    from bit-packed reach rows; eigvals can err by an ulp), or a dense eigensolve."""
-    if reach_levels(sft._step)[1] is None:
-        x = np.append(np.full(sft.n_states, 1.0 / sft.n_states), 0.0)   # -1 reads 0
+    """log of the Perron eigenvalue of A, in nats: the largest over the strongly
+    connected components, 0 for one with no more internal edges than states (a
+    cycle or a state on none); any other power-iterates its rows of A + I by gathers
+    to a Collatz-Wielandt bracket, or after 100,000 rounds eigensolves its block."""
+    step, label = sft._step, strong_components(sft._step)
+    inner = (np.append(label, -1)[step] == label[:, None]).sum(axis=1)
+    h = 0.0
+    for c in np.flatnonzero(np.bincount(label, inner) > np.bincount(label)):
+        rows = np.flatnonzero(label == c)
+        local = np.full(len(step) + 1, -1)      # steps out of the component read -1
+        local[rows] = np.arange(len(rows))
+        sub = local[step[rows]]
+        x = np.append(np.full(len(rows), 1.0 / len(rows)), 0.0)   # -1 reads 0
         for _ in range(100_000):
-            y = x[:-1] + x[sft._step].sum(axis=1)
+            y = x[:-1] + x[sub].sum(axis=1)
             ratios = y / x[:-1]
             lo, hi = ratios.min(), ratios.max()
             x[:-1] = y / y.sum()
             if hi - lo <= 1e-13 * hi:
-                return math.log(0.5 * (lo + hi) - 1.0)
-    step, n = sft._step, sft.n_states
-    reach = np.packbits(np.eye(n + 1, n, dtype=bool), axis=1)   # row u: what u reaches
-    while not np.array_equal(reach[:n], grown := reach[:n] | np.bitwise_or.reduce(
-            reach[step], axis=1)):          # row n, for a -1 step, reaches none
-        reach[:n] = grown
-    back = np.unpackbits(reach, axis=1, count=n)[step, np.arange(n)[:, None]]
-    if back.sum(axis=1).max() <= 1:     # no state has two successors reaching it back
-        return 0.0
-    return math.log(max(ev.real for ev in np.linalg.eigvals(adjacency_matrix(sft))))
+                rho = 0.5 * (lo + hi) - 1.0
+                break
+        else:
+            rho = max(ev.real for ev in np.linalg.eigvals(adjacency_matrix(sub)))
+        h = max(h, math.log(rho))
+    return h
 
 
 def specification_gap(sft: Sft) -> int:

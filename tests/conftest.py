@@ -475,18 +475,34 @@ def reference_topological_entropy(sft):
     return math.log(rho) if rho > 1.0 else 0.0
 
 
-def reference_reach_pair(p):
-    """The first row-major pair (i, j) with no path from i to j in the
-    chain with transition matrix p, from the boolean closure of I + (p > 0)
-    squared to a fixed point, or None when it is irreducible."""
-    reach = (np.asarray(p) > 0) | np.eye(len(p), dtype=bool)
+def reference_closure(a):
+    """The boolean closure of I + a, squared to a fixed point."""
+    reach = (np.asarray(a) > 0) | np.eye(len(a), dtype=bool)
     while True:
         closed = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
         if np.array_equal(closed, reach):
-            break
+            return reach
         reach = closed
-    zeros = np.argwhere(~reach)
+
+
+def reference_reach_pair(p):
+    """The first row-major pair (i, j) with no path from i to j in the
+    chain with transition matrix p, from the boolean closure of I + (p > 0),
+    or None when it is irreducible."""
+    zeros = np.argwhere(~reference_closure(p))
     return tuple(int(v) for v in zeros[0]) if len(zeros) else None
+
+
+def reference_strong_components(succ):
+    """Reference for shiftspace.strong_components: each state labelled by
+    the least state it reaches and is reached from, in the boolean closure
+    of I + A, A read from the padded successor table (-1 for no successor)."""
+    succ = np.asarray(succ)
+    a = np.zeros((len(succ), len(succ)), dtype=bool)
+    rows, cols = np.nonzero(succ >= 0)
+    a[rows, succ[rows, cols]] = True
+    reach = reference_closure(a)
+    return np.argmax(reach & reach.T, axis=1)
 
 
 def halmos_oracle(n: int, m: int) -> bool:

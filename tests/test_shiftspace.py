@@ -1,6 +1,9 @@
+import itertools
 import math
 import re
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,11 +17,11 @@ from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import (Sft, Word, WindowMetricParams, build_sft,
                                   count_words, enumerate_words, parse_sft,
                                   serialize_sft, specification_gap,
-                                  topological_entropy, window_codes,
-                                  window_distance_below)
+                                  strong_components, topological_entropy,
+                                  window_codes, window_distance_below)
 
 from conftest import (GOLDEN_ENTROPY, LOG2, reference_factor_dfa,
-                      reference_specification_gap,
+                      reference_specification_gap, reference_strong_components,
                       reference_sft_tables, reference_topological_entropy,
                       reference_walk)
 
@@ -314,9 +317,9 @@ class TestEntropy:
     @pytest.mark.parametrize("length", [7, 60])
     def test_cycle_with_transient_exit_exactly_zero(self, length):
         # a cycle that also steps into a fixed point: every component is one
-        # cycle, but not every state has one successor, and the eigensolve
-        # read the Perron root of the 7-cycle as 1 + 2^-51; the 60-cycle
-        # takes 60 rounds to close its reach rows
+        # cycle, but not every state has one successor, and an eigensolve
+        # read the Perron root of the 7-cycle as 1 + 2^-51; a component with
+        # as many internal edges as states is read as 0 with no iteration
         assert topological_entropy(cycle_exit_sft(length)) == 0.0
 
     @pytest.mark.parametrize("length", [7, 60])
@@ -336,13 +339,68 @@ class TestEntropy:
         assert abs(h - LOG2) < 1e-4
 
     def test_large_reducible_fast(self):
-        # 512 states; nine 0s in a row are never left: straight to the
-        # eigensolve, with no power iteration that cannot settle
+        # 512 states; nine 0s in a row are never left: the fixed point is a
+        # component of its own, so the mixing part settles alone
         sft = build_sft(2, ["0000000001"])
         start = time.perf_counter()
         h = topological_entropy(sft)
-        assert time.perf_counter() - start < 2.0
+        assert time.perf_counter() - start < 0.5
         assert 0 < h < LOG2
+
+    def test_largest_reducible_fast_and_small(self):
+        # 8,191 states, the most the table budget admits on alphabet 3: 2 is
+        # followed only by 2, so the 4,096 {0, 1} states are one component
+        # beside the fixed point 2^12 and 4,094 transient states; a dense
+        # eigensolve of the whole matrix took 24 s and 1.2 GB
+        sft = build_sft(3, ["20", "21", "0" * 13])
+        assert sft.n_states == 8191
+        start = time.perf_counter()
+        h = topological_entropy(sft)
+        assert time.perf_counter() - start < 1.0
+        tracemalloc.start()
+        try:
+            assert topological_entropy(sft) == h
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
+        want = topological_entropy(build_sft(2, ["0" * 13]))
+        assert abs(h - want) <= 1e-12 * want
+
+    def test_long_path_reducible_fast(self):
+        # the order-12 binary de Bruijn cycle, every state of which also
+        # steps into the fixed point of symbol 2: its shortest paths run to
+        # 4,096 steps, and a closure grown one step per round took 51 s
+        order = 12
+        seq, seen = [0] * order, {(0,) * order}
+        while True:   # prefer-one: the first 2^order symbols are the cycle
+            for a in (1, 0):
+                w = (*seq[1 - order:], a)
+                if w not in seen:
+                    seen.add(w)
+                    seq.append(a)
+                    break
+            else:
+                break
+        cyc = seq[:2 ** order] * 2
+        edges = {tuple(cyc[i:i + order + 1]) for i in range(2 ** order)}
+        sft = build_sft(3, ["20", "21"] + [w for w in itertools.product(
+            (0, 1), repeat=order + 1) if w not in edges])
+        assert sft.n_states == 8191
+        start = time.perf_counter()
+        assert topological_entropy(sft) == 0.0
+        assert time.perf_counter() - start < 1.0
+
+    def test_component_that_does_not_settle(self):
+        # two 150-cycles through state 0 and an exit from state 149 into
+        # the fixed point 299: lambda^150 = 2 on the cycles' component, whose
+        # power iteration does not settle in 100,000 rounds, so its own
+        # block is eigensolved; the entropy reads only the step table
+        step = np.full((300, 2), -1)
+        step[:, 0] = np.r_[1:150, 0, 151:299, 0, 299]
+        step[[0, 149], 1] = [150, 299]
+        h = topological_entropy(SimpleNamespace(_step=step, n_states=300))
+        assert abs(h - LOG2 / 150) <= 1e-10 * LOG2 / 150
 
     def test_golden_mean_vs_count(self, golden_mean):
         # derived cross-check at n = 40 against exhaustive-style counting
@@ -360,6 +418,30 @@ class TestEntropy:
         assert abs(math.log(c40) / 40 - h) < 0.02
         # ratio converges to the Perron eigenvalue
         assert abs(c41 / c40 - math.exp(h)) < 1e-4 * math.exp(h)
+
+
+class TestStrongComponents:
+    @given(st.integers(1, 12).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-1, n - 1), min_size=3, max_size=3),
+        min_size=n, max_size=n)))
+    @example([[-1, -1, -1]])                          # a state on no cycle
+    @example([[0, -1, -1], [-1, -1, -1], [0, 1, -1]])  # a self-loop, an isolated state
+    @example([[(i + 1) % 300, -1, -1] for i in range(300)])   # one long cycle
+    @example([[i + 1, -1, -1] for i in range(299)] + [[-1, -1, -1]])   # one long path
+    @settings(max_examples=300)
+    def test_matches_closure(self, rows):
+        succ = np.array(rows, dtype=np.intp)
+        got, want = strong_components(succ), reference_strong_components(succ)
+        assert np.array_equal(got[:, None] == got, want[:, None] == want)
+        # labels count components in the order they complete
+        assert sorted(set(got.tolist())) == list(range(got.max() + 1))
+        u, j = np.nonzero(succ >= 0)
+        assert (got[succ[u, j]] <= got[u]).all()
+
+    def test_long_cycle_without_recursion(self):
+        # deeper than Python's recursion limit
+        succ = np.roll(np.arange(20_000), -1)[:, None]
+        assert not strong_components(succ).any()
 
 
 class TestSpecificationGap:
