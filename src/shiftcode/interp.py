@@ -6,12 +6,12 @@ the symbols of its range, each segment's at its own coordinates.  A
 connector is a path through the SFT's factor automaton from the node the
 left context's last k symbols reach to a node that can read the right
 context's first k; bool reach rows, exact per remaining length, say
-which symbols can still finish.  The least connector takes the least
-such symbol at every step and never backtracks: past the rows' fixed
-point that choice is a fixed map node -> (symbol, next node), whose walk
-turns periodic within n_nodes steps and is tiled.
-:func:`iter_connectors` walks depth-first in lex order for the later
-connectors.  Interpolation copies the plan's symbols, checks every
+which symbols can still finish.  :func:`iter_connectors` is the one
+search, depth-first in lex order.  Its first descent, the least
+connector, takes the least such symbol at every step and never
+backtracks: past the rows' fixed point that choice is a fixed map
+node -> (symbol, next node), whose walk turns periodic within n_nodes
+steps and is tiled.  Interpolation copies the plan's symbols, checks every
 segment in one window pass and fills the gaps in dependency waves, with
 one memo lookup per distinct gap key and one gather per wave.
 """
@@ -137,35 +137,52 @@ def _reach_rows(sft: Sft, head: np.ndarray, length: int) -> list:
     return rows
 
 
-def _search_start(sft: Sft, tail: np.ndarray, head: np.ndarray, gap: int):
-    """(the node a connector starts from, -1 if none exists; reach rows)."""
-    if gap < 0:
-        raise ValueError("gap must be >= 0")
-    node = sft.factor_dfa().walk(tail)
-    if node < 0 and len(tail) == sft.k:
-        raise ValueError("left word has an inadmissible window")
-    reach = _reach_rows(sft, head, gap)
-    if node >= 0 and not reach[min(gap, len(reach) - 1)][node]:
-        node = -1
-    return node, reach
-
-
 def iter_connectors(sft: Sft, left, right, gap: int):
     """Yield every admissible connector of the exact length in lex order.
 
     Only the last k symbols of ``left`` and the first k of ``right``
     matter; ``ValueError`` if ``left`` has at least k symbols and its last
-    k are not a state.
+    k are not a state.  The reach rows are exact, so the first descent
+    never meets a dead end.  Its first ``gap - last`` steps all read the
+    fixed-point row ``reach[last]`` and follow its least-symbol map, tiled
+    once a node repeats; the last steps go row by row.  Later connectors
+    backtrack from that leaf.
     """
-    node, reach = _search_start(sft, _context(sft, left, last=True),
-                                _context(sft, right, last=False), gap)
-    if node < 0:
-        return
-    last = len(reach) - 1
+    if gap < 0:
+        raise ValueError("gap must be >= 0")
     moves, m = sft.factor_dfa().moves, sft.alphabet_size
-    word = np.zeros(gap, dtype=np.uint8)
-    path, a = [node], 0     # path[d]: the node word[:d] reaches; a: next symbol
-    while path:
+    tail = _context(sft, left, last=True)
+    node = 0
+    for a in tail:
+        node = moves[node, a]
+    if node == len(moves) - 1 and len(tail) == sft.k:
+        raise ValueError("left word has an inadmissible window")
+    reach = _reach_rows(sft, _context(sft, right, last=False), gap)
+    last = len(reach) - 1
+    if not reach[min(gap, last)][node]:
+        return
+    periodic = max(gap - last, 0)
+    word = np.empty(gap, dtype=np.uint8)
+    path = [node]       # path[d]: the node word[:d] reaches
+    if periodic:
+        sym = np.argmax(reach[last][moves], axis=1)
+        nxt = moves[np.arange(len(moves)), sym].tolist()
+        seen = {}
+        while node not in seen and len(seen) <= periodic:
+            seen[node] = len(seen)
+            node = nxt[node]
+        c = seen.get(node, 0)       # the cycle's first index (0: no repeat)
+        at = np.arange(periodic + 1)
+        at[c:] = c + (at[c:] - c) % (len(seen) - c)
+        nodes = np.array(list(seen))[at]
+        word[:periodic] = sym[nodes[:-1]]
+        path = nodes.tolist()
+    for d in range(periodic, gap):
+        nxt = moves[path[-1]]
+        a = int(np.argmax(reach[gap - d - 1][nxt]))
+        word[d] = a
+        path.append(nxt[a])
+    while path:             # a: the next symbol to try after a backtrack
         depth = len(path) - 1
         if depth < gap:
             row, nxt = reach[min(gap - depth - 1, last)], moves[path[-1]]
@@ -182,44 +199,6 @@ def iter_connectors(sft: Sft, left, right, gap: int):
         a = int(word[depth - 1]) + 1 if depth else m
 
 
-def _least_connector(sft: Sft, tail: np.ndarray, head: np.ndarray,
-                     gap: int) -> np.ndarray:
-    """The first connector :func:`iter_connectors` yields, by one walk.
-
-    The reach rows are exact, so the least symbol that keeps the head
-    reachable never leads to a dead end.  The first ``gap - last`` steps
-    all read the fixed-point row ``reach[last]``: their choices form a map
-    node -> (symbol, next node), and its walk is tiled once a node repeats;
-    the last steps go row by row.
-    """
-    node, reach = _search_start(sft, tail, head, gap)
-    if node < 0:
-        raise NoConnectorError(
-            f"no admissible connector of length {gap} between the given words")
-    moves = sft.factor_dfa().moves[:, :-1]
-    last = len(reach) - 1
-    periodic = max(gap - last, 0)
-    word = np.empty(gap, dtype=np.uint8)
-    if periodic:
-        sym = np.argmax(reach[last][moves], axis=1)
-        nxt = moves[np.arange(len(moves)), sym].tolist()
-        path, seen = [], {}
-        while node not in seen and len(path) < periodic:
-            seen[node] = len(path)
-            path.append(node)
-            node = nxt[node]
-        word[:len(path)] = sym[path]
-        if len(path) < periodic:            # node repeats: tile its cycle
-            c = seen[node]
-            word[len(path):periodic] = np.resize(sym[path[c:]], periodic - len(path))
-            node = path[c + (periodic - c) % (len(path) - c)]
-    for d in range(periodic, gap):
-        nxt = moves[node]
-        a = int(np.argmax(reach[gap - d - 1][nxt]))
-        word[d], node = a, nxt[a]
-    return word
-
-
 def connect_words(sft: Sft, left, right, gap: int) -> Word:
     """Lexicographically least word w of length ``gap`` with left w right
     admissible; guaranteed to exist when gap >= specification_gap(sft).
@@ -228,7 +207,11 @@ def connect_words(sft: Sft, left, right, gap: int) -> Word:
     key = (tail.tobytes(), head.tobytes(), gap)
     w = sft._connectors.get(key)
     if w is None:
-        w = sft._connectors[key] = Word(_least_connector(sft, tail, head, gap))
+        w = next(iter_connectors(sft, tail, head, gap), None)
+        if w is None:
+            raise NoConnectorError(
+                f"no admissible connector of length {gap} between the given words")
+        sft._connectors[key] = w
     return w
 
 

@@ -39,7 +39,8 @@ def window_codes(symbols, k: int, m: int) -> np.ndarray:
     significant, so codes sort like the windows in lex order; a 2-D input
     is coded column by column.  The dtype is the narrowest unsigned type
     that holds all m^k codes; ``table.take(codes)`` gathers by them
-    faster than ``table[codes]`` and with no intp copy.
+    faster than ``table[codes]``, but through an intp copy of the codes:
+    a bool gather peaks at 9.0 B a code under tracemalloc, against 1.34 B.
     """
     dtype = np.min_scalar_type(m ** k - 1)
     if dtype.kind != "u":

@@ -903,8 +903,7 @@ SCHEMA = {
                "badset_bound", "badset_ok", "ratio_ok", "eg_ok", "weakstar",
                "lz_rate", "rewrites"],
     "splice": ["subcommand", "kind", "length", "admissible", "k0", "k1",
-               "k2", "time_ratio_1_ok", "time_ratio_2_ok", "N", "M",
-               "target_frequency", "guarantee"],
+               "k2", "N", "M", "target_frequency", "guarantee"],
     "toral": ["subcommand", "operation", "quasi_hyperbolic", "entropy",
               "classification", "dim_q", "dim_o", "index"],
     "halmos": ["subcommand", "n", "m", "member"],
