@@ -145,8 +145,8 @@ def iter_connectors(sft: Sft, left, right, gap: int):
     k are not a state.  The reach rows are exact, so the first descent
     never meets a dead end.  Its first ``gap - last`` steps all read the
     fixed-point row ``reach[last]`` and follow its least-symbol map, tiled
-    once a node repeats; the last steps go row by row.  Later connectors
-    backtrack from that leaf.
+    once a node repeats.  The depth-first loop takes the descent on from
+    there, row by row, and later connectors backtrack from its leaf.
     """
     if gap < 0:
         raise ValueError("gap must be >= 0")
@@ -163,7 +163,7 @@ def iter_connectors(sft: Sft, left, right, gap: int):
         return
     periodic = max(gap - last, 0)
     word = np.empty(gap, dtype=np.uint8)
-    path = [node]       # path[d]: the node word[:d] reaches
+    path, a = [node], 0     # path[d]: the node word[:d] reaches
     if periodic:
         sym = np.argmax(reach[last][moves], axis=1)
         nxt = moves[np.arange(len(moves)), sym].tolist()
@@ -177,12 +177,7 @@ def iter_connectors(sft: Sft, left, right, gap: int):
         nodes = np.array(list(seen))[at]
         word[:periodic] = sym[nodes[:-1]]
         path = nodes.tolist()
-    for d in range(periodic, gap):
-        nxt = moves[path[-1]]
-        a = int(np.argmax(reach[gap - d - 1][nxt]))
-        word[d] = a
-        path.append(nxt[a])
-    while path:             # a: the next symbol to try after a backtrack
+    while path:             # a: the next symbol to try at this depth
         depth = len(path) - 1
         if depth < gap:
             row, nxt = reach[min(gap - depth - 1, last)], moves[path[-1]]
