@@ -117,9 +117,14 @@ class Dfa:
         return nodes if off is None else np.where(off, self.n_nodes, nodes)
 
     def walk(self, symbols) -> int:
-        """The node a word ends on from the start; -1 if it dies."""
-        end = int(self._ends(np.asarray(symbols)[None])[0])
-        return -1 if end == self.n_nodes else end
+        """The node a word ends on from the start; -1 if it dies or reads a
+        symbol off the alphabet.  One step a symbol, for short words."""
+        node, m = 0, self.alphabet_size
+        for a in np.asarray(symbols).tolist():
+            node = int(self.moves[node, a]) if 0 <= a < m else self.n_nodes
+            if node == self.n_nodes:
+                return -1
+        return node
 
     def member_rows(self, rows) -> np.ndarray:
         """Bool vector: which rows are accepted words (end before the sink)."""

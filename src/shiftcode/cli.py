@@ -383,8 +383,7 @@ def _cmd_splice(args):
         y1 = nu.sample_path(args.length + args.N + 3, seed=(args.seed, 1))
         out = splicer.splice_full_support(sft, y1, target, args.N, args.M,
                                           args.seed, length=args.length)
-        hits = len(codec._find_all(out.symbols.tobytes(),
-                                   target.symbols.tobytes()))
+        hits = len(shiftspace.occurrences(out.symbols, target.symbols))
         emit_report("splice", [
             ("kind", "support"), ("length", len(out)),
             ("admissible", sft.is_admissible(out)),

@@ -17,7 +17,9 @@ the girl rows of one batched unrank and the marker, once per
 dictionary-flagged block, written at their coordinates) and interpolates
 it in one call.  After interpolation it rewrites any filler that happens
 to reproduce the marker, so every marker occurrence in the output is a
-planted one and offset recovery is exact.
+planted one and offset recovery is exact.  That scrub and the decoder
+find the marker's occurrences with one ``shiftspace.occurrences`` call a
+pass.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .dictionary import Dictionary, ParameterPack
 from .errors import EncodingCollisionError, ParameterError, ShiftcodeError
 from .interp import SegmentPlan, interpolate, iter_connectors
 from .markers import MarkerScheme
-from .shiftspace import Sft, Word, ascii_text, specification_gap
+from .shiftspace import Sft, Word, ascii_text, occurrences, specification_gap
 
 MAX_FILLER_REWRITES = 500
 
@@ -124,15 +126,6 @@ def _draw_flags(parse: BlockParse, eps: float, n_girls: int, seed: int) -> np.nd
     return flags
 
 
-def _find_all(hay: bytes, needle: bytes):
-    out = []
-    i = hay.find(needle)
-    while i >= 0:
-        out.append(i)
-        i = hay.find(needle, i + 1)
-    return out
-
-
 def encode(x: Word, dict_: Dictionary, scheme: MarkerScheme,
            pack: ParameterPack, target: Sft, seed: int) -> CodedPair:
     """Encode a source word into an admissible word of the target SFT."""
@@ -156,10 +149,9 @@ def encode(x: Word, dict_: Dictionary, scheme: MarkerScheme,
 
     plan, mask = block_plan(x.lo, x.hi, boys_at, girl_rows, flagged, pack, scheme)
     y_sym = interpolate(target, plan).symbols.copy()
-    marker_positions = tuple((boys_at[flagged] + pack.marker_offset).tolist())
-    rewrites = _scrub_spurious_markers(target, y_sym, x.lo, plan, scheme,
-                                       set(marker_positions))
-    return CodedPair(x, Word(y_sym, x.lo), parse, mask, marker_positions,
+    planted = boys_at[flagged] + pack.marker_offset
+    rewrites = _scrub_spurious_markers(target, y_sym, x.lo, plan, scheme, planted)
+    return CodedPair(x, Word(y_sym, x.lo), parse, mask, tuple(planted.tolist()),
                      tuple(boys_at.tolist()), rewrites)
 
 
@@ -189,23 +181,26 @@ def block_plan(lo: int, hi: int, boys_at: np.ndarray, girl_rows: np.ndarray,
 
 
 def _scrub_spurious_markers(target, y_sym, y_lo, plan, scheme, planted):
-    """Rewrite filler gaps until the marker occurs only where planted."""
-    marker = scheme.word.symbols.tobytes()
+    """Rewrite filler gaps until the marker occurs only at the sorted
+    ``planted`` coordinates."""
+    marker = scheme.word.symbols
     width = len(marker)
     k = target.k
     gaps = None
     variants: dict = {}
     rewrites = 0
     while True:
-        hay = y_sym.tobytes()
-        spurious = [q for q in _find_all(hay, marker) if q + y_lo not in planted]
-        if not spurious:
+        hits = occurrences(y_sym, marker)
+        at = hits + y_lo    # a planted hit's two insertion points differ
+        spurious = hits[np.searchsorted(planted, at)
+                        == np.searchsorted(planted, at, side="right")]
+        if not len(spurious):
             return rewrites
         if rewrites >= MAX_FILLER_REWRITES:
             raise EncodingCollisionError(
                 f"{len(spurious)} spurious marker occurrences persist after "
                 f"{rewrites} filler rewrites")
-        q = spurious[0]
+        q = int(spurious[0])
         if gaps is None:
             gaps = plan.gaps(k)
         overlap = np.minimum(gaps[1], q + width) - np.maximum(gaps[0], q)
@@ -238,8 +233,7 @@ def decode(y: Word, dict_: Dictionary, scheme: MarkerScheme,
     info_lo, info_hi = pack.info_region
     x_hat = np.full(len(y), 255, dtype=np.uint8)
     mask = np.zeros(len(y), dtype=bool)
-    hits = np.array(_find_all(y.symbols.tobytes(), scheme.word.symbols.tobytes()),
-                    dtype=np.int64) - pack.marker_offset
+    hits = occurrences(y.symbols, scheme.word.symbols) - pack.marker_offset
     hits = hits[(hits >= 0) & (hits + N <= len(y))]
     if len(hits):       # else y may be shorter than a window
         windows = sliding_window_view(y.symbols, info_hi - info_lo)[hits + info_lo]

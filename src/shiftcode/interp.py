@@ -150,13 +150,13 @@ def iter_connectors(sft: Sft, left, right, gap: int):
     """
     if gap < 0:
         raise ValueError("gap must be >= 0")
-    moves, m = sft.factor_dfa().moves, sft.alphabet_size
-    tail = _context(sft, left, last=True)
-    node = 0
-    for a in tail:
-        node = moves[node, a]
-    if node == len(moves) - 1 and len(tail) == sft.k:
-        raise ValueError("left word has an inadmissible window")
+    dfa, m = sft.factor_dfa(), sft.alphabet_size
+    moves, tail = dfa.moves, _context(sft, left, last=True)
+    node = dfa.walk(tail)
+    if node < 0:        # a dead tail reaches nothing
+        if len(tail) == sft.k:
+            raise ValueError("left word has an inadmissible window")
+        return
     reach = _reach_rows(sft, _context(sft, right, last=False), gap)
     last = len(reach) - 1
     if not reach[min(gap, last)][node]:

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (CoverageError, MarkerSearchError, NoMarkerExistsError,
                      ParameterError, ShiftcodeError)
 from .measures import MarkovMeasure
-from .shiftspace import Sft, Word, ascii_text, specification_gap, window_codes
+from .shiftspace import (Sft, Word, ascii_text, occurrences, specification_gap,
+                         window_codes)
 
 EXHAUSTIVE_BITS = 24
 
@@ -225,11 +226,10 @@ def locate_offset(w: Word, scheme: MarkerScheme, L: int) -> int:
         raise CoverageError(f"w covers [{w.lo}, {w.hi}), needs [0, {L})")
     if not L - 18 * M > M:
         raise ParameterError(f"need M < L - 18M, got M={M}, L={L}")
-    hay = w.window(0, L).symbols.tobytes()
-    i = hay.find(scheme.word.symbols.tobytes())
-    if i < 0:
+    hits = occurrences(w.window(0, L).symbols, scheme.word.symbols)
+    if not len(hits):
         raise ShiftcodeError("marker not found in [0, L)")
-    return (L - 9 * M) - i
+    return (L - 9 * M) - int(hits[0])
 
 
 def avoidance_filter(words, scheme: MarkerScheme, N: int):

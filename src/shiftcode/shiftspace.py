@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .automata import Dfa
 from .errors import CoverageError, EmptySftError, NotMixingError, ParameterError
@@ -54,6 +55,35 @@ def window_codes(symbols, k: int, m: int) -> np.ndarray:
         codes *= m
         codes += sym[j:j + n]
     return codes
+
+
+def occurrences(symbols, word) -> np.ndarray:
+    """Sorted int64 starts of every occurrence of ``word`` in ``symbols``,
+    overlapping ones included.
+
+    The next w symbols at every coordinate, w the largest of 8, 4, 2, 1 at
+    most the word's length, are read as one little-endian integer through
+    a strided view of the symbols, with no copy.  One compare keeps the
+    starts that agree with the word's first w symbols; each further
+    w-symbol group of the word, the last one aligned to end with it,
+    filters those.  ``ValueError`` for an empty word.
+    """
+    sym = np.ascontiguousarray(symbols, dtype=np.uint8)
+    word = np.ascontiguousarray(word, dtype=np.uint8)
+    n = len(word)
+    if n == 0:
+        raise ValueError("cannot search for the empty word")
+    if n > len(sym):
+        return np.zeros(0, dtype=np.int64)
+    w = next(w for w in (8, 4, 2, 1) if w <= n)
+    dtype = np.dtype(f"<u{w}")
+    heads = sliding_window_view(sym, w).view(dtype)[:, 0]
+    keys = sliding_window_view(word, w).view(dtype)[:, 0]
+    at = np.flatnonzero(heads[:len(sym) - n + 1] == keys[0])
+    for j in range(w, n, w):
+        j = min(j, n - w)
+        at = at[heads[at + j] == keys[j]]
+    return at.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -816,16 +816,28 @@ def reference_invert_rows(dict_, girl_rows):
     return out, found
 
 
+def reference_occurrences(symbols, word):
+    """Reference for shiftspace.occurrences: one ``bytes.find`` per hit,
+    each from one past the last; a list of ints."""
+    hay = np.asarray(symbols, dtype=np.uint8).tobytes()
+    needle = np.asarray(word, dtype=np.uint8).tobytes()
+    out = []
+    i = hay.find(needle)
+    while i >= 0:
+        out.append(i)
+        i = hay.find(needle, i + 1)
+    return out
+
+
 def reference_decode(y, dict_, scheme, pack):
     """Reference for codec.decode: the info windows gathered by an index
     matrix and the decoded blocks scattered by ``spans``."""
-    from shiftcode.codec import _find_all
     from shiftcode.interp import spans
     N = pack.N
     info_lo, info_hi = pack.info_region
     x_hat = np.full(len(y), 255, dtype=np.uint8)
     mask = np.zeros(len(y), dtype=bool)
-    hits = np.array(_find_all(y.symbols.tobytes(), scheme.word.symbols.tobytes()),
+    hits = np.array(reference_occurrences(y.symbols, scheme.word.symbols),
                     dtype=np.int64) - pack.marker_offset
     hits = hits[(hits >= 0) & (hits + N <= len(y))]
     windows = y.symbols[(hits + info_lo)[:, None] + np.arange(info_hi - info_lo)]

@@ -24,7 +24,8 @@ from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft
 
 from conftest import (LOG2, reference_decode, reference_draw_flags,
-                      reference_lz78_phrases, reference_rokhlin_parse)
+                      reference_lz78_phrases, reference_occurrences,
+                      reference_rokhlin_parse)
 
 H_01 = 0.3250829733914482
 
@@ -246,13 +247,8 @@ class TestRoundtrip:
         pack, scheme, b, g, d = roundtrip_setup
         x = bern_01.sample_path(50_000, seed=21)
         pair = encode(x, d, scheme, pack, full2, seed=22)
-        hay = pair.y.symbols.tobytes()
         needle = scheme.word.symbols.tobytes()
-        found = []
-        i = hay.find(needle)
-        while i >= 0:
-            found.append(i)
-            i = hay.find(needle, i + 1)
+        found = reference_occurrences(pair.y.symbols, scheme.word.symbols)
         assert found == sorted(pair.marker_positions)
         # per qualifying block, the marker occurs only at the planted spot
         N, M = pack.N, pack.M
@@ -279,7 +275,7 @@ class TestRoundtrip:
         y[40:44] = seg.symbols
         plan = plan_from_words(0, 60, [seg], min_gap=2)
         assert _scrub_spurious_markers(golden_mean, y, 0, plan, scheme,
-                                       set()) == 1
+                                       np.zeros(0, dtype=np.int64)) == 1
         want = next(islice(reference_connectors(golden_mean, y[:0], seg, 40),
                            1, None))
         assert np.array_equal(y[:40], want.symbols)

@@ -16,14 +16,15 @@ from shiftcode.interp import iter_connectors
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import (Sft, Word, WindowMetricParams, build_sft,
                                   count_words, enumerate_words, parse_sft,
-                                  serialize_sft, specification_gap,
-                                  strong_components, topological_entropy,
-                                  window_codes, window_distance_below)
+                                  occurrences, serialize_sft,
+                                  specification_gap, strong_components,
+                                  topological_entropy, window_codes,
+                                  window_distance_below)
 
 from conftest import (GOLDEN_ENTROPY, LOG2, reference_factor_dfa,
                       reference_specification_gap, reference_strong_components,
-                      reference_sft_tables, reference_topological_entropy,
-                      reference_walk)
+                      reference_occurrences, reference_sft_tables,
+                      reference_topological_entropy, reference_walk)
 
 
 def brute_words(sft, n):
@@ -81,6 +82,48 @@ class TestWindowCodes:
         path = sft.state_path(Word.from_string("001101"))
         assert path.tolist() == [0, 1, -1, 2, 1]
         assert len(sft.state_path(Word.from_string("0"))) == 0
+
+
+class TestOccurrences:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_reference(self, data):
+        m = data.draw(st.sampled_from([2, 3, 256]), label="m")
+        sym = np.array(data.draw(st.lists(st.integers(0, m - 1), max_size=80),
+                                 label="symbols"), dtype=np.uint8)
+        n = data.draw(st.integers(1, 20), label="n")
+        if n <= len(sym) and data.draw(st.booleans(), label="planted"):
+            at = data.draw(st.integers(0, len(sym) - n), label="at")
+            word = sym[at:at + n].copy()
+        else:       # input shorter than the word, or a word drawn alone
+            word = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n,
+                                               max_size=n), label="word"),
+                            dtype=np.uint8)
+        got = occurrences(sym, word)
+        assert got.dtype == np.int64
+        assert got.tolist() == reference_occurrences(sym, word)
+        # strided input and a word of another integer dtype
+        for view in (sym[::2], sym[::-1]):
+            assert (occurrences(view, word.astype(np.int64)).tolist()
+                    == reference_occurrences(view, word))
+
+    @pytest.mark.parametrize("word", ["0000", "0101", "00100", "0" * 9,
+                                      "01" * 10, "11"])
+    def test_self_overlapping(self, word):
+        rng = np.random.default_rng(len(word))
+        sym = np.concatenate([rng.integers(0, 2, 300), np.zeros(30),
+                              np.tile([0, 1], 30), [0, 0, 1, 0, 0, 1, 0, 0]])
+        sym = sym.astype(np.uint8)
+        w = Word.from_string(word).symbols
+        got = occurrences(sym, w).tolist()
+        assert got == reference_occurrences(sym, w)
+        assert any(b - a < len(w) for a, b in zip(got, got[1:]))   # overlapping
+
+    def test_short_input_and_empty_word(self):
+        assert occurrences(np.zeros(3, dtype=np.uint8), [0] * 4).tolist() == []
+        assert occurrences([], [1]).dtype == np.int64
+        with pytest.raises(ValueError, match="empty word"):
+            occurrences(np.zeros(3, dtype=np.uint8), [])
 
 
 class TestBuild:
@@ -294,8 +337,13 @@ class TestEntropy:
     @example((2, [(0, 1), (1, 0)]))       # reducible: two fixed points
     @example((2, [(1, 0, 0)]))            # reducible: a fixed point feeds a mixing part
     @example((2, [(0, 0), (1, 1)]))       # period 2
+    # reducible, and the two sides straddle a 12-digit rounding boundary:
+    # 0.881373587019 against 0.88137358702, 4.7e-14 apart
+    @example((4, [(1,), (3, 2, 2), (2, 2, 0), (2, 3)]))
     @settings(max_examples=150)
     def test_matches_reference(self, inputs):
+        # both sides are certified to a 1e-13 bracket only, so they agree
+        # to a relative 1e-12, not to a fixed number of printed digits
         m, forbidden = inputs
         try:
             sft = Sft(m, forbidden)
@@ -303,7 +351,6 @@ class TestEntropy:
             return
         got, want = topological_entropy(sft), reference_topological_entropy(sft)
         assert abs(got - want) <= 1e-12 * abs(want)
-        assert f"{got:.12g}" == f"{want:.12g}"
 
     @pytest.mark.parametrize("length", [7, 14, 18])
     def test_disjoint_cycles_exactly_zero(self, length):
