@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConnectorError
-from .shiftspace import Sft, Word, specification_gap
+from .shiftspace import CHUNK, Sft, Word, specification_gap
 
 
 def spans(starts, lengths) -> np.ndarray:
@@ -254,7 +254,9 @@ def _fill(sft: Sft, out: np.ndarray, a, b, head) -> None:
     after it, its length) is one int64 row: the symbols as digits 1..m,
     0 for a missing one, then the length.  One ``lexsort`` of the columns
     finds the distinct rows, each is looked up once, and only a miss goes
-    to :func:`connect_words`.  One gather writes every filler.
+    to :func:`connect_words`.  One gather writes the fillers of each run
+    of gaps that ends within ``CHUNK`` coordinates of the run's first gap
+    (a longer gap alone).
     """
     k = sft.k
     size = b - a
@@ -278,5 +280,10 @@ def _fill(sft: Sft, out: np.ndarray, a, b, head) -> None:
         if w is None:
             w = connect_words(sft, left, right, hi - lo)
         fillers.append(w.symbols)
+    pool = np.concatenate(fillers)
     offsets = (np.cumsum(size[first]) - size[first])[inverse]
-    out[spans(a, size)] = np.concatenate(fillers)[spans(offsets, size)]
+    i = 0
+    while i < len(a):
+        j = max(int(b.searchsorted(a[i] + CHUNK, "right")), i + 1)
+        out[spans(a[i:j], size[i:j])] = pool[spans(offsets[i:j], size[i:j])]
+        i = j

@@ -105,11 +105,12 @@ def find_marker(sft: Sft, nu: MarkovMeasure, M: int, alpha: float,
     time (see :meth:`Dfa.enumerate`), and the valid word with the shortest
     longest constant run wins, ties going to the first in lex order, so
     fillers are unlikely to reproduce the marker by accident.  Working
-    memory is a few blocks, about 30 MB at 8M = 24, whatever the number
-    of candidates.  Otherwise seeded random restarts with single-symbol
-    hill climbing on the count of violated offsets, at most ``budget``
-    (>= 1) candidates checked: each restart unranks one uniform draw from
-    the admissible words, and hill climbing draws nothing.
+    memory is a few blocks, a 2.9 MB tracemalloc peak at 8M = 24,
+    whatever the number of candidates.  Otherwise seeded random restarts
+    with single-symbol hill climbing on the count of violated offsets, at
+    most ``budget`` (>= 1) candidates checked: each restart unranks one
+    uniform draw from the admissible words, and hill climbing draws
+    nothing.
     """
     if M < 1:
         raise ParameterError("M must be >= 1")

@@ -24,6 +24,10 @@ MAX_TEXT_ALPHABET = 10  # text format writes symbols as single digits
 # not settle.  512 MiB admits the 8,192 states of ``forbid 0^14`` and refuses
 # the 65,536 of ``forbid 0^17`` before numpy fails on a multi-GiB allocation.
 MAX_TABLE_BYTES = 1 << 29
+# Most windows looked up per edge-table take (Sft.admissible_pieces) and
+# coordinates spanned by the gaps filled per gather (interp._fill): bounds
+# their intp temporaries, while a 50,000-symbol splice still takes one chunk.
+CHUNK = 1 << 16
 
 
 def _check_table(what: str, entries: int) -> None:
@@ -289,11 +293,11 @@ class Sft:
         """Bool array: which pieces of a concatenation occur in the shift.
 
         ``symbols`` holds the pieces end to end, ``lengths`` their lengths.
-        One window pass checks them all: a piece longer than k occurs iff
-        each of its (k+1)-windows is an edge (windows across a boundary
-        between pieces are ignored), a shorter one of length n iff it is
-        the last n symbols of some state.  A symbol outside the alphabet
-        makes its piece inadmissible.
+        One window pass checks them all, ``CHUNK`` windows at a time: a
+        piece longer than k occurs iff each of its (k+1)-windows is an edge
+        (windows across a boundary between pieces are ignored), a shorter
+        one of length n iff it is the last n symbols of some state.  A
+        symbol outside the alphabet makes its piece inadmissible.
         """
         sym = np.asarray(symbols)
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -305,9 +309,12 @@ class Sft:
             ok[np.searchsorted(ends, np.flatnonzero(off), side="right")] = False
             sym = np.where(off, 0, sym)
         # window i covers symbols i..i+k: it counts iff its piece ends later
-        bad = np.flatnonzero(~self.edges.take(window_codes(sym, k + 1, m)))
-        piece = np.searchsorted(ends, bad, side="right")
-        ok[piece[bad + k < ends[piece]]] = False
+        for lo in range(0, max(len(sym) - k, 1), CHUNK):
+            bad = np.flatnonzero(~self.edges.take(
+                window_codes(sym[lo:lo + CHUNK + k], k + 1, m)))
+            bad += lo
+            piece = np.searchsorted(ends, bad, side="right")
+            ok[piece[bad + k < ends[piece]]] = False
         starts = ends - lengths
         for n in set(lengths[lengths <= k].tolist()):
             at = np.flatnonzero(lengths == n)

@@ -189,6 +189,30 @@ def reference_walk(dfa, symbols):
     return int(cur)
 
 
+def reference_admissible_pieces(sft, symbols, lengths):
+    """Reference for Sft.admissible_pieces: every (k+1)-window code looked
+    up in the edge table in one take; a piece of length n <= k matched
+    against the states' last n symbols."""
+    sym = np.asarray(symbols)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    k, m = sft.k, sft.alphabet_size
+    ends = np.cumsum(lengths)
+    ok = np.ones(len(lengths), dtype=bool)
+    off = (sym < 0) | (sym >= m)
+    if off.any():
+        ok[np.searchsorted(ends, np.flatnonzero(off), side="right")] = False
+        sym = np.where(off, 0, sym)
+    bad = np.flatnonzero(~sft.edges.take(window_codes(sym, k + 1, m)))
+    piece = np.searchsorted(ends, bad, side="right")
+    ok[piece[bad + k < ends[piece]]] = False
+    starts = ends - lengths
+    for n in set(lengths[lengths <= k].tolist()):
+        at = np.flatnonzero(lengths == n)
+        code = window_codes(sym[starts[at, None] + np.arange(n)].T, n, m)[0]
+        ok[at] &= np.isin(code, sft.state_suffix_codes(n))
+    return ok
+
+
 def reference_suffix_counts(dfa, length):
     """Reference for Dfa.suffix_counts: list rows of per-node sums, row 0
     all ones (every node accepts)."""
@@ -385,17 +409,14 @@ def reference_sft_tables(alphabet_size, forbidden):
     ``forbidden`` holds symbol tuples; returns the dict of states,
     state_codes, last_symbol, adjacency and step.
     """
-    forbidden = sorted(set(forbidden))
+    forbidden = set(forbidden)
     memory = max((len(f) for f in forbidden), default=1) - 1 if forbidden else 0
     k = max(memory, 1)
+    lengths = {len(f) for f in forbidden}
 
     def clean(word):
-        for f in forbidden:
-            L = len(f)
-            for i in range(len(word) - L + 1):
-                if word[i:i + L] == f:
-                    return False
-        return True
+        return not any(word[i:i + L] in forbidden for L in lengths
+                       for i in range(len(word) - L + 1))
 
     states = [s for s in itertools.product(range(alphabet_size), repeat=k) if clean(s)]
     index = {s: i for i, s in enumerate(states)}
@@ -454,23 +475,29 @@ def reference_specification_gap(sft):
 
 def reference_topological_entropy(sft):
     """Reference for shiftspace.topological_entropy: power iteration on the
-    dense A + I with the Collatz-Wielandt bracket, up to 100,000 products,
-    then a dense eigensolve.  Division warnings are silenced: on a
-    reducible shift a transient state's mass can underflow to 0."""
+    dense A + I with the Collatz-Wielandt bracket, then a dense eigensolve
+    once 100 products fail to halve the bracket (as on a reducible shift,
+    where a component's ratios can stay below the top one).  Division
+    warnings are silenced: on a reducible shift a transient state's mass
+    can underflow to 0."""
     a = reference_adjacency(sft).astype(np.float64)
     n = a.shape[0]
     if n == 1:
         return math.log(float(a[0, 0])) if a[0, 0] > 1 else 0.0
     b = a + np.eye(n)
-    x = np.full(n, 1.0 / n)
+    x, width = np.full(n, 1.0 / n), math.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(100_000):
+        for i in itertools.count():
             y = b @ x
             ratios = y / x
             lo, hi = ratios.min(), ratios.max()
             x = y / y.sum()
             if hi - lo <= 1e-13 * hi:
                 return math.log(0.5 * (lo + hi) - 1.0)
+            if i % 100 == 0:
+                if not hi - lo < 0.5 * width:   # true for a NaN bracket
+                    break
+                width = hi - lo
     rho = max(ev.real for ev in np.linalg.eigvals(a))
     return math.log(rho) if rho > 1.0 else 0.0
 

@@ -2,6 +2,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -153,6 +154,21 @@ class TestRoundtrip:
             assert np.array_equal(mask, pair.mask), seed
             assert np.array_equal(x.symbols[pair.mask],
                                   x_hat.symbols[pair.mask]), seed
+
+    def test_encode_memory_bounded(self, roundtrip_setup, bern_01, full2):
+        # windows looked up and fillers written in chunks: one take over
+        # all 2 x 10^5 window codes peaked at 3.4 MiB under tracemalloc
+        pack, scheme, b, g, d = roundtrip_setup
+        x = bern_01.sample_path(200_000, seed=(1, 1, 0x5A))
+        want = encode(x, d, scheme, pack, full2, seed=10_001).y
+        tracemalloc.start()
+        try:
+            got = encode(x, d, scheme, pack, full2, seed=10_001).y
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 3 * 2 ** 20
 
     def test_hall_many_seeds(self, hall_setup, full2):
         mu, pack, scheme, b, g, d = hall_setup

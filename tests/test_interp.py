@@ -457,14 +457,13 @@ class TestPeriodicClosure:
         assert periodic_closure(full2, Word.from_string("1")).to_string() == "0"
 
 
-@given(data=st.data())
-@settings(max_examples=300)
-def test_interpolate_waves_match_reference(sft_zoo, data):
-    # a few short words repeated at gaps of one or two lengths repeat the
-    # memo keys; runs of segments shorter than k that do not start at lo
-    # chain their gaps into several waves; a segment may start at lo or
-    # end at hi (an empty boundary gap).  In the 010-free shift the tail 1
-    # of a segment at lo and a tail 01 need different connectors
+def draw_wave_plan(sft_zoo, data):
+    """(sft, plan arguments, waves): a few short words repeated at gaps of
+    one or two lengths repeat the memo keys; runs of segments shorter than
+    k that do not start at lo chain their gaps into several waves; a
+    segment may start at lo or end at hi (an empty boundary gap).  In the
+    010-free shift the tail 1 of a segment at lo and a tail 01 need
+    different connectors."""
     sfts = sft_zoo + [build_sft(2, ["010"])]
     sft = sfts[data.draw(st.integers(0, len(sfts) - 1), label="sft")]
     dfa, L = sft.factor_dfa(), specification_gap(sft)
@@ -484,11 +483,29 @@ def test_interpolate_waves_match_reference(sft_zoo, data):
         pos += len(sym) + L + data.draw(st.sampled_from([0, 0, 1]), label="gap")
     end = segments[-1].hi if segments else pos
     hi = end + data.draw(st.sampled_from([0, L, 3]), label="trail") + (end == lo)
-    want = _outcome(reference_interpolate, sft,
-                    plan_from_words(lo, hi, segments, min_gap=L))
+    return sft, dict(lo=lo, hi=hi, words=segments, min_gap=L), waves
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_interpolate_waves_match_reference(sft_zoo, data):
+    sft, plan, waves = draw_wave_plan(sft_zoo, data)
+    want = _outcome(reference_interpolate, sft, plan_from_words(**plan))
     event("error" if isinstance(want[0], type) else f"waves {min(waves, 3)}")
-    assert _outcome(interpolate, sft,
-                    plan_from_words(lo, hi, segments, min_gap=L)) == want
+    assert _outcome(interpolate, sft, plan_from_words(**plan)) == want
+
+
+@given(data=st.data())
+@settings(max_examples=200)
+def test_interpolate_filler_groups_byte_identical(sft_zoo, data):
+    # fillers written a few coordinates at a time: a group edge falls
+    # inside a run of gaps, a gap longer than a group is written alone
+    sft, plan, _ = draw_wave_plan(sft_zoo, data)
+    want = _outcome(interpolate, sft, plan_from_words(**plan))
+    chunk = data.draw(st.integers(1, 3 * plan["min_gap"] + 3), label="chunk")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interp, "CHUNK", chunk)
+        assert _outcome(interpolate, sft, plan_from_words(**plan)) == want
 
 
 @pytest.mark.parametrize("m,forbidden", [

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from shiftcode.errors import (MarkerSearchError, NoMarkerExistsError,
                               NotMixingError, ParameterError, ShiftcodeError)
 from shiftcode.markers import (MarkerScheme, avoidance_filter, check_scheme,
                                find_marker, locate_offset)
-from shiftcode.measures import MarkovMeasure
-from shiftcode.shiftspace import Word, build_sft, enumerate_words
+from shiftcode.measures import MarkovMeasure, parse_measure
+from shiftcode.shiftspace import Word, build_sft, enumerate_words, parse_sft
 
 from conftest import markov_on_support
 
@@ -109,6 +111,22 @@ class TestFindMarker:
         monkeypatch.setattr(automata, "ENUM_BLOCK_ROWS", 7)
         sft = sft_zoo[index]
         assert_matches_reference(sft, MarkovMeasure.uniform(sft), 1, 0.5)
+
+    def test_exhaustive_memory_bounded(self):
+        # the 2^16 candidates of the practical pack's M = 2 in blocks of
+        # ENUM_BLOCK_ROWS: 6.8 MiB under tracemalloc in one 2^16-row block
+        data = Path(__file__).parent / "data"
+        sft = parse_sft((data / "full2.sft").read_text())
+        nu = parse_measure((data / "b5.msr").read_text(), sft)
+        want = find_marker(sft, nu, M=2, alpha=0.5)
+        tracemalloc.start()
+        try:
+            assert find_marker(sft, nu, M=2, alpha=0.5) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert want.word.to_string() == "0010010010010011"
+        assert peak < 2 * 2 ** 20
 
     def test_exhaustive_no_marker_matches_reference(self):
         one = build_sft(1, [])

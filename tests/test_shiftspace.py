@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shiftcode import shiftspace
 from shiftcode.errors import (CoverageError, EmptySftError, NotMixingError,
                               ParameterError)
 from shiftcode.interp import iter_connectors
@@ -21,7 +22,8 @@ from shiftcode.shiftspace import (Sft, Word, WindowMetricParams, build_sft,
                                   topological_entropy, window_codes,
                                   window_distance_below)
 
-from conftest import (GOLDEN_ENTROPY, LOG2, reference_factor_dfa,
+from conftest import (GOLDEN_ENTROPY, LOG2, reference_admissible_pieces,
+                      reference_factor_dfa,
                       reference_specification_gap, reference_strong_components,
                       reference_occurrences, reference_sft_tables,
                       reference_topological_entropy, reference_walk)
@@ -286,6 +288,34 @@ class TestAdmissible:
         assert got.tolist() == [reference_walk(dfa, p) >= 0 for p in pieces]
         for p in pieces:
             assert sft.is_admissible(p) == (reference_walk(dfa, p) >= 0)
+
+    @pytest.mark.parametrize("index", range(10))
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_pieces_in_chunks_match_one_take(self, supports, wide_codes, index,
+                                             data):
+        # windows looked up a few at a time: pieces straddling the chunk
+        # edges, pieces shorter than k + 1, symbols off the alphabet (as
+        # uint8 or as signed ints) and empty input, against one take
+        sft = (supports + wide_codes)[index]
+        m, k = sft.alphabet_size, sft.k
+        dtype = data.draw(st.sampled_from([np.uint8, np.int64]), label="dtype")
+        off = [m, 255] + [-1] * (dtype is np.int64)
+        lengths = data.draw(st.lists(st.integers(0, 3 * k + 4), max_size=6),
+                            label="lengths")
+        sym = np.array(data.draw(st.lists(
+            st.one_of(st.integers(0, m - 1), st.sampled_from(off)) if data.draw(
+                st.booleans(), label="off") else st.integers(0, m - 1),
+            min_size=sum(lengths), max_size=sum(lengths)), label="symbols"),
+            dtype=dtype)
+        if data.draw(st.booleans(), label="admissible run"):
+            sym[:] = sft.factor_dfa().unrank_rows(len(sym), [0])[0]
+        want = reference_admissible_pieces(sft, sym, lengths)
+        chunk = data.draw(st.integers(1, 2 * k + 3), label="chunk")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shiftspace, "CHUNK", chunk)
+            got = sft.admissible_pieces(sym, lengths)
+        assert got.tolist() == want.tolist()
 
     def test_pieces_ignore_boundary_windows(self, golden_mean):
         # "1" | "1" and "01" | "10" are admissible apart, not joined
