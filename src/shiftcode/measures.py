@@ -28,7 +28,8 @@ def stationary_vector(transition: np.ndarray) -> np.ndarray:
 
     Returns
     -------
-    pi : ndarray with pi @ transition = pi, residual below 1e-12.
+    pi : ndarray with pi P = pi, by GTH state reduction (Grassmann, Taksar
+        and Heyman 1985); a residual max |pi P - pi| above 1e-10 is refused.
     """
     p = np.asarray(transition, dtype=np.float64)
     n = p.shape[0]
@@ -43,14 +44,20 @@ def stationary_vector(transition: np.ndarray) -> np.ndarray:
     if pair is not None:
         raise ReducibleChainError(
             f"reducible: state {pair[0]} does not communicate with state {pair[1]}")
-    # solve pi (P - I) = 0 with sum(pi) = 1 via a bordered dense system
-    a = np.vstack([(p.T - np.eye(n)), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    pi = np.maximum(pi, 0.0)
+    # fold states n - 1 down to 1 into the states before them, then unfold,
+    # with no subtraction; folding k changes only the rows with an entry in
+    # column k (the others would add 0.0)
+    a = p.copy()
+    for k in range(n - 1, 0, -1):
+        rows = np.flatnonzero(a[:k, k])
+        a[rows, k] /= a[k, :k].sum()
+        a[rows, :k] += a[rows, k, None] * a[k, :k]
+    pi = np.ones(n)
+    for k in range(1, n):
+        pi[k] = (pi[:k] * a[:k, k]).sum()
     pi /= pi.sum()
-    resid = float(np.max(np.abs(pi @ p - pi)))
+    i, j = np.nonzero(p)
+    resid = float(np.max(np.abs(np.bincount(j, pi[i] * p[i, j], n) - pi)))
     if resid > 1e-10:
         raise ArithmeticError(f"stationary solve residual {resid:.3e}")
     return pi
@@ -75,7 +82,7 @@ class MarkovMeasure:
         # row's float total stays on the row's last positive state
         later = np.logical_or.accumulate(p[:, :0:-1] > 0, axis=1)[:, ::-1]
         self._cuts = np.where(later, np.cumsum(p, axis=1)[:, :-1], np.inf)
-        self._iid = sft.k == 1 and np.allclose(p, p[0])
+        self._iid = sft.k == 1 and bool((p == p[0]).all())
         with np.errstate(divide="ignore"):
             self._log_p = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
             self._log_pi = np.where(self.stationary > 0,
@@ -128,7 +135,7 @@ class MarkovMeasure:
         """-sum_i pi_i sum_j P_ij log P_ij with 0 log 0 = 0, in nats."""
         p = self.transition
         terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-        return float(-(self.stationary @ terms.sum(axis=1)))
+        return float(-(self.stationary * terms.sum(axis=1)).sum())
 
     def _next_states(self, u: np.ndarray, row=None) -> np.ndarray:
         """The rule's states on the uniforms ``u``: after every state,

@@ -97,6 +97,19 @@ def markov_on_support(sft, weights):
     return MarkovMeasure(sft, p / p.sum(axis=1, keepdims=True))
 
 
+def reference_stationary_vector(transition):
+    """Reference for measures.stationary_vector on an irreducible chain:
+    the least-squares solve of pi (P - I) = 0 bordered by sum(pi) = 1, its
+    negative entries clamped to 0 and the result normalised."""
+    p = np.asarray(transition, dtype=np.float64)
+    n = len(p)
+    a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    pi = np.maximum(np.linalg.lstsq(a, b, rcond=None)[0], 0.0)
+    return pi / pi.sum()
+
+
 def reference_sample_path(measure, length, seed):
     """Reference for MarkovMeasure.sample_path on a chain with memory or
     dependence: the per-symbol loop, one searchsorted per symbol on the

@@ -1,5 +1,6 @@
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from shiftcode.errors import ReducibleChainError
 from shiftcode.estimators import BlockDistribution, binary_entropy
 from shiftcode.measures import (MarkovMeasure, parse_measure,
                                 serialize_measure, stationary_vector)
-from shiftcode.shiftspace import Word, build_sft, enumerate_words
+from shiftcode.shiftspace import (Word, adjacency_matrix, build_sft,
+                                  enumerate_words, parse_sft)
 
 from conftest import (LOG2, markov_on_support, reference_reach_pair,
-                      reference_sample_path)
+                      reference_sample_path, reference_stationary_vector)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # -(0.1 log 0.1 + 0.9 log 0.9), evaluated directly
 H_01 = 0.3250829733914482
@@ -102,6 +106,64 @@ class TestStationary:
         with pytest.raises(ReducibleChainError):
             MarkovMeasure.uniform(sft)
         assert time.perf_counter() - start < 2.0
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_matches_lstsq_reference(self, sft_zoo, data):
+        # random irreducible chains: positive weights on the edges of an
+        # SFT of the zoo, or on every edge from each class of a periodic
+        # chain to the next (1 to 8 classes of 1 to 8 states, 1 to 64
+        # states in all)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="weight seed"))
+        if data.draw(st.booleans(), label="periodic"):
+            sizes = data.draw(st.lists(st.integers(1, 8), min_size=1,
+                                       max_size=8), label="class sizes")
+            cls = np.repeat(np.arange(len(sizes)), sizes)
+            p = (cls[None, :] == (cls[:, None] + 1) % len(sizes)) * rng.uniform(
+                0.05, 1.0, (len(cls), len(cls)))
+            p /= p.sum(axis=1, keepdims=True)
+        else:
+            sft = data.draw(st.sampled_from(sft_zoo), label="sft")
+            n = sft.n_states
+            p = markov_on_support(sft, rng.uniform(0.05, 1.0, (n, n))).transition
+        pi = stationary_vector(p)
+        want = reference_stationary_vector(p)
+        assert np.all(pi > 0)
+        assert np.all(np.abs(pi - want) <= 1e-12 * want)
+        assert np.max(np.abs(pi @ p - pi)) <= 1e-15
+
+    def test_thousand_states_fast(self):
+        # the uniform chain of forbid 0^11, 1,024 states: a dense
+        # least-squares solve took 0.25-1.3 s
+        adj = adjacency_matrix(build_sft(2, ["0" * 11])._step)
+        p = adj / adj.sum(axis=1, keepdims=True)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            stationary_vector(p)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.5
+
+    def test_data_measures_call_no_linalg(self, monkeypatch):
+        # building the data measures and their entropies loads no LAPACK
+        called = []
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                called.append(name)
+                raise AssertionError(f"numpy.linalg.{name} called")
+            return call
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse(name))
+        for msr, sft in [("b01", "full2"), ("b5", "full2"), ("gmu", "gm"),
+                         ("u3", "full3")]:
+            m = parse_measure((DATA / f"{msr}.msr").read_text(),
+                              parse_sft((DATA / f"{sft}.sft").read_text()))
+            assert math.isfinite(m.entropy())
+        assert called == []
 
 
 class TestCylinder:
@@ -231,6 +293,17 @@ class TestSampling:
         assert set(w.symbols.tolist()) <= {1, 2}
         assert m.sft.is_admissible(w)
 
+    def test_near_equal_rows_step_by_own_row(self):
+        # rows equal to within 5e-9 are not iid: stepping state 2 by row
+        # 0's cuts emitted the forbidden 21 on a draw in [0.5, 0.5 + 5e-9)
+        # after a 2 (draw 1365 at this seed)
+        sft = build_sft(3, ["21"])
+        m = MarkovMeasure(sft, [[0.5, 5e-9, 0.5 - 5e-9], [0.5, 5e-9, 0.5 - 5e-9],
+                                [0.5 + 5e-9, 0.0, 0.5 - 5e-9]])
+        got = m.sample_path(2000, seed=22791)
+        assert got.symbols.tobytes() == reference_sample_path(m, 2000, 22791).tobytes()
+        assert sft.is_admissible(got)
+
     @pytest.mark.parametrize("index", range(8))
     @given(data=st.data())
     @settings(max_examples=30)
@@ -241,7 +314,7 @@ class TestSampling:
                                      max_size=n * n), label="weights")
         m = markov_on_support(sft, np.reshape(weights, (n, n)))
         # equal rows at k = 1 take the iid branch, which the loop is not
-        assume(k > 1 or not np.allclose(m.transition, m.transition[0]))
+        assume(k > 1 or not (m.transition == m.transition[0]).all())
         near_square = st.tuples(st.integers(1, 70), st.integers(-1, 1)).map(
             lambda rd: k + rd[0] ** 2 + rd[1])
         # the scan threads at most _WALK_TOP columns in Python and halves
