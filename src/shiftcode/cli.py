@@ -354,12 +354,11 @@ def _cmd_verify(args):
 
 
 def _write_block_csv(path, pair, pack):
-    _, boy, flagged = codec.block_kinds(pair)
-    rows = ["start,length,boy,flag"]
-    for (n, length, flag), b, d in zip(pair.parse.iter_blocks(), boy, flagged):
-        kind = "-" if flag is None else ("D" if d else str(flag))
-        rows.append(f"{n},{length},{int(b)},{kind}")
-    Path(path).write_text("\n".join(rows) + "\n")
+    parse, (long_, boy, flagged) = pair.parse, codec.block_kinds(pair)
+    flag = np.where(flagged, "D", np.where(long_, parse.flags.astype(str), "-"))
+    rows = map("{},{},{},{}".format, parse.starts.tolist(), parse.lengths.tolist(),
+               boy.view(np.uint8).tolist(), flag.tolist())
+    Path(path).write_text("\n".join(["start,length,boy,flag", *rows]) + "\n")
 
 
 def _cmd_splice(args):

@@ -107,6 +107,8 @@ class CodedPair:
     y: Word
     parse: BlockParse
     mask: np.ndarray            # bool over [x.lo, x.hi): recoverable coords
+    boy: np.ndarray             # bool per N-block: its source block is a boy
+    flagged: np.ndarray         # bool per N-block: its flag is D_FLAG
     marker_positions: tuple = ()
     boy_blocks: tuple = ()      # starts of blocks whose x-content is a boy
     rewrites: int = 0
@@ -145,14 +147,15 @@ def encode(x: Word, dict_: Dictionary, scheme: MarkerScheme,
               if len(longs) else np.zeros((0, N), dtype=np.uint8))  # x may be short
     is_boy, girl_rows = dict_.lookup_rows(blocks, parse.flags[longs])
     boys_at = parse.starts[longs[is_boy]]
-    flagged = parse.flags[longs[is_boy]] == D_FLAG
+    long_flagged = parse.flags[longs] == D_FLAG
+    flagged = long_flagged[is_boy]
 
     plan, mask = block_plan(x.lo, x.hi, boys_at, girl_rows, flagged, pack, scheme)
     y_sym = interpolate(target, plan).symbols.copy()
     planted = boys_at[flagged] + pack.marker_offset
     rewrites = _scrub_spurious_markers(target, y_sym, x.lo, plan, scheme, planted)
-    return CodedPair(x, Word(y_sym, x.lo), parse, mask, tuple(planted.tolist()),
-                     tuple(boys_at.tolist()), rewrites)
+    return CodedPair(x, Word(y_sym, x.lo), parse, mask, is_boy, long_flagged,
+                     tuple(planted.tolist()), tuple(boys_at.tolist()), rewrites)
 
 
 def block_plan(lo: int, hi: int, boys_at: np.ndarray, girl_rows: np.ndarray,
@@ -266,21 +269,20 @@ class BadsetReport:
 
 def block_kinds(pair: CodedPair):
     """Bool vectors over the parse's blocks: N-block, boy (its source
-    block is one; only N-blocks can be) and dictionary-flagged."""
-    parse = pair.parse
-    boy = np.zeros(len(parse), dtype=bool)
-    boy[np.searchsorted(parse.starts, pair.boy_blocks)] = True  # a subset of starts
-    return parse.lengths > 1, boy, parse.flags == D_FLAG
+    block is one; only N-blocks can be) and dictionary-flagged, spread
+    from the pair's per-N-block vectors."""
+    long_ = pair.parse.lengths > 1
+    boy, flagged = np.zeros((2, len(long_)), dtype=bool)
+    boy[long_], flagged[long_] = pair.boy, pair.flagged
+    return long_, boy, flagged
 
 
 def audit_badset(pair: CodedPair, pack: ParameterPack) -> BadsetReport:
     """Empirical frequencies of the four bad-set components."""
-    total = len(pair.x)
-    long_, boy, flagged = block_kinds(pair)
-    n_blocks, N = int(long_.sum()), pair.parse.N
-    bs1 = len(long_) - n_blocks
-    bs2 = N * int((long_ & ~boy).sum())
-    bs3 = N * int((long_ & ~flagged).sum())
+    total, N, n_blocks = len(pair.x), pair.parse.N, len(pair.boy)
+    bs1 = len(pair.parse) - n_blocks
+    bs2 = N * (n_blocks - int(np.count_nonzero(pair.boy)))
+    bs3 = N * (n_blocks - int(np.count_nonzero(pair.flagged)))
     bs4 = n_blocks * (N - (pack.info_region[1] - pack.info_region[0]))
     bound = 17 * pack.delta + pack.eps / 2
     return BadsetReport(bs1 / total, bs2 / total, bs3 / total, bs4 / total,
@@ -291,10 +293,8 @@ def audit_weakstar(pair: CodedPair, reference_pairs, kmax: int = 3) -> float:
     """Surrogate weak* distance between the coded pair's empirical joint
     block statistics and those of reference sample pairs."""
     from .estimators import empirical_family, weakstar_surrogate
-    fam_coded = empirical_family(
-        np.stack([pair.x.symbols, pair.y.symbols], axis=1), kmax)
-    fam_ref = empirical_family([np.stack([x.symbols, y.symbols], axis=1)
-                                for x, y in reference_pairs], kmax)
+    fam_coded = empirical_family((pair.x, pair.y), kmax)
+    fam_ref = empirical_family([tuple(p) for p in reference_pairs], kmax)
     return weakstar_surrogate(fam_coded, fam_ref, kmax)
 
 
@@ -407,13 +407,17 @@ def audit_entropy(y: Word, pack: ParameterPack, h_source: float,
     """The three entropy-side checks: the LZ78 rate of the output, the
     count-ratio inequality, and the entropy-gain block frequency of the
     coded pair's parse.  ``counts`` is (log_boys, log_girls).
+
+    ``eg_ok`` is the paper's frequency > 3 eps / (8N) of boy N-blocks with
+    a drawn girl, read from the pair's per-N-block vectors; ``eg_target``
+    = (1/N)(1 - delta)(1 - 15 delta)(eps/2) lies below that threshold at
+    the practical pack (0.00107 < 0.00117), so ``eg_ok`` is false there.
     """
     log_boys, log_girls = counts
     n, D = pack.N, pack.Delta
     ratio_lhs = log_girls - log_boys
     ratio_rhs = n * (pack.h_target - h_source - 2 * D)
-    _, boy, flagged = block_kinds(pair)
-    eg_freq = int((boy & ~flagged).sum()) / len(pair.x)
+    eg_freq = int(np.count_nonzero(pair.boy & ~pair.flagged)) / len(pair.x)
     eg_ok = 8 * n * D * eg_freq > 3 * pack.eps * D
     eg_target = (1.0 / n) * (1 - pack.delta) * (1 - 15 * pack.delta) * (pack.eps / 2)
     return EntropyReport(

@@ -316,9 +316,8 @@ def _estimate_condition_sets(pack, mu, nu, samples, seed):
         for key, ok in zip(("s1", "s2", "s3", "s4"),
                            _window_conditions(pack, mu, nu, x, y, t, t2)):
             hits[key] += ok
-        pair = np.stack([x.window(*pack.info_region).symbols,
-                         y.window(*pack.info_region).symbols], axis=1)
-        emp = empirical_family(pair, S5_KMAX)
+        emp = empirical_family((x.window(*pack.info_region),
+                                y.window(*pack.info_region)), S5_KMAX)
         if weakstar_surrogate(emp, exact_joint, S5_KMAX) < pack.eps / 12:
             hits["s5"] += 1
     for key, h in hits.items():

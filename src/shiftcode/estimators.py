@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -100,41 +101,6 @@ class BlockDistribution:
                 raise ValueError(f"frequencies sum to {total}, not 1")
 
     @classmethod
-    def from_words(cls, words, k: int) -> "BlockDistribution":
-        """Pooled k-block distribution of one sample or a list of samples.
-
-        A sample is a Word, a symbol array, or an (n, d) array whose rows
-        are d paired symbols.  Keys are k-tuples of symbols, or of d-tuples
-        for paired samples; a block never spans two samples.
-        """
-        if isinstance(words, (Word, np.ndarray)):
-            words = [words]
-        samples = [np.asarray(w.symbols if isinstance(w, Word) else w)
-                   for w in words]
-        shape = samples[0].shape[1:]
-        d = int(np.prod(shape))
-        m = 1 + max(int(s.max(initial=0)) for s in samples)
-        # a block of k rows of d paired symbols is k * d consecutive flat ones
-        codes = np.concatenate([window_codes(s.reshape(-1), k * d, m)[::d]
-                                for s in samples])
-        n = len(codes)
-        if n < 1:
-            raise ValueError("word shorter than block length")
-        # Count by one sort and its run boundaries.  Sorted integers are the
-        # same whatever the algorithm, so ``kind`` picks only the speed:
-        # numpy's stable sort is a radix sort on 8- and 16-bit ints (~20x
-        # faster than its default sort on uint8 codes) and a timsort on
-        # wider ones (~20x slower than the default there).
-        codes = np.sort(codes, kind="stable" if codes.itemsize <= 2 else None)
-        starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-        keys = codes[starts]
-        counts = np.diff(starts, append=n)
-        powers = m ** np.arange(k * d - 1, -1, -1, dtype=keys.dtype)
-        blocks = (keys[:, None] // powers % m).reshape((len(keys), k) + shape).tolist()
-        return cls(k, {(tuple(map(tuple, b)) if shape else tuple(b)): c / n
-                       for b, c in zip(blocks, counts.tolist())})
-
-    @classmethod
     def exact(cls, measure: MarkovMeasure, k: int) -> "BlockDistribution":
         """The true k-block distribution of a Markov measure."""
         from .shiftspace import enumerate_words
@@ -166,6 +132,50 @@ def weakstar_surrogate(a, b, kmax: int) -> float:
 
 
 def empirical_family(words, kmax: int):
-    """Pooled block distributions of one sample or a list of samples for
-    k = 1..kmax (see :meth:`BlockDistribution.from_words`)."""
-    return [BlockDistribution.from_words(words, k) for k in range(1, kmax + 1)]
+    """Pooled k-block distributions of one sample or a list of samples for
+    k = 1..kmax.
+
+    A sample is a Word, a symbol array, or a tuple of d equal-length ones,
+    its paired columns.  Keys are k-tuples of symbols, or of d-tuples for
+    paired samples; a block never spans two samples.  Each row is coded
+    once, in base m over its d symbols, and only the kmax-blocks are
+    counted; the (k+1)-blocks less their last row are the k-blocks but
+    each sample's last one, so each k < kmax follows exactly from k + 1.
+    """
+    if not isinstance(words, list):
+        words = [words]
+    samples = [[np.asarray(c.symbols if isinstance(c, Word) else c)
+                for c in (w if isinstance(w, tuple) else (w,))] for w in words]
+    shape = (len(samples[0]),) if isinstance(words[0], tuple) else ()
+    d, m = len(samples[0]), 1 + max(int(c.max(initial=0)) for s in samples for c in s)
+    if any(len(c) != len(s[0]) for s in samples for c in s):
+        raise ValueError("paired columns differ in length")
+    longest = max(len(s[0]) for s in samples)
+    for k in range(1, min(kmax, longest + 1) + 1):  # refuse >64-bit codes as a per-k count
+        window_codes((), k * d, m)
+    if longest < kmax:
+        raise ValueError("word shorter than block length")
+    base = m ** d
+    dtype = np.min_scalar_type(base - 1)      # one code per row, nothing stacked
+    rows = [reduce(lambda r, c: r * m + c, s[1:], s[0].astype(dtype)) for s in samples]
+    codes = np.concatenate([window_codes(r, kmax, base) for r in rows])
+    # Count by one sort and its run boundaries.  Sorted integers are the
+    # same whatever the algorithm, so ``kind`` picks only the speed:
+    # numpy's stable sort is a radix sort on 8- and 16-bit ints (~20x
+    # faster than its default sort on uint8 codes) and a timsort on
+    # wider ones (~20x slower than the default there).
+    codes = np.sort(codes, kind="stable" if codes.itemsize <= 2 else None)
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    keys, counts = codes[starts], np.diff(starts, append=len(codes))
+    family = []
+    for k in range(kmax, 0, -1):
+        if k < kmax:    # the (k+1)-blocks less their last row, and the last k-blocks
+            last = [window_codes(r[len(r) - k:], k, base) for r in rows if len(r) >= k]
+            keys, at = np.unique(np.concatenate([keys // base, *last]), return_inverse=True)
+            counts = np.bincount(at, np.concatenate([counts, np.ones(len(last))]))
+        n, powers = int(counts.sum()), m ** np.arange(k * d - 1, -1, -1, dtype=np.uint64)
+        blocks = (keys[:, None] // powers % m).reshape((len(keys), k) + shape).tolist()
+        family.append(BlockDistribution(k, {
+            (tuple(map(tuple, b)) if shape else tuple(b)): int(c) / n
+            for b, c in zip(blocks, counts.tolist())}))
+    return family[::-1]

@@ -46,12 +46,13 @@ def stationary_vector(transition: np.ndarray) -> np.ndarray:
             f"reducible: state {pair[0]} does not communicate with state {pair[1]}")
     # fold states n - 1 down to 1 into the states before them, then unfold,
     # with no subtraction; folding k changes only the rows with an entry in
-    # column k (the others would add 0.0)
+    # column k, from the first column where row k has one (the other
+    # entries would add 0.0; an irreducible chain's row k has one)
     a = p.copy()
     for k in range(n - 1, 0, -1):
-        rows = np.flatnonzero(a[:k, k])
+        rows, lo = np.flatnonzero(a[:k, k]), np.flatnonzero(a[k, :k])[0]
         a[rows, k] /= a[k, :k].sum()
-        a[rows, :k] += a[rows, k, None] * a[k, :k]
+        a[rows, lo:k] += a[rows, k, None] * a[k, lo:k]
     pi = np.ones(n)
     for k in range(1, n):
         pi[k] = (pi[:k] * a[:k, k]).sum()

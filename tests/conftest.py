@@ -110,6 +110,23 @@ def reference_stationary_vector(transition):
     return pi / pi.sum()
 
 
+def reference_full_width_fold(transition):
+    """Reference for measures.stationary_vector's GTH fold, which starts
+    each row update at row k's first nonzero column: the same state
+    reduction folding each state into the full width ``a[rows, :k]`` of
+    the rows with an entry in its column."""
+    a = np.array(transition, dtype=np.float64)
+    n = len(a)
+    for k in range(n - 1, 0, -1):
+        rows = np.flatnonzero(a[:k, k])
+        a[rows, k] /= a[k, :k].sum()
+        a[rows, :k] += a[rows, k, None] * a[k, :k]
+    pi = np.ones(n)
+    for k in range(1, n):
+        pi[k] = (pi[:k] * a[:k, k]).sum()
+    return pi / pi.sum()
+
+
 def reference_sample_path(measure, length, seed):
     """Reference for MarkovMeasure.sample_path on a chain with memory or
     dependence: the per-symbol loop, one searchsorted per symbol on the
@@ -173,13 +190,17 @@ def reference_lz78_phrases(word):
 
 
 def reference_block_distribution(words, k):
-    """Reference for BlockDistribution.from_words: the frequencies of a
-    Counter of the k-blocks of each sample, as tuples of symbols (of d-tuples
-    for paired samples), keys in lex order."""
-    if isinstance(words, (Word, np.ndarray)):
+    """Reference for the k-block distributions of estimators.empirical_family:
+    the frequencies of a Counter of the k-blocks of each sample, as tuples of
+    symbols (of d-tuples for paired samples), keys in lex order.  A paired
+    sample is a tuple of d columns or an (n, d) array."""
+    if not isinstance(words, list):
         words = [words]
     counts = Counter()
     for w in words:
+        if isinstance(w, tuple):
+            w = np.stack([np.asarray(c.symbols if isinstance(c, Word) else c)
+                          for c in w], axis=1)
         rows = [tuple(r) if isinstance(r, list) else r
                 for r in np.asarray(w.symbols if isinstance(w, Word) else w).tolist()]
         counts.update(tuple(rows[i:i + k]) for i in range(len(rows) - k + 1))
@@ -187,6 +208,30 @@ def reference_block_distribution(words, k):
     if n < 1:
         raise ValueError("word shorter than block length")
     return {key: c / n for key, c in sorted(counts.items())}
+
+
+def reference_from_words(words, k):
+    """Reference for estimators.empirical_family at one k, and for its
+    refusals: the former per-k count (``BlockDistribution.from_words``),
+    which codes the k * d flat symbols of each window, strided by d, and
+    sorts them.  A paired sample is an (n, d) array."""
+    if isinstance(words, (Word, np.ndarray)):
+        words = [words]
+    samples = [np.asarray(w.symbols if isinstance(w, Word) else w)
+               for w in words]
+    shape = samples[0].shape[1:]
+    d = int(np.prod(shape))
+    m = 1 + max(int(s.max(initial=0)) for s in samples)
+    codes = np.concatenate([window_codes(s.reshape(-1), k * d, m)[::d]
+                            for s in samples])
+    n = len(codes)
+    if n < 1:
+        raise ValueError("word shorter than block length")
+    keys, counts = np.unique(codes, return_counts=True)
+    powers = m ** np.arange(k * d - 1, -1, -1, dtype=np.uint64)
+    blocks = (keys[:, None] // powers % m).reshape((len(keys), k) + shape).tolist()
+    return {(tuple(map(tuple, b)) if shape else tuple(b)): c / n
+            for b, c in zip(blocks, counts.tolist())}
 
 
 def reference_walk(dfa, symbols):
@@ -828,6 +873,28 @@ def reference_draw_flags(parse, eps, n_girls, seed):
         flags[i] = (D_FLAG if rng.random() < 1.0 - eps / 2.0
                     else rng.randrange(n_girls))
     return flags
+
+
+def reference_block_kinds(pair):
+    """Reference for codec.block_kinds: bool vectors over the parse's
+    blocks (N-block, boy, dictionary-flagged) from the boys' start
+    coordinates and a compare of every flag with D_FLAG."""
+    from shiftcode.codec import D_FLAG
+    parse = pair.parse
+    boy = np.zeros(len(parse), dtype=bool)
+    boy[np.searchsorted(parse.starts, pair.boy_blocks)] = True  # a subset of starts
+    return parse.lengths > 1, boy, parse.flags == D_FLAG
+
+
+def reference_block_csv(pair):
+    """Reference for CLI verify --csv: the file text, one row a block, by a
+    loop over BlockParse.iter_blocks."""
+    _, boy, flagged = reference_block_kinds(pair)
+    rows = ["start,length,boy,flag"]
+    for (n, length, flag), b, d in zip(pair.parse.iter_blocks(), boy, flagged):
+        kind = "-" if flag is None else ("D" if d else str(flag))
+        rows.append(f"{n},{length},{int(b)},{kind}")
+    return "\n".join(rows) + "\n"
 
 
 def reference_lookup_rows(dict_, blocks, draws):

@@ -17,7 +17,7 @@ from shiftcode.markers import find_marker
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import build_sft
 
-from conftest import first_schema_offence
+from conftest import first_schema_offence, reference_block_csv
 
 DATA = Path(__file__).parent / "data"
 ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
@@ -111,6 +111,21 @@ def test_verify_block_csv(tmp_path):
     assert kinds == {("1", "0", "-"): 480, ("64", "0", "D"): 95,
                      ("64", "0", "girl"): 8, ("64", "1", "D"): 183,
                      ("64", "1", "girl"): 19}
+
+
+@pytest.mark.parametrize("length", ["20000", "100000"])
+def test_verify_block_csv_matches_the_block_loop(tmp_path, monkeypatch, capsys,
+                                                 length):
+    from shiftcode import cli as cli_module
+    pairs, write = [], cli_module._write_block_csv
+    monkeypatch.setattr(cli_module, "_write_block_csv",
+                        lambda path, pair, pack: (pairs.append(pair),
+                                                  write(path, pair, pack)))
+    csv = tmp_path / "blocks.csv"
+    assert run([*GOLDEN_CASES["verify.txt"][:-1], length, "--csv", str(csv)]) == 0
+    if length == "20000":
+        assert capsys.readouterr().out == (GOLDEN / "verify.txt").read_text()
+    assert csv.read_text() == reference_block_csv(pairs[0])
 
 
 def test_byte_identical_rerun():

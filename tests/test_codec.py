@@ -3,6 +3,7 @@ import pickle
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,9 +25,10 @@ from shiftcode.markers import find_marker, locate_offset
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft
 
-from conftest import (LOG2, reference_decode, reference_draw_flags,
-                      reference_lz78_phrases, reference_occurrences,
-                      reference_rokhlin_parse)
+from conftest import (LOG2, reference_block_distribution,
+                      reference_block_kinds, reference_decode,
+                      reference_draw_flags, reference_lz78_phrases,
+                      reference_occurrences, reference_rokhlin_parse)
 
 H_01 = 0.3250829733914482
 
@@ -613,6 +615,36 @@ class TestAudits:
         assert (audit_weakstar(pair, refs, kmax=kmax)
                 == reference_weakstar(pair, refs, kmax))
 
+    # random encodes in both dictionary modes, with sources whose N-blocks
+    # are no boys (all 1s) and packs that flag no block for the dictionary
+    @pytest.mark.parametrize("mode", ["enumerative", "hall"])
+    @given(seed=st.integers(0, 2 ** 16), length=st.integers(1, 4000),
+           ones=st.booleans(), no_dict_flags=st.booleans())
+    @settings(max_examples=25)
+    def test_block_kinds_match_reference(self, roundtrip_setup, hall_setup,
+                                         bern_01, full2, mode, seed, length,
+                                         ones, no_dict_flags):
+        if mode == "hall":
+            mu, pack, scheme, _, _, d = hall_setup
+        else:
+            (pack, scheme, _, _, d), mu = roundtrip_setup, bern_01
+        if no_dict_flags:
+            pack = replace(pack, eps=2.0)
+        x = (Word(np.ones(length, dtype=np.uint8)) if ones
+             else mu.sample_path(length, seed=seed))
+        pair = encode(x, d, scheme, pack, full2, seed=seed)
+        want = reference_block_kinds(pair)
+        for got, ref in zip(codec.block_kinds(pair), want):
+            assert got.dtype == bool and np.array_equal(got, ref)
+        long_, boy, flagged = want
+        assert np.array_equal(pair.boy, boy[long_])
+        assert np.array_equal(pair.flagged, flagged[long_])
+        rep = audit_badset(pair, pack)
+        assert rep.bs2 == pack.N * int((long_ & ~boy).sum()) / length
+        assert rep.bs3 == pack.N * int((long_ & ~flagged).sum()) / length
+        eg = audit_entropy(pair.y, pack, pack.h_source, (0.0, 0.0), pair)
+        assert eg.eg_frequency == int((boy & ~flagged).sum()) / length
+
     def test_weakstar_self_zero(self, roundtrip_setup, bern_01, full2):
         pack, scheme, b, g, d = roundtrip_setup
         x = bern_01.sample_path(5000, seed=81)
@@ -633,8 +665,9 @@ class TestAudits:
                        zip(pair.x.symbols, pair.y.symbols)]
         pairs_ref = [(int(a), int(bb)) for a, bb in
                      zip(ref[0][0].symbols, ref[0][1].symbols)]
-        tv = total_variation(BlockDistribution.from_words([pairs_coded], 1),
-                             BlockDistribution.from_words([pairs_ref], 1))
+        tv = total_variation(
+            BlockDistribution(1, reference_block_distribution([np.array(pairs_coded)], 1)),
+            BlockDistribution(1, reference_block_distribution([np.array(pairs_ref)], 1)))
         assert got == pytest.approx(0.5 * tv)
 
     @given(size=st.integers(1, 3), data=st.data())

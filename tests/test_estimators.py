@@ -14,7 +14,8 @@ from shiftcode.estimators import (BlockDistribution, binary_entropy,
 from shiftcode.measures import MarkovMeasure
 from shiftcode.shiftspace import Word, build_sft, window_codes
 
-from conftest import LOG2, reference_block_distribution
+from conftest import (LOG2, reference_block_distribution,
+                      reference_from_words)
 
 H_01 = 0.3250829733914482
 
@@ -135,6 +136,29 @@ CODE_RANGES = {"uint8": (2, 2 ** 8), "uint16": (2 ** 8 + 1, 2 ** 16),
                "uint32": (2 ** 16 + 1, 2 ** 32)}
 
 
+def _columns(samples):
+    """Samples for empirical_family: each paired (n, d) array as its tuple
+    of d columns."""
+    if isinstance(samples, list):
+        return [_columns(s) for s in samples]
+    paired = isinstance(samples, np.ndarray) and samples.ndim == 2
+    return tuple(samples.T) if paired else samples
+
+
+def _pooled(data, m, d, kmax):
+    """Random pooled samples over m symbols, d symbols a row, some of them
+    shorter than kmax; a single sample is sometimes passed bare."""
+    row = (d,) if d == 2 else ()
+    lengths = data.draw(st.lists(st.integers(0, kmax + 6), min_size=1,
+                                 max_size=4), label="lengths")
+    samples = [np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n * d,
+                                           max_size=n * d)),
+                        dtype=np.uint8).reshape((n, *row)) for n in lengths]
+    if len(samples) == 1 and data.draw(st.booleans(), label="bare"):
+        return samples[0]
+    return samples
+
+
 class TestBlockDistribution:
     @pytest.mark.parametrize("dtype", sorted(CODE_RANGES))
     @given(data=st.data())
@@ -160,27 +184,80 @@ class TestBlockDistribution:
         assert window_codes(samples[0].reshape(-1), k * d, m).dtype == dtype
         if len(samples) == 1 and data.draw(st.booleans(), label="bare"):
             samples = Word(samples[0]) if d == 1 else samples[0]
+        columns = _columns(samples)
         try:
             want = reference_block_distribution(samples, k)
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
-                BlockDistribution.from_words(samples, k)
+                empirical_family(columns, k)
             return
-        got = BlockDistribution.from_words(samples, k).freqs
+        got = empirical_family(columns, k)[-1].freqs
         assert list(got.items()) == list(want.items())
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_family_matches_per_k_reference(self, data):
+        m = data.draw(st.integers(1, 4), label="alphabet")
+        d = data.draw(st.sampled_from([1, 2]), label="d")
+        kmax = data.draw(st.integers(1, 4), label="kmax")
+        samples, other = _pooled(data, m, d, kmax), _pooled(data, m, d, kmax)
+        columns = _columns(samples)
+        try:
+            want = [reference_block_distribution(samples, k)
+                    for k in range(1, kmax + 1)]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                empirical_family(columns, kmax)
+            assert str(got.value) == str(exc)
+            return
+        fam = empirical_family(columns, kmax)
+        assert [f.k for f in fam] == list(range(1, kmax + 1))
+        assert [f.freqs for f in fam] == want
+        ref_fam = [BlockDistribution(k, w) for k, w in enumerate(want, 1)]
+        try:
+            ref_other = [BlockDistribution(k, reference_block_distribution(other, k))
+                         for k in range(1, kmax + 1)]
+        except ValueError:
+            ref_other = ref_fam
+        assert (weakstar_surrogate(fam, ref_other, kmax)
+                == weakstar_surrogate(ref_fam, ref_other, kmax))
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_family_refuses_as_a_count_per_k(self, data):
+        # codes of k d-symbol rows over m symbols need m^(k d) < 2^64
+        m = data.draw(st.sampled_from([2, 3, 16, 200, 256]), label="m")
+        d = data.draw(st.sampled_from([1, 2]), label="d")
+        kmax = data.draw(st.integers(1, 70), label="kmax")
+        row = (d,) if d == 2 else ()
+        lengths = data.draw(st.lists(st.integers(0, 72), min_size=1,
+                                     max_size=3), label="lengths")
+        samples = [np.full((n, *row), m - 1, dtype=np.uint8) for n in lengths]
+        try:
+            want = [reference_from_words(samples, k) for k in range(1, kmax + 1)]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                empirical_family(_columns(samples), kmax)
+            assert str(got.value) == str(exc)
+            return
+        fam = empirical_family(_columns(samples), kmax)
+        assert [f.freqs for f in fam] == want
 
     def test_no_block_spans_two_samples(self):
         a = np.array([[0, 1], [0, 1]], dtype=np.uint8)
         b = np.array([[1, 0], [1, 0]], dtype=np.uint8)
-        got = BlockDistribution.from_words([a, b], 2).freqs
+        got = empirical_family([_columns(a), _columns(b)], 2)[1].freqs
         assert got == {((0, 1), (0, 1)): 0.5, ((1, 0), (1, 0)): 0.5}
-        assert BlockDistribution.from_words(
-            [Word.from_string("01"), Word.from_string("2")], 2).freqs == {(0, 1): 1.0}
+        assert empirical_family(
+            [Word.from_string("01"), Word.from_string("2")], 2)[1].freqs == {(0, 1): 1.0}
+
+    def test_paired_columns_of_unequal_length_refused(self):
+        with pytest.raises(ValueError, match="paired columns differ in length"):
+            empirical_family((Word.from_string("0101"), Word.from_string("1")), 1)
 
     def test_word_shorter_than_block(self):
         with pytest.raises(ValueError, match="word shorter than block length"):
-            BlockDistribution.from_words([Word.from_string("01"),
-                                          Word.from_string("2")], 3)
+            empirical_family([Word.from_string("01"), Word.from_string("2")], 3)
 
 
 def _dist(k, freqs):

@@ -15,8 +15,9 @@ from shiftcode.measures import (MarkovMeasure, parse_measure,
 from shiftcode.shiftspace import (Word, adjacency_matrix, build_sft,
                                   enumerate_words, parse_sft)
 
-from conftest import (LOG2, markov_on_support, reference_reach_pair,
-                      reference_sample_path, reference_stationary_vector)
+from conftest import (LOG2, markov_on_support, reference_full_width_fold,
+                      reference_reach_pair, reference_sample_path,
+                      reference_stationary_vector)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -46,6 +47,24 @@ def reference_log_cylinder(measure, word):
         alpha /= z
         total += math.log(z)
     return total
+
+
+def _irreducible_chain(sft_zoo, data):
+    """A random irreducible chain: positive weights on the edges of an SFT
+    of the zoo, or on every edge from each class of a periodic chain to the
+    next (1 to 8 classes of 1 to 8 states, 1 to 64 states in all)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                          label="weight seed"))
+    if data.draw(st.booleans(), label="periodic"):
+        sizes = data.draw(st.lists(st.integers(1, 8), min_size=1,
+                                   max_size=8), label="class sizes")
+        cls = np.repeat(np.arange(len(sizes)), sizes)
+        p = (cls[None, :] == (cls[:, None] + 1) % len(sizes)) * rng.uniform(
+            0.05, 1.0, (len(cls), len(cls)))
+        return p / p.sum(axis=1, keepdims=True)
+    sft = data.draw(st.sampled_from(sft_zoo), label="sft")
+    n = sft.n_states
+    return markov_on_support(sft, rng.uniform(0.05, 1.0, (n, n))).transition
 
 
 class TestStationary:
@@ -110,28 +129,23 @@ class TestStationary:
     @given(data=st.data())
     @settings(max_examples=200)
     def test_matches_lstsq_reference(self, sft_zoo, data):
-        # random irreducible chains: positive weights on the edges of an
-        # SFT of the zoo, or on every edge from each class of a periodic
-        # chain to the next (1 to 8 classes of 1 to 8 states, 1 to 64
-        # states in all)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
-                                              label="weight seed"))
-        if data.draw(st.booleans(), label="periodic"):
-            sizes = data.draw(st.lists(st.integers(1, 8), min_size=1,
-                                       max_size=8), label="class sizes")
-            cls = np.repeat(np.arange(len(sizes)), sizes)
-            p = (cls[None, :] == (cls[:, None] + 1) % len(sizes)) * rng.uniform(
-                0.05, 1.0, (len(cls), len(cls)))
-            p /= p.sum(axis=1, keepdims=True)
-        else:
-            sft = data.draw(st.sampled_from(sft_zoo), label="sft")
-            n = sft.n_states
-            p = markov_on_support(sft, rng.uniform(0.05, 1.0, (n, n))).transition
+        p = _irreducible_chain(sft_zoo, data)
         pi = stationary_vector(p)
         want = reference_stationary_vector(p)
         assert np.all(pi > 0)
         assert np.all(np.abs(pi - want) <= 1e-12 * want)
         assert np.max(np.abs(pi @ p - pi)) <= 1e-15
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_support_fold_matches_full_width(self, sft_zoo, data):
+        p = _irreducible_chain(sft_zoo, data)
+        assert stationary_vector(p).tobytes() == reference_full_width_fold(p).tobytes()
+
+    def test_support_fold_matches_full_width_at_1024_states(self):
+        adj = adjacency_matrix(build_sft(2, ["0" * 11])._step)
+        p = adj / adj.sum(axis=1, keepdims=True)
+        assert stationary_vector(p).tobytes() == reference_full_width_fold(p).tobytes()
 
     def test_thousand_states_fast(self):
         # the uniform chain of forbid 0^11, 1,024 states: a dense
