@@ -115,7 +115,7 @@ class CodedPair:
 
     @property
     def coverage(self) -> float:
-        return float(np.mean(self.mask))
+        return int(np.count_nonzero(self.mask)) / self.mask.size
 
 
 def _draw_flags(parse: BlockParse, eps: float, n_girls: int, seed: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from .shiftspace import Sft, Word, adjacency_matrix, ascii_text, reach_levels
 _ROW_TOL = 1e-12
 SAMPLE_CHUNK = 1 << 15     # uniforms drawn per rng.random call
 _WALK_TOP = 64             # columns of the scan's top level, threaded in Python
+_THREAD_STATES = 24        # above this many states a Python step per block beats _walk
 
 
 def stationary_vector(transition: np.ndarray) -> np.ndarray:
@@ -78,17 +79,37 @@ class MarkovMeasure:
         self.sft = sft
         self.transition = p
         self.stationary = stationary_vector(p)
-        # the sampler's cut points, and whether its iid rule applies; a cut
-        # with no positive entry after it is +inf, so a draw at or above a
-        # row's float total stays on the row's last positive state
-        later = np.logical_or.accumulate(p[:, :0:-1] > 0, axis=1)[:, ::-1]
-        self._cuts = np.where(later, np.cumsum(p, axis=1)[:, :-1], np.inf)
-        self._iid = sft.k == 1 and bool((p == p[0]).all())
         with np.errstate(divide="ignore"):
             self._log_p = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
             self._log_pi = np.where(self.stationary > 0,
                                     np.log(np.where(self.stationary > 0,
                                                     self.stationary, 1.0)), -np.inf)
+        # interval codes: a draw u moves state s to the count of its cuts
+        # cum[s, j], j < n - 1, at or below u, a cut with no positive entry
+        # after it being +inf; the distinct finite cuts split [0, 1) into K
+        # intervals, and after[s, c] is the state after s on a draw in c
+        later = np.logical_or.accumulate(p[:, :0:-1] > 0, axis=1)[:, ::-1]
+        cuts = np.cumsum(p, axis=1)[:, :-1][later]
+        edges = np.sort(cuts)
+        self._edges = edges = edges[np.diff(edges, prepend=-np.inf) > 0]
+        n, K = len(p), len(edges) + 1
+        at = np.nonzero(later)[0] * K + np.searchsorted(edges, cuts) + 1
+        self._after = after = np.bincount(at, minlength=n * K).reshape(n, K).cumsum(
+            axis=1, dtype=np.min_scalar_type(n - 1))
+        self._iid = sft.k == 1 and bool((p == p[0]).all())
+        if self._iid:   # k = 1 and equal rows: every draw steps by row 0
+            return
+        # end[s, code] and the w symbols emit[s, code] (one w-byte item) on a
+        # base-K code of w draws, w the widest that fits SAMPLE_CHUNK bytes
+        w = 1
+        while K > 1 and n * K ** (w + 1) * (after.itemsize + w + 1) <= SAMPLE_CHUNK:
+            w += 1
+        end, emit = after, sft.last_symbol.take(after)[..., None]
+        for _ in range(1, w):
+            end = after.take(end, axis=0).reshape(n, -1)
+            emit = np.concatenate([np.repeat(emit, K, axis=1),
+                                   sft.last_symbol.take(end)[..., None]], axis=2)
+        self._end, self._emit = end, emit.view(np.dtype((np.void, w))).ravel()
 
     @classmethod
     def bernoulli(cls, probs) -> "MarkovMeasure":
@@ -138,20 +159,6 @@ class MarkovMeasure:
         terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
         return float(-(self.stationary * terms.sum(axis=1)).sum())
 
-    def _next_states(self, u: np.ndarray, row=None) -> np.ndarray:
-        """The rule's states on the uniforms ``u``: after every state,
-        ``(n_states, len(u))``, or after ``row``.
-
-        The state after s, ``searchsorted(cum[s], u, "right")`` clamped
-        to the last state j with P[s, j] > 0, is the number of cuts at or
-        below u: ``cum[s, :n - 1]``, each +inf past j (a row's cumsum never
-        decreases).  So it is counted by comparisons, with no binary search
-        per draw, and needs no clamp.
-        """
-        cuts = self._cuts if row is None else self._cuts[row]
-        return np.add.reduce(cuts[..., None] <= u, axis=-2,
-                             dtype=np.min_scalar_type(len(self._cuts) - 1))
-
     def sample_path(self, length: int, seed) -> Word:
         """A length-n sample of the stationary chain, deterministic per seed.
 
@@ -165,50 +172,72 @@ class MarkovMeasure:
         "right")`` clamped to the last state of positive probability in
         row s, and the new state emits its last symbol.  An iid chain
         (k = 1, equal rows) draws every state by the same rule from row 0
-        and one ``rng.random(n)``.  The
-        uniforms are taken in calls of ``SAMPLE_CHUNK``: they continue one
-        stream, so the chunks are the same uniforms.  A chunk's states are
-        counted by :meth:`_next_states`; with memory, that is every state's
-        next state on each draw, an n_states x chunk array of the narrowest
-        unsigned dtype (counted from n_states x (n_states - 1) x chunk
-        comparisons), which :func:`_walk` threads the carried state through.
+        and one ``rng.random(n)``.  Both take the uniforms in chunks of about
+        ``SAMPLE_CHUNK`` from one stream.  A draw's interval code costs K - 1
+        comparisons, one per distinct finite cut (a binary search above
+        255).  With memory, w codes make one base-K block code; a block's
+        entry state comes from :func:`_walk` over n_states x chunk / w block
+        maps (a Python step above ``_THREAD_STATES`` states), its w symbols
+        from one gather.
         """
         if length < 0:
             raise ValueError("length must be >= 0")
-        if length == 0:
-            return Word(np.zeros(0, dtype=np.uint8))
         rng = np.random.default_rng(seed)
         sft = self.sft
         out = np.empty(length, dtype=np.uint8)
-        done = 0
-        if not self._iid:
-            state = rng.choice(sft.n_states, p=self.stationary)
-            head = sft.states[state][:length]
-            done = len(head)
-            out[:done] = head
-        for i in range(done, length, SAMPLE_CHUNK):
-            u = rng.random(min(SAMPLE_CHUNK, length - i))
-            if self._iid:
-                states = self._next_states(u, 0)
+        if self._iid:
+            row = sft.last_symbol.take(self._after[0])
+            for i in range(0, length, SAMPLE_CHUNK):
+                out[i:i + SAMPLE_CHUNK] = row.take(
+                    self._codes(rng.random(min(SAMPLE_CHUNK, length - i))))
+            return Word(out)
+        state = int(rng.choice(sft.n_states, p=self.stationary))
+        out[:sft.k] = sft.states[state][:length]
+        end, emit = self._end, self._emit
+        K, w, kw = len(self._edges) + 1, emit.itemsize, end.shape[1]
+        step = max(SAMPLE_CHUNK // w, 1) * w
+        flat = memoryview(end.ravel()) if len(end) > _THREAD_STATES else None
+        for i in range(sft.k, length, step):
+            m = min(step, length - i)
+            u = np.zeros(-(-m // w) * w)   # a last partial block is padded
+            rng.random(out=u[:m])
+            digits = self._codes(u).reshape(-1, w)
+            codes = digits[:, 0].astype(np.intp)
+            for j in range(1, w):
+                codes = codes * K + digits[:, j]
+            if flat is None:
+                entry, state = _walk(end.take(codes, axis=1), state)
             else:
-                states = _walk(self._next_states(u), state)
-                state = states[-1]
-            out[i:i + len(u)] = sft.last_symbol.take(states)
+                entry = []
+                for c in codes.tolist():
+                    entry.append(state)
+                    state = flat[state * kw + c]
+            codes += np.multiply(entry, kw, dtype=np.intp)
+            out[i:i + m] = emit.take(codes).view(np.uint8)[:m]
         return Word(out)
 
+    def _codes(self, u: np.ndarray) -> np.ndarray:
+        """The interval code of each draw: its count of distinct cuts."""
+        edges = self._edges
+        if len(edges) > 255:
+            return np.searchsorted(edges, u, "right")
+        codes = np.zeros(len(u), dtype=np.uint8)
+        for cut in edges.tolist():
+            codes += u >= cut
+        return codes
 
-def _walk(maps: np.ndarray, state) -> np.ndarray:
-    """The states after each column of ``maps`` from ``state``, where
-    ``maps[s, i]`` is the state after s on draw i, without a Python loop
-    per symbol: a recursive block composition (Blelloch 1990, "Prefix
-    sums and their applications").  Going up, neighbouring columns are
-    composed in pairs, all pairs at once, until at most ``_WALK_TOP``
-    columns are left; the state is threaded through those in Python.
-    Going down, each level's block entry states give the entry states of
-    its halves: the left half enters where its parent does, the right half
-    where the left half's map sends that state.  That is n_states * L work
-    in one gather per level each way, and the entry states of the single
-    draws are the path.
+
+def _walk(maps: np.ndarray, state) -> tuple[np.ndarray, int]:
+    """The entry state of each column of ``maps`` from ``state``, and the
+    state after the last, where ``maps[s, i]`` is the state after s on
+    column i, without a Python loop per column: a recursive block
+    composition (Blelloch 1990, "Prefix sums and their applications").
+    Going up, neighbouring columns are composed in pairs, all pairs at
+    once, until at most ``_WALK_TOP`` columns are left; the state is
+    threaded through those in Python.  Going down, each level's block
+    entry states give the entry states of its halves: the left half enters
+    where its parent does, the right half where the left half's map sends
+    that state.  That is n_states * L work in one gather per level each way.
     """
     levels = [maps]
     while levels[-1].shape[1] > _WALK_TOP:
@@ -234,7 +263,7 @@ def _walk(maps: np.ndarray, state) -> np.ndarray:
         at += np.arange(0, 2 * half, 2)
         down[1:2 * half:2] = f.take(at)
         entry = down
-    return np.append(entry[1:], maps.dtype.type(state))
+    return entry, state
 
 
 def parse_measure(text: str, sft: Sft) -> MarkovMeasure:

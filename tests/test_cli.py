@@ -128,6 +128,22 @@ def test_verify_block_csv_matches_the_block_loop(tmp_path, monkeypatch, capsys,
     assert csv.read_text() == reference_block_csv(pairs[0])
 
 
+def test_verify_and_splice_leave_numpy_ma_unimported():
+    # a plain np.unique calls np.ma.is_masked, whose first use imports
+    # numpy.ma: 9-16 ms and about 1.25 MB of RSS that no result needs
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from shiftcode.cli import run",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert run({GOLDEN_CASES['verify.txt']!r}) == 0",
+        f"    assert run({GOLDEN_CASES['splice_support.txt']!r}) == 0",
+        "print('numpy.ma' in sys.modules)"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=str(DATA.parent.parent))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_byte_identical_rerun():
     args = GOLDEN_CASES["verify.txt"]
     assert cli(*args).stdout == cli(*args).stdout

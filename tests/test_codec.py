@@ -320,6 +320,18 @@ class TestRoundtrip:
         assert pair.coverage >= 1 - (bad.bs1 + bad.bs2 + bad.bs3)
 
 
+    @given(size=st.integers(1, 200_000), density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60)
+    def test_coverage_is_the_mask_mean(self, size, density, seed):
+        # a float64 sum of 0/1 values is exact, so the count over the size
+        # is the same double as the mean
+        mask = np.random.default_rng(seed).random(size) < density
+        pair = codec.CodedPair(None, None, None, mask, None, None)
+        assert pair.coverage == float(np.mean(mask))
+        assert type(pair.coverage) is float
+
+
 def fresh_practical():
     """(target, source measure, pack, scheme, dictionary) of the
     roundtrip_setup instance, on Sft and Dfa objects of its own."""

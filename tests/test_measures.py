@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -326,24 +327,83 @@ class TestSampling:
         n, k = sft.n_states, sft.k
         weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * n,
                                      max_size=n * n), label="weights")
-        m = markov_on_support(sft, np.reshape(weights, (n, n)))
-        # equal rows at k = 1 take the iid branch, which the loop is not
-        assume(k > 1 or not (m.transition == m.transition[0]).all())
-        near_square = st.tuples(st.integers(1, 70), st.integers(-1, 1)).map(
-            lambda rd: k + rd[0] ** 2 + rd[1])
-        # the scan threads at most _WALK_TOP columns in Python and halves
-        # wider levels, an odd last column going up alone
-        block_edge = st.tuples(st.integers(0, 6), st.integers(-1, 1)).map(
-            lambda jd: k + measures._WALK_TOP * 2 ** jd[0] + jd[1])
-        length = data.draw(st.one_of(st.integers(0, k + 3), near_square,
-                                     block_edge, st.integers(0, 5000)),
-                           label="length")
-        seed = data.draw(st.one_of(st.integers(0, 2 ** 32),
-                                   st.tuples(st.integers(0, 99), st.integers(0, 9))),
-                         label="seed")
-        got = m.sample_path(length, seed=seed).symbols
+        # the table budget sets the block width w and the chunk; the state
+        # count picks the scan or a Python step per block
+        budget = data.draw(st.sampled_from([measures.SAMPLE_CHUNK, 1, 40, 300,
+                                            4000]), label="budget")
+        threaded = data.draw(st.booleans(), label="threaded")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "SAMPLE_CHUNK", budget)
+            mp.setattr(measures, "_THREAD_STATES", 0 if threaded else 10 ** 9)
+            m = markov_on_support(sft, np.reshape(weights, (n, n)))
+            # equal rows at k = 1 take the iid branch, which the loop is not
+            assume(k > 1 or not (m.transition == m.transition[0]).all())
+            w = m._emit.itemsize
+            step = max(budget // w, 1) * w
+            near_square = st.tuples(st.integers(1, 70), st.integers(-1, 1)).map(
+                lambda rd: k + rd[0] ** 2 + rd[1])
+            # lengths around q blocks, q chunks, and the scan's levels: it
+            # threads at most _WALK_TOP block columns in Python and halves
+            # wider levels, an odd last column going up alone
+            units = [u for u in [w, step, *(w * measures._WALK_TOP * 2 ** j
+                                            for j in range(4))]
+                     if k + 3 * u < 12_000]
+            edge = st.tuples(st.sampled_from(units), st.integers(1, 3),
+                             st.integers(-1, 1)).map(
+                lambda uqd: k + uqd[0] * uqd[1] + uqd[2])
+            length = data.draw(st.one_of(st.integers(0, k + 3), near_square,
+                                         edge, st.integers(0, 5000)),
+                               label="length")
+            seed = data.draw(st.one_of(st.integers(0, 2 ** 32),
+                                       st.tuples(st.integers(0, 99),
+                                                 st.integers(0, 9))),
+                             label="seed")
+            got = m.sample_path(length, seed=seed).symbols
         want = reference_sample_path(m, length, seed)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 100, 1000])
+    @pytest.mark.parametrize("rows", [
+        # repeated cuts, within a row (a zero inside) and across rows
+        [[0.5, 0.0, 0.5], [0.25, 0.25, 0.5], [0.5, 0.25, 0.25]],
+        # zero before a positive entry: a cut at 0.0
+        [[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]],
+        # rows ending in zeros: +inf cuts
+        [[0.6, 0.4, 0.0, 0.0], [0.0, 0.0, 0.3, 0.7], [0.3, 0.0, 0.7, 0.0],
+         [1.0, 0.0, 0.0, 0.0]],
+        # equal rows take the iid branch
+        [[0.5, 0.25, 0.25]] * 3,
+    ])
+    def test_special_cuts_match_loop_reference(self, monkeypatch, budget, rows):
+        monkeypatch.setattr(measures, "SAMPLE_CHUNK", budget)
+        n = len(rows)
+        m = MarkovMeasure(build_sft(n, []), rows)
+        w = 1 if m._iid else m._emit.itemsize
+        step = max(budget // w, 1) * w
+        for length in sorted({0, 1, 2, w - 1, w, w + 2, 3 * w + 1, step,
+                              step + 2, 2 * step + w - 1, 1000}):
+            for seed in (0, 5, (7, 1)):
+                got = m.sample_path(length, seed=seed).symbols
+                if m._iid:
+                    u = np.random.default_rng(seed).random(length)
+                    want = np.searchsorted(np.cumsum(rows[0]), u, "right")
+                    want = np.minimum(want, 2).astype(np.uint8)
+                else:
+                    want = reference_sample_path(m, length, seed)
+                assert got.tobytes() == want.tobytes(), (length, seed)
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_many_cuts_match_loop_reference(self, monkeypatch, threaded):
+        # 30 states of random rows: far more than 255 distinct cuts, so the
+        # codes come from a binary search, and blocks of one draw
+        monkeypatch.setattr(measures, "_THREAD_STATES", 0 if threaded else 10 ** 9)
+        sft = build_sft(30, [])
+        m = markov_on_support(sft, np.random.default_rng(3).uniform(0.05, 1.0,
+                                                                    (30, 30)))
+        assert len(m._edges) > 255 and m._emit.itemsize == 1
+        for length in (1, 2, 700, measures.SAMPLE_CHUNK + 2):
+            got = m.sample_path(length, seed=length).symbols
+            assert got.tobytes() == reference_sample_path(m, length, length).tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 15])
     @pytest.mark.parametrize("length", [1, 6, 7, 8, 50, 1000])
@@ -360,18 +420,22 @@ class TestSampling:
             assert got.dtype == np.uint8
             assert got.tobytes() == draws.astype(np.uint8).tobytes()
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 500])
     @pytest.mark.parametrize("index", range(8))
     def test_memory_chunks_continue_one_stream(self, monkeypatch, supports,
                                                index, chunk):
-        # a chain with memory takes its uniforms in chunks too and carries
-        # its state across them
+        # a chain with memory takes its uniforms in chunks of whole blocks
+        # of w draws, w set by the table budget, and carries its state
+        # across them
         monkeypatch.setattr(measures, "SAMPLE_CHUNK", chunk)
         sft = supports[index]
-        n = sft.n_states
+        n, k = sft.n_states, sft.k
         m = markov_on_support(sft, np.arange(1.0, n * n + 1).reshape(n, n))
-        for length in (1, sft.k, sft.k + 1, sft.k + chunk, sft.k + chunk + 1,
-                       sft.k + 3 * chunk - 1, 1000):
+        w = m._emit.itemsize
+        step = max(chunk // w, 1) * w
+        for length in sorted({1, k, k + 1, k + w - 1, k + w, k + w + 1,
+                              k + 3 * w - 1, k + step - 1, k + step,
+                              k + step + 1, k + 3 * step - 1, 1000}):
             for seed in (4, (2001, 3, 0x5A)):
                 got = m.sample_path(length, seed=seed).symbols
                 want = reference_sample_path(m, length, seed)
@@ -382,15 +446,37 @@ class TestSampling:
         sft = supports[index]
         n = sft.n_states
         m = markov_on_support(sft, np.arange(1.0, n * n + 1).reshape(n, n))
-        length = sft.k + measures.SAMPLE_CHUNK + 1
-        got = m.sample_path(length, seed=9).symbols
-        assert got.tobytes() == reference_sample_path(m, length, 9).tobytes()
+        w = m._emit.itemsize
+        step = measures.SAMPLE_CHUNK // w * w
+        for length in (sft.k + step - 1, sft.k + step + 1,
+                       sft.k + measures.SAMPLE_CHUNK + 1):
+            got = m.sample_path(length, seed=9).symbols
+            assert got.tobytes() == reference_sample_path(m, length, 9).tobytes()
+
+    def test_reach_at_1024_states(self):
+        # the uniform chain on forbid 0^11 samples with no n_states x chunk
+        # array: a Python step per block through the end table
+        m = MarkovMeasure.uniform(build_sft(2, ["0" * 11]))
+        assert m.sft.n_states == 1024 > measures._THREAD_STATES
+        m.sample_path(100, seed=1)
+        start = time.perf_counter()
+        m.sample_path(10 ** 5, seed=2)
+        assert time.perf_counter() - start < 0.5
+        tracemalloc.start()
+        try:
+            got = m.sample_path(10 ** 5, seed=2).symbols
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert got[:20_000].tobytes() == reference_sample_path(m, 20_000, 2).tobytes()
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_next_states_match_searchsorted(self, data):
-        # every row's counted states against the documented rule, at every
-        # cut, the doubles on either side of it, and the ends of [0, 1)
+    def test_after_table_matches_searchsorted(self, data):
+        # every row's state on each draw's interval code against the
+        # documented rule, at every cut, the doubles on either side of it,
+        # and the ends of [0, 1)
         n = data.draw(st.integers(1, 7), label="n_states")
         weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
         w = np.reshape(data.draw(st.lists(weight, min_size=n * n, max_size=n * n),
@@ -411,9 +497,9 @@ class TestSampling:
         last = [np.flatnonzero(row > 0)[-1] for row in p]   # the clamp
         want = np.array([np.minimum(np.searchsorted(row, u, "right"), j)
                          for row, j in zip(cum, last)])
-        assert np.array_equal(m._next_states(u), want)
-        for s in range(n):
-            assert np.array_equal(m._next_states(u, s), want[s])
+        codes = m._codes(u)
+        assert np.array_equal(codes, np.searchsorted(m._edges, u, "right"))
+        assert np.array_equal(m._after[:, codes], want)
 
     def test_draw_above_row_total_stays_on_a_successor(self, monkeypatch):
         # row 2's float total is 0.9999999999999999, so the largest double
@@ -424,7 +510,7 @@ class TestSampling:
         m = MarkovMeasure(sft, p)
         top = np.nextafter(1.0, 0.0)
         assert np.cumsum(p[2])[-1] <= top
-        assert m._next_states(np.array([top]), 2).tolist() == [2]
+        assert m._after[2, m._codes(np.array([top]))].tolist() == [2]
 
         class Top:      # a generator whose every uniform is ``top``
             def __init__(self, seed):
@@ -433,8 +519,10 @@ class TestSampling:
             def choice(self, n, p):
                 return 2
 
-            def random(self, size):
-                return np.full(size, top)
+            def random(self, size=None, out=None):
+                if out is None:
+                    return np.full(size, top)
+                out[:] = top
 
         monkeypatch.setattr(np.random, "default_rng", Top)
         path = m.sample_path(1000, seed=0)
