@@ -104,11 +104,11 @@ class MarkovMeasure:
         w = 1
         while K > 1 and n * K ** (w + 1) * (after.itemsize + w + 1) <= SAMPLE_CHUNK:
             w += 1
-        end, emit = after, sft.last_symbol.take(after)[..., None]
-        for _ in range(1, w):
+        end, emit = np.arange(n)[:, None], np.empty((n, K ** w, w), np.uint8)
+        for i in range(w):      # symbol i: the last of the state after draws 0..i
             end = after.take(end, axis=0).reshape(n, -1)
-            emit = np.concatenate([np.repeat(emit, K, axis=1),
-                                   sft.last_symbol.take(end)[..., None]], axis=2)
+            emit.reshape(n, K ** (i + 1), -1, w)[..., i] = sft.last_symbol.take(
+                end)[..., None]
         self._end, self._emit = end, emit.view(np.dtype((np.void, w))).ravel()
 
     @classmethod
