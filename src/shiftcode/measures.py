@@ -219,7 +219,7 @@ class MarkovMeasure:
     def _codes(self, u: np.ndarray) -> np.ndarray:
         """The interval code of each draw: its count of distinct cuts."""
         edges = self._edges
-        if len(edges) > 255:
+        if len(edges) > 255:    # past uint8 codes, and past comparisons' lead
             return np.searchsorted(edges, u, "right")
         codes = np.zeros(len(u), dtype=np.uint8)
         for cut in edges.tolist():
