@@ -473,7 +473,7 @@ class TestSampling:
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_after_table_matches_searchsorted(self, data):
+    def test_next_states_match_searchsorted(self, data):
         # every row's state on each draw's interval code against the
         # documented rule, at every cut, the doubles on either side of it,
         # and the ends of [0, 1)
