@@ -104,9 +104,10 @@ class MarkovMeasure:
         w = 1
         while K > 1 and n * K ** (w + 1) * (after.itemsize + w + 1) <= SAMPLE_CHUNK:
             w += 1
-        end, emit = np.arange(n)[:, None], np.empty((n, K ** w, w), np.uint8)
+        end, emit = after, np.empty((n, K ** w, w), np.uint8)
         for i in range(w):      # symbol i: the last of the state after draws 0..i
-            end = after.take(end, axis=0).reshape(n, -1)
+            if i:
+                end = after.take(end, axis=0).reshape(n, -1)
             emit.reshape(n, K ** (i + 1), -1, w)[..., i] = sft.last_symbol.take(
                 end)[..., None]
         self._end, self._emit = end, emit.view(np.dtype((np.void, w))).ravel()
@@ -174,11 +175,11 @@ class MarkovMeasure:
         (k = 1, equal rows) draws every state by the same rule from row 0
         and one ``rng.random(n)``.  Both take the uniforms in chunks of about
         ``SAMPLE_CHUNK`` from one stream.  A draw's interval code costs K - 1
-        comparisons, one per distinct finite cut (a binary search above
-        255).  With memory, w codes make one base-K block code; a block's
-        entry state comes from :func:`_walk` over n_states x chunk / w block
-        maps (a Python step above ``_THREAD_STATES`` states), its w symbols
-        from one gather.
+        comparisons, one per distinct finite cut, at most n_states x
+        (n_states - 1).  With memory, w codes make one base-K block code; a
+        block's entry state comes from :func:`_walk` over n_states x chunk /
+        w block maps (a Python step above ``_THREAD_STATES`` states), its w
+        symbols from one gather.
         """
         if length < 0:
             raise ValueError("length must be >= 0")
@@ -219,9 +220,7 @@ class MarkovMeasure:
     def _codes(self, u: np.ndarray) -> np.ndarray:
         """The interval code of each draw: its count of distinct cuts."""
         edges = self._edges
-        if len(edges) > 255:    # past uint8 codes, and past comparisons' lead
-            return np.searchsorted(edges, u, "right")
-        codes = np.zeros(len(u), dtype=np.uint8)
+        codes = np.zeros(len(u), dtype=np.min_scalar_type(len(edges)))
         for cut in edges.tolist():
             codes += u >= cut
         return codes

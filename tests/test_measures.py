@@ -281,6 +281,45 @@ class TestEntropy:
         assert abs(m.entropy() - binary_entropy(p)) < 1e-12
 
 
+def _check_loop_reference(sft, data, threaded):
+    """A drawn chain on ``sft`` samples the loop reference's bytes, its
+    block entry states found by the scan or, ``threaded``, by a Python
+    step per block."""
+    n, k = sft.n_states, sft.k
+    weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * n,
+                                 max_size=n * n), label="weights")
+    # the table budget sets the block width w and the chunk
+    budget = data.draw(st.sampled_from([measures.SAMPLE_CHUNK, 1, 40, 300,
+                                        4000]), label="budget")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "SAMPLE_CHUNK", budget)
+        mp.setattr(measures, "_THREAD_STATES", 0 if threaded else 10 ** 9)
+        m = markov_on_support(sft, np.reshape(weights, (n, n)))
+        # equal rows at k = 1 take the iid branch, which the loop is not
+        assume(k > 1 or not (m.transition == m.transition[0]).all())
+        w = m._emit.itemsize
+        step = max(budget // w, 1) * w
+        near_square = st.tuples(st.integers(1, 70), st.integers(-1, 1)).map(
+            lambda rd: k + rd[0] ** 2 + rd[1])
+        # lengths around q blocks and q chunks
+        block = st.tuples(st.sampled_from([w, step]), st.integers(1, 3),
+                          st.integers(-1, 1)).map(
+            lambda uqd: k + uqd[0] * uqd[1] + uqd[2])
+        # the scan threads at most _WALK_TOP block columns in Python and
+        # halves wider levels, an odd last column going up alone
+        scan_edge = st.tuples(st.integers(0, 6), st.integers(-1, 1)).map(
+            lambda jd: k + w * measures._WALK_TOP * 2 ** jd[0] + jd[1])
+        length = data.draw(st.one_of(st.integers(0, k + 3), near_square, block,
+                                     scan_edge, st.integers(0, 5000)),
+                           label="length")
+        seed = data.draw(st.one_of(st.integers(0, 2 ** 32),
+                                   st.tuples(st.integers(0, 99), st.integers(0, 9))),
+                         label="seed")
+        got = m.sample_path(length, seed=seed).symbols
+    want = reference_sample_path(m, length, seed)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestSampling:
     def test_empty(self, bern_half):
         assert len(bern_half.sample_path(0, seed=1)) == 0
@@ -323,44 +362,13 @@ class TestSampling:
     @given(data=st.data())
     @settings(max_examples=30)
     def test_matches_loop_reference(self, supports, index, data):
-        sft = supports[index]
-        n, k = sft.n_states, sft.k
-        weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n * n,
-                                     max_size=n * n), label="weights")
-        # the table budget sets the block width w and the chunk; the state
-        # count picks the scan or a Python step per block
-        budget = data.draw(st.sampled_from([measures.SAMPLE_CHUNK, 1, 40, 300,
-                                            4000]), label="budget")
-        threaded = data.draw(st.booleans(), label="threaded")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(measures, "SAMPLE_CHUNK", budget)
-            mp.setattr(measures, "_THREAD_STATES", 0 if threaded else 10 ** 9)
-            m = markov_on_support(sft, np.reshape(weights, (n, n)))
-            # equal rows at k = 1 take the iid branch, which the loop is not
-            assume(k > 1 or not (m.transition == m.transition[0]).all())
-            w = m._emit.itemsize
-            step = max(budget // w, 1) * w
-            near_square = st.tuples(st.integers(1, 70), st.integers(-1, 1)).map(
-                lambda rd: k + rd[0] ** 2 + rd[1])
-            # lengths around q blocks, q chunks, and the scan's levels: it
-            # threads at most _WALK_TOP block columns in Python and halves
-            # wider levels, an odd last column going up alone
-            units = [u for u in [w, step, *(w * measures._WALK_TOP * 2 ** j
-                                            for j in range(4))]
-                     if k + 3 * u < 12_000]
-            edge = st.tuples(st.sampled_from(units), st.integers(1, 3),
-                             st.integers(-1, 1)).map(
-                lambda uqd: k + uqd[0] * uqd[1] + uqd[2])
-            length = data.draw(st.one_of(st.integers(0, k + 3), near_square,
-                                         edge, st.integers(0, 5000)),
-                               label="length")
-            seed = data.draw(st.one_of(st.integers(0, 2 ** 32),
-                                       st.tuples(st.integers(0, 99),
-                                                 st.integers(0, 9))),
-                             label="seed")
-            got = m.sample_path(length, seed=seed).symbols
-        want = reference_sample_path(m, length, seed)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        _check_loop_reference(supports[index], data, threaded=False)
+
+    @pytest.mark.parametrize("index", range(8))
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_threaded_matches_loop_reference(self, supports, index, data):
+        _check_loop_reference(supports[index], data, threaded=True)
 
     @pytest.mark.parametrize("budget", [1, 100, 1000])
     @pytest.mark.parametrize("rows", [
@@ -394,13 +402,14 @@ class TestSampling:
 
     @pytest.mark.parametrize("threaded", [False, True])
     def test_many_cuts_match_loop_reference(self, monkeypatch, threaded):
-        # 30 states of random rows: far more than 255 distinct cuts, so the
-        # codes come from a binary search, and blocks of one draw
+        # 30 states of random rows: far more than 255 distinct cuts, so
+        # uint16 codes, and blocks of one draw
         monkeypatch.setattr(measures, "_THREAD_STATES", 0 if threaded else 10 ** 9)
         sft = build_sft(30, [])
         m = markov_on_support(sft, np.random.default_rng(3).uniform(0.05, 1.0,
                                                                     (30, 30)))
         assert len(m._edges) > 255 and m._emit.itemsize == 1
+        assert m._codes(np.zeros(1)).dtype == np.uint16
         for length in (1, 2, 700, measures.SAMPLE_CHUNK + 2):
             got = m.sample_path(length, seed=length).symbols
             assert got.tobytes() == reference_sample_path(m, length, length).tobytes()
