@@ -3,6 +3,9 @@
 Every SFT is recoded internally to a memory-1 vertex shift whose vertices
 are the admissible k-words (k = max(memory, 1)); every graph computation
 reads its one (n_states, m) step table, or a matrix scattered from it.
+Words are checked by their (k+1)-window codes.  Per 2^16 windows, flagging
+the forbidden ones costs nothing when none is, 11 us plus 6.5 us a code
+compared for at most ``FEW_FORBIDDEN``, else 76-84 us to gather ``edges``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from .automata import Dfa
 from .errors import CoverageError, EmptySftError, NotMixingError, ParameterError
 
 MAX_TEXT_ALPHABET = 10  # text format writes symbols as single digits
+# Most forbidden (k+1)-windows admissible_pieces compares codes with, not
+# gathering from edges: on a 2-vCPU host the two cost alike at 10-12.
+FEW_FORBIDDEN = 10
 # Bytes an SFT's largest table may take before it is built, counted at 8
 # bytes an entry: the (k+1)-word grid (whose m^k state index is intp) and the
 # n_states^2 arrays of a Markov measure, which bound the gap's n_states^2 / 8
@@ -234,6 +240,8 @@ class Sft:
         if not alive.any():
             raise EmptySftError("no admissible word survives pruning: empty SFT")
         self.edges = edges
+        bad = np.flatnonzero(~edges).tolist()   # forbidden windows, when few
+        self._forbidden_codes = bad if len(bad) <= FEW_FORBIDDEN else None
         codes = np.flatnonzero(alive)
         _check_table(f"an SFT with {len(codes):,} states: its "
                      f"{len(codes):,} x {len(codes):,} matrices", len(codes) ** 2)
@@ -292,16 +300,22 @@ class Sft:
     def admissible_pieces(self, symbols, lengths) -> np.ndarray:
         """Bool array: which pieces of a concatenation occur in the shift.
 
-        ``symbols`` holds the pieces end to end, ``lengths`` their lengths.
-        One window pass checks them all, ``CHUNK`` windows at a time: a
-        piece longer than k occurs iff each of its (k+1)-windows is an edge
+        ``symbols`` holds the pieces end to end, ``lengths`` their lengths
+        (``ValueError`` unless non-negative with sum ``len(symbols)``).  One
+        window pass checks them all, ``CHUNK`` windows at a time: a piece
+        longer than k occurs iff none of its (k+1)-windows is forbidden
         (windows across a boundary between pieces are ignored), a shorter
-        one of length n iff it is the last n symbols of some state.  A
+        one of length n iff it is the last n symbols of some state.  Window
+        codes are compared with at most ``FEW_FORBIDDEN`` forbidden ones,
+        else looked up in ``edges``, and not made if none is forbidden.  A
         symbol outside the alphabet makes its piece inadmissible.
         """
         sym = np.asarray(symbols)
         lengths = np.asarray(lengths, dtype=np.int64)
-        k, m = self.k, self.alphabet_size
+        if lengths.sum() != len(sym) or (lengths < 0).any():
+            raise ValueError(f"{len(sym)} symbols, but piece lengths total "
+                             f"{lengths.sum()} (least {min(lengths.tolist(), default=0)})")
+        k, m, few = self.k, self.alphabet_size, self._forbidden_codes
         ends = np.cumsum(lengths)
         ok = np.ones(len(lengths), dtype=bool)
         off = (sym < 0) | (sym >= m)
@@ -309,9 +323,15 @@ class Sft:
             ok[np.searchsorted(ends, np.flatnonzero(off), side="right")] = False
             sym = np.where(off, 0, sym)
         # window i covers symbols i..i+k: it counts iff its piece ends later
-        for lo in range(0, max(len(sym) - k, 1), CHUNK):
-            bad = np.flatnonzero(~self.edges.take(
-                window_codes(sym[lo:lo + CHUNK + k], k + 1, m)))
+        for lo in range(0, max(len(sym) - k, 1) if few != [] else 0, CHUNK):
+            codes = window_codes(sym[lo:lo + CHUNK + k], k + 1, m)
+            if few is None:
+                bad = np.flatnonzero(~self.edges.take(codes))
+            else:
+                hit = codes == few[0]
+                for c in few[1:]:
+                    hit |= codes == c
+                bad = np.flatnonzero(hit)
             bad += lo
             piece = np.searchsorted(ends, bad, side="right")
             ok[piece[bad + k < ends[piece]]] = False

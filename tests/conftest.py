@@ -81,6 +81,14 @@ def wide_codes():
     return [build_sft(3, ["001122"]), build_sft(2, ["101010101"])]
 
 
+@pytest.fixture(scope="session")
+def many_forbidden():
+    """SFTs forbidding more (k+1)-windows than shiftspace.FEW_FORBIDDEN:
+    the cat-map edge shift (12, uint8 codes) and 22 with uint16 codes."""
+    return [build_sft(5, "03 04 13 14 33 34 20 21 22 40 41 42".split()),
+            build_sft(3, ["2222", "001122"])]
+
+
 LOG2 = math.log(2)
 GOLDEN_ENTROPY = math.log((1 + math.sqrt(5)) / 2)
 

@@ -259,14 +259,16 @@ class TestAdmissible:
         assert sft.is_admissible(word) == (
             reference_walk(sft.factor_dfa(), word.symbols) >= 0)
 
-    @pytest.mark.parametrize("index", range(10))
+    @pytest.mark.parametrize("index", range(12))
     @given(data=st.data())
     @settings(max_examples=40)
-    def test_pieces_match_walk(self, supports, wide_codes, index, data):
+    def test_pieces_match_walk(self, supports, wide_codes, many_forbidden,
+                               index, data):
         # pieces shorter and longer than k, empty ones, admissible ones
-        # next to inadmissible ones, and symbols off the alphabet; the
-        # last SFTs' (k+1)-window codes are uint16, the others' uint8
-        sft = (supports + wide_codes)[index]
+        # next to inadmissible ones, and symbols off the alphabet; codes
+        # are uint16 for wide_codes and the last SFT, uint8 for the others,
+        # and windows are compared except in many_forbidden's SFTs
+        sft = (supports + wide_codes + many_forbidden)[index]
         m, dfa = sft.alphabet_size, sft.factor_dfa()
         pieces = []
         for _ in range(data.draw(st.integers(0, 6), label="pieces")):
@@ -289,15 +291,16 @@ class TestAdmissible:
         for p in pieces:
             assert sft.is_admissible(p) == (reference_walk(dfa, p) >= 0)
 
-    @pytest.mark.parametrize("index", range(10))
+    @pytest.mark.parametrize("index", range(12))
     @given(data=st.data())
     @settings(max_examples=40)
-    def test_pieces_in_chunks_match_one_take(self, supports, wide_codes, index,
-                                             data):
-        # windows looked up a few at a time: pieces straddling the chunk
-        # edges, pieces shorter than k + 1, symbols off the alphabet (as
-        # uint8 or as signed ints) and empty input, against one take
-        sft = (supports + wide_codes)[index]
+    def test_pieces_in_chunks_match_one_take(self, supports, wide_codes,
+                                             many_forbidden, index, data):
+        # windows looked up a few at a time, by gathers and by compares:
+        # pieces straddling the chunk edges, pieces shorter than k + 1,
+        # symbols off the alphabet (as uint8 or as signed ints) and empty
+        # input, against one take
+        sft = (supports + wide_codes + many_forbidden)[index]
         m, k = sft.alphabet_size, sft.k
         dtype = data.draw(st.sampled_from([np.uint8, np.int64]), label="dtype")
         off = [m, 255] + [-1] * (dtype is np.int64)
@@ -312,10 +315,34 @@ class TestAdmissible:
             sym[:] = sft.factor_dfa().unrank_rows(len(sym), [0])[0]
         want = reference_admissible_pieces(sft, sym, lengths)
         chunk = data.draw(st.integers(1, 2 * k + 3), label="chunk")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(shiftspace, "CHUNK", chunk)
-            got = sft.admissible_pieces(sym, lengths)
-        assert got.tolist() == want.tolist()
+        for few in (0, 1 << 20):   # the gather side, then the compares
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(shiftspace, "CHUNK", chunk)
+                mp.setattr(shiftspace, "FEW_FORBIDDEN", few)
+                built = build_sft(m, sft.forbidden)
+                got = built.admissible_pieces(sym, lengths)
+            assert (built._forbidden_codes is None) == (few == 0 and not sft.edges.all())
+            assert got.tolist() == want.tolist()
+
+    def test_forbidden_codes_kept_when_few(self, full2, golden_mean, supports,
+                                           wide_codes, many_forbidden):
+        assert full2._forbidden_codes == []
+        assert golden_mean._forbidden_codes == [3]          # the window 11
+        for sft in supports + wide_codes:
+            assert sft._forbidden_codes == np.flatnonzero(~sft.edges).tolist()
+        for sft in many_forbidden:
+            assert (~sft.edges).sum() > shiftspace.FEW_FORBIDDEN
+            assert sft._forbidden_codes is None
+
+    @pytest.mark.parametrize("symbols, lengths", [
+        ([1], [3]), ([1, 1, 1], [1]), ([0, 1], [1, 1, 1]), ([0, 1], [3, -1]),
+        ([0], []), ([], [-1, 1])])
+    def test_pieces_refuse_malformed_lengths(self, golden_mean, full2, symbols,
+                                             lengths):
+        for sft in (golden_mean, full2):
+            with pytest.raises(ValueError, match=rf"^{len(symbols)} symbols, "
+                               rf"but piece lengths total {sum(lengths)} "):
+                sft.admissible_pieces(np.array(symbols, dtype=np.uint8), lengths)
 
     def test_pieces_ignore_boundary_windows(self, golden_mean):
         # "1" | "1" and "01" | "10" are admissible apart, not joined
