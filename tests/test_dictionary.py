@@ -41,8 +41,9 @@ def drawn_chains(sft, rng, tries=12):
     adj = reference_adjacency(sft)
     chains = []
     for i in range(tries):
-        p = adj * rng.uniform(0.2, 1.0, adj.shape) * (i % 2 == 0 or (
-            rng.random(adj.shape) > 0.3))
+        p = adj * rng.uniform(0.2, 1.0, adj.shape)
+        if i % 2:
+            p *= rng.random(adj.shape) > 0.3
         if (p.sum(axis=1) > 0).all():
             try:
                 chains.append(MarkovMeasure(sft, p / p.sum(axis=1, keepdims=True)))
